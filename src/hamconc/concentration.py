@@ -36,7 +36,13 @@ from .measures import (
     reweight,
 )
 from .information import kl_divergence
-from .transport import hamming, mismatch_matrix, transport_distance
+from .transport import (
+    TransportPlan,
+    dual_gap,
+    hamming,
+    mismatch_matrix,
+    transport_distance,
+)
 
 
 # -----------------------------------------------------------------------------
@@ -305,8 +311,7 @@ def refute_T(mu: DiscreteMeasure, params: TParams,
         margin = cost - div / params.kappa - params.r
         if margin > 1e-9:
             # also expose the dual-side witness from the optimal potential
-            from .transport import dual_gap as _dg
-            cert, _ = _dg(plan)
+            cert, _ = dual_gap(plan)
             fvals = np.array([cert.potential[w] for w in support])
             fvals = lipschitz_project(fvals, dist)
             witness = LipschitzWitness(
@@ -488,7 +493,8 @@ def propagate_t_params(params: TParams, transform) -> TParams:
 
 
 def concentrate_subset(mu: DiscreteMeasure, nu: DiscreteMeasure,
-                       params: TParams, delta: float
+                       params: TParams, delta: float, *,
+                       plan: TransportPlan | None = None,
                        ) -> tuple[tuple[Word, ...], TParams]:
     """Carve a large subset U of supp(nu) on which nu inherits concentration.
 
@@ -497,11 +503,18 @@ def concentrate_subset(mu: DiscreteMeasure, nu: DiscreteMeasure,
     nu to mu optimally, keeps the pairs within distance delta, and thresholds
     the resulting density at 1/2 + 2 delta.  Returns U with nu(U) >= 1-4 delta
     and the propagated parameters (kappa, (8 delta + 2 log 4)/kappa + 4r + 4 delta).
+
+    ``plan`` is an optimal coupling the caller already solved; it must be the
+    exact plan from ``mu`` to ``nu`` that ``transport_distance(mu, nu)``
+    returns, and one between other measures raises ``MeasureError``.  Without
+    it the coupling is solved here.
     """
     if not (0.0 <= delta < 0.125):
         raise MeasureError(f"delta must lie in [0, 1/8), got {delta}")
-    n = mu.space.dimension
-    cost, plan = transport_distance(mu, nu)
+    if plan is None:
+        _, plan = transport_distance(mu, nu)
+    elif not plan.exact or plan.source != mu or plan.target != nu:
+        raise MeasureError("plan must be an exact coupling from mu to nu")
     # nu1 = second marginal of the coupling restricted to pairs within delta
     kept: dict[Word, float] = {}
     kept_mass = 0.0

@@ -754,12 +754,13 @@ def carve_concentrated_set(mu: DiscreteMeasure, cfg: PipelineConfig,
     if e_val <= (r ** 4) * n:
         prod = product_measure(
             mu.space, [list(_marginal_vector(mu, i)) for i in range(n)])
-        dbar, _ = transport_distance(mu, prod)
+        dbar, plan = transport_distance(prod, mu)
         info["dbar_to_product"] = dbar
         if dbar > r * r:
             failures.append("marton distance dbar <= r^2")
         delta_cs = min(math.sqrt(max(dbar, 0.0)) if dbar > r * r else r, 0.124)
-        cell, params = concentrate_subset(prod, mu, TParams(8 * r * n, r), delta_cs)
+        cell, params = concentrate_subset(prod, mu, TParams(8 * r * n, r),
+                                          delta_cs, plan=plan)
         mass = sum(mu.mass(w) for w in cell)
         if mass < 1.0 - 4.0 * delta_cs - 1e-9 or mass <= 0.0:
             raise CarveError(f"small-tc subset kept mass {mass}; diagnostics {info}")
@@ -863,27 +864,28 @@ def carve_concentrated_set(mu: DiscreteMeasure, cfg: PipelineConfig,
         mass_u = sum(nu.mass(w) for w in u_words)
         nu_u = condition(nu, u_words)
         nu_rho = comp
-        dd, _ = transport_distance(nu_u, nu_rho)
+        dd, plan = transport_distance(nu_rho, nu_u)
         ok_mass = abs(mass_u - rho_weight) <= 9.0 * delta * rho_weight + 1e-12
         ok_dist = mass_u * dd <= 21.0 * delta * rho_weight + 1e-12
         attempts.append({"attempt": attempt, "mass": mass_u,
                          "dbar": dd, "ok_mass": ok_mass, "ok_dist": ok_dist})
         if ok_mass and ok_dist:
-            accepted = (u_words, nu_u, nu_rho, dd)
+            accepted = (u_words, nu_u, nu_rho, dd, plan)
             break
     info["random_set_attempts"] = attempts
     if accepted is None:
         raise CarveError(
             f"random subset acceptance failed over {cfg.carve_retries} seeds; "
             f"diagnostics {info}")
-    u_words, nu_u, nu_rho, dd = accepted
+    u_words, nu_u, nu_rho, dd, plan = accepted
     if dd > 42.0 * delta + 1e-12:
         failures.append("dbar(nu_U, nu_rho) <= 42 delta")
     delta_cs = math.sqrt(max(dd, 0.0))
     if delta_cs >= 0.125:
         raise CarveError(
             f"trim distance sqrt({dd}) outside [0,1/8); diagnostics {info}")
-    cell, params = concentrate_subset(nu_rho, nu_u, TParams(kappa_n, r), delta_cs)
+    cell, params = concentrate_subset(nu_rho, nu_u, TParams(kappa_n, r),
+                                      delta_cs, plan=plan)
     cell = tuple(sorted(set(cell) & set(u_words))) or tuple(sorted(cell))
     params = TParams(params.kappa, min(params.r, 1.0))
     cert = refute_T(condition(mu, cell), params,

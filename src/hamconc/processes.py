@@ -450,7 +450,8 @@ def conditional_partition(lam: JointSpec, n: int, cfg: PipelineConfig,
     conditional law (TC <= delta * n) and partition each good conditional.
 
     The per-string partition is encoded as a labeling of A-words by binary
-    cell codes of length n, the combinatorial core of writing the partitions
+    cell codes of length n (longer when a partition has more than 2^n cells,
+    so codes never collide), the combinatorial core of writing the partitions
     as an auxiliary process.
     """
     bk = block_kernel(lam, n, cap=cap)
@@ -468,16 +469,17 @@ def conditional_partition(lam: JointSpec, n: int, cfg: PipelineConfig,
 
     partitions: dict[Word, DecompositionResult] = {}
     labels: dict[Word, dict[Word, str]] = {}
-    width = max(n, 1)
     for j, b in enumerate(good):
         sub_cfg = replace(cfg, seed=int(
             np.random.SeedSequence(cfg.seed, spawn_key=(9, j))
             .generate_state(1)[0]))
         res = partition_decomposition(conds[b], sub_cfg)
         partitions[b] = res
+        # n bits, widened when the partition has more than 2^n cells
+        width = max(n, 1, (len(res.sets) - 1).bit_length())
         lab: dict[Word, str] = {}
         for cell_idx, cell in enumerate(res.sets):
-            code = format(cell_idx, "b").zfill(width)[-width:]
+            code = format(cell_idx, "b").zfill(width)
             for word in cell:
                 lab[word] = code
         labels[b] = lab

@@ -3,9 +3,14 @@
 The exact backend is a transportation simplex over the bipartite support
 graph.  Costs are integer mismatch counts (Hamming distances times n), so all
 pivoting decisions and dual potentials are exact integer arithmetic; only the
-transported amounts are floats.  Pivot order is pinned (most negative reduced
-cost, lexicographic tie-break, with a Bland fallback against degenerate
-cycling) so plans are reproducible byte for byte.
+transported amounts are floats.  The basis is a spanning tree rooted at the
+first source atom, held in flat per-node lists (parent, depth, flow on the arc
+to the parent, children) next to one int64 potential vector, so a pivot climbs
+to a lowest common ancestor and re-roots one subtree instead of searching the
+tree.  Pivot order is pinned (north-west-corner start, most negative reduced
+cost with row-major tie-break, lexicographically smallest leaving arc, and a
+Bland fallback against degenerate cycling) so plans are reproducible byte for
+byte.
 
 The approximate backend is entropically regularized iteration, used only above
 the configured support cap and always labeled, with bias bound
@@ -137,146 +142,156 @@ class DualCertificate:
 # -----------------------------------------------------------------------------
 # Exact backend: transportation simplex
 # -----------------------------------------------------------------------------
-def _northwest_corner(a: np.ndarray, b: np.ndarray):
-    """Initial basic feasible solution; returns flows and the R+C-1 basis arcs."""
+#: degenerate pivots in a row, per tree node, before Bland's rule takes over
+BLAND_STREAK_PER_NODE = 4
+
+
+def _northwest_corner(a: np.ndarray, b: np.ndarray, cost: np.ndarray):
+    """Initial basis: the north-west-corner staircase as a tree rooted at row 0.
+
+    Each staircase arc attaches one new node to a node already placed, so the
+    per-node arrays fill in order.  Returns ``parent``, ``depth``, ``flow`` (on
+    the arc to the parent), ``children`` and the potentials ``y``.
+    """
     nr, nc = len(a), len(b)
-    rem_a = a.copy()
-    rem_b = b.copy()
-    flow: dict[tuple[int, int], float] = {}
-    basis: list[tuple[int, int]] = []
+    nodes = nr + nc
+    rem_a, rem_b, c = a.tolist(), b.tolist(), cost.tolist()
+    parent = [-1] * nodes
+    depth = [0] * nodes
+    flow = [0.0] * nodes
+    children: list[list[int]] = [[] for _ in range(nodes)]
+    y = [0] * nodes
     i = j = 0
+    new = nr  # the arc (0, 0) attaches column 0 to the root
     while True:
         q = min(rem_a[i], rem_b[j])
-        flow[(i, j)] = max(q, 0.0)
-        basis.append((i, j))
+        old = i if new >= nr else nr + j
+        parent[new] = old
+        depth[new] = depth[old] + 1
+        flow[new] = max(q, 0.0)
+        children[old].append(new)
+        # u_i + v_j = c_ij with y = (u, -v)
+        y[new] = y[i] - c[i][j] if new >= nr else c[i][j] + y[nr + j]
         rem_a[i] -= q
         rem_b[j] -= q
         if i == nr - 1 and j == nc - 1:
             break
         if j == nc - 1 or (rem_a[i] <= rem_b[j] and i < nr - 1):
             i += 1
+            new = i
         else:
             j += 1
-    return flow, basis
-
-
-def _tree_potentials(adj, cost, nr, nc):
-    """Integer potentials solving u_i + v_j = c_ij on the basis tree."""
-    u = np.zeros(nr, dtype=np.int64)
-    v = np.zeros(nc, dtype=np.int64)
-    seen = [False] * (nr + nc)
-    seen[0] = True
-    stack = [0]
-    while stack:
-        node = stack.pop()
-        for nb in adj[node]:
-            if seen[nb]:
-                continue
-            seen[nb] = True
-            if node < nr:
-                v[nb - nr] = int(cost[node, nb - nr]) - u[node]
-            else:
-                u[nb] = int(cost[nb, node - nr]) - v[node - nr]
-            stack.append(nb)
-    return u, v
-
-
-def _tree_path(adj, start, goal):
-    """Node path between two tree nodes (rows are 0..nr-1, cols nr..)."""
-    parent = {start: None}
-    stack = [start]
-    while stack:
-        node = stack.pop()
-        if node == goal:
-            break
-        for nb in adj[node]:
-            if nb not in parent:
-                parent[nb] = node
-                stack.append(nb)
-    path = [goal]
-    while parent[path[-1]] is not None:
-        path.append(parent[path[-1]])
-    return path[::-1]
+            new = nr + j
+    return parent, depth, flow, children, np.array(y, dtype=np.int64)
 
 
 def _solve_transport(a: np.ndarray, b: np.ndarray, cost: np.ndarray):
     """Exact transportation simplex with integer costs.
 
-    Returns (flow dict over arcs, integer row potentials, integer col potentials).
-    Entering rule: most negative reduced cost with lexicographic tie-break;
-    after a long degenerate streak, falls back to Bland's rule, which cannot
-    cycle.  Leaving arc: lexicographically smallest among eligible.  Potentials
-    are maintained incrementally: each pivot shifts them by the entering arc's
-    reduced cost on the subtree cut off by the leaving arc, keeping them exact
-    integers throughout.
+    Returns (flow dict over the R+C-1 basic arcs, integer row potentials u,
+    integer column potentials v).  Nodes are rows 0..R-1 and columns
+    R..R+C-1; the basis is a spanning tree rooted at row 0, kept in per-node
+    lists (``parent``, ``depth``, ``flow`` on the arc to the parent,
+    ``children``) and one int64 potential vector ``y`` = (u, -v).
+
+    Pivot rules, pinned so that plans are reproducible bit for bit:
+
+    * start from the north-west corner;
+    * entering arc: the most negative reduced cost c_ij - u_i - v_j over all
+      arcs, first in row-major order on ties; after more than
+      ``BLAND_STREAK_PER_NODE * (R+C)`` degenerate pivots in a row, the first
+      negative one (Bland's rule, which cannot cycle) for the rest of the solve;
+    * leaving arc: the lexicographically smallest (i, j) among the cycle's
+      backward arcs with the least flow.
+
+    The cycle is the entering arc plus the tree paths from both of its ends up
+    to their lowest common ancestor, found by climbing by depth.  The leaving
+    arc cuts off a subtree; it is re-rooted at the entering arc's end inside
+    it and hung from the other end.  The potentials shift by the entering
+    reduced cost on the side holding the entering column, so they stay exact
+    integers.
     """
     nr, nc = cost.shape
-    scale = a.sum() / b.sum()
-    b = b * scale
-    flow, basis = _northwest_corner(a, b)
-    adj: dict[int, set[int]] = {k: set() for k in range(nr + nc)}
-    for (i, j) in basis:
-        adj[i].add(nr + j)
-        adj[nr + j].add(i)
-    u, v = _tree_potentials(adj, cost, nr, nc)
+    b = b * (a.sum() / b.sum())
+    parent, depth, flow, children, y = _northwest_corner(a, b, cost)
+
+    def arc(k):
+        return (k, parent[k] - nr) if k < nr else (parent[k], k - nr)
+
     bland = False
     degenerate_streak = 0
-    max_streak = 4 * (nr + nc)
+    max_streak = BLAND_STREAK_PER_NODE * (nr + nc)
     while True:
-        red = cost - u[:, None] - v[None, :]
+        red = (cost - y[:nr, None] + y[None, nr:]).ravel()
         if bland:
-            mask = (red < 0).ravel()
-            if not mask.any():
+            negative = red < 0
+            if not negative.any():
                 break
-            flat = int(np.argmax(mask))
+            flat = int(np.argmax(negative))
         else:
-            flat = int(np.argmin(red.ravel()))
-            if red.ravel()[flat] >= 0:
+            flat = int(np.argmin(red))
+            if red[flat] >= 0:
                 break
-        delta = int(red.ravel()[flat])
+        delta = int(red[flat])
         ei, ej = divmod(flat, nc)
-        # cycle: entering arc plus the tree path from its column back to its row
-        path = _tree_path(adj, nr + ej, ei)
-        cycle_arcs = [(ei, ej, +1)]
-        sign = -1
-        for s, t in zip(path, path[1:]):
-            arc = (s, t - nr) if s < nr else (t, s - nr)
-            cycle_arcs.append((arc[0], arc[1], sign))
-            sign = -sign
-        minus = [(i, j) for i, j, sg in cycle_arcs if sg < 0]
-        theta = min(flow[arc] for arc in minus)
-        leaving = min(arc for arc in minus if flow[arc] <= theta)
-        for i, j, sg in cycle_arcs:
-            if sg > 0:
-                flow[(i, j)] = flow.get((i, j), 0.0) + theta
-            else:
-                flow[(i, j)] = max(flow[(i, j)] - theta, 0.0)
-        # swap the basis arcs and shift potentials on the cut-off side
-        adj[leaving[0]].discard(nr + leaving[1])
-        adj[nr + leaving[1]].discard(leaving[0])
-        side = {nr + ej}
-        stack = [nr + ej]
-        while stack:
-            node = stack.pop()
-            for nb in adj[node]:
-                if nb not in side:
-                    side.add(nb)
-                    stack.append(nb)
-        for node in side:
-            if node < nr:
-                u[node] -= delta
-            else:
-                v[node - nr] += delta
-        adj[ei].add(nr + ej)
-        adj[nr + ej].add(ei)
-        del flow[leaving]
+        col = nr + ej
+        # climb both ends to the lowest common ancestor; along each climb the
+        # tree arcs alternate backward (-), forward (+), starting backward
+        up_row: list[int] = []
+        up_col: list[int] = []
+        x, z = ei, col
+        while depth[x] > depth[z]:
+            up_row.append(x)
+            x = parent[x]
+        while depth[z] > depth[x]:
+            up_col.append(z)
+            z = parent[z]
+        while x != z:
+            up_row.append(x)
+            up_col.append(z)
+            x = parent[x]
+            z = parent[z]
+        minus_col = up_col[0::2]
+        minus = up_row[0::2] + minus_col
+        theta = min([flow[k] for k in minus])
+        leave = min([k for k in minus if flow[k] <= theta], key=arc)
+        for k in up_row[1::2] + up_col[1::2]:
+            flow[k] += theta
+        for k in minus:
+            flow[k] = max(flow[k] - theta, 0.0)
+        # re-root the cut-off subtree at the entering end inside it
+        inside, outside = (col, ei) if leave in minus_col else (ei, col)
+        node, new_parent, carried = inside, outside, theta
+        while True:
+            old_parent, old_flow = parent[node], flow[node]
+            children[old_parent].remove(node)
+            children[new_parent].append(node)
+            parent[node] = new_parent
+            flow[node] = carried
+            if node == leave:
+                break
+            node, new_parent, carried = old_parent, node, old_flow
+        depth[inside] = depth[outside] + 1
+        subtree = [inside]
+        for k in subtree:  # breadth first: the loop reaches appended nodes
+            d = depth[k] + 1
+            for child in children[k]:
+                depth[child] = d
+            subtree.extend(children[k])
+        # shift the potentials on the side that holds the entering column
+        if inside == col:
+            y[subtree] -= delta
+        else:
+            y -= delta
+            y[subtree] += delta
         if theta <= 0.0:
             degenerate_streak += 1
             if degenerate_streak > max_streak:
                 bland = True
         else:
             degenerate_streak = 0
-    return flow, u, v
+    basis = {arc(k): flow[k] for k in range(1, nr + nc)}
+    return basis, y[:nr].copy(), -y[nr:]
 
 
 def _mcshane_potential(cost_src_union: np.ndarray, g: np.ndarray) -> np.ndarray:

@@ -226,6 +226,21 @@ def test_concentrate_excludes_far_contaminant():
     assert (0,) * n in cell
 
 
+def test_concentrate_accepts_its_own_plan_only():
+    mu = biased_product(4, 0.3)
+    nu = biased_product(4, 0.35)
+    params = TParams(9.6, 0.3)
+    _, plan = transport_distance(mu, nu)
+    assert concentrate_subset(mu, nu, params, 0.1, plan=plan) \
+        == concentrate_subset(mu, nu, params, 0.1)
+    _, transposed = transport_distance(nu, mu)
+    other = biased_product(4, 0.4)
+    _, elsewhere = transport_distance(mu, other)
+    for wrong in (transposed, elsewhere):
+        with pytest.raises(MeasureError, match="plan"):
+            concentrate_subset(mu, nu, params, 0.1, plan=wrong)
+
+
 def test_concentrate_rejects_bad_delta():
     mu = two_cluster(3)
     with pytest.raises(MeasureError):

@@ -1,5 +1,6 @@
 """Process generators, block kernels, and the conditional block statistics."""
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hamconc import (
     total_correlation,
     tv_distance,
 )
+from hamconc import processes
 from hamconc.measures import product_measure, variation_norm
 from hamconc.decompose import PipelineConfig
 from hamconc.processes import (
@@ -324,6 +326,30 @@ def test_conditional_partition_labels_cover():
         assert set(report.labels[b]) == set(grouped.support)
         codes = set(report.labels[b].values())
         assert all(len(c) == 4 for c in codes)
+
+
+def test_conditional_partition_labels_widen_past_2n_cells(monkeypatch):
+    # a partition of 2^n + 1 cells: n-bit codes would give the first and the
+    # last cell the same label
+    n = 2
+
+    def many_cells(mu, cfg):
+        words = list(mu.support)
+        sets = ((words[0],),) + ((),) * (2 ** n - 1) + (tuple(words[1:]),)
+        return SimpleNamespace(sets=sets)
+
+    monkeypatch.setattr(processes, "partition_decomposition", many_cells)
+    cfg = PipelineConfig(epsilon=0.3, r=0.3, seed=1, delta_override=0.05)
+    report = conditional_partition(independent_joint(), n, cfg)
+    assert report.good_strings
+    for b in report.good_strings:
+        lab = report.labels[b]
+        sets = report.partitions[b].sets
+        assert len(sets) == 2 ** n + 1
+        for idx, cell in enumerate(sets):
+            for word in cell:
+                assert lab[word] == format(idx, "03b")
+        assert lab[sets[0][0]] != lab[sets[-1][0]]
 
 
 # -----------------------------------------------------------------------------

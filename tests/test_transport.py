@@ -1,9 +1,11 @@
 """Exact transportation distances, dual certificates, and coupling bounds."""
+import hashlib
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hamconc import (
     DiscreteMeasure,
@@ -18,11 +20,17 @@ from hamconc import (
     transport_distance,
     variation_norm,
 )
+from hamconc import transport as transport_module
 from hamconc.measures import product_measure
-from hamconc.transport import diameter, tv_partition_bound
+from hamconc.transport import (
+    _solve_transport,
+    diameter,
+    mismatch_matrix,
+    tv_partition_bound,
+)
 
 from conftest import biased_product, make_measure, random_measure, two_cluster
-from oracles import lp_transport_cost
+from oracles import lp_transport_cost, random_sparse_measure
 
 
 # -----------------------------------------------------------------------------
@@ -45,6 +53,142 @@ def test_diameter_exact_and_bounded():
 # -----------------------------------------------------------------------------
 # exact distances
 # -----------------------------------------------------------------------------
+def _instance(atoms_a, atoms_b):
+    """Solver input for two atom maps, laid out as ``transport_distance`` does."""
+    src, tgt = sorted(atoms_a), sorted(atoms_b)
+    a = np.array([atoms_a[w] for w in src])
+    b = np.array([atoms_b[w] for w in tgt])
+    return a, b, mismatch_matrix(src, tgt)
+
+
+def _random_words(rng, n, k):
+    cube = list(itertools.product((0, 1), repeat=n))
+    return [cube[i] for i in sorted(rng.choice(len(cube), size=k, replace=False))]
+
+
+def _solver_corpus():
+    """Seeded solver inputs: the criterion 3 oracle pairs, near-identical
+    pairs, point masses, and single-row / single-column shapes."""
+    rng = np.random.default_rng(303)
+    for _ in range(200):  # same draws as criterion 3's oracle loop
+        n = int(rng.integers(2, 5))
+        alphabet = int(rng.integers(2, 4))
+        yield _instance(random_sparse_measure(rng, alphabet, n, 30),
+                        random_sparse_measure(rng, alphabet, n, 30))
+    rng = np.random.default_rng(1705)
+    for n in (2, 3, 4, 5, 5, 5):
+        # a product law against the product of its own marginals: the two
+        # differ by round-off only (about 1e-17), as in a small-tc carve
+        cube = list(itertools.product((0, 1), repeat=n))
+
+        def product(margs):
+            return {w: math.prod(margs[i][x] for i, x in enumerate(w)) for w in cube}
+
+        mu = product([rng.dirichlet(np.ones(2)).tolist() for _ in range(n)])
+        again = [[0.0, 0.0] for _ in range(n)]
+        for w, m in mu.items():
+            for i, x in enumerate(w):
+                again[i][x] += m
+        prod = product(again)
+        yield _instance(mu, prod)
+        yield _instance(prod, mu)
+        # one-ulp jitter on a few atoms of a uniform law
+        a = np.full(len(cube), 1.0 / len(cube))
+        b = a.copy()
+        hit = rng.choice(len(cube), size=max(len(cube) // 4, 1), replace=False)
+        b[hit] = np.nextafter(b[hit], np.where(rng.random(len(hit)) < 0.5,
+                                                -np.inf, np.inf))
+        yield a, b, mismatch_matrix(cube, cube)
+    for k in (1, 2, 5, 12):
+        words = _random_words(rng, 4, k)
+        masses = rng.dirichlet(np.ones(k))
+        point = _random_words(rng, 4, 1)
+        yield np.array([1.0]), masses, mismatch_matrix(point, words)
+        yield masses, np.array([1.0]), mismatch_matrix(words, point)
+        other = _random_words(rng, 4, k)
+        yield masses, rng.dirichlet(np.ones(k)), mismatch_matrix(words, other)
+    words = _random_words(rng, 5, 2)
+    yield np.array([1.0]), np.array([1.0]), mismatch_matrix(words[:1], words[1:])
+
+
+#: sha256 of every corpus solve (basic arcs with flows, u, v), recorded from
+#: the adjacency-dict solver that the array tree replaced; the second with
+#: Bland's rule taking over at the first degenerate pivot
+SOLVER_CORPUS_DIGEST = "a631c450f42c1fe7aefcaa5785d87a598143776ac417d797a7b491495144f2f3"
+SOLVER_CORPUS_BLAND_DIGEST = "6cc3716db2675394d6e13a007e613c46529a74e4942c431f6eda82c9b426a080"
+
+
+def _corpus_digest():
+    h = hashlib.sha256()
+    for a, b, cost in _solver_corpus():
+        flow, u, v = _solve_transport(a, b, cost)
+        arcs = [(int(i), int(j), float(m).hex()) for (i, j), m in sorted(flow.items())]
+        h.update(repr((arcs, [int(x) for x in u], [int(x) for x in v])).encode())
+    return h.hexdigest()
+
+
+def test_solver_corpus_pins_pivot_sequence():
+    # bitwise flows and integer potentials identify the pivot sequence
+    assert _corpus_digest() == SOLVER_CORPUS_DIGEST
+
+
+def test_solver_corpus_pins_bland_fallback(monkeypatch):
+    # no corpus solve has a degenerate streak long enough to reach Bland's
+    # rule, so force it from the first degenerate pivot
+    monkeypatch.setattr(transport_module, "BLAND_STREAK_PER_NODE", 0)
+    assert _corpus_digest() == SOLVER_CORPUS_BLAND_DIGEST
+
+
+@st.composite
+def transport_instances(draw):
+    """Two small measures on {0,1,2}^n with integer weights, so that tied
+    masses make degenerate pivots common."""
+    n = draw(st.integers(1, 3))
+    cube = list(itertools.product(range(3), repeat=n))
+    words = st.lists(st.sampled_from(cube), min_size=1, max_size=8, unique=True)
+    src, tgt = draw(words), draw(words)
+    weights = st.integers(1, 6)
+    wa = np.array(draw(st.lists(weights, min_size=len(src), max_size=len(src))), float)
+    wb = np.array(draw(st.lists(weights, min_size=len(tgt), max_size=len(tgt))), float)
+    atoms_a = dict(zip(sorted(src), (wa / wa.sum()).tolist()))
+    atoms_b = dict(zip(sorted(tgt), (wb / wb.sum()).tolist()))
+    return n, atoms_a, atoms_b
+
+
+@given(transport_instances())
+@settings(max_examples=150, deadline=None)
+def test_solver_invariants(instance):
+    n, atoms_a, atoms_b = instance
+    a, b, cost = _instance(atoms_a, atoms_b)
+    nr, nc = cost.shape
+    flow, u, v = _solve_transport(a, b, cost)
+    # the basis is a spanning tree: R+C-1 arcs that connect all R+C nodes
+    assert len(flow) == nr + nc - 1
+    adj = {k: [] for k in range(nr + nc)}
+    for i, j in flow:
+        adj[i].append(nr + j)
+        adj[nr + j].append(i)
+    seen, stack = {0}, [0]
+    while stack:
+        for nb in adj[stack.pop()]:
+            if nb not in seen:
+                seen.add(nb)
+                stack.append(nb)
+    assert len(seen) == nr + nc
+    # complementary slackness on the basis and dual feasibility everywhere
+    for i, j in flow:
+        assert u[i] + v[j] == cost[i, j]
+    assert (cost - u[:, None] - v[None, :]).min() >= 0
+    plan = np.zeros((nr, nc))
+    for (i, j), m in flow.items():
+        assert m >= 0.0
+        plan[i, j] = m
+    assert np.abs(plan.sum(axis=1) - a).max() <= 1e-12
+    assert np.abs(plan.sum(axis=0) - b).max() <= 1e-12
+    total = float((plan * cost).sum()) / n
+    assert abs(total - lp_transport_cost(atoms_a, atoms_b, n)) <= 1e-10
+
+
 def test_distance_to_self_zero(rng):
     mu = random_measure(rng, 2, 3, 8)
     cost, plan = transport_distance(mu, mu)
