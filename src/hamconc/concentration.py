@@ -492,29 +492,22 @@ def propagate_t_params(params: TParams, transform) -> TParams:
     raise MeasureError(f"unknown transform {transform!r}")
 
 
-def concentrate_subset(mu: DiscreteMeasure, nu: DiscreteMeasure,
-                       params: TParams, delta: float, *,
-                       plan: TransportPlan | None = None,
+def concentrate_subset(plan: TransportPlan, params: TParams, delta: float,
                        ) -> tuple[tuple[Word, ...], TParams]:
     """Carve a large subset U of supp(nu) on which nu inherits concentration.
 
-    Preconditions (caller-asserted): mu satisfies T(params), and
-    dbar(nu, mu) <= delta^2 with delta in [0, 1/8).  The construction couples
-    nu to mu optimally, keeps the pairs within distance delta, and thresholds
-    the resulting density at 1/2 + 2 delta.  Returns U with nu(U) >= 1-4 delta
-    and the propagated parameters (kappa, (8 delta + 2 log 4)/kappa + 4r + 4 delta).
+    ``plan`` is the optimal coupling from mu (``plan.source``) to nu
+    (``plan.target``) that ``transport_distance(mu, nu)`` returns.
 
-    ``plan`` is an optimal coupling the caller already solved; it must be the
-    exact plan from ``mu`` to ``nu`` that ``transport_distance(mu, nu)``
-    returns, and one between other measures raises ``MeasureError``.  Without
-    it the coupling is solved here.
+    Preconditions (caller-asserted): mu satisfies T(params), and
+    dbar(nu, mu) <= delta^2 with delta in [0, 1/8).  The construction keeps
+    the pairs of the coupling within distance delta and thresholds the
+    resulting density at 1/2 + 2 delta.  Returns U with nu(U) >= 1-4 delta
+    and the propagated parameters (kappa, (8 delta + 2 log 4)/kappa + 4r + 4 delta).
     """
     if not (0.0 <= delta < 0.125):
         raise MeasureError(f"delta must lie in [0, 1/8), got {delta}")
-    if plan is None:
-        _, plan = transport_distance(mu, nu)
-    elif not plan.exact or plan.source != mu or plan.target != nu:
-        raise MeasureError("plan must be an exact coupling from mu to nu")
+    nu = plan.target
     # nu1 = second marginal of the coupling restricted to pairs within delta
     kept: dict[Word, float] = {}
     kept_mass = 0.0

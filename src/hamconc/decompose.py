@@ -759,8 +759,7 @@ def carve_concentrated_set(mu: DiscreteMeasure, cfg: PipelineConfig,
         if dbar > r * r:
             failures.append("marton distance dbar <= r^2")
         delta_cs = min(math.sqrt(max(dbar, 0.0)) if dbar > r * r else r, 0.124)
-        cell, params = concentrate_subset(prod, mu, TParams(8 * r * n, r),
-                                          delta_cs, plan=plan)
+        cell, params = concentrate_subset(plan, TParams(8 * r * n, r), delta_cs)
         mass = sum(mu.mass(w) for w in cell)
         if mass < 1.0 - 4.0 * delta_cs - 1e-9 or mass <= 0.0:
             raise CarveError(f"small-tc subset kept mass {mass}; diagnostics {info}")
@@ -870,22 +869,21 @@ def carve_concentrated_set(mu: DiscreteMeasure, cfg: PipelineConfig,
         attempts.append({"attempt": attempt, "mass": mass_u,
                          "dbar": dd, "ok_mass": ok_mass, "ok_dist": ok_dist})
         if ok_mass and ok_dist:
-            accepted = (u_words, nu_u, nu_rho, dd, plan)
+            accepted = (u_words, dd, plan)
             break
     info["random_set_attempts"] = attempts
     if accepted is None:
         raise CarveError(
             f"random subset acceptance failed over {cfg.carve_retries} seeds; "
             f"diagnostics {info}")
-    u_words, nu_u, nu_rho, dd, plan = accepted
+    u_words, dd, plan = accepted
     if dd > 42.0 * delta + 1e-12:
         failures.append("dbar(nu_U, nu_rho) <= 42 delta")
     delta_cs = math.sqrt(max(dd, 0.0))
     if delta_cs >= 0.125:
         raise CarveError(
             f"trim distance sqrt({dd}) outside [0,1/8); diagnostics {info}")
-    cell, params = concentrate_subset(nu_rho, nu_u, TParams(kappa_n, r),
-                                      delta_cs, plan=plan)
+    cell, params = concentrate_subset(plan, TParams(kappa_n, r), delta_cs)
     cell = tuple(sorted(set(cell) & set(u_words))) or tuple(sorted(cell))
     params = TParams(params.kappa, min(params.r, 1.0))
     cert = refute_T(condition(mu, cell), params,

@@ -191,7 +191,8 @@ def test_paper_interval_empty_at_small_n():
 # -----------------------------------------------------------------------------
 def test_concentrate_identity_case():
     mu = biased_product(4, 0.5)
-    cell, params = concentrate_subset(mu, mu, TParams(9.6, 0.3), 0.0)
+    cell, params = concentrate_subset(transport_distance(mu, mu)[1],
+                                      TParams(9.6, 0.3), 0.0)
     assert set(cell) == set(mu.support)
     assert math.isclose(params.r, 2 * math.log(4) / 9.6 + 4 * 0.3)
     assert params.kappa == 9.6
@@ -205,11 +206,11 @@ def test_concentrate_mass_floor(rng):
         other = random_measure(rng, 2, 4, 6)
         lam = float(min(1.0, step * step))
         nu = mix(MixtureRepresentation((1 - lam, lam), (mu, other)))
-        cost, _ = transport_distance(nu, mu)
+        cost, plan = transport_distance(mu, nu)
         delta = math.sqrt(max(cost, 0.0))
         if delta >= 0.125:
             continue
-        cell, params = concentrate_subset(mu, nu, TParams(8 * 0.3 * 4, 0.3), delta)
+        cell, params = concentrate_subset(plan, TParams(8 * 0.3 * 4, 0.3), delta)
         mass = sum(nu.mass(w) for w in cell)
         assert mass >= 1 - 4 * delta - 1e-9
 
@@ -221,30 +222,15 @@ def test_concentrate_excludes_far_contaminant():
     far = DiscreteMeasure.point_mass(ProductSpace(2, n), (1,) * n)
     d2 = 0.01
     nu = mix(MixtureRepresentation((1 - d2, d2), (mu, far)))
-    cell, _ = concentrate_subset(mu, nu, TParams(50.0, 0.05), 0.1)
+    cell, _ = concentrate_subset(transport_distance(mu, nu)[1], TParams(50.0, 0.05), 0.1)
     assert (1,) * n not in cell
     assert (0,) * n in cell
-
-
-def test_concentrate_accepts_its_own_plan_only():
-    mu = biased_product(4, 0.3)
-    nu = biased_product(4, 0.35)
-    params = TParams(9.6, 0.3)
-    _, plan = transport_distance(mu, nu)
-    assert concentrate_subset(mu, nu, params, 0.1, plan=plan) \
-        == concentrate_subset(mu, nu, params, 0.1)
-    _, transposed = transport_distance(nu, mu)
-    other = biased_product(4, 0.4)
-    _, elsewhere = transport_distance(mu, other)
-    for wrong in (transposed, elsewhere):
-        with pytest.raises(MeasureError, match="plan"):
-            concentrate_subset(mu, nu, params, 0.1, plan=wrong)
 
 
 def test_concentrate_rejects_bad_delta():
     mu = two_cluster(3)
     with pytest.raises(MeasureError):
-        concentrate_subset(mu, mu, TParams(1.0, 0.1), 0.2)
+        concentrate_subset(transport_distance(mu, mu)[1], TParams(1.0, 0.1), 0.2)
 
 
 # -----------------------------------------------------------------------------
