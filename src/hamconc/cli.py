@@ -52,12 +52,12 @@ def _parse_constants(text: str) -> dict:
     out = {}
     if not text:
         return out
-    mapping = {"c": "c", "cB": "c_B", "cC": "c_C"}
+    mapping = {"c": "c", "cB": "c_B"}
     for item in text.split(","):
         key, _, value = item.partition("=")
         key = key.strip()
         if key not in mapping:
-            raise MeasureError(f"unknown constant {key!r} (use c=..,cB=..,cC=..)")
+            raise MeasureError(f"unknown constant {key!r} (use c=..,cB=..)")
         out[mapping[key]] = float(value)
     return out
 
@@ -66,15 +66,13 @@ def _pipeline_config(args) -> PipelineConfig:
     extra = _parse_constants(getattr(args, "constants", "") or "")
     return PipelineConfig(
         epsilon=args.epsilon, r=args.r, seed=args.seed,
-        max_iters=args.max_iters, threads=args.threads, **extra)
+        max_iters=args.max_iters, **extra)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hamconc",
         description="Measure concentration toolkit for Hamming cubes")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker cap for per-component computations")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("info", help="information functionals of a measure")

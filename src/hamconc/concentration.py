@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from .measures import (
     Word,
     condition,
     mix,
-    reweight,
 )
 from .information import kl_divergence
 from .transport import (
@@ -149,13 +148,28 @@ def _as_values(mu: DiscreteMeasure, f) -> np.ndarray:
     return np.array([float(f[w]) for w in mu.support])
 
 
+def _log_partition(z: np.ndarray) -> float:
+    """log sum exp(z), shifted by the peak.  The log is ``math.log``:
+    ``np.log`` differs from it in the last bit on some inputs, and refutation
+    margins, witnesses and search rankings are pinned bit for bit."""
+    peak = z.max()
+    return peak + math.log(np.exp(z - peak).sum())
+
+
+def _tilted_weights(logm: np.ndarray, f: np.ndarray, t: float
+                    ) -> tuple[np.ndarray, float]:
+    """Weights of the tilt exp(t f) of the log-masses ``logm``, and its log
+    partition function."""
+    z = t * f + logm
+    logz = _log_partition(z)
+    return np.exp(z - logz), logz
+
+
 def cumulant(mu: DiscreteMeasure, f) -> float:
     """log of the exponential moment of f under mu, via log-sum-exp."""
     vals = _as_values(mu, f)
     logm = np.log(np.array([mu.atoms[w] for w in mu.support]))
-    z = vals + logm
-    peak = z.max()
-    return float(peak + math.log(np.exp(z - peak).sum()))
+    return float(_log_partition(vals + logm))
 
 
 def gibbs_tilt(mu: DiscreteMeasure, f, t: float) -> DiscreteMeasure:
@@ -176,10 +190,7 @@ def tilted_divergence(mu: DiscreteMeasure, f, t: float) -> float:
     """D(mu tilted by exp(t f) || mu), evaluated stably on log-masses."""
     vals = _as_values(mu, f)
     logm = np.log(np.array([mu.atoms[w] for w in mu.support]))
-    z = t * vals + logm
-    peak = z.max()
-    logz = peak + math.log(np.exp(z - peak).sum())
-    w = np.exp(z - logz)
+    w, logz = _tilted_weights(logm, vals, t)
     # D = sum w * (log w - log m) = sum w * (t f - logZ)
     return float((w * (t * vals - logz)).sum())
 
@@ -339,10 +350,7 @@ def _dual_channel(mu, params, budget, support, masses, dist, used):
         prev = -math.inf
         for _ in range(budget.max_grad_steps):
             used["gradient_steps"] += 1
-            w, _ = _tilt_div_arrays(logm, f, kappa)
-            z = kappa * f + logm
-            peak = z.max()
-            logz = peak + math.log(np.exp(z - peak).sum())
+            w, logz = _tilted_weights(logm, f, kappa)
             val = logz - kappa * float(masses @ f) - kappa * params.r
             if val > 1e-8 and lipschitz_slack(f, dist) <= 1e-12:
                 fm = {word: float(v) for word, v in zip(support, f)}
@@ -364,17 +372,6 @@ def _dual_channel(mu, params, budget, support, masses, dist, used):
 # -----------------------------------------------------------------------------
 # L-inequality violation search
 # -----------------------------------------------------------------------------
-def _tilt_div_arrays(logm: np.ndarray, f: np.ndarray, t: float
-                     ) -> tuple[np.ndarray, float]:
-    """Tilted weights and divergence for the tilt exp(t f), on log-masses."""
-    z = t * f + logm
-    peak = z.max()
-    logz = peak + math.log(np.exp(z - peak).sum())
-    w = np.exp(z - logz)
-    div = float(w @ (t * f)) - logz
-    return w, div
-
-
 def _l_search_candidates(mu: DiscreteMeasure, r: float, kappa: float,
                          budget: RefutationBudget, t_hi: float | None = None,
                          t_points: int = 24):
@@ -412,7 +409,8 @@ def _l_search_candidates(mu: DiscreteMeasure, r: float, kappa: float,
             f = f0.copy()
             best_f, best_div = f, -math.inf
             for _ in range(budget.max_grad_steps):
-                w, div = _tilt_div_arrays(logm, f, -t)
+                w, logz = _tilted_weights(logm, f, -t)
+                div = float(w @ (-t * f)) - logz
                 if div <= best_div + 1e-14:
                     break
                 best_f, best_div = f, div

@@ -19,9 +19,8 @@ constants are configuration, reported against achieved counts, never asserted.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -37,15 +36,12 @@ from .measures import (
     mix,
     product_measure,
     reweight,
-    tv_distance,
     variation_norm,
 )
 from .information import (
     dual_total_correlation,
-    kl_divergence,
     mixture_mutual_information,
     per_coordinate_entropies,
-    shannon_entropy,
     total_correlation,
     trim_coordinates,
 )
@@ -72,12 +68,13 @@ MAX_PIPELINE_SUPPORT = 1 << 16
 class PipelineConfig:
     """Tolerances, constants, budgets and the seed for the pipelines.
 
-    The denominators 200/600/1200 and the numerator 100 are the inequality
-    constants used by the internal parameter arithmetic; ``c``, ``c_B`` and
-    ``c_C`` stand in for the non-constructive existential constants and are
-    only reported against.  ``delta_override`` and ``atom_exponent`` replace
-    the derived values min(r^2/42, 1/18) and 161 c_B / delta^2; their correct
-    joint calibration at small n is unspecified, so they are configuration.
+    The denominators 200/1200 are the inequality constants used by the
+    internal parameter arithmetic; ``c`` and ``c_B`` stand in for the
+    non-constructive existential constants: ``c`` is only reported against,
+    and ``c_B`` scales the carving thresholds.  ``delta_override`` and
+    ``atom_exponent`` replace the derived values min(r^2/42, 1/18) and
+    161 c_B / delta^2; their correct joint calibration at small n is
+    unspecified, so they are configuration.
     """
 
     epsilon: float = 0.3
@@ -87,9 +84,7 @@ class PipelineConfig:
     max_cells: int = 4096
     c: float = 50.0
     c_B: float = 10.0
-    c_C: float = 10.0
     dec_denominator: float = 200.0
-    mix_denominator: float = 600.0
     final_denominator: float = 1200.0
     delta_override: float | None = None
     atom_exponent: float | None = None
@@ -99,8 +94,6 @@ class PipelineConfig:
         default_factory=lambda: RefutationBudget(restarts=2, max_grad_steps=15))
     sample_start: int = 64
     sample_cap: int = 1 << 18
-    approx_transport: bool = False
-    threads: int = 1
 
     def __post_init__(self) -> None:
         if not (0.0 < self.epsilon < 1.0) or not (0.0 < self.r < 1.0):
@@ -132,13 +125,11 @@ class PipelineConfig:
         out = {
             "epsilon": self.epsilon, "r": self.r, "seed": self.seed,
             "max_iters": self.max_iters, "max_cells": self.max_cells,
-            "c": self.c, "c_B": self.c_B, "c_C": self.c_C,
+            "c": self.c, "c_B": self.c_B,
             "dec_denominator": self.dec_denominator,
-            "mix_denominator": self.mix_denominator,
             "final_denominator": self.final_denominator,
             "delta": self.delta,
             "carve_retries": self.carve_retries,
-            "approx_transport": self.approx_transport,
         }
         if self.delta_override is not None:
             out["delta_override"] = self.delta_override
@@ -200,24 +191,14 @@ class DecompositionResult:
         return out
 
 
-def _check_envelope(mu: DiscreteMeasure, cfg: PipelineConfig) -> None:
-    if cfg.approx_transport:
-        return
+def _check_envelope(mu: DiscreteMeasure) -> None:
     if (mu.space.alphabet_size > MAX_ALPHABET
             or mu.space.dimension > MAX_DIMENSION
             or len(mu) > MAX_PIPELINE_SUPPORT):
         raise MeasureError(
             "input exceeds the exact pipeline envelope "
             f"(|A|<={MAX_ALPHABET}, n<={MAX_DIMENSION}, "
-            f"support<={MAX_PIPELINE_SUPPORT}); "
-            "set PipelineConfig.approx_transport=True to proceed approximately")
-
-
-def _map_indexed(fn: Callable, items: Sequence, threads: int) -> list:
-    if threads <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+            f"support<={MAX_PIPELINE_SUPPORT})")
 
 
 # -----------------------------------------------------------------------------
@@ -528,7 +509,7 @@ def mixture_decomposition(mu: DiscreteMeasure, cfg: PipelineConfig
     coordinates, then certify each component at the exactly propagated
     parameters (density bound, then lift).
     """
-    _check_envelope(mu, cfg)
+    _check_envelope(mu)
     n = mu.space.dimension
     tc = total_correlation(mu)
 
@@ -636,13 +617,10 @@ def mixture_decomposition(mu: DiscreteMeasure, cfg: PipelineConfig
     weights = [w / total_w for w in weights]
 
     # certify every non-bad component; refuted ones are routed to the bad cell
-    def certify(idx: int) -> RefutationResult | None:
-        if idx == bad_index:
-            return None
-        return refute_T(components[idx], params_list[idx],
-                        cfg.spawned_budget(cfg.budget, 3, idx))
-
-    certs = _map_indexed(certify, range(len(weights)), cfg.threads)
+    certs = [None if idx == bad_index else
+             refute_T(components[idx], params_list[idx],
+                      cfg.spawned_budget(cfg.budget, 3, idx))
+             for idx in range(len(weights))]
     rerouted = [i for i, c in enumerate(certs)
                 if c is not None and c.refuted]
     if rerouted:
@@ -728,7 +706,7 @@ def carve_concentrated_set(mu: DiscreteMeasure, cfg: PipelineConfig,
     the random acceptance tests retry over fresh seeds and error out with
     diagnostics if they never pass.
     """
-    _check_envelope(mu, cfg)
+    _check_envelope(mu)
     n = mu.space.dimension
     e_val = total_correlation(mu)
     delta = cfg.delta
@@ -913,7 +891,7 @@ def partition_decomposition(mu: DiscreteMeasure, cfg: PipelineConfig
     Repeatedly carves a concentrated set out of the conditioned remainder.
     The residual cell is index 0; cells are otherwise in carving order.
     """
-    _check_envelope(mu, cfg)
+    _check_envelope(mu)
     tc = total_correlation(mu)
     remaining = set(mu.support)
     cells: list[tuple[Word, ...]] = []

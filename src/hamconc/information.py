@@ -24,6 +24,13 @@ from .measures import (
 )
 
 
+def _clip_roundoff(x: float) -> float:
+    """Round a quantity that is nonnegative in exact arithmetic up to 0 when
+    float error alone made it negative; a clearly negative value is kept, so
+    that a real fault still shows."""
+    return max(x, 0.0) if x > -1e-12 else x
+
+
 def shannon_entropy(mu: DiscreteMeasure) -> float:
     """-sum p log p over the atoms of ``mu``."""
     return -sum(m * math.log(m) for m in mu.atoms.values() if m > 0.0)
@@ -48,7 +55,7 @@ def kl_divergence(nu: DiscreteMeasure, mu: DiscreteMeasure) -> float:
         if p == 0.0:
             return math.inf
         total += q * math.log(q / p)
-    return max(total, 0.0) if total > -1e-12 else total
+    return _clip_roundoff(total)
 
 
 def per_coordinate_entropies(mu: DiscreteMeasure) -> tuple[float, ...]:
@@ -76,8 +83,7 @@ def conditional_coordinate_entropy(mu: DiscreteMeasure, i: int) -> float:
 def total_correlation(mu: DiscreteMeasure) -> float:
     """Sum of marginal entropies minus joint entropy; equals the KL divergence
     from ``mu`` to the product of its marginals."""
-    tc = sum(per_coordinate_entropies(mu)) - shannon_entropy(mu)
-    return max(tc, 0.0) if tc > -1e-12 else tc
+    return _clip_roundoff(sum(per_coordinate_entropies(mu)) - shannon_entropy(mu))
 
 
 def dual_total_correlation(mu: DiscreteMeasure) -> float:
@@ -86,8 +92,8 @@ def dual_total_correlation(mu: DiscreteMeasure) -> float:
     if n == 1:
         return 0.0
     h = shannon_entropy(mu)
-    dtc = h - sum(conditional_coordinate_entropy(mu, i) for i in range(n))
-    return max(dtc, 0.0) if dtc > -1e-12 else dtc
+    return _clip_roundoff(
+        h - sum(conditional_coordinate_entropy(mu, i) for i in range(n)))
 
 
 @dataclass(frozen=True)
@@ -111,9 +117,8 @@ class InfoReport:
 def info_report(mu: DiscreteMeasure) -> InfoReport:
     h = shannon_entropy(mu)
     coords = per_coordinate_entropies(mu)
-    tc = sum(coords) - h
-    tc = max(tc, 0.0) if tc > -1e-12 else tc
-    return InfoReport(h, coords, tc, dual_total_correlation(mu))
+    return InfoReport(h, coords, _clip_roundoff(sum(coords) - h),
+                      dual_total_correlation(mu))
 
 
 # -----------------------------------------------------------------------------
@@ -125,22 +130,13 @@ def fuzzy_mutual_information(mu: DiscreteMeasure, fp: FuzzyPartition) -> float:
     Computed as sum_j p_j * D(mu reweighted by rho_j || mu), which agrees with
     the mutual information of the randomization's joint law.
     """
-    rep = fuzzy_split(mu, fp)
-    return sum(p * kl_divergence(comp, mu)
-               for p, comp in zip(rep.weights, rep.components))
+    return mixture_mutual_information(fuzzy_split(mu, fp), mu)
 
 
 def mixture_mutual_information(rep: MixtureRepresentation, mu: DiscreteMeasure) -> float:
     """sum_j p_j D(mu_j || mu) for an explicit mixture representation of ``mu``."""
     return sum(p * kl_divergence(comp, mu)
                for p, comp in zip(rep.weights, rep.components))
-
-
-def _hookup_entropy_terms(mu: DiscreteMeasure, fp: FuzzyPartition):
-    """Joint law of (index, word) plus the index count, for decrement arithmetic."""
-    rep = fuzzy_split(mu, fp)
-    joint = hookup(rep.weights, rep.components)
-    return rep, joint
 
 
 def dtc_decrement(mu: DiscreteMeasure, fp: FuzzyPartition) -> tuple[float, float]:
@@ -154,9 +150,10 @@ def dtc_decrement(mu: DiscreteMeasure, fp: FuzzyPartition) -> tuple[float, float
     """
     if len(fp) != 2:
         raise MeasureError("dtc_decrement needs a binary fuzzy partition")
-    rep, joint = _hookup_entropy_terms(mu, fp)
+    rep = fuzzy_split(mu, fp)
     if len(rep) != 2:
         raise MeasureError("degenerate weight in binary fuzzy partition")
+    joint = hookup(rep.weights, rep.components)
     n = mu.space.dimension
 
     lhs = dual_total_correlation(mu) - sum(

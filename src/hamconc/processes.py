@@ -15,9 +15,8 @@ conditional law there is arbitrary, and uniform is the deterministic choice.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -27,11 +26,9 @@ from .measures import (
     MeasureError,
     ProductSpace,
     Word,
-    marginal,
-    mix,
-    MixtureRepresentation,
     product_measure,
     regroup,
+    variation_norm,
 )
 from .information import total_correlation
 from .transport import transport_distance
@@ -390,7 +387,6 @@ def relative_dbar_estimate(lam: JointSpec, theta: JointSpec, n: int,
     distance between the joints, but no single n bounds it either way."""
     bk_l = block_kernel(lam, n, cap=cap)
     bk_t = block_kernel(theta, n, cap=cap)
-    from .measures import variation_norm
     if (bk_l.base.space != bk_t.base.space
             or variation_norm(bk_l.base, bk_t.base) > 1e-9):
         raise MeasureError("joint specs do not share the base marginal")

@@ -12,15 +12,16 @@ cost with row-major tie-break, lexicographically smallest leaving arc, and a
 Bland fallback against degenerate cycling) so plans are reproducible byte for
 byte.
 
-The approximate backend is entropically regularized iteration, used only above
-the configured support cap and always labeled, with bias bound
-``reg * log(|supp mu| * |supp nu|)``.
+The approximate backend is entropically regularized iteration.  It runs only
+on request (``method='sinkhorn'``, or ``transport --approx`` on the command
+line), never in place of an exact solve, and its plans are always labeled
+inexact, with bias bound ``reg * log(|supp mu| * |supp nu|)``.
 """
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -306,22 +307,24 @@ def transport_distance(mu: DiscreteMeasure, nu: DiscreteMeasure, *,
                        ) -> tuple[float, TransportPlan]:
     """Transportation distance between two measures on the same space.
 
-    ``method`` is ``'exact'`` (default; errors above the support cap),
-    ``'sinkhorn'`` (always approximate), or ``'auto'`` (exact when it fits).
+    ``method`` is ``'exact'`` (default; errors above the support cap) or
+    ``'sinkhorn'`` (always approximate).
     """
     if mu.space != nu.space:
         raise MeasureError("transport_distance needs measures on the same space")
+    if method == "sinkhorn":
+        return _sinkhorn_distance(mu, nu, reg=reg)
+    if method != "exact":
+        raise MeasureError(
+            f"unknown transport method {method!r}; use 'exact' or 'sinkhorn'")
     n = mu.space.dimension
     src = list(mu.support)
     tgt = list(nu.support)
     cap = exact_support_cap() if cap is None else cap
-    too_big = (len(src) + len(tgt) > cap) or (len(src) * len(tgt) > MATRIX_CELL_CAP)
-    if method == "exact" and too_big:
+    if len(src) + len(tgt) > cap or len(src) * len(tgt) > MATRIX_CELL_CAP:
         raise SupportCapExceeded(
             f"combined support {len(src)}+{len(tgt)} exceeds exact cap {cap}; "
             f"use method='sinkhorn' or raise {ENV_CAP_VAR}")
-    if method == "sinkhorn" or (method == "auto" and too_big):
-        return _sinkhorn_distance(mu, nu, reg=reg)
 
     if mu._atoms == nu._atoms:
         # identical measures: the diagonal coupling and zero potentials are an
@@ -353,14 +356,14 @@ def transport_distance(mu: DiscreteMeasure, nu: DiscreteMeasure, *,
 def dual_gap(plan: TransportPlan) -> tuple[DualCertificate, float]:
     """Optimal-potential certificate and the primal-dual gap for a plan.
 
-    The certificate is the tight 1-Lipschitz extension of the solver's integer
+    ``plan`` must come from the exact backend, which records its integer
+    potentials.  The certificate is the tight 1-Lipschitz extension of those
     potentials to the union support; for an optimal plan the gap is float
     round-off only.
     """
+    if not plan.exact or plan.col_potentials is None:
+        raise MeasureError("dual_gap needs an exact plan with solver potentials")
     mu, nu = plan.source, plan.target
-    if plan.row_potentials is None or not plan.exact:
-        cost, solved = transport_distance(mu, nu, method="exact")
-        plan = solved
     n = mu.space.dimension
     src = list(mu.support)
     tgt = list(nu.support)

@@ -98,6 +98,17 @@ def test_invalid_measure_exits_2(capsys, tmp_path):
     assert "atoms[0].word" in payload["error"]["message"]
 
 
+def test_removed_knobs_exit_2(capsys, diag_file):
+    assert run(["decompose-b", diag_file, "--constants", "cC=1"]) == 2
+    assert "unknown constant" in json.loads(capsys.readouterr().out)["error"]["message"]
+    assert run(["--threads", "2", "info", diag_file]) == 2
+    capsys.readouterr()
+    code, payload = run_json(capsys, ["decompose-b", diag_file])
+    assert code == 0
+    removed = {"c_C", "mix_denominator", "approx_transport", "threads"}
+    assert not removed & set(payload["manifest"]["config"])
+
+
 def test_missing_file_exits_2(capsys):
     assert run(["info", "/nonexistent/measure.json"]) == 2
     capsys.readouterr()

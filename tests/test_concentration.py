@@ -1,5 +1,7 @@
 """Refutation channels, tilting, stability transforms, and extremality gaps."""
+import hashlib
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -24,6 +26,7 @@ from hamconc.concentration import (
     RefutationBudget,
     SupCoupling,
     TParams,
+    _l_search_candidates,
     bobkov_gotze_objective,
     concentrate_subset,
     cumulant,
@@ -184,6 +187,56 @@ def test_paper_interval_empty_at_small_n():
     # with the default kappa = r n / 200 the interval inverts below n = 100
     # and the threshold is unattainable, so no witness is reported
     assert find_L_violation(two_cluster(6), 0.3) is None
+
+
+def _tilt_corpus():
+    """Seeded (measure, T-params) pairs of 8 to 81 atoms: random measures at
+    moderate (kappa, r), mostly not refuted, and two-cluster measures at
+    (40, 0.05), which the dual channel refutes."""
+    rng = np.random.default_rng(np.random.SeedSequence(1705, spawn_key=(7,)))
+    shapes = [(2, 4, 8), (2, 5, 10), (2, 6, 12), (3, 3, 9), (2, 5, 16),
+              (2, 6, 24), (3, 4, 40), (3, 4, 81), (2, 8, 64), (3, 5, 32),
+              (2, 7, 48), (2, 8, 20)]
+    for q, n, k in shapes + shapes:
+        words = set()
+        while len(words) < k:
+            words.add(tuple(int(x) for x in rng.integers(0, q, size=n)))
+        atoms = dict(zip(sorted(words), rng.uniform(0.1, 2.0, size=k).tolist()))
+        params = TParams(float(rng.uniform(1.5, 8.0)), float(rng.uniform(0.1, 0.35)))
+        yield DiscreteMeasure.from_unnormalized(ProductSpace(q, n), atoms), params
+    for n in range(5, 11):
+        atoms = {}
+        for centre in ((0,) * n, (1,) * n):
+            atoms[centre] = 1.0
+            for i in rng.choice(n, size=3, replace=False):
+                w = list(centre)
+                w[int(i)] ^= 1
+                atoms[tuple(w)] = 0.2
+        yield (DiscreteMeasure.from_unnormalized(ProductSpace(2, n), atoms),
+               TParams(40.0, 0.05))
+
+
+#: sha256 over the corpus of every ``refute_T`` result and every ranked
+#: (score, t, divergence) of the tilted-divergence search, recorded before the
+#: scalar log-sum-exp copies were merged into one helper; taking the log with
+#: ``np.log`` instead of ``math.log`` changes it
+TILT_CORPUS_DIGEST = "73295347ddad52b34018e0194ce9dd1965037de1f798c4e9bd003fd04df937d6"
+
+
+def test_tilt_corpus_pins_refutation_and_search():
+    h = hashlib.sha256()
+    refuted = 0
+    for idx, (mu, params) in enumerate(_tilt_corpus()):
+        res = refute_T(mu, params, RefutationBudget(
+            max_subsets=256, restarts=8, max_grad_steps=60, seed=idx))
+        refuted += res.refuted
+        h.update(json.dumps(res.to_dict(), sort_keys=True).encode())
+        ranked = _l_search_candidates(mu, params.r, params.kappa, RefutationBudget(
+            restarts=4, max_grad_steps=30, seed=idx))
+        h.update(repr([(float(score).hex(), float(t).hex(), float(div).hex())
+                       for score, _, t, div, _ in ranked]).encode())
+    assert refuted == 11
+    assert h.hexdigest() == TILT_CORPUS_DIGEST
 
 
 # -----------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from hamconc import (
     MeasureError,
     ProductSpace,
     SupportCapExceeded,
+    TransportPlan,
     dual_gap,
     hamming,
     kl_divergence,
@@ -253,6 +254,23 @@ def test_cap_exceeded_directs_to_approx(rng):
     plan.check_marginals(tol=1e-8)
     assert cost_apx >= cost - 1e-9
     assert cost_apx <= cost + plan.bias_bound + 1e-6
+
+
+@pytest.mark.parametrize("method", ["auto", "Sinkhorn", "lp"])
+def test_unknown_method_rejected(method):
+    mu = two_cluster(3)
+    with pytest.raises(MeasureError, match="unknown transport method"):
+        transport_distance(mu, biased_product(3, 0.4), method=method)
+
+
+def test_dual_gap_needs_exact_plan_with_potentials():
+    mu, nu = two_cluster(3), biased_product(3, 0.4)
+    _, approx = transport_distance(mu, nu, method="sinkhorn")
+    _, exact = transport_distance(mu, nu)
+    bare = TransportPlan(mu, nu, exact.plan, exact.cost)
+    for plan in (approx, bare):
+        with pytest.raises(MeasureError, match="exact plan with solver potentials"):
+            dual_gap(plan)
 
 
 # -----------------------------------------------------------------------------
