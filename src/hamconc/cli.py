@@ -58,7 +58,11 @@ def _parse_constants(text: str) -> dict:
         key = key.strip()
         if key not in mapping:
             raise MeasureError(f"unknown constant {key!r} (use c=..,cB=..)")
-        out[mapping[key]] = float(value)
+        try:
+            out[mapping[key]] = float(value)
+        except ValueError:
+            raise MeasureError(
+                f"constant {key!r} needs a number, got {value.strip()!r}") from None
     return out
 
 

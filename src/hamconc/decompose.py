@@ -205,25 +205,33 @@ def _check_envelope(mu: DiscreteMeasure) -> None:
 # Decrement machinery
 # -----------------------------------------------------------------------------
 def _decrement_checks(mu: DiscreteMeasure, fp: FuzzyPartition, r: float,
-                      i_floor: float | None = None) -> tuple[bool, dict]:
+                      i_floor: float | None = None, *,
+                      dtc: float | None = None) -> tuple[bool, dict]:
     """Exact evaluation of the split inequalities: average-DTC drop >= I/2 and
     I above the information floor.
 
     The floor is max of the asymptotic bound r^2 n^{-1} e^{-n} and an optional
     significance floor; without the latter, measures with any residual
-    correlation would admit endless micro-splits at small n.
+    correlation would admit endless micro-splits at small n.  The floor is
+    tested first: a split below it fails without any DTC being computed, and
+    its check carries no ``"decrement"``.  ``dtc`` is DTC(mu), when the caller
+    has it already.
     """
     n = mu.space.dimension
     rep = fuzzy_split(mu, fp)
     if len(rep) < 2:
         return False, {"reason": "degenerate split"}
     info = mixture_mutual_information(rep, mu)
-    drop = dual_total_correlation(mu) - sum(
-        p * dual_total_correlation(c) for p, c in zip(rep.weights, rep.components))
     floor = r * r * math.exp(-n) / n
     if i_floor is not None:
         floor = max(floor, i_floor)
-    ok = (drop >= 0.5 * info - 1e-8) and (info >= floor - 1e-12)
+    if not info >= floor - 1e-12:
+        return False, {"information": info, "floor": floor}
+    if dtc is None:
+        dtc = dual_total_correlation(mu)
+    drop = dtc - sum(
+        p * dual_total_correlation(c) for p, c in zip(rep.weights, rep.components))
+    ok = drop >= 0.5 * info - 1e-8
     return ok, {"information": info, "decrement": drop, "floor": floor}
 
 
@@ -282,7 +290,7 @@ def decrement_step(mu: DiscreteMeasure, r: float,
         rho1 = {w: 0.5 * math.exp(-t * v) for w, v in fm.items()}
         rho2 = {w: 1.0 - rho1[w] for w in rho1}
         fp = FuzzyPartition(mu.space, (rho1, rho2))
-        ok, chk = _decrement_checks(mu, fp, r, i_floor)
+        ok, chk = _decrement_checks(mu, fp, r, i_floor, dtc=dtc)
         if ok and chk["decrement"] > best_drop:
             best, best_drop = fp, chk["decrement"]
     return best

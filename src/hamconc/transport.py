@@ -50,7 +50,11 @@ def exact_support_cap() -> int:
     value = os.environ.get(ENV_CAP_VAR)
     if value is None:
         return DEFAULT_EXACT_CAP
-    return int(value)
+    try:
+        return int(value)
+    except ValueError:
+        raise MeasureError(
+            f"{ENV_CAP_VAR} must be an integer, got {value!r}") from None
 
 
 # -----------------------------------------------------------------------------

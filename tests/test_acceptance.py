@@ -8,7 +8,6 @@ n <= 8; product measures are kept separate as the never-fire controls.
 The existential constants of the decomposition theorems, the literal sampling
 size, and asymptotic statements are reported, never asserted.
 """
-import itertools
 import json
 import math
 import time
@@ -60,12 +59,12 @@ from hamconc.processes import (
 )
 
 from conftest import (
-    biased_product,
+    criterion_suite,
     diagonal_code,
+    product_control_suite,
     product_mix,
     random_measure,
     subgroup_measure,
-    two_cluster,
 )
 from oracles import lp_transport_cost
 
@@ -79,60 +78,14 @@ def report(number, elapsed, budget, detail=""):
 # -----------------------------------------------------------------------------
 # fixture suite for the pipeline criteria
 # -----------------------------------------------------------------------------
-def _pair_code_measure(n):
-    """Uniform law on words whose letter pairs repeat with one flipped pair."""
-    words = []
-    for half in itertools.product(range(2), repeat=n // 2):
-        w = []
-        for i, s in enumerate(half):
-            w.extend([s, s ^ (i % 2)])
-        words.append(tuple(w))
-    return DiscreteMeasure.uniform_on(ProductSpace(2, n), words)
-
-
-def _partial_cluster(n, k, mass=0.5):
-    sp = ProductSpace(2, n)
-    far = tuple([1] * k + [0] * (n - k))
-    return DiscreteMeasure(sp, {(0,) * n: mass, far: 1.0 - mass})
-
-
-def _three_cluster(n):
-    sp = ProductSpace(2, n)
-    mid = tuple([1] * (n // 2) + [0] * (n - n // 2))
-    return DiscreteMeasure(sp, {(0,) * n: 0.4, mid: 0.3, (1,) * n: 0.3})
-
-
 @pytest.fixture(scope="module")
 def fixture_suite():
-    suite = []
-    for n in range(2, 9):
-        suite.append((f"two-cluster-{n}", two_cluster(n)))
-        suite.append((f"two-cluster-skew-{n}", two_cluster(n, mass=0.3)))
-    for n, k in [(4, 2), (5, 3), (6, 3), (6, 5), (8, 4), (8, 6)]:
-        suite.append((f"partial-cluster-{n}-{k}", _partial_cluster(n, k)))
-    for n in (4, 6, 8):
-        suite.append((f"diagonal-code-{n}", diagonal_code(n)))
-        suite.append((f"pair-code-{n}", _pair_code_measure(n)))
-    for q, n in [(2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (3, 3), (3, 4),
-                 (3, 5), (5, 3)]:
-        suite.append((f"subgroup-{q}-{n}", subgroup_measure(q, n)))
-    for n, p, q in [(4, 0.1, 0.9), (4, 0.2, 0.7), (4, 0.3, 0.6),
-                    (5, 0.1, 0.9), (5, 0.25, 0.75), (5, 0.2, 0.9),
-                    (6, 0.1, 0.9), (6, 0.15, 0.7), (6, 0.05, 0.95),
-                    (8, 0.1, 0.9), (8, 0.2, 0.8)]:
-        suite.append((f"product-mix-{n}-{p}-{q}", product_mix(n, p, q)))
-    for n in (4, 5, 6):
-        suite.append((f"three-cluster-{n}", _three_cluster(n)))
-    suite.append(("partial-cluster-7-4", _partial_cluster(7, 4)))
-    assert len(suite) == 50
-    return suite
+    return criterion_suite()
 
 
 @pytest.fixture(scope="module")
 def product_controls():
-    return [(f"product-{n}-{p}", biased_product(n, p))
-            for n, p in [(3, 0.5), (4, 0.3), (5, 0.5), (6, 0.2), (8, 0.4),
-                         (8, 0.5)]]
+    return product_control_suite()
 
 
 # -----------------------------------------------------------------------------

@@ -125,6 +125,22 @@ def test_cap_exhaustion_exits_3(capsys, tmp_path, monkeypatch):
     assert payload["error"]["type"] == "SupportCapExceeded"
 
 
+def test_non_numeric_constant_exits_2(capsys, diag_file):
+    code, payload = run_json(capsys, ["decompose-b", diag_file,
+                                      "--constants", "c=abc"])
+    assert code == 2
+    assert payload["error"]["type"] == "validation"
+    assert "'c'" in payload["error"]["message"]
+
+
+def test_non_integer_support_cap_exits_2(capsys, diag_file, monkeypatch):
+    monkeypatch.setenv("HC_MAX_SUPPORT", "lots")
+    code, payload = run_json(capsys, ["transport", diag_file, diag_file])
+    assert code == 2
+    assert payload["error"]["type"] == "validation"
+    assert "HC_MAX_SUPPORT" in payload["error"]["message"]
+
+
 def test_process_subcommand(capsys, tmp_path):
     spec = {"kind": "joint", "b_size": 2, "a_size": 2,
             "base": {"kind": "iid", "dist": [0.25, 0.25, 0.25, 0.25]}}

@@ -1,4 +1,5 @@
 """Decomposition pipelines: splitting, recursion, sampling, mixtures, partitions."""
+import hashlib
 import json
 import math
 
@@ -40,9 +41,12 @@ from hamconc.information import (
 
 from conftest import (
     biased_product,
+    criterion_suite,
     diagonal_code,
+    product_control_suite,
     product_mix,
     random_measure,
+    skewed_small_measures,
     subgroup_measure,
     two_cluster,
 )
@@ -87,6 +91,61 @@ def test_step_information_floor_evaluates():
     assert math.isclose(floor, 1.8315638888734178e-04 / 4 * 4 * 0.25
                         if False else floor, rel_tol=1e-12)
     assert abs(floor - 0.25 * 0.04 * math.exp(-4) / 1.0) < 1e-12
+
+
+#: sha256 of the densities (words and float.hex values) that decrement_step
+#: returns at r = 0.3, and of the information and decrement of that split, on
+#: the criterion-5 fixtures, the product controls and skewed small measures;
+#: recorded before the decrement gate was made cheaper, so it pins that the
+#: gate still computes the same floats and picks the same split
+DECREMENT_STEP_DIGEST = "897321a059e29a209f8ae02ab7b2a43129d4e1dbcb3cc751692fb364324b0f3b"
+
+
+def test_decrement_step_pins_split_densities():
+    h = hashlib.sha256()
+    suite = criterion_suite() + product_control_suite()
+    suite += [(f"skewed-{k}", mu) for k, mu in enumerate(skewed_small_measures())]
+    for name, mu in suite:
+        fp = decrement_step(mu, 0.3)
+        pinned = None
+        if fp is not None:
+            _, chk = _decrement_checks(mu, fp, 0.3)
+            pinned = ([[(w, v.hex()) for w, v in sorted(d.items())]
+                       for d in fp.densities],
+                      chk["information"].hex(), chk["decrement"].hex())
+        h.update(repr((name, pinned)).encode())
+    assert h.hexdigest() == DECREMENT_STEP_DIGEST
+
+
+def test_decrement_gate_dtc_evaluations(monkeypatch):
+    # DTC(mu) once per step, and two component DTCs for each candidate split
+    # at or above the information floor, none for the others
+    calls, infos = [], []
+
+    def counting_dtc(m):
+        calls.append(m)
+        return dual_total_correlation(m)
+
+    def recording_mi(rep, m):
+        infos.append(mixture_mutual_information(rep, m))
+        return infos[-1]
+
+    monkeypatch.setattr(decompose, "dual_total_correlation", counting_dtc)
+    monkeypatch.setattr(decompose, "mixture_mutual_information", recording_mi)
+    mu, r, n = product_mix(6, 0.1, 0.9), 0.3, 6
+    assert decrement_step(mu, r) is not None
+    floor = max(r * r * math.exp(-n) / n, r * r / (4 * n),
+                0.1 * dual_total_correlation(mu))
+    passing = sum(i >= floor - 1e-12 for i in infos)
+    assert 0 < passing < len(infos)
+    assert sum(m is mu for m in calls) == 1
+    assert len(calls) == 1 + 2 * passing
+
+    fp = decrement_step(mu, r)
+    calls.clear()
+    ok, chk = _decrement_checks(mu, fp, r, i_floor=10.0)
+    assert not ok and "decrement" not in chk
+    assert calls == []
 
 
 # -----------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """Entropy, divergence, the correlation functionals, and trimming."""
+import hashlib
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hamconc import (
     DiscreteMeasure,
@@ -25,6 +28,8 @@ from hamconc import (
 )
 from hamconc.concentration import cumulant, gibbs_tilt
 from hamconc.information import (
+    LOO_GROUP_CACHE_SIZE,
+    _loo_groups,
     binary_entropy,
     conditional_coordinate_entropy,
     entropy_of_vector,
@@ -35,10 +40,13 @@ from hamconc.measures import product_measure
 
 from conftest import (
     biased_product,
+    criterion_suite,
     diagonal_code,
     make_measure,
+    product_control_suite,
     product_mix,
     random_measure,
+    skewed_small_measures,
     subgroup_measure,
     two_cluster,
 )
@@ -136,6 +144,86 @@ def test_dtc_matches_leave_one_out_oracle(rng):
         mu = random_measure(rng, 2, 4, 12)
         assert abs(dual_total_correlation(mu)
                    - dtc_direct(dict(mu.atoms), 4)) < 1e-10
+
+
+def dtc_corpus():
+    """Seeded measures with |A| in {2, 3, 5} and n <= 8: sparse supports,
+    where most leave-one-out groups hold one atom, full supports of up to 256
+    atoms, the criterion-5 fixtures and product controls, skewed small
+    measures, and two-atom groups with a conditional probability in
+    (0.99, 1)."""
+    rng = np.random.default_rng(4404)
+    out = []
+    for alphabet, n_max in ((2, 8), (3, 6), (5, 4)):
+        for n in range(1, n_max + 1):
+            out.append(random_measure(rng, alphabet, n, 24))
+            words = list(itertools.product(range(alphabet), repeat=n))
+            if len(words) <= 256:
+                masses = rng.dirichlet(np.ones(len(words)))
+                out.append(DiscreteMeasure(ProductSpace(alphabet, n),
+                                           dict(zip(words, map(float, masses)))))
+    out.extend(mu for _, mu in criterion_suite() + product_control_suite())
+    out.extend(skewed_small_measures())
+    for p in rng.uniform(0.99, 1.0, 2000).tolist():
+        out.append(make_measure(2, 2, {(0, 0): p, (0, 1): 1.0 - p}))
+    return out
+
+
+#: sha256 of the float.hex of DTC, of every H(coord i | rest) and of the
+#: retained coordinates of trim_coordinates over ``dtc_corpus``; recorded
+#: before the leave-one-out groups were cached, and changed by taking the
+#: group entropies with ``np.log`` or summing the groups or the masses in a
+#: group in another order
+DTC_CORPUS_DIGEST = "62868c4ee474a68476b1400c0825e5065e46c2b1a4770db909f68032470f5c99"
+
+
+def test_dtc_corpus_pins_correlation_bits():
+    h = hashlib.sha256()
+    for mu in dtc_corpus():
+        n = mu.space.dimension
+        h.update(repr((dual_total_correlation(mu).hex(),
+                       [conditional_coordinate_entropy(mu, i).hex()
+                        for i in range(n)],
+                       trim_coordinates(mu, 0.3), trim_coordinates(mu, 0.6))
+                      ).encode())
+    assert h.hexdigest() == DTC_CORPUS_DIGEST
+
+
+def test_dtc_cached_groups_hold_no_masses(rng):
+    # measures sharing a support share cached groups; each must still match
+    # the oracle with its own masses
+    words = [(0, 0, 1), (0, 1, 1), (1, 0, 0), (1, 1, 1), (2, 0, 1), (2, 1, 0)]
+    for _ in range(2):
+        masses = rng.random(len(words)) + 0.05
+        atoms = dict(zip(words, (masses / masses.sum()).tolist()))
+        mu = make_measure(3, 3, atoms)
+        assert abs(dual_total_correlation(mu) - dtc_direct(atoms, 3)) <= 1e-12
+
+
+@st.composite
+def sparse_measures(draw):
+    """A measure on a random support of {0..a-1}^n with integer weights."""
+    alphabet, n = draw(st.integers(2, 4)), draw(st.integers(1, 5))
+    cube = list(itertools.product(range(alphabet), repeat=n))
+    words = draw(st.lists(st.sampled_from(cube), min_size=1, max_size=24,
+                          unique=True))
+    weights = np.array(draw(st.lists(st.integers(1, 9), min_size=len(words),
+                                     max_size=len(words))), float)
+    return alphabet, n, dict(zip(words, (weights / weights.sum()).tolist()))
+
+
+@given(sparse_measures())
+@settings(max_examples=150, deadline=None)
+def test_dtc_matches_oracle_on_random_supports(instance):
+    alphabet, n, atoms = instance
+    mu = make_measure(alphabet, n, atoms)
+    assert abs(dual_total_correlation(mu) - dtc_direct(atoms, n)) <= 1e-12
+
+
+def test_loo_group_cache_stays_bounded():
+    for n in range(2, LOO_GROUP_CACHE_SIZE + 7):
+        dual_total_correlation(two_cluster(n))
+    assert _loo_groups.cache_info().currsize == LOO_GROUP_CACHE_SIZE
 
 
 def test_info_report_consistency(rng):
