@@ -121,6 +121,10 @@ class RefutationBudget:
     max_grad_steps: int = 120
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        if min(self.max_subsets, self.restarts, self.max_grad_steps) < 0:
+            raise MeasureError(f"budget counts must be >= 0: {self}")
+
 
 @dataclass(frozen=True)
 class ExtremalityReport:

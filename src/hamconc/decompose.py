@@ -13,8 +13,9 @@ Every split is gated on the exactly computable decrement inequality
 (average-DTC drop >= half the mutual information of the split, and the mutual
 information >= r^2 n^{-1} e^{-n}); product measures can never pass the gate,
 so they are never split.  All randomness is derived from one seed through
-explicit spawn keys, so results are reproducible byte for byte.  Existential
-constants are configuration, reported against achieved counts, never asserted.
+explicit spawn keys, so results are reproducible byte for byte.  Only the
+existential constants ``c`` and ``c_B`` are configuration; they are reported
+against achieved counts, never asserted.
 """
 from __future__ import annotations
 
@@ -63,43 +64,49 @@ MAX_ALPHABET = 8
 MAX_DIMENSION = 12
 MAX_PIPELINE_SUPPORT = 1 << 16
 
+#: inequality denominators of the radius arithmetic (r n / 200 for splits and
+#: the recursion, r n / 1200 for the final radius), the cell cap of a
+#: partition, the subset draws of a level-set carve, the tilt-search budget of
+#: one decrement step, and the first and largest sampling sizes
+DEC_DENOMINATOR = 200.0
+FINAL_DENOMINATOR = 1200.0
+MAX_CELLS = 4096
+CARVE_RETRIES = 16
+SPLIT_BUDGET = RefutationBudget(restarts=2, max_grad_steps=15)
+SAMPLE_START = 64
+SAMPLE_CAP = 1 << 18
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
     """Tolerances, constants, budgets and the seed for the pipelines.
 
-    The denominators 200/1200 are the inequality constants used by the
-    internal parameter arithmetic; ``c`` and ``c_B`` stand in for the
-    non-constructive existential constants: ``c`` is only reported against,
-    and ``c_B`` scales the carving thresholds.  ``delta_override`` and
-    ``atom_exponent`` replace the derived values min(r^2/42, 1/18) and
-    161 c_B / delta^2; their correct joint calibration at small n is
-    unspecified, so they are configuration.
+    The inequality denominators 200/1200 are the module constants
+    ``DEC_DENOMINATOR`` and ``FINAL_DENOMINATOR``.  ``c`` and ``c_B`` stand in
+    for the non-constructive existential constants: ``c`` is only reported
+    against, and ``c_B`` scales the carving thresholds; both must be finite
+    and positive.  ``delta_override`` and ``atom_exponent`` replace the derived
+    values min(r^2/42, 1/18) and 161 c_B / delta^2; their correct joint
+    calibration at small n is unspecified, so they are configuration.
     """
 
     epsilon: float = 0.3
     r: float = 0.3
     seed: int = 0
     max_iters: int = 64
-    max_cells: int = 4096
     c: float = 50.0
     c_B: float = 10.0
-    dec_denominator: float = 200.0
-    final_denominator: float = 1200.0
     delta_override: float | None = None
     atom_exponent: float | None = None
-    carve_retries: int = 16
     budget: RefutationBudget = field(default_factory=RefutationBudget)
-    split_budget: RefutationBudget = field(
-        default_factory=lambda: RefutationBudget(restarts=2, max_grad_steps=15))
-    sample_start: int = 64
-    sample_cap: int = 1 << 18
 
     def __post_init__(self) -> None:
         if not (0.0 < self.epsilon < 1.0) or not (0.0 < self.r < 1.0):
             raise MeasureError("epsilon and r must lie in (0,1)")
-        if self.max_iters < 1 or self.max_cells < 1:
-            raise MeasureError("iteration caps must be >= 1")
+        if self.max_iters < 1:
+            raise MeasureError("max_iters must be >= 1")
+        if not (0.0 < self.c < math.inf and 0.0 < self.c_B < math.inf):
+            raise MeasureError("constants c and c_B must be finite and positive")
 
     @property
     def delta(self) -> float:
@@ -124,12 +131,8 @@ class PipelineConfig:
     def to_dict(self) -> dict:
         out = {
             "epsilon": self.epsilon, "r": self.r, "seed": self.seed,
-            "max_iters": self.max_iters, "max_cells": self.max_cells,
-            "c": self.c, "c_B": self.c_B,
-            "dec_denominator": self.dec_denominator,
-            "final_denominator": self.final_denominator,
+            "max_iters": self.max_iters, "c": self.c, "c_B": self.c_B,
             "delta": self.delta,
-            "carve_retries": self.carve_retries,
         }
         if self.delta_override is not None:
             out["delta_override"] = self.delta_override
@@ -235,35 +238,40 @@ def _decrement_checks(mu: DiscreteMeasure, fp: FuzzyPartition, r: float,
     return ok, {"information": info, "decrement": drop, "floor": floor}
 
 
-def decrement_step(mu: DiscreteMeasure, r: float,
-                   budget: RefutationBudget | None = None,
-                   i_floor: float | None = None,
-                   dtc_fraction: float = 0.1
-                   ) -> FuzzyPartition | None:
-    """One splitting step: search for a tilt witness and return the binary
-    fuzzy partition (e^{-t f}/2, 1 - e^{-t f}/2) when the split passes the
-    exact decrement checks; None otherwise (always None on product measures,
-    whose average-DTC drop can never reach half the split information).
+@dataclass(frozen=True)
+class Split:
+    """A binary fuzzy partition that passed the decrement gate, with the
+    mutual information and the average-DTC drop the gate measured for it."""
 
-    ``i_floor`` defaults to r^2/(4n), and the split must also carry at least
-    ``dtc_fraction`` of the measure's dual correlation: significance levels
-    below which a split is treated as noise at small n, keeping the recursion
-    from chasing vanishing decrements.
+    partition: FuzzyPartition
+    information: float
+    decrement: float
+
+
+def decrement_step(mu: DiscreteMeasure, r: float,
+                   budget: RefutationBudget = SPLIT_BUDGET) -> Split | None:
+    """One splitting step: search for a tilt witness and return the binary
+    fuzzy partition (e^{-t f}/2, 1 - e^{-t f}/2), with the information and
+    decrement the gate measured, when the split passes the exact decrement
+    checks; None otherwise (always None on product measures, whose
+    average-DTC drop can never reach half the split information).
+
+    Besides the asymptotic floor, a split must carry information at least
+    r^2/(4n) and at least a tenth of the measure's dual correlation:
+    significance levels below which a split is treated as noise at small n,
+    keeping the recursion from chasing vanishing decrements.
     """
     if not (0.0 < r < 1.0):
         raise MeasureError(f"r must lie in (0,1), got {r}")
     if len(mu.support) == 1:
         return None
     n = mu.space.dimension
-    if i_floor is None:
-        i_floor = r * r / (4.0 * n)
     dtc = dual_total_correlation(mu)
-    i_floor = max(i_floor, dtc_fraction * dtc)
+    i_floor = max(r * r / (4.0 * n), 0.1 * dtc)
     if 2.0 * dtc < i_floor - 1e-12:
         # the drop inequality caps any split's information at 2 DTC
         return None
-    budget = budget or RefutationBudget(restarts=2, max_grad_steps=15)
-    kappa = r * n / 200.0
+    kappa = r * n / DEC_DENOMINATOR
     # allow tilts strong enough to cleanly separate the lightest atom
     min_mass = min(mu.atoms.values())
     t_hi = min(max(kappa, r / 2.0, math.log(1.0 / min_mass) + 6.0), 50.0)
@@ -285,15 +293,27 @@ def decrement_step(mu: DiscreteMeasure, r: float,
             slate.append((fm, float(t)))
     # among passing candidates keep the one consuming the most correlation
     best = None
-    best_drop = -math.inf
     for fm, t in slate:
         rho1 = {w: 0.5 * math.exp(-t * v) for w, v in fm.items()}
         rho2 = {w: 1.0 - rho1[w] for w in rho1}
         fp = FuzzyPartition(mu.space, (rho1, rho2))
         ok, chk = _decrement_checks(mu, fp, r, i_floor, dtc=dtc)
-        if ok and chk["decrement"] > best_drop:
-            best, best_drop = fp, chk["decrement"]
+        if ok and (best is None or chk["decrement"] > best.decrement):
+            best = Split(fp, chk["information"], chk["decrement"])
     return best
+
+
+@dataclass
+class _Component:
+    """One cell of the recursion: a density over supp(mu), its mass under mu,
+    and its status: "unknown" (not yet tried), "firing" (``split`` passed),
+    "concentrated" (no split within budget) or "bad" (firing at stop time,
+    or refuted at the round cap)."""
+
+    density: dict[Word, float]
+    weight: float
+    status: str = "unknown"
+    split: Split | None = None
 
 
 def decrement_recursion(mu: DiscreteMeasure, cfg: PipelineConfig,
@@ -317,44 +337,37 @@ def decrement_recursion(mu: DiscreteMeasure, cfg: PipelineConfig,
     epsilon = cfg.epsilon if epsilon is None else epsilon
     support = mu.support
 
-    # each entry: density over supp(mu); status is "firing" (a split passed),
-    # "concentrated" (no split within budget), or "bad" (firing at stop time);
-    # fire-status is evaluated once per component and cached, and exactly one
-    # component (the heaviest firing one) is split per round.
-    densities: list[dict[Word, float]] = [{w: 1.0 for w in support}]
-    splits_found: list[FuzzyPartition | None] = [None]
-    status = ["unknown"]
+    def component(dens: dict[Word, float]) -> _Component:
+        return _Component(
+            dens, sum(dens.get(w, 0.0) * m for w, m in mu.atoms.items()))
+
+    # a component is tried once, and exactly one (the heaviest firing one) is
+    # split per round
+    comps = [component({w: 1.0 for w in support})]
     audit: dict = {"rounds": [], "truncated": False}
     total_decrement = 0.0
-
-    def weight_of(dens: Mapping[Word, float]) -> float:
-        return sum(dens.get(w, 0.0) * m for w, m in mu.atoms.items())
-
-    def evaluate(idx: int, round_no: int) -> None:
-        dens = densities[idx]
-        if weight_of(dens) <= 1e-14:
-            status[idx] = "concentrated"
-            return
-        comp = reweight(mu, dens)
-        fp = decrement_step(
-            comp, r, cfg.spawned_budget(cfg.split_budget, 1, round_no, idx))
-        splits_found[idx] = fp
-        status[idx] = "concentrated" if fp is None else "firing"
 
     stalled = False
     history: list[float] = []
     for round_no in range(cfg.max_iters):
-        for idx in range(len(densities)):
-            if status[idx] == "unknown":
-                evaluate(idx, round_no)
-        firing = [i for i, st in enumerate(status) if st == "firing"]
-        firing_mass = sum(weight_of(densities[i]) for i in firing)
+        for idx, comp in enumerate(comps):
+            if comp.status != "unknown":
+                continue
+            if comp.weight <= 1e-14:
+                comp.status = "concentrated"
+                continue
+            comp.split = decrement_step(
+                reweight(mu, comp.density), r,
+                cfg.spawned_budget(SPLIT_BUDGET, 1, round_no, idx))
+            comp.status = "concentrated" if comp.split is None else "firing"
+        firing = [i for i, comp in enumerate(comps) if comp.status == "firing"]
+        firing_mass = sum(comps[i].weight for i in firing)
         round_entry = {"round": round_no, "firing_mass": firing_mass,
                        "splits": []}
         history.append(firing_mass)
         if firing_mass < epsilon or not firing:
             for idx in firing:
-                status[idx] = "bad"
+                comps[idx].status = "bad"
             audit["rounds"].append(round_entry)
             break
         if len(history) > 8 and firing_mass >= 0.98 * history[-9]:
@@ -363,27 +376,16 @@ def decrement_recursion(mu: DiscreteMeasure, cfg: PipelineConfig,
             stalled = True
             audit["rounds"].append(round_entry)
             break
-        idx = max(firing, key=lambda i: (weight_of(densities[i]), -i))
-        dens = densities[idx]
-        weight = weight_of(dens)
-        comp = reweight(mu, dens)
-        fp = splits_found[idx]
-        ok, chk = _decrement_checks(comp, fp, r)
-        total_decrement += weight * chk["decrement"]
+        idx = max(firing, key=lambda i: (comps[i].weight, -i))
+        dens, weight, split = comps[idx].density, comps[idx].weight, comps[idx].split
+        total_decrement += weight * split.decrement
         round_entry["splits"].append(
             {"component": idx, "weight": weight,
-             "information": chk["information"],
-             "decrement": chk["decrement"]})
-        children = []
-        for sigma in fp.densities:
-            child = {w: dens[w] * sigma.get(w, 0.5) for w in support}
-            children.append(child)
-        densities[idx] = children[0]
-        status[idx] = "unknown"
-        splits_found[idx] = None
-        densities.append(children[1])
-        status.append("unknown")
-        splits_found.append(None)
+             "information": split.information, "decrement": split.decrement})
+        first, second = ({w: dens[w] * sigma.get(w, 0.5) for w in support}
+                         for sigma in split.partition.densities)
+        comps[idx] = component(first)
+        comps.append(component(second))
         audit["rounds"].append(round_entry)
     else:
         stalled = True
@@ -392,29 +394,26 @@ def decrement_recursion(mu: DiscreteMeasure, cfg: PipelineConfig,
         # budgeted refutation test actually refutes them
         audit["cap_hit"] = True
         n = mu.space.dimension
-        params = TParams(max(r * n / 200.0, 1e-9), r)
+        params = TParams(max(r * n / DEC_DENOMINATOR, 1e-9), r)
         refuted_mass = 0.0
-        for idx, st in enumerate(status):
-            if st not in ("unknown", "firing"):
+        for idx, comp in enumerate(comps):
+            if comp.status not in ("unknown", "firing"):
                 continue
-            weight = weight_of(densities[idx])
-            if weight <= 1e-14:
-                status[idx] = "concentrated"
+            if comp.weight <= 1e-14:
+                comp.status = "concentrated"
                 continue
-            comp = reweight(mu, densities[idx])
-            check = refute_T(comp, params,
+            check = refute_T(reweight(mu, comp.density), params,
                              cfg.spawned_budget(
                                  replace(cfg.budget, max_subsets=512), 10, idx))
             if check.refuted:
-                status[idx] = "bad"
-                refuted_mass += weight
+                comp.status = "bad"
+                refuted_mass += comp.weight
             else:
-                status[idx] = "concentrated"
+                comp.status = "concentrated"
         audit["truncated"] = refuted_mass >= epsilon
 
     audit.setdefault("cap_hit", False)
-    bad = [d for d, st in zip(densities, status) if st == "bad"]
-    good = [d for d, st in zip(densities, status) if st != "bad"]
+    bad = [comp.density for comp in comps if comp.status == "bad"]
     final: list[dict[Word, float]] = []
     if bad:
         merged: dict[Word, float] = {w: 0.0 for w in support}
@@ -422,7 +421,7 @@ def decrement_recursion(mu: DiscreteMeasure, cfg: PipelineConfig,
             for w, v in d.items():
                 merged[w] += v
         final.append(merged)
-    final.extend(good)
+    final.extend(comp.density for comp in comps if comp.status != "bad")
     fp_final = FuzzyPartition(mu.space, tuple(final))
     audit["bad_present"] = bool(bad)
     audit["total_decrement"] = total_decrement
@@ -438,7 +437,8 @@ def decrement_recursion(mu: DiscreteMeasure, cfg: PipelineConfig,
 # -----------------------------------------------------------------------------
 def _sample_coarsen_detail(mu: DiscreteMeasure, rep: MixtureRepresentation,
                            good_set: Sequence[int], epsilon: float,
-                           seed: int, *, start: int = 64, cap: int = 1 << 18
+                           seed: int, *, start: int = SAMPLE_START,
+                           cap: int = SAMPLE_CAP
                            ) -> tuple[MixtureRepresentation, tuple[int, ...], dict]:
     if not (0.0 < epsilon < 0.5):
         raise MeasureError("epsilon must lie in (0, 1/2)")
@@ -533,10 +533,10 @@ def mixture_decomposition(mu: DiscreteMeasure, cfg: PipelineConfig
     # argument forces unboundedly many rounds at small n); the sampling
     # tolerance adapts to the bad mass the recursion actually achieved, and
     # the final bad-cell mass is accounted exactly either way.
-    r_dec = cfg.r * cfg.dec_denominator / cfg.final_denominator
+    r_dec = cfg.r * DEC_DENOMINATOR / FINAL_DENOMINATOR
     eps_b = cfg.epsilon / 2.5
     eps_rec = cfg.epsilon / 10.0
-    kappa_inner = r_dec * m_dim / cfg.dec_denominator
+    kappa_inner = r_dec * m_dim / DEC_DENOMINATOR
 
     audit: dict = {
         "tc": tc, "dtc_trimmed": dtc_s,
@@ -561,8 +561,7 @@ def mixture_decomposition(mu: DiscreteMeasure, cfg: PipelineConfig
     seed_samp = int(np.random.SeedSequence(cfg.seed, spawn_key=(2,))
                     .generate_state(1)[0])
     emp, drawn, samp_diag = _sample_coarsen_detail(
-        mu_s, rep, good, eps_samp, seed_samp,
-        start=cfg.sample_start, cap=cfg.sample_cap)
+        mu_s, rep, good, eps_samp, seed_samp)
     audit["sampling"] = samp_diag
 
     # reconstruction residual: gamma = mu_s ^ emp atomwise, f = d gamma / d emp
@@ -633,15 +632,13 @@ def mixture_decomposition(mu: DiscreteMeasure, cfg: PipelineConfig
                 if c is not None and c.refuted]
     if rerouted:
         audit["rerouted_components"] = rerouted
-        new_w, new_c, new_p, new_cert = [], [], [], []
-        bad_w = weights[bad_index] if bad_index is not None else 0.0
+        merged = ([] if bad_index is None else [bad_index]) + rerouted
         bad_raw2: dict[Word, float] = {}
-        if bad_index is not None:
-            for w, m in components[bad_index].atoms.items():
-                bad_raw2[w] = bad_w * m
-        for i in rerouted:
+        for i in merged:
             for w, m in components[i].atoms.items():
                 bad_raw2[w] = bad_raw2.get(w, 0.0) + weights[i] * m
+        new_w, new_c, new_p, new_cert = [], [], [], []
+        new_bad = None
         bad_w = sum(bad_raw2.values())
         if bad_w > 0.0:
             new_w.append(bad_w)
@@ -649,10 +646,8 @@ def mixture_decomposition(mu: DiscreteMeasure, cfg: PipelineConfig
             new_p.append(None)
             new_cert.append(None)
             new_bad = 0
-        else:
-            new_bad = None
         for i in range(len(weights)):
-            if i == bad_index or i in rerouted:
+            if i in merged:
                 continue
             new_w.append(weights[i])
             new_c.append(components[i])
@@ -719,7 +714,7 @@ def carve_concentrated_set(mu: DiscreteMeasure, cfg: PipelineConfig,
     e_val = total_correlation(mu)
     delta = cfg.delta
     r = cfg.r
-    kappa_n = r * n / cfg.final_denominator
+    kappa_n = r * n / FINAL_DENOMINATOR
     failures: list[str] = []
     info: dict = {"tc": e_val, "delta": delta,
                   "paper_inequality_failures": failures}
@@ -739,7 +734,9 @@ def carve_concentrated_set(mu: DiscreteMeasure, cfg: PipelineConfig,
     # case 2: small total correlation
     if e_val <= (r ** 4) * n:
         prod = product_measure(
-            mu.space, [list(_marginal_vector(mu, i)) for i in range(n)])
+            mu.space, [[marginal(mu, [i]).mass((s,))
+                        for s in range(mu.space.alphabet_size)]
+                       for i in range(n)])
         dbar, plan = transport_distance(prod, mu)
         info["dbar_to_product"] = dbar
         if dbar > r * r:
@@ -839,7 +836,7 @@ def carve_concentrated_set(mu: DiscreteMeasure, cfg: PipelineConfig,
 
     accepted = None
     attempts = []
-    for attempt in range(cfg.carve_retries):
+    for attempt in range(CARVE_RETRIES):
         rng = cfg.rng(7, attempt, *_seed_key)
         draw = rng.random(len(nu.support))
         u_words = [w for w, x in zip(nu.support, draw) if x < dens[w]]
@@ -860,7 +857,7 @@ def carve_concentrated_set(mu: DiscreteMeasure, cfg: PipelineConfig,
     info["random_set_attempts"] = attempts
     if accepted is None:
         raise CarveError(
-            f"random subset acceptance failed over {cfg.carve_retries} seeds; "
+            f"random subset acceptance failed over {CARVE_RETRIES} seeds; "
             f"diagnostics {info}")
     u_words, dd, plan = accepted
     if dd > 42.0 * delta + 1e-12:
@@ -881,13 +878,6 @@ def carve_concentrated_set(mu: DiscreteMeasure, cfg: PipelineConfig,
     if mass_v <= 0.0:
         raise CarveError(f"carved cell has zero mass; diagnostics {info}")
     return CarveResult(cell, "carve", params, cert, info)
-
-
-def _marginal_vector(mu: DiscreteMeasure, i: int) -> list[float]:
-    vec = [0.0] * mu.space.alphabet_size
-    for w, m in mu.atoms.items():
-        vec[w[i]] += m
-    return vec
 
 
 def partition_decomposition(mu: DiscreteMeasure, cfg: PipelineConfig
@@ -912,7 +902,7 @@ def partition_decomposition(mu: DiscreteMeasure, cfg: PipelineConfig
         mass_w = sum(mu.mass(w) for w in remaining)
         if mass_w < cfg.epsilon or not remaining:
             break
-        if step >= cfg.max_cells:
+        if step >= MAX_CELLS:
             truncated = True
             break
         cond_w = condition(mu, remaining)

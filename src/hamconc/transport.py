@@ -312,11 +312,14 @@ def transport_distance(mu: DiscreteMeasure, nu: DiscreteMeasure, *,
     """Transportation distance between two measures on the same space.
 
     ``method`` is ``'exact'`` (default; errors above the support cap) or
-    ``'sinkhorn'`` (always approximate).
+    ``'sinkhorn'`` (always approximate, with the finite positive
+    regularization ``reg``).
     """
     if mu.space != nu.space:
         raise MeasureError("transport_distance needs measures on the same space")
     if method == "sinkhorn":
+        if not 0.0 < reg < math.inf:
+            raise MeasureError(f"sinkhorn needs a finite positive reg, got {reg}")
         return _sinkhorn_distance(mu, nu, reg=reg)
     if method != "exact":
         raise MeasureError(

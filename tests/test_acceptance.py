@@ -188,11 +188,11 @@ def test_criterion_05_decrement_soundness(fixture_suite, product_controls):
     r = 0.3
     fired = 0
     for name, mu in fixture_suite:
-        fp = decrement_step(mu, r)
-        if fp is None:
+        split = decrement_step(mu, r)
+        if split is None:
             continue
         fired += 1
-        ok, chk = _decrement_checks(mu, fp, r)
+        ok, chk = _decrement_checks(mu, split.partition, r)
         n = mu.space.dimension
         assert chk["decrement"] >= 0.5 * chk["information"] - 1e-8, name
         assert chk["information"] >= r * r * math.exp(-n) / n - 1e-12, name

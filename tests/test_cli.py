@@ -105,8 +105,36 @@ def test_removed_knobs_exit_2(capsys, diag_file):
     capsys.readouterr()
     code, payload = run_json(capsys, ["decompose-b", diag_file])
     assert code == 0
-    removed = {"c_C", "mix_denominator", "approx_transport", "threads"}
+    removed = {"c_C", "mix_denominator", "approx_transport", "threads",
+               "max_cells", "carve_retries", "dec_denominator",
+               "final_denominator", "split_budget", "sample_start", "sample_cap"}
     assert not removed & set(payload["manifest"]["config"])
+
+
+@pytest.mark.parametrize("reg", ["0", "-1", "nan", "inf"])
+def test_sinkhorn_bad_reg_exits_2(capsys, diag_file, reg):
+    code, payload = run_json(capsys, ["transport", diag_file, diag_file,
+                                      "--approx", "--reg", reg])
+    assert code == 2
+    assert payload["error"]["type"] == "validation"
+    assert "reg" in payload["error"]["message"]
+
+
+@pytest.mark.parametrize("flag", ["--budget-subsets", "--budget-restarts"])
+def test_negative_budget_exits_2(capsys, diag_file, flag):
+    code, payload = run_json(capsys, ["certify", diag_file, "--kappa", "1",
+                                      "--r", "0.1", flag, "-3"])
+    assert code == 2
+    assert payload["error"]["type"] == "validation"
+
+
+@pytest.mark.parametrize("constants", ["c=nan", "cB=0", "c=-1", "cB=inf"])
+def test_bad_pipeline_constants_exit_2(capsys, diag_file, constants):
+    for command in ("decompose-b", "partition-c"):
+        code, payload = run_json(capsys, [command, diag_file,
+                                          "--constants", constants])
+        assert code == 2
+        assert payload["error"]["type"] == "validation"
 
 
 def test_missing_file_exits_2(capsys):

@@ -165,6 +165,13 @@ def test_trivial_r_none():
     assert find_L_violation(two_cluster(4), 1.5) is None
 
 
+@pytest.mark.parametrize("field", ["max_subsets", "restarts", "max_grad_steps"])
+def test_negative_budget_rejected(field):
+    with pytest.raises(MeasureError, match=f"{field}=-1"):
+        RefutationBudget(**{field: -1})
+    assert getattr(RefutationBudget(**{field: 0}), field) == 0
+
+
 def test_violation_found_with_strong_kappa():
     # two separated clusters violate the tilted-divergence inequality once the
     # tilt interval is wide enough to matter

@@ -2,6 +2,7 @@
 import hashlib
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -65,8 +66,9 @@ def test_step_none_on_products():
 
 def test_step_fires_on_two_cluster_with_verified_conclusions():
     mu = two_cluster(6)
-    fp = decrement_step(mu, 0.3)
-    assert fp is not None
+    split = decrement_step(mu, 0.3)
+    assert split is not None
+    fp = split.partition
     ok, chk = _decrement_checks(mu, fp, 0.3)
     assert ok
     assert chk["decrement"] >= 0.5 * chk["information"] - 1e-8
@@ -78,10 +80,19 @@ def test_step_fires_on_two_cluster_with_verified_conclusions():
 
 def test_step_fires_on_product_mixture():
     mu = product_mix(6, 0.1, 0.9)
-    fp = decrement_step(mu, 0.3)
-    assert fp is not None
-    ok, chk = _decrement_checks(mu, fp, 0.3)
+    split = decrement_step(mu, 0.3)
+    assert split is not None
+    ok, chk = _decrement_checks(mu, split.partition, 0.3)
     assert ok and chk["decrement"] > 0
+
+
+def test_split_carries_gate_numbers():
+    # the numbers a Split carries are those a fresh check of it computes
+    for mu in (two_cluster(6), product_mix(6, 0.1, 0.9), diagonal_code(4)):
+        split = decrement_step(mu, 0.3)
+        _, chk = _decrement_checks(mu, split.partition, 0.3)
+        assert split.information.hex() == chk["information"].hex()
+        assert split.decrement.hex() == chk["decrement"].hex()
 
 
 def test_step_information_floor_evaluates():
@@ -106,9 +117,10 @@ def test_decrement_step_pins_split_densities():
     suite = criterion_suite() + product_control_suite()
     suite += [(f"skewed-{k}", mu) for k, mu in enumerate(skewed_small_measures())]
     for name, mu in suite:
-        fp = decrement_step(mu, 0.3)
+        split = decrement_step(mu, 0.3)
         pinned = None
-        if fp is not None:
+        if split is not None:
+            fp = split.partition
             _, chk = _decrement_checks(mu, fp, 0.3)
             pinned = ([[(w, v.hex()) for w, v in sorted(d.items())]
                        for d in fp.densities],
@@ -141,7 +153,7 @@ def test_decrement_gate_dtc_evaluations(monkeypatch):
     assert sum(m is mu for m in calls) == 1
     assert len(calls) == 1 + 2 * passing
 
-    fp = decrement_step(mu, r)
+    fp = decrement_step(mu, r).partition
     calls.clear()
     ok, chk = _decrement_checks(mu, fp, r, i_floor=10.0)
     assert not ok and "decrement" not in chk
@@ -179,6 +191,55 @@ def test_recursion_reconstructs(rng):
     mu = product_mix(5, 0.15, 0.85)
     fp, _ = decrement_recursion(mu, CFG)
     assert tv_distance(mix(fuzzy_split(mu, fp)), mu) < 1e-9
+
+
+#: sha256 of decrement_recursion's audit (JSON, sorted keys) and final
+#: densities (float.hex) on the criterion fixtures at CFG, and, with the round
+#: cap at 2 so the capped refutation path runs, on those of at most 16 atoms;
+#: recorded before the recursion kept one record per component, so it pins
+#: that the audit reads the same split numbers and the cells stay in order
+RECURSION_DIGEST = "5eeca5a22c211df84f027dfd461e263556909499c4c34d90139197c328a308ad"
+
+
+def test_decrement_recursion_pins_audit_and_densities():
+    capped = replace(CFG, max_iters=2)
+    h = hashlib.sha256()
+    for cfg, small_only in ((CFG, False), (capped, True)):
+        for name, mu in criterion_suite():
+            if small_only and len(mu) > 16:
+                continue
+            fp, audit = decrement_recursion(mu, cfg)
+            h.update(repr((name, cfg.max_iters)).encode())
+            h.update(json.dumps(audit, sort_keys=True).encode())
+            h.update(repr([[(w, v.hex()) for w, v in sorted(d.items())]
+                           for d in fp.densities]).encode())
+    assert h.hexdigest() == RECURSION_DIGEST
+
+
+def test_recursion_checks_each_split_once(monkeypatch):
+    # the recursion reads an executed split's numbers from decrement_step
+    # instead of running the gate on it again
+    calls = {"in_step": 0, "outside": 0}
+    in_step = [False]
+    checks, step = decompose._decrement_checks, decompose.decrement_step
+
+    def counting_checks(*args, **kwargs):
+        calls["in_step" if in_step[0] else "outside"] += 1
+        return checks(*args, **kwargs)
+
+    def tracked_step(*args, **kwargs):
+        in_step[0] = True
+        try:
+            return step(*args, **kwargs)
+        finally:
+            in_step[0] = False
+
+    monkeypatch.setattr(decompose, "_decrement_checks", counting_checks)
+    monkeypatch.setattr(decompose, "decrement_step", tracked_step)
+    _, audit = decrement_recursion(product_mix(6, 0.1, 0.9), CFG)
+    assert sum(len(rnd["splits"]) for rnd in audit["rounds"]) > 0
+    assert calls["in_step"] > 0
+    assert calls["outside"] == 0
 
 
 # -----------------------------------------------------------------------------
