@@ -89,7 +89,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="use the entropically regularized backend")
     p.add_argument("--reg", type=float, default=5e-3)
 
-    p = sub.add_parser("certify", help="budgeted transportation-inequality refutation")
+    p = sub.add_parser(
+        "certify", help="budgeted transportation-inequality refutation",
+        description="Try to refute T(kappa, r) for a measure.  Two a-priori "
+        "bounds on the support diameter diam prove the inequality before any "
+        "search (status \"holds\"): r >= diam (bound \"diameter\") and "
+        "Hoeffding's lemma, kappa diam^2 / 8 <= r (bound \"hoeffding\").  "
+        "Otherwise the status is \"refuted\", with a re-verified witness, "
+        "or the budget-relative \"not_refuted_within_budget\".")
     p.add_argument("measure")
     p.add_argument("--kappa", type=float, required=True)
     p.add_argument("--r", type=float, required=True)
@@ -177,13 +184,14 @@ def run(argv: list[str]) -> int:
         if args.command == "certify":
             mu = load_measure(args.measure)
             manifest["input_digest"][args.measure] = _digest(args.measure)
+            params = TParams(args.kappa, args.r)
             manifest["config"] = {"kappa": args.kappa, "r": args.r,
                                   "budget_subsets": args.budget_subsets,
                                   "budget_restarts": args.budget_restarts}
             budget = RefutationBudget(max_subsets=args.budget_subsets,
                                       restarts=args.budget_restarts,
                                       seed=args.seed)
-            res = refute_T(mu, TParams(args.kappa, args.r), budget)
+            res = refute_T(mu, params, budget)
             return _emit(manifest, res.to_dict(), f"status={res.status}", started)
 
         if args.command in ("decompose-b", "partition-c"):

@@ -3,9 +3,17 @@
 A measure satisfies T(kappa, r) when every other measure nu on the same space
 has dbar(nu, mu) <= D(nu || mu)/kappa + r.  Certifying this exactly is a
 maximization of a convex functional over the 1-Lipschitz polytope and is
-exponential, so this module only ever *refutes*: a refutation carries an
-exactly re-verified witness, while "not refuted" is budget-relative and never
-a certificate.
+exponential, so in general this module only *refutes*: a refutation carries
+an exactly re-verified witness, while "not refuted" is budget-relative and
+never a certificate.  Two a-priori bounds on the support diameter diam (in
+normalized Hamming distance) do prove the inequality, and ``refute_T`` checks
+them before any search:
+
+* diameter  - r >= diam, since dbar(nu, mu) <= diam (this covers point
+  masses, whose diameter is 0);
+* hoeffding - kappa diam^2 / 8 <= r, since by Hoeffding's lemma the
+  Bobkov-Goetze objective C(kappa f) - kappa<f> - kappa r of every
+  1-Lipschitz f is at most kappa^2 diam^2 / 8 - kappa r.
 
 Two refutation channels are implemented, either sufficient:
 
@@ -15,7 +23,9 @@ Two refutation channels are implemented, either sufficient:
   tight extensions;
 * primal - enumeration of conditioning sets U, testing
   dbar(mu|U, mu) > D(mu|U || mu)/kappa + r with the exact transport backend
-  (exhaustive when 2^|support| fits the budget).
+  (exhaustive when 2^|support| fits the budget); a set whose bound
+  dbar(mu|U, mu) <= (1 - mu(U)) diam already meets the inequality is
+  counted but not solved.
 """
 from __future__ import annotations
 
@@ -55,8 +65,11 @@ class TParams:
     r: float
 
     def __post_init__(self) -> None:
-        if self.kappa <= 0 or self.r <= 0:
-            raise MeasureError("TParams needs kappa > 0 and r > 0")
+        if not (math.isfinite(self.kappa) and math.isfinite(self.r)
+                and self.kappa > 0 and self.r > 0):
+            raise MeasureError(
+                f"TParams needs finite kappa > 0 and r > 0, got "
+                f"kappa={self.kappa}, r={self.r}")
 
     def implies(self, other: "TParams") -> bool:
         """The inequality gets stronger as kappa grows or r shrinks."""
@@ -92,10 +105,13 @@ class LipschitzWitness:
 
 @dataclass(frozen=True)
 class RefutationResult:
-    status: str  # "refuted" | "not_refuted_within_budget"
+    # "refuted" (witness re-verified), "holds" (proved by the a-priori
+    # ``bound``: "diameter" or "hoeffding") or "not_refuted_within_budget"
+    status: str
     witness: LipschitzWitness | None = None
     conditioning_set: tuple[Word, ...] | None = None
     budget_used: dict = field(default_factory=dict)
+    bound: str | None = None
 
     @property
     def refuted(self) -> bool:
@@ -103,6 +119,8 @@ class RefutationResult:
 
     def to_dict(self) -> dict:
         out = {"status": self.status, "budget_used": dict(self.budget_used)}
+        if self.bound is not None:
+            out["bound"] = self.bound
         if self.witness is not None:
             out["witness"] = {
                 "f": [[list(w), v] for w, v in sorted(self.witness.f.items())],
@@ -291,9 +309,13 @@ def refute_T(mu: DiscreteMeasure, params: TParams,
              budget: RefutationBudget | None = None) -> RefutationResult:
     """Try to refute T(kappa, r) for ``mu``; soundness over completeness.
 
-    A "refuted" result carries a witness whose violation is re-verified with
-    exact transport cost and divergence.  "not_refuted_within_budget" only
-    reports that the search failed.
+    Two a-priori bounds on the support diameter diam prove the inequality
+    before any search: r >= diam (``bound="diameter"``) and, by Hoeffding's
+    lemma, kappa diam^2 / 8 <= r (``bound="hoeffding"``); either returns
+    "holds" with zero budget counts.  Otherwise a "refuted" result carries a
+    witness whose violation is re-verified with exact transport cost and
+    divergence, and "not_refuted_within_budget" only reports that the search
+    failed.
     """
     budget = budget or RefutationBudget()
     support = list(mu.support)
@@ -304,9 +326,11 @@ def refute_T(mu: DiscreteMeasure, params: TParams,
     rng = np.random.default_rng(np.random.SeedSequence(budget.seed))
     used = {"subsets_checked": 0, "restarts_run": 0, "gradient_steps": 0}
 
-    # point masses and trivially satisfied radii short-circuit
-    if len(support) == 1 or params.r >= float(dist.max()):
-        return RefutationResult("not_refuted_within_budget", budget_used=used)
+    diam = float(dist.max())
+    if params.r >= diam:
+        return RefutationResult("holds", budget_used=used, bound="diameter")
+    if params.kappa * diam ** 2 / 8 <= params.r:
+        return RefutationResult("holds", budget_used=used, bound="hoeffding")
 
     # --- dual channel (cheap: no transport solves) ------------------------------
     dual_result = _dual_channel(mu, params, budget, support, masses, dist, used)
@@ -320,9 +344,12 @@ def refute_T(mu: DiscreteMeasure, params: TParams,
         mass_u = float(masses[list(idx)].sum())
         if mass_u <= 0.0:
             continue
+        div = -math.log(mass_u)
+        # dbar(mu|U, mu) <= (1 - mu(U)) diam: this set cannot refute
+        if (1.0 - mass_u) * diam - div / params.kappa - params.r <= 0.0:
+            continue
         cond = condition(mu, cell)
         cost, plan = transport_distance(cond, mu)
-        div = -math.log(mass_u)
         margin = cost - div / params.kappa - params.r
         if margin > 1e-9:
             # also expose the dual-side witness from the optimal potential

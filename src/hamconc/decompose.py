@@ -331,7 +331,11 @@ def decrement_recursion(mu: DiscreteMeasure, cfg: PipelineConfig,
     admit decrement splits indefinitely, and for those the budgeted refutation
     is the operative notion of failure.  The ``truncated`` flag is raised only
     when the round cap leaves a bad cell at or above epsilon; hitting the cap
-    itself is recorded as ``cap_hit``.
+    itself is recorded as ``cap_hit``.  At the cap's kappa = r n /
+    ``DEC_DENOMINATOR`` the refutation test is decided by Hoeffding's bound
+    (or, when r >= diam, by the diameter bound) before any search at these
+    sizes: kappa diam^2 / 8 = r n diam^2 / 1600 <= r for every n <= 1600, so
+    no capped component is refuted.
     """
     r = cfg.r if r is None else r
     epsilon = cfg.epsilon if epsilon is None else epsilon

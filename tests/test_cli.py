@@ -1,11 +1,22 @@
 """CLI contracts: JSON shapes, round trips, determinism, exit codes."""
+import hashlib
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hamconc.cli import run
-from hamconc.measures import dump_measure, load_measure, measure_from_dict
+from hamconc.measures import (
+    DiscreteMeasure,
+    ProductSpace,
+    dump_measure,
+    load_measure,
+    measure_from_dict,
+)
 
 from conftest import make_measure, product_mix
 
@@ -57,6 +68,106 @@ def test_certify_refutes_two_cluster(capsys, diag_file):
         capsys, ["certify", diag_file, "--kappa", "50", "--r", "0.1"])
     assert code == 0
     assert payload["result"]["status"] == "refuted"
+
+
+def _strict_json(text):
+    """Parse JSON, rejecting the non-standard NaN and Infinity literals."""
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("flag, value", [("--kappa", "nan"), ("--kappa", "inf"),
+                                         ("--r", "nan"), ("--r", "inf")])
+def test_certify_non_finite_params_exit_2(capsys, diag_file, flag, value):
+    # argparse keeps the last value of a repeated option
+    code = run(["certify", diag_file, "--kappa", "1", "--r", "0.1", flag, value])
+    payload = _strict_json(capsys.readouterr().out)
+    assert code == 2
+    assert payload["error"]["type"] == "validation"
+    assert "finite" in payload["error"]["message"]
+
+
+def _dump(tmp_path, name, mu):
+    path = tmp_path / name
+    dump_measure(mu, str(path))
+    return str(path)
+
+
+def test_certify_bench_like_measure_holds_by_hoeffding(capsys, tmp_path):
+    # 8 atoms on {0,1}^8 at kappa in [1.5, 2.5], r in [0.3, 0.4], like the
+    # certify bench jobs: kappa diam^2 / 8 <= r, so no search runs
+    rng = np.random.default_rng(8)
+    words = set()
+    while len(words) < 8:
+        words.add(tuple(int(x) for x in rng.integers(0, 2, size=8)))
+    mu = DiscreteMeasure.from_unnormalized(
+        ProductSpace(2, 8), dict(zip(sorted(words), rng.uniform(0.5, 1.5, 8))))
+    code, payload = run_json(capsys, ["certify", _dump(tmp_path, "m.json", mu),
+                                      "--kappa", "2.2", "--r", "0.33"])
+    assert code == 0
+    assert payload["result"] == {
+        "status": "holds", "bound": "hoeffding",
+        "budget_used": {"subsets_checked": 0, "restarts_run": 0,
+                        "gradient_steps": 0}}
+
+
+def test_certify_point_mass_holds_by_diameter(capsys, tmp_path):
+    mu = DiscreteMeasure.point_mass(ProductSpace(2, 4), (0, 1, 1, 0))
+    code, payload = run_json(capsys, ["certify", _dump(tmp_path, "p.json", mu),
+                                      "--kappa", "1000", "--r", "0.01"])
+    assert code == 0
+    assert payload["result"]["status"] == "holds"
+    assert payload["result"]["bound"] == "diameter"
+
+
+#: sha256 of the ``certify`` result on two antipodal 3-atom clusters at
+#: (40, 0.05), recorded before the a-priori bounds existed
+CLUSTERS_RESULT_DIGEST = (
+    "91b4531a99e3405b6741034096330995c3275a8c56aed7ed8024d1b465117159")
+
+
+def test_certify_antipodal_clusters_still_refuted(capsys, tmp_path):
+    n = 6
+    atoms = {}
+    for centre in ((0,) * n, (1,) * n):
+        atoms[centre] = 1.0
+        for i in (1, 4):
+            w = list(centre)
+            w[i] ^= 1
+            atoms[tuple(w)] = 0.2
+    mu = DiscreteMeasure.from_unnormalized(ProductSpace(2, n), atoms)
+    code, payload = run_json(capsys, ["certify", _dump(tmp_path, "c.json", mu),
+                                      "--kappa", "40", "--r", "0.05",
+                                      "--seed", "3"])
+    assert code == 0
+    result = payload["result"]
+    assert result["status"] == "refuted" and "bound" not in result
+    blob = json.dumps(result, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == CLUSTERS_RESULT_DIGEST
+
+
+def test_decompose_b_good_certificates_hold(capsys, mix_file):
+    code, payload = run_json(capsys, ["decompose-b", mix_file, "--seed", "3"])
+    assert code == 0
+    res = payload["result"]
+    good = [cert for i, cert in enumerate(res["certificates"])
+            if i != res["bad_index"]]
+    assert good
+    for cert in good:
+        assert cert["status"] == "holds"
+        assert cert["bound"] in ("diameter", "hoeffding")
+
+
+def test_bench_smoke_contracts_hold():
+    # the bench checks every workload's result contract (reconstruction,
+    # standing certificates, re-verified witnesses) on one small job each
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "perfbench/run.py", "--smoke"],
+                          cwd=root, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    last = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert last["correct"] is True and last["failed"] == 0, proc.stderr
 
 
 def test_measure_roundtrip_through_emitted_json(capsys, mix_file, tmp_path):

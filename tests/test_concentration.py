@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hamconc import (
     DiscreteMeasure,
@@ -26,6 +27,7 @@ from hamconc.concentration import (
     RefutationBudget,
     SupCoupling,
     TParams,
+    _dual_channel,
     _l_search_candidates,
     bobkov_gotze_objective,
     concentrate_subset,
@@ -39,6 +41,7 @@ from hamconc.concentration import (
     refute_T,
     tilted_divergence,
 )
+from hamconc import concentration as concentration_module
 from hamconc.transport import mismatch_matrix
 from hamconc.measures import product_measure
 
@@ -109,7 +112,37 @@ def test_projection_produces_lipschitz(rng):
 # -----------------------------------------------------------------------------
 def test_point_mass_never_refuted():
     delta = DiscreteMeasure.point_mass(ProductSpace(2, 4), (0, 1, 0, 1))
-    assert not refute_T(delta, TParams(1000.0, 0.01)).refuted
+    res = refute_T(delta, TParams(1000.0, 0.01))
+    assert not res.refuted
+    # diam = 0 <= r: the diameter bound proves it, with no search
+    assert res.to_dict() == {"status": "holds", "bound": "diameter",
+                             "budget_used": {"subsets_checked": 0,
+                                             "restarts_run": 0,
+                                             "gradient_steps": 0}}
+
+
+def _diameter(mu):
+    support = list(mu.support)
+    return float((mismatch_matrix(support, support) / mu.space.dimension).max())
+
+
+def test_hoeffding_bound_decides_before_search():
+    mu = biased_product(6, 0.3)  # full cube, diam = 1
+    res = refute_T(mu, TParams(2.4, 0.3))  # 2.4 / 8 = 0.3 <= r
+    assert (res.status, res.bound, res.refuted) == ("holds", "hoeffding", False)
+    assert set(res.budget_used.values()) == {0}
+    res = refute_T(mu, TParams(2.5, 0.3), RefutationBudget(
+        max_subsets=4, restarts=1, max_grad_steps=2))
+    assert res.bound is None and "bound" not in res.to_dict()
+    assert res.budget_used["restarts_run"] == 1
+
+
+@pytest.mark.parametrize("kappa, r", [(math.nan, 0.1), (math.inf, 0.1),
+                                      (1.0, math.nan), (1.0, math.inf),
+                                      (-math.inf, 0.1)])
+def test_tparams_rejects_non_finite(kappa, r):
+    with pytest.raises(MeasureError, match="finite"):
+        TParams(kappa, r)
 
 
 def test_radius_one_never_refuted(rng):
@@ -224,18 +257,40 @@ def _tilt_corpus():
 
 
 #: sha256 over the corpus of every ``refute_T`` result and every ranked
-#: (score, t, divergence) of the tilted-divergence search, recorded before the
-#: scalar log-sum-exp copies were merged into one helper; taking the log with
-#: ``np.log`` instead of ``math.log`` changes it
-TILT_CORPUS_DIGEST = "73295347ddad52b34018e0194ce9dd1965037de1f798c4e9bd003fd04df937d6"
+#: (score, t, divergence) of the tilted-divergence search, first recorded
+#: before the scalar log-sum-exp copies were merged into one helper (taking
+#: the log with ``np.log`` instead of ``math.log`` changes it), and
+#: re-recorded when the Hoeffding bound started to decide entries 2, 11 and
+#: 13, which now read "holds" with zero budget counts
+TILT_CORPUS_DIGEST = "37a7569c554c76864b2574eb13047d5c1e0c01ea2234dfc177aba5377e8ae09b"
+
+#: sha256 over the ``refute_T`` results of the 27 corpus entries that neither
+#: a-priori bound decides (11 of them refuted), recorded before the bounds and
+#: the primal diameter skip existed: neither may change a searched result
+UNDECIDED_DIGEST = "3387578787a1819018210bc677169339837fc7566ebebf2d8ff0d195726516d2"
+
+#: the ``refute_T`` result of corpus entry 0 (8 atoms, exhaustive primal
+#: channel, not refuted), recorded before the primal diameter skip existed
+OPEN_ENTRY_DIGEST = "61bcf0010841447372e0a131d35eb489510c3d1681288159a3a83384a2da0e4c"
+
+
+def _corpus_budget(idx):
+    return RefutationBudget(max_subsets=256, restarts=8, max_grad_steps=60,
+                            seed=idx)
+
+
+def _result_digest(results):
+    h = hashlib.sha256()
+    for res in results:
+        h.update(json.dumps(res.to_dict(), sort_keys=True).encode())
+    return h.hexdigest()
 
 
 def test_tilt_corpus_pins_refutation_and_search():
     h = hashlib.sha256()
     refuted = 0
     for idx, (mu, params) in enumerate(_tilt_corpus()):
-        res = refute_T(mu, params, RefutationBudget(
-            max_subsets=256, restarts=8, max_grad_steps=60, seed=idx))
+        res = refute_T(mu, params, _corpus_budget(idx))
         refuted += res.refuted
         h.update(json.dumps(res.to_dict(), sort_keys=True).encode())
         ranked = _l_search_candidates(mu, params.r, params.kappa, RefutationBudget(
@@ -244,6 +299,74 @@ def test_tilt_corpus_pins_refutation_and_search():
                        for score, _, t, div, _ in ranked]).encode())
     assert refuted == 11
     assert h.hexdigest() == TILT_CORPUS_DIGEST
+
+
+def test_tilt_corpus_undecided_results_unchanged():
+    undecided, bounds = [], {}
+    for idx, (mu, params) in enumerate(_tilt_corpus()):
+        res = refute_T(mu, params, _corpus_budget(idx))
+        if res.bound is None:
+            undecided.append(res)
+        else:
+            bounds[idx] = res.bound
+    assert bounds == {2: "hoeffding", 11: "hoeffding", 13: "hoeffding"}
+    assert sum(res.refuted for res in undecided) == 11
+    assert _result_digest(undecided) == UNDECIDED_DIGEST
+
+
+def test_primal_diameter_skip_keeps_result(monkeypatch):
+    mu, params = next(iter(_tilt_corpus()))
+    assert params.kappa * _diameter(mu) ** 2 / 8 > params.r
+    solves = []
+
+    def counted(*args, **kwargs):
+        solves.append(args)
+        return transport_distance(*args, **kwargs)
+
+    monkeypatch.setattr(concentration_module, "transport_distance", counted)
+    res = refute_T(mu, params, _corpus_budget(0))
+    assert _result_digest([res]) == OPEN_ENTRY_DIGEST
+    # every one of the 2^8 - 2 sets is counted, but only those the bound
+    # leaves open are solved (all 254 were before the skip)
+    assert res.budget_used["subsets_checked"] == 254
+    assert 0 < len(solves) < 254
+
+
+@st.composite
+def hoeffding_instances(draw):
+    """A measure of at most 8 atoms and (kappa, r) with r < diam and
+    kappa diam^2 / 8 <= r."""
+    q = draw(st.integers(2, 3))
+    n = draw(st.integers(1, 4))
+    cube = list(itertools.product(range(q), repeat=n))
+    words = draw(st.lists(st.sampled_from(cube), min_size=2, max_size=8,
+                          unique=True))
+    weights = draw(st.lists(st.floats(0.05, 1.0), min_size=len(words),
+                            max_size=len(words)))
+    mu = DiscreteMeasure.from_unnormalized(ProductSpace(q, n),
+                                           dict(zip(words, weights)))
+    diam = _diameter(mu)
+    r = draw(st.floats(0.01, 0.99)) * diam
+    kappa = draw(st.floats(0.01, 1.0)) * 8 * r / diam ** 2
+    return mu, TParams(kappa, r)
+
+
+@given(hoeffding_instances())
+@settings(max_examples=60, deadline=None)
+def test_hoeffding_bound_is_sound(instance):
+    mu, params = instance
+    support = list(mu.support)
+    masses = np.array([mu.atoms[w] for w in support])
+    dist = mismatch_matrix(support, support) / mu.space.dimension
+    used = {"subsets_checked": 0, "restarts_run": 0, "gradient_steps": 0}
+    assert _dual_channel(mu, params, RefutationBudget(restarts=8), support,
+                         masses, dist, used) is None
+    # exhaustively, no conditioning set violates the inequality
+    for size in range(1, len(support)):
+        for cell in itertools.combinations(support, size):
+            cost, _ = transport_distance(condition(mu, cell), mu)
+            div = -math.log(sum(mu.atoms[w] for w in cell))
+            assert cost - div / params.kappa - params.r <= 1e-9
 
 
 # -----------------------------------------------------------------------------
