@@ -220,8 +220,7 @@ def run(argv: list[str]) -> int:
                 return _emit(manifest, measure_to_dict(mu),
                              f"support={len(mu)}", started)
             if args.op == "tc-profile":
-                block = args.block_size if args.block_size > 1 else None
-                prof = proc.tc_profile(spec, args.n, block_size=block)
+                prof = proc.tc_profile(spec, args.n, block_size=args.block_size)
                 return _emit(manifest, {"tc_profile": prof},
                              f"profile up to n={args.n}", started)
             if args.op == "rel-dbar":

@@ -142,6 +142,8 @@ class RefutationBudget:
     def __post_init__(self) -> None:
         if min(self.max_subsets, self.restarts, self.max_grad_steps) < 0:
             raise MeasureError(f"budget counts must be >= 0: {self}")
+        if self.seed < 0:
+            raise MeasureError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

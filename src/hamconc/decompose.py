@@ -5,9 +5,10 @@ fuzzy partition; ``decrement_recursion`` iterates it until the still-splittable
 mass is small; ``sample_coarsen`` replaces a low-information mixture by a
 bounded-size empirical average; ``mixture_decomposition`` chains trimming,
 recursion, sampling and lifting into a mixture whose non-bad components carry
-budgeted concentration certificates; ``carve_concentrated_set`` extracts one
+concentration certificates; ``carve_concentrated_set`` extracts one
 concentrated set, and ``partition_decomposition`` repeats it into a partition
-of the support.
+of the support.  ``refute_T`` proves every pipeline certificate by its
+diameter or Hoeffding bound before any search.
 
 Every split is gated on the exactly computable decrement inequality
 (average-DTC drop >= half the mutual information of the split, and the mutual
@@ -20,7 +21,7 @@ against achieved counts, never asserted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -32,6 +33,7 @@ from .measures import (
     MixtureRepresentation,
     Word,
     condition,
+    coordinate_marginals,
     fuzzy_split,
     marginal,
     mix,
@@ -79,7 +81,7 @@ SAMPLE_CAP = 1 << 18
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Tolerances, constants, budgets and the seed for the pipelines.
+    """Tolerances, constants and the seed for the pipelines.
 
     The inequality denominators 200/1200 are the module constants
     ``DEC_DENOMINATOR`` and ``FINAL_DENOMINATOR``.  ``c`` and ``c_B`` stand in
@@ -98,13 +100,14 @@ class PipelineConfig:
     c_B: float = 10.0
     delta_override: float | None = None
     atom_exponent: float | None = None
-    budget: RefutationBudget = field(default_factory=RefutationBudget)
 
     def __post_init__(self) -> None:
         if not (0.0 < self.epsilon < 1.0) or not (0.0 < self.r < 1.0):
             raise MeasureError("epsilon and r must lie in (0,1)")
         if self.max_iters < 1:
             raise MeasureError("max_iters must be >= 1")
+        if self.seed < 0:
+            raise MeasureError(f"seed must be >= 0, got {self.seed}")
         if not (0.0 < self.c < math.inf and 0.0 < self.c_B < math.inf):
             raise MeasureError("constants c and c_B must be finite and positive")
 
@@ -307,8 +310,8 @@ def decrement_step(mu: DiscreteMeasure, r: float,
 class _Component:
     """One cell of the recursion: a density over supp(mu), its mass under mu,
     and its status: "unknown" (not yet tried), "firing" (``split`` passed),
-    "concentrated" (no split within budget) or "bad" (firing at stop time,
-    or refuted at the round cap)."""
+    "concentrated" (no split within budget, or still splittable at the round
+    cap or a stall) or "bad" (firing at the natural stop)."""
 
     density: dict[Word, float]
     weight: float
@@ -324,18 +327,16 @@ def decrement_recursion(mu: DiscreteMeasure, cfg: PipelineConfig,
     Returns the final fuzzy partition (bad cell first when present) and an
     audit ledger with the per-step information growth and decrement totals.
 
-    A component joins the bad cell when it still admitted a split at the
-    natural stop, or when it is refuted by the budgeted inequality test at the
-    round cap.  Split availability alone does not disqualify a component:
-    strongly correlated but concentrated measures (block codes, subgroup laws)
-    admit decrement splits indefinitely, and for those the budgeted refutation
-    is the operative notion of failure.  The ``truncated`` flag is raised only
-    when the round cap leaves a bad cell at or above epsilon; hitting the cap
-    itself is recorded as ``cap_hit``.  At the cap's kappa = r n /
-    ``DEC_DENOMINATOR`` the refutation test is decided by Hoeffding's bound
-    (or, when r >= diam, by the diameter bound) before any search at these
-    sizes: kappa diam^2 / 8 = r n diam^2 / 1600 <= r for every n <= 1600, so
-    no capped component is refuted.
+    A component joins the bad cell when it still admits a split at the
+    natural stop.  At the round cap, or when the splittable mass stalls, every
+    still-splittable component is kept as concentrated instead, and
+    ``cap_hit`` is recorded.  Split availability alone does not disqualify a
+    component there: strongly correlated but concentrated measures (block
+    codes, subgroup laws) admit decrement splits indefinitely, and T(kappa, r)
+    at kappa = r n / ``DEC_DENOMINATOR`` holds for each of them by Hoeffding's
+    lemma, since kappa diam^2 / 8 <= r n / 1600 <= r for every n <= 1600
+    (diam <= 1).  No refutation can therefore fail a capped component, and
+    ``audit["truncated"]`` stays False.
     """
     r = cfg.r if r is None else r
     epsilon = cfg.epsilon if epsilon is None else epsilon
@@ -376,7 +377,7 @@ def decrement_recursion(mu: DiscreteMeasure, cfg: PipelineConfig,
             break
         if len(history) > 8 and firing_mass >= 0.98 * history[-9]:
             # self-similar grind: splits fire but the splittable mass does not
-            # drain; route the leftovers through the refutation test instead
+            # drain; keep the leftovers as concentrated (see the docstring)
             stalled = True
             audit["rounds"].append(round_entry)
             break
@@ -393,30 +394,12 @@ def decrement_recursion(mu: DiscreteMeasure, cfg: PipelineConfig,
         audit["rounds"].append(round_entry)
     else:
         stalled = True
+    audit["cap_hit"] = stalled
     if stalled:
-        # round cap or stall: still-splittable components are kept only if the
-        # budgeted refutation test actually refutes them
-        audit["cap_hit"] = True
-        n = mu.space.dimension
-        params = TParams(max(r * n / DEC_DENOMINATOR, 1e-9), r)
-        refuted_mass = 0.0
-        for idx, comp in enumerate(comps):
-            if comp.status not in ("unknown", "firing"):
-                continue
-            if comp.weight <= 1e-14:
+        for comp in comps:
+            if comp.status in ("unknown", "firing"):
                 comp.status = "concentrated"
-                continue
-            check = refute_T(reweight(mu, comp.density), params,
-                             cfg.spawned_budget(
-                                 replace(cfg.budget, max_subsets=512), 10, idx))
-            if check.refuted:
-                comp.status = "bad"
-                refuted_mass += comp.weight
-            else:
-                comp.status = "concentrated"
-        audit["truncated"] = refuted_mass >= epsilon
 
-    audit.setdefault("cap_hit", False)
     bad = [comp.density for comp in comps if comp.status == "bad"]
     final: list[dict[Word, float]] = []
     if bad:
@@ -510,10 +493,21 @@ def sample_coarsen(mu: DiscreteMeasure, rep: MixtureRepresentation,
 # -----------------------------------------------------------------------------
 # Mixture pipeline
 # -----------------------------------------------------------------------------
+def _certificate_params(r: float, m: int, a: float, density_bound: float
+                        ) -> TParams:
+    """T(r m / ``DEC_DENOMINATOR``, r) on m retained coordinates, through a
+    density bound and the lift over the dropped fraction a; r is capped at 1,
+    the largest support diameter."""
+    p = TParams(r * m / DEC_DENOMINATOR, r)
+    p = propagate_t_params(p, DensityBound(density_bound))
+    p = propagate_t_params(p, Lift(a))
+    return TParams(p.kappa, min(p.r, 1.0))
+
+
 def mixture_decomposition(mu: DiscreteMeasure, cfg: PipelineConfig
                           ) -> DecompositionResult:
-    """Decompose ``mu`` into a mixture with a small bad cell and budgeted
-    concentration certificates on every other component.
+    """Decompose ``mu`` into a mixture with a small bad cell and concentration
+    certificates on every other component.
 
     Pipeline: trim coordinates to control the dual correlation, run the
     decrement recursion and the sampling coarsening on the projection, reweight
@@ -540,7 +534,6 @@ def mixture_decomposition(mu: DiscreteMeasure, cfg: PipelineConfig
     r_dec = cfg.r * DEC_DENOMINATOR / FINAL_DENOMINATOR
     eps_b = cfg.epsilon / 2.5
     eps_rec = cfg.epsilon / 10.0
-    kappa_inner = r_dec * m_dim / DEC_DENOMINATOR
 
     audit: dict = {
         "tc": tc, "dtc_trimmed": dtc_s,
@@ -618,47 +611,18 @@ def mixture_decomposition(mu: DiscreteMeasure, cfg: PipelineConfig
         weights.append(weight)
         raw = {w: weight * m for w, m in comp.atoms.items()}
         components.append(lift(raw))
-        p = TParams(kappa_inner, r_dec)
-        p = propagate_t_params(p, DensityBound(density_bound))
-        p = propagate_t_params(p, Lift(a_frac))
-        params_list.append(TParams(p.kappa, min(p.r, 1.0)))
+        params_list.append(
+            _certificate_params(r_dec, m_dim, a_frac, density_bound))
 
     # normalize float drift in the weights
     total_w = sum(weights)
     weights = [w / total_w for w in weights]
 
-    # certify every non-bad component; refuted ones are routed to the bad cell
+    # certify every non-bad component; at these parameters each one holds by
+    # the diameter or the Hoeffding bound, so none is routed to the bad cell
     certs = [None if idx == bad_index else
-             refute_T(components[idx], params_list[idx],
-                      cfg.spawned_budget(cfg.budget, 3, idx))
+             refute_T(components[idx], params_list[idx])
              for idx in range(len(weights))]
-    rerouted = [i for i, c in enumerate(certs)
-                if c is not None and c.refuted]
-    if rerouted:
-        audit["rerouted_components"] = rerouted
-        merged = ([] if bad_index is None else [bad_index]) + rerouted
-        bad_raw2: dict[Word, float] = {}
-        for i in merged:
-            for w, m in components[i].atoms.items():
-                bad_raw2[w] = bad_raw2.get(w, 0.0) + weights[i] * m
-        new_w, new_c, new_p, new_cert = [], [], [], []
-        new_bad = None
-        bad_w = sum(bad_raw2.values())
-        if bad_w > 0.0:
-            new_w.append(bad_w)
-            new_c.append(DiscreteMeasure.from_unnormalized(mu.space, bad_raw2))
-            new_p.append(None)
-            new_cert.append(None)
-            new_bad = 0
-        for i in range(len(weights)):
-            if i in merged:
-                continue
-            new_w.append(weights[i])
-            new_c.append(components[i])
-            new_p.append(params_list[i])
-            new_cert.append(certs[i])
-        weights, components, params_list, certs = new_w, new_c, new_p, new_cert
-        bad_index = new_bad
 
     audit["achieved_m"] = len(weights)
     audit["m_bound_reported"] = cfg.c * math.exp(
@@ -702,7 +666,7 @@ class CarveError(MeasureError):
 def carve_concentrated_set(mu: DiscreteMeasure, cfg: PipelineConfig,
                            *, _seed_key: tuple[int, ...] = ()) -> CarveResult:
     """Extract one subset V with positive mass whose conditioned measure
-    carries a budgeted not-refuted concentration certificate.
+    carries a concentration certificate that ``refute_T`` does not refute.
 
     Three routes: a single heavy atom; small total correlation (compare with
     the product of marginals and keep the well-coupled part); otherwise the
@@ -730,17 +694,13 @@ def carve_concentrated_set(mu: DiscreteMeasure, cfg: PipelineConfig,
     if top_mass >= threshold:
         cell = (top_word,)
         params = TParams(kappa_n, r)
-        cert = refute_T(condition(mu, cell), params,
-                        cfg.spawned_budget(cfg.budget, 4, *_seed_key))
+        cert = refute_T(condition(mu, cell), params)
         info["atom_threshold"] = threshold
         return CarveResult(cell, "atom", params, cert, info)
 
     # case 2: small total correlation
     if e_val <= (r ** 4) * n:
-        prod = product_measure(
-            mu.space, [[marginal(mu, [i]).mass((s,))
-                        for s in range(mu.space.alphabet_size)]
-                       for i in range(n)])
+        prod = product_measure(mu.space, coordinate_marginals(mu))
         dbar, plan = transport_distance(prod, mu)
         info["dbar_to_product"] = dbar
         if dbar > r * r:
@@ -751,8 +711,7 @@ def carve_concentrated_set(mu: DiscreteMeasure, cfg: PipelineConfig,
         if mass < 1.0 - 4.0 * delta_cs - 1e-9 or mass <= 0.0:
             raise CarveError(f"small-tc subset kept mass {mass}; diagnostics {info}")
         params = TParams(params.kappa, min(params.r, 1.0))
-        cert = refute_T(condition(mu, cell), params,
-                        cfg.spawned_budget(cfg.budget, 5, *_seed_key))
+        cert = refute_T(condition(mu, cell), params)
         return CarveResult(tuple(sorted(cell)), "small-tc", params, cert, info)
 
     # case 3: level sets, low-entropy coordinates, one concentrated summand
@@ -873,8 +832,7 @@ def carve_concentrated_set(mu: DiscreteMeasure, cfg: PipelineConfig,
     cell, params = concentrate_subset(plan, TParams(kappa_n, r), delta_cs)
     cell = tuple(sorted(set(cell) & set(u_words))) or tuple(sorted(cell))
     params = TParams(params.kappa, min(params.r, 1.0))
-    cert = refute_T(condition(mu, cell), params,
-                    cfg.spawned_budget(cfg.budget, 8, *_seed_key))
+    cert = refute_T(condition(mu, cell), params)
     mass_v = sum(mu.mass(w) for w in cell)
     info["cell_mass"] = mass_v
     floor_v = math.exp(-min(cfg.c * e_val, 700.0))
@@ -887,7 +845,7 @@ def carve_concentrated_set(mu: DiscreteMeasure, cfg: PipelineConfig,
 def partition_decomposition(mu: DiscreteMeasure, cfg: PipelineConfig
                             ) -> DecompositionResult:
     """Partition the support of ``mu`` into cells whose conditioned measures
-    carry budgeted concentration certificates, plus one residual cell of mass
+    carry concentration certificates, plus one residual cell of mass
     below epsilon.
 
     Repeatedly carves a concentrated set out of the conditioned remainder.

@@ -19,6 +19,7 @@ from .measures import (
     MeasureError,
     MixtureRepresentation,
     Word,
+    coordinate_marginals,
     fuzzy_split,
     hookup,
     marginal,
@@ -60,8 +61,7 @@ def kl_divergence(nu: DiscreteMeasure, mu: DiscreteMeasure) -> float:
 
 
 def per_coordinate_entropies(mu: DiscreteMeasure) -> tuple[float, ...]:
-    n = mu.space.dimension
-    return tuple(shannon_entropy(marginal(mu, [i])) for i in range(n))
+    return tuple(entropy_of_vector(row) for row in coordinate_marginals(mu))
 
 
 #: supports whose leave-one-out groups are kept; one entry for 65,536 atoms on

@@ -244,6 +244,18 @@ def marginal(mu: DiscreteMeasure, coords: Iterable[int]) -> DiscreteMeasure:
     return DiscreteMeasure(space, out)
 
 
+def coordinate_marginals(mu: DiscreteMeasure) -> list[list[float]]:
+    """The one-coordinate marginals of ``mu``: for each coordinate, the |A|
+    symbol masses, summed in atom order in one pass over the atoms.  Each
+    value is bit-identical to ``marginal(mu, [i]).mass((s,))``."""
+    size = mu.space.alphabet_size
+    out = [[0.0] * size for _ in range(mu.space.dimension)]
+    for word, mass in mu.atoms.items():
+        for row, s in zip(out, word):
+            row[s] += mass
+    return out
+
+
 def _density_values(mu: DiscreteMeasure, rho) -> dict[Word, float]:
     """Evaluate a density (callable or mapping) on the support of ``mu``."""
     if callable(rho):

@@ -271,6 +271,8 @@ def _dp_block(start: Sequence[float], transition, emit: Sequence[int],
 # -----------------------------------------------------------------------------
 def simulate_path(spec: ProcessSpec, length: int, seed: int) -> list[int]:
     """One sampled output path, deterministic per seed."""
+    if seed < 0:
+        raise MeasureError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     if isinstance(spec, IIDSpec):
         return [int(x) for x in rng.choice(len(spec.dist), size=length,
@@ -450,6 +452,8 @@ def conditional_partition(lam: JointSpec, n: int, cfg: PipelineConfig,
     so codes never collide), the combinatorial core of writing the partitions
     as an auxiliary process.
     """
+    if block_size < 1:
+        raise MeasureError("block size must be >= 1")
     bk = block_kernel(lam, n, cap=cap)
     delta = cfg.delta
     tc_by_string: dict[Word, float] = {}

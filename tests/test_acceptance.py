@@ -8,6 +8,7 @@ n <= 8; product measures are kept separate as the never-fire controls.
 The existential constants of the decomposition theorems, the literal sampling
 size, and asymptotic statements are reported, never asserted.
 """
+import hashlib
 import json
 import math
 import time
@@ -414,6 +415,14 @@ def test_criterion_10_process_layer():
 # -----------------------------------------------------------------------------
 # 11. conditional partition end to end
 # -----------------------------------------------------------------------------
+#: sha256 of the criterion-11 partitions (JSON, sorted keys), recorded while
+#: the config still carried a refutation budget (subsets 2048, restarts 8,
+#: gradient steps 60); every certificate is proved before any search, so the
+#: budget changed no byte
+CRITERION_11_DIGEST = (
+    "24bd765c42d69ff0ac9b51bfaa6386fbd5346b4e931cb9124046e3330186b477")
+
+
 def test_criterion_11_conditional_partition():
     start = time.monotonic()
     rows = []
@@ -427,13 +436,14 @@ def test_criterion_11_conditional_partition():
                 row[b2 * 2 + a2] = pb * pa
         rows.append(tuple(row / row.sum()))
     joint = JointSpec(MarkovSpec.from_matrix(rows), 2, 2)
-    from hamconc.concentration import RefutationBudget
-    cfg = PipelineConfig(epsilon=0.3, r=0.3, seed=1111, delta_override=0.2,
-                         budget=RefutationBudget(max_subsets=2048, restarts=8,
-                                                 max_grad_steps=60))
+    cfg = PipelineConfig(epsilon=0.3, r=0.3, seed=1111, delta_override=0.2)
     n, ell = 8, 2
     report_obj = conditional_partition(joint, n, cfg, block_size=ell)
     assert report_obj.good_mass > 0.0
+    partitions = json.dumps(
+        {",".join(map(str, b)): report_obj.partitions[b].to_dict()
+         for b in report_obj.good_strings}, sort_keys=True)
+    assert hashlib.sha256(partitions.encode()).hexdigest() == CRITERION_11_DIGEST
     for b in report_obj.good_strings:
         res = report_obj.partitions[b]
         words = [w for cell in res.sets for w in cell]

@@ -239,6 +239,44 @@ def test_negative_budget_exits_2(capsys, diag_file, flag):
     assert payload["error"]["type"] == "validation"
 
 
+@pytest.fixture
+def joint_spec_file(tmp_path):
+    spec = {"kind": "joint", "b_size": 2, "a_size": 2,
+            "base": {"kind": "iid", "dist": [0.25, 0.25, 0.25, 0.25]}}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "MEASURE", "--kappa", "1", "--r", "0.1"],
+    ["decompose-b", "MEASURE"],
+    ["partition-c", "MEASURE"],
+    ["process", "SPEC", "--op", "block", "--n", "2", "--empirical-length", "20"],
+    ["process", "SPEC", "--op", "partition", "--n", "2"],
+])
+def test_negative_seed_exits_2(capsys, diag_file, joint_spec_file, argv):
+    argv = [{"MEASURE": diag_file, "SPEC": joint_spec_file}.get(a, a)
+            for a in argv]
+    code = run(argv + ["--seed", "-1"])
+    payload = _strict_json(capsys.readouterr().out)
+    assert code == 2
+    assert payload["error"] == {"type": "validation",
+                                "message": "seed must be >= 0, got -1"}
+
+
+@pytest.mark.parametrize("op, block_size", [("tc-profile", "0"),
+                                            ("tc-profile", "-2"),
+                                            ("partition", "0")])
+def test_block_size_below_one_exits_2(capsys, joint_spec_file, op, block_size):
+    code = run(["process", joint_spec_file, "--op", op, "--n", "2",
+                "--block-size", block_size])
+    payload = _strict_json(capsys.readouterr().out)
+    assert code == 2
+    assert payload["error"] == {"type": "validation",
+                                "message": "block size must be >= 1"}
+
+
 @pytest.mark.parametrize("constants", ["c=nan", "cB=0", "c=-1", "cB=inf"])
 def test_bad_pipeline_constants_exit_2(capsys, diag_file, constants):
     for command in ("decompose-b", "partition-c"):

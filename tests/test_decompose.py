@@ -2,10 +2,11 @@
 import hashlib
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hamconc import (
     DiscreteMeasure,
@@ -21,11 +22,15 @@ from hamconc import (
     tv_distance,
 )
 from hamconc import decompose, transport
+from hamconc.concentration import TParams
 from hamconc.measures import product_measure, variation_norm
 from hamconc.decompose import (
+    DEC_DENOMINATOR,
+    FINAL_DENOMINATOR,
     BudgetExhausted,
     CarveError,
     PipelineConfig,
+    _certificate_params,
     _decrement_checks,
     carve_concentrated_set,
     decrement_recursion,
@@ -54,6 +59,12 @@ from conftest import (
 
 
 CFG = PipelineConfig(epsilon=0.3, r=0.3, seed=11)
+
+
+def test_pipeline_config_fields():
+    assert [f.name for f in fields(PipelineConfig)] == [
+        "epsilon", "r", "seed", "max_iters", "c", "c_B", "delta_override",
+        "atom_exponent"]
 
 
 # -----------------------------------------------------------------------------
@@ -240,6 +251,46 @@ def test_recursion_checks_each_split_once(monkeypatch):
     assert sum(len(rnd["splits"]) for rnd in audit["rounds"]) > 0
     assert calls["in_step"] > 0
     assert calls["outside"] == 0
+
+
+@given(n=st.integers(1, 12),
+       r=st.floats(1e-9, 1.0, exclude_max=True),
+       data=st.data(), density_bound=st.floats(1.0, 1e300))
+@settings(max_examples=300, deadline=None)
+def test_pipeline_t_params_decided_a_priori(n, r, data, density_bound):
+    # refute_T proves T(kappa, r) without a search when r >= diam or
+    # kappa diam^2 / 8 <= r, and diam <= 1, so r >= 1 or kappa / 8 <= r
+    # leaves nothing to refute.  The recursion cap tests T(r n / 200, r); a
+    # mixture component is certified at the propagated parameters of its m
+    # retained coordinates, at the internal radius r / 6.
+    m = data.draw(st.integers(1, n))
+    r_dec = r * DEC_DENOMINATOR / FINAL_DENOMINATOR
+    cap = TParams(r * n / DEC_DENOMINATOR, r)
+    cert = _certificate_params(r_dec, m, 1.0 - m / n, density_bound)
+    for p in (cap, cert):
+        assert p.r >= 1.0 or p.kappa / 8 <= p.r, p
+
+
+def test_capped_recursion_and_mixture_certify_without_search(monkeypatch):
+    results = []
+    refute = decompose.refute_T
+
+    def recording(*args, **kwargs):
+        results.append(refute(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(decompose, "refute_T", recording)
+    _, audit = decrement_recursion(product_mix(6, 0.1, 0.9),
+                                   replace(CFG, max_iters=2))
+    assert audit["cap_hit"] and not audit["truncated"]
+    assert results == []
+    res = mixture_decomposition(product_mix(6, 0.1, 0.9), CFG)
+    # one call per good component, each decided before any search
+    assert len(results) == len(res.good_indices()) > 0
+    assert [c for c in res.certificates if c is not None] == results
+    zero = {"subsets_checked": 0, "restarts_run": 0, "gradient_steps": 0}
+    for cert in results:
+        assert cert.status == "holds" and cert.budget_used == zero
 
 
 # -----------------------------------------------------------------------------

@@ -61,6 +61,15 @@ from oracles import (
 # -----------------------------------------------------------------------------
 # entropy and divergence
 # -----------------------------------------------------------------------------
+def test_per_coordinate_entropies_match_marginal_entropies():
+    # one pass over the atoms gives the entropies of the one-coordinate
+    # marginal measures bit for bit
+    for _, mu in criterion_suite():
+        assert per_coordinate_entropies(mu) == tuple(
+            shannon_entropy(marginal(mu, [i]))
+            for i in range(mu.space.dimension))
+
+
 def test_entropy_point_mass_zero():
     assert shannon_entropy(DiscreteMeasure.point_mass(ProductSpace(3, 2), (1, 2))) == 0.0
 

@@ -23,6 +23,7 @@ from hamconc import (
     variation_norm,
 )
 from hamconc.measures import (
+    coordinate_marginals,
     dump_measure,
     load_measure,
     measure_from_dict,
@@ -30,12 +31,31 @@ from hamconc.measures import (
     product_measure,
 )
 
-from conftest import biased_product, make_measure, random_measure, two_cluster
+from conftest import (
+    biased_product,
+    criterion_suite,
+    make_measure,
+    random_measure,
+    two_cluster,
+)
 
 
 # -----------------------------------------------------------------------------
 # marginal
 # -----------------------------------------------------------------------------
+def test_coordinate_marginals_match_marginal(rng):
+    # bit for bit, including the zero mass of a symbol no atom uses
+    suite = [mu for _, mu in criterion_suite()]
+    suite += [random_measure(rng, 3, 4, 5) for _ in range(20)]
+    for mu in suite:
+        rows = coordinate_marginals(mu)
+        assert len(rows) == mu.space.dimension
+        for i, row in enumerate(rows):
+            m = marginal(mu, [i])
+            assert [v.hex() for v in row] == [
+                m.mass((s,)).hex() for s in range(mu.space.alphabet_size)]
+
+
 def test_marginal_of_product_is_factor():
     mu = biased_product(4, 0.3)
     m = marginal(mu, [0])
