@@ -89,7 +89,8 @@ class PipelineConfig:
     against, and ``c_B`` scales the carving thresholds; both must be finite
     and positive.  ``delta_override`` and ``atom_exponent`` replace the derived
     values min(r^2/42, 1/18) and 161 c_B / delta^2; their correct joint
-    calibration at small n is unspecified, so they are configuration.
+    calibration at small n is unspecified, so they are configuration.  An r
+    so small that r^2/42 underflows to 0 is rejected.
     """
 
     epsilon: float = 0.3
@@ -104,6 +105,10 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if not (0.0 < self.epsilon < 1.0) or not (0.0 < self.r < 1.0):
             raise MeasureError("epsilon and r must lie in (0,1)")
+        if self.r * self.r / 42.0 == 0.0:
+            raise MeasureError(
+                f"r = {self.r!r} is too small: delta = min(r^2/42, 1/18) "
+                "underflows to 0")
         if self.max_iters < 1:
             raise MeasureError("max_iters must be >= 1")
         if self.seed < 0:
@@ -121,6 +126,10 @@ class PipelineConfig:
         if self.atom_exponent is not None:
             return self.atom_exponent
         d = self.delta
+        if d * d == 0.0:
+            raise MeasureError(
+                f"delta = {d!r} (r = {self.r!r}) is too small: the atom "
+                "threshold exponent 161 c_B / delta^2 divides by 0")
         return 161.0 * self.c_B / (d * d)
 
     def spawned_budget(self, base: RefutationBudget, *key: int) -> RefutationBudget:

@@ -7,10 +7,12 @@ transported amounts are floats.  The basis is a spanning tree rooted at the
 first source atom, held in flat per-node lists (parent, depth, flow on the arc
 to the parent, children) next to one int64 potential vector, so a pivot climbs
 to a lowest common ancestor and re-roots one subtree instead of searching the
-tree.  Pivot order is pinned (north-west-corner start, most negative reduced
-cost with row-major tie-break, lexicographically smallest leaving arc, and a
-Bland fallback against degenerate cycling) so plans are reproducible byte for
-byte.
+tree.  The start puts min(a_w, b_w) on the zero-cost arc of every word the
+two supports share and routes the residual by least cost, so a measure and
+its own product of marginals, equal up to round-off, are coupled in a few
+pivots.  Pivot order is pinned (that start, most negative reduced cost with
+row-major tie-break, lexicographically smallest leaving arc, and a Bland
+fallback against degenerate cycling) so plans are reproducible byte for byte.
 
 The approximate backend is entropically regularized iteration.  It runs only
 on request (``method='sinkhorn'``, or ``transport --approx`` on the command
@@ -151,42 +153,130 @@ class DualCertificate:
 BLAND_STREAK_PER_NODE = 4
 
 
-def _northwest_corner(a: np.ndarray, b: np.ndarray, cost: np.ndarray):
-    """Initial basis: the north-west-corner staircase as a tree rooted at row 0.
+def _diagonal_start(a: np.ndarray, b: np.ndarray, cost: np.ndarray):
+    """Initial basis: the diagonal, then the residual by least cost, as a tree
+    rooted at row 0.
 
-    Each staircase arc attaches one new node to a node already placed, so the
-    per-node arrays fill in order.  Returns ``parent``, ``depth``, ``flow`` (on
-    the arc to the parent), ``children`` and the potentials ``y``.
+    * diagonal: min(a_i, b_j) on each zero-cost arc (i, j), one per word the
+      two supports share (the words on each side are distinct, so these arcs
+      form a matching); at most one of the two residuals of a shared word is
+      then non-zero;
+    * residual: repeatedly the cheapest arc between a row with mass left and a
+      column with room left, first in row-major order on ties, carrying the
+      smaller of the two amounts;
+    * spanning tree: each arc with positive flow exhausts one of its ends, so
+      those arcs form a forest.  Its largest component (the first on ties) is
+      the anchor.  Every other component hangs from it by one zero-flow arc,
+      from one of its rows to an anchor column, at the largest potentials that
+      keep all arcs from its rows into the anchor dual feasible (least reduced
+      cost, row-major first on ties); a column alone hangs from the anchor row
+      that keeps its arcs feasible.  The tree is then rooted at row 0.
+
+    On a measure against its own product of marginals the hung components are
+    the balanced words, where a_w == b_w exactly, and the words whose residual
+    the round-off left unrouted.  Their potentials are then the largest
+    1-Lipschitz extension of the anchor's, so the start is often optimal.
+
+    Returns ``parent``, ``depth``, ``flow`` (on the arc to the parent),
+    ``children`` and the potentials ``y``.
     """
-    nr, nc = len(a), len(b)
+    nr, nc = cost.shape
     nodes = nr + nc
-    rem_a, rem_b, c = a.tolist(), b.tolist(), cost.tolist()
+    # per node: (other end, flow, cost) of each forest arc
+    adjacent: list[list[tuple[int, float, int]]] = [[] for _ in range(nodes)]
+    rem_a, rem_b = a.copy(), b.copy()
+    di, dj = np.nonzero(cost == 0)
+    q = np.minimum(rem_a[di], rem_b[dj])
+    rem_a[di] -= q
+    rem_b[dj] -= q
+    for i, j, m in zip(di.tolist(), dj.tolist(), q.tolist()):
+        adjacent[i].append((nr + j, m, 0))
+        adjacent[nr + j].append((i, m, 0))
+    rows = np.flatnonzero(rem_a > 0.0)
+    cols = np.flatnonzero(rem_b > 0.0)
+    if len(rows) and len(cols):
+        # scanning the arcs by cost (row-major on ties) and taking each whose
+        # ends both have mass left is the repeated least-cost choice
+        sub = cost[np.ix_(rows, cols)].ravel()
+        order = np.argsort(sub, kind="stable")
+        width, rows_left, cols_left = len(cols), len(rows), len(cols)
+        rows, cols = rows.tolist(), cols.tolist()
+        ra, rb = rem_a.tolist(), rem_b.tolist()
+        for flat, cij in zip(order.tolist(), sub[order].tolist()):
+            ri, cj = divmod(flat, width)
+            i, j = rows[ri], cols[cj]
+            if ra[i] <= 0.0 or rb[j] <= 0.0:
+                continue
+            q = min(ra[i], rb[j])
+            adjacent[i].append((nr + j, q, cij))
+            adjacent[nr + j].append((i, q, cij))
+            ra[i] -= q
+            rb[j] -= q
+            rows_left -= ra[i] <= 0.0
+            cols_left -= rb[j] <= 0.0
+            if not rows_left or not cols_left:
+                break
+
+    # components of the forest, each with potentials relative to its first
+    # node from u_i + v_j = c_ij with y = (u, -v)
+    label = [-1] * nodes
+    rel = [0] * nodes
+    sizes = []
+    for first in range(nodes):
+        if label[first] >= 0:
+            continue
+        label[first] = len(sizes)
+        component = [first]
+        for k in component:
+            for other, _, cij in adjacent[k]:
+                if label[other] < 0:
+                    label[other] = len(sizes)
+                    rel[other] = cij + rel[k] if other < nr else rel[k] - cij
+                    component.append(other)
+        sizes.append(len(component))
+    if len(sizes) > 1:
+        anchor = sizes.index(max(sizes))
+        lab = np.array(label)
+        ry = np.array(rel, dtype=np.int64)
+        anchor_rows = np.flatnonzero(lab[:nr] == anchor)
+        anchor_cols = np.flatnonzero(lab[nr:] == anchor)
+        out_rows = np.flatnonzero(lab[:nr] != anchor)
+        hangs: dict[int, tuple[int, int, int, int]] = {}
+        if len(out_rows):
+            slack = cost[np.ix_(out_rows, anchor_cols)] + ry[nr + anchor_cols]
+            best = anchor_cols[slack.argmin(axis=1)]
+            c_best = cost[out_rows, best]
+            shift = c_best + ry[nr + best] - ry[out_rows]
+            for i, j, cij, t in zip(out_rows.tolist(), best.tolist(),
+                                    c_best.tolist(), shift.tolist()):
+                if label[i] not in hangs or t < hangs[label[i]][0]:
+                    hangs[label[i]] = (t, i, j, cij)
+        for j in np.flatnonzero(lab[nr:] != anchor).tolist():
+            if label[nr + j] not in hangs:  # a column alone
+                gain = ry[anchor_rows] - cost[anchor_rows, j]
+                i = int(anchor_rows[np.argmax(gain)])
+                hangs[label[nr + j]] = (0, i, j, int(cost[i, j]))
+        for _, i, j, cij in hangs.values():
+            adjacent[i].append((nr + j, 0.0, cij))
+            adjacent[nr + j].append((i, 0.0, cij))
+
     parent = [-1] * nodes
     depth = [0] * nodes
     flow = [0.0] * nodes
     children: list[list[int]] = [[] for _ in range(nodes)]
     y = [0] * nodes
-    i = j = 0
-    new = nr  # the arc (0, 0) attaches column 0 to the root
-    while True:
-        q = min(rem_a[i], rem_b[j])
-        old = i if new >= nr else nr + j
-        parent[new] = old
-        depth[new] = depth[old] + 1
-        flow[new] = max(q, 0.0)
-        children[old].append(new)
-        # u_i + v_j = c_ij with y = (u, -v)
-        y[new] = y[i] - c[i][j] if new >= nr else c[i][j] + y[nr + j]
-        rem_a[i] -= q
-        rem_b[j] -= q
-        if i == nr - 1 and j == nc - 1:
-            break
-        if j == nc - 1 or (rem_a[i] <= rem_b[j] and i < nr - 1):
-            i += 1
-            new = i
-        else:
-            j += 1
-            new = nr + j
+    placed = [True] + [False] * (nodes - 1)
+    tree = [0]
+    for k in tree:  # breadth first from row 0
+        for other, m, cij in adjacent[k]:
+            if not placed[other]:
+                placed[other] = True
+                parent[other] = k
+                depth[other] = depth[k] + 1
+                flow[other] = m
+                children[k].append(other)
+                y[other] = cij + y[k] if other < nr else y[k] - cij
+                tree.append(other)
     return parent, depth, flow, children, np.array(y, dtype=np.int64)
 
 
@@ -194,14 +284,16 @@ def _solve_transport(a: np.ndarray, b: np.ndarray, cost: np.ndarray):
     """Exact transportation simplex with integer costs.
 
     Returns (flow dict over the R+C-1 basic arcs, integer row potentials u,
-    integer column potentials v).  Nodes are rows 0..R-1 and columns
-    R..R+C-1; the basis is a spanning tree rooted at row 0, kept in per-node
-    lists (``parent``, ``depth``, ``flow`` on the arc to the parent,
-    ``children``) and one int64 potential vector ``y`` = (u, -v).
+    integer column potentials v, pivot count, degenerate pivot count).  Nodes
+    are rows 0..R-1 and columns R..R+C-1; the basis is a spanning tree rooted
+    at row 0, kept in per-node lists (``parent``, ``depth``, ``flow`` on the
+    arc to the parent, ``children``) and one int64 potential vector
+    ``y`` = (u, -v).
 
     Pivot rules, pinned so that plans are reproducible bit for bit:
 
-    * start from the north-west corner;
+    * start from the diagonal, then the residual by least cost
+      (``_diagonal_start``);
     * entering arc: the most negative reduced cost c_ij - u_i - v_j over all
       arcs, first in row-major order on ties; after more than
       ``BLAND_STREAK_PER_NODE * (R+C)`` degenerate pivots in a row, the first
@@ -218,12 +310,13 @@ def _solve_transport(a: np.ndarray, b: np.ndarray, cost: np.ndarray):
     """
     nr, nc = cost.shape
     b = b * (a.sum() / b.sum())
-    parent, depth, flow, children, y = _northwest_corner(a, b, cost)
+    parent, depth, flow, children, y = _diagonal_start(a, b, cost)
 
     def arc(k):
         return (k, parent[k] - nr) if k < nr else (parent[k], k - nr)
 
     bland = False
+    pivots = degenerate = 0
     degenerate_streak = 0
     max_streak = BLAND_STREAK_PER_NODE * (nr + nc)
     while True:
@@ -289,14 +382,16 @@ def _solve_transport(a: np.ndarray, b: np.ndarray, cost: np.ndarray):
         else:
             y -= delta
             y[subtree] += delta
+        pivots += 1
         if theta <= 0.0:
+            degenerate += 1
             degenerate_streak += 1
             if degenerate_streak > max_streak:
                 bland = True
         else:
             degenerate_streak = 0
     basis = {arc(k): flow[k] for k in range(1, nr + nc)}
-    return basis, y[:nr].copy(), -y[nr:]
+    return basis, y[:nr].copy(), -y[nr:], pivots, degenerate
 
 
 def _mcshane_potential(cost_src_union: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -345,7 +440,7 @@ def transport_distance(mu: DiscreteMeasure, nu: DiscreteMeasure, *,
     a = np.array([mu.atoms[w] for w in src])
     b = np.array([nu.atoms[w] for w in tgt])
     cost = mismatch_matrix(src, tgt)
-    flow, u, v = _solve_transport(a, b, cost)
+    flow, u, v, _, _ = _solve_transport(a, b, cost)
     plan = {}
     total = 0.0
     for (i, j) in sorted(flow):

@@ -18,23 +18,27 @@ def lp_transport_cost(atoms_a: dict, atoms_b: dict, n: int) -> float:
     """Optimal coupling cost under the normalized Hamming metric, by direct LP."""
     src = sorted(atoms_a)
     tgt = sorted(atoms_b)
-    rows, cols = len(src), len(tgt)
     cost = np.array([[sum(x != y for x, y in zip(a, b)) / n for b in tgt]
-                     for a in src]).ravel()
+                     for a in src])
+    return lp_coupling_cost(np.array([atoms_a[w] for w in src]),
+                            np.array([atoms_b[w] for w in tgt]), cost)
+
+
+def lp_coupling_cost(a, b, cost) -> float:
+    """Least cost of a coupling of the mass vectors ``a`` and ``b`` under the
+    cost matrix ``cost``, by direct LP."""
+    rows, cols = cost.shape
     a_eq = []
-    b_eq = []
     for i in range(rows):
         row = np.zeros(rows * cols)
         row[i * cols:(i + 1) * cols] = 1.0
         a_eq.append(row)
-        b_eq.append(atoms_a[src[i]])
     for j in range(cols):
         row = np.zeros(rows * cols)
         row[j::cols] = 1.0
         a_eq.append(row)
-        b_eq.append(atoms_b[tgt[j]])
-    res = linprog(cost, A_eq=np.array(a_eq), b_eq=np.array(b_eq),
-                  bounds=(0, None), method="highs")
+    res = linprog(np.asarray(cost, dtype=float).ravel(), A_eq=np.array(a_eq),
+                  b_eq=np.concatenate([a, b]), bounds=(0, None), method="highs")
     assert res.status == 0, res.message
     return float(res.fun)
 

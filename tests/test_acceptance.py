@@ -415,12 +415,25 @@ def test_criterion_10_process_layer():
 # -----------------------------------------------------------------------------
 # 11. conditional partition end to end
 # -----------------------------------------------------------------------------
-#: sha256 of the criterion-11 partitions (JSON, sorted keys), recorded while
-#: the config still carried a refutation budget (subsets 2048, restarts 8,
-#: gradient steps 60); every certificate is proved before any search, so the
-#: budget changed no byte
+#: sha256 of the criterion-11 partitions (JSON, sorted keys), recorded from
+#: the transport solver that starts on the diagonal
 CRITERION_11_DIGEST = (
-    "24bd765c42d69ff0ac9b51bfaa6386fbd5346b4e931cb9124046e3330186b477")
+    "523bb25f9ba7ea82d143bae85594fd5a1a1660d1806fa652e74ec79e10b4a193")
+#: the same with every ``dbar_to_product`` removed, recorded from the solver
+#: that started at the north-west corner (and while the config still carried
+#: a refutation budget, which changed no byte): a change of start moves only
+#: the round-off in the distances to the product of marginals
+CRITERION_11_NO_DBAR_DIGEST = (
+    "75542575693c51c32da5da7f0f9f85209d962709aff5a0214cb3ee752db3640b")
+
+
+def _without_dbar(obj):
+    if isinstance(obj, dict):
+        return {k: _without_dbar(v) for k, v in obj.items()
+                if k != "dbar_to_product"}
+    if isinstance(obj, list):
+        return [_without_dbar(v) for v in obj]
+    return obj
 
 
 def test_criterion_11_conditional_partition():
@@ -440,10 +453,12 @@ def test_criterion_11_conditional_partition():
     n, ell = 8, 2
     report_obj = conditional_partition(joint, n, cfg, block_size=ell)
     assert report_obj.good_mass > 0.0
-    partitions = json.dumps(
-        {",".join(map(str, b)): report_obj.partitions[b].to_dict()
-         for b in report_obj.good_strings}, sort_keys=True)
-    assert hashlib.sha256(partitions.encode()).hexdigest() == CRITERION_11_DIGEST
+    partitions = {",".join(map(str, b)): report_obj.partitions[b].to_dict()
+                  for b in report_obj.good_strings}
+    for pinned, digest in ((partitions, CRITERION_11_DIGEST),
+                           (_without_dbar(partitions), CRITERION_11_NO_DBAR_DIGEST)):
+        text = json.dumps(pinned, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
     for b in report_obj.good_strings:
         res = report_obj.partitions[b]
         words = [w for cell in res.sets for w in cell]

@@ -286,6 +286,28 @@ def test_bad_pipeline_constants_exit_2(capsys, diag_file, constants):
         assert payload["error"]["type"] == "validation"
 
 
+@pytest.mark.parametrize("command", ["decompose-b", "partition-c"])
+def test_tiny_r_exits_2_naming_r(capsys, diag_file, command):
+    # r^2 / 42 underflows to 0.0, so delta would be 0
+    code = run([command, diag_file, "--r", "1e-320"])
+    payload = _strict_json(capsys.readouterr().out)
+    assert code == 2
+    assert payload["error"] == {
+        "type": "validation",
+        "message": "r = 1e-320 is too small: delta = min(r^2/42, 1/18) "
+                   "underflows to 0"}
+
+
+def test_partition_r_with_delta_squared_underflow_exits_2(capsys, diag_file):
+    # delta = r^2 / 42 is positive, but the atom threshold exponent
+    # 161 c_B / delta^2 would divide by 0
+    code = run(["partition-c", diag_file, "--r", "1e-100"])
+    payload = _strict_json(capsys.readouterr().out)
+    assert code == 2
+    assert payload["error"]["type"] == "validation"
+    assert "r = 1e-100" in payload["error"]["message"]
+
+
 def test_missing_file_exits_2(capsys):
     assert run(["info", "/nonexistent/measure.json"]) == 2
     capsys.readouterr()

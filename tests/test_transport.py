@@ -31,7 +31,7 @@ from hamconc.transport import (
 )
 
 from conftest import biased_product, make_measure, random_measure, two_cluster
-from oracles import lp_transport_cost, random_sparse_measure
+from oracles import lp_coupling_cost, lp_transport_cost, random_sparse_measure
 
 
 # -----------------------------------------------------------------------------
@@ -69,7 +69,8 @@ def _random_words(rng, n, k):
 
 def _solver_corpus():
     """Seeded solver inputs: the criterion 3 oracle pairs, near-identical
-    pairs, point masses, and single-row / single-column shapes."""
+    pairs, point masses, single-row / single-column shapes, and atoms no arc
+    can carry."""
     rng = np.random.default_rng(303)
     for _ in range(200):  # same draws as criterion 3's oracle loop
         n = int(rng.integers(2, 5))
@@ -110,19 +111,24 @@ def _solver_corpus():
         yield masses, rng.dirichlet(np.ones(k)), mismatch_matrix(words, other)
     words = _random_words(rng, 5, 2)
     yield np.array([1.0]), np.array([1.0]), mismatch_matrix(words[:1], words[1:])
+    # an atom of round-off size that the diagonal leaves no room for: a row,
+    # then a column, with no arc of positive flow
+    pair = [(0, 0), (1, 1)]
+    yield np.array([1e-17, 1.0]), np.array([1.0]), mismatch_matrix(pair, pair[1:])
+    yield np.array([1.0]), np.array([1e-17, 1.0]), mismatch_matrix(pair[1:], pair)
 
 
 #: sha256 of every corpus solve (basic arcs with flows, u, v), recorded from
-#: the adjacency-dict solver that the array tree replaced; the second with
-#: Bland's rule taking over at the first degenerate pivot
-SOLVER_CORPUS_DIGEST = "a631c450f42c1fe7aefcaa5785d87a598143776ac417d797a7b491495144f2f3"
-SOLVER_CORPUS_BLAND_DIGEST = "6cc3716db2675394d6e13a007e613c46529a74e4942c431f6eda82c9b426a080"
+#: the solver that starts on the diagonal (``_diagonal_start``); the second
+#: with Bland's rule taking over at the first degenerate pivot
+SOLVER_CORPUS_DIGEST = "2ddea6ac070c47ddb4036a8282bf83ccb39263a93a96968eca8505a86885597c"
+SOLVER_CORPUS_BLAND_DIGEST = "2f5b4b5a589e4c0db65c665b87b367465a77f9c56e5ab89a16800ec7b35fa151"
 
 
 def _corpus_digest():
     h = hashlib.sha256()
     for a, b, cost in _solver_corpus():
-        flow, u, v = _solve_transport(a, b, cost)
+        flow, u, v, _, _ = _solve_transport(a, b, cost)
         arcs = [(int(i), int(j), float(m).hex()) for (i, j), m in sorted(flow.items())]
         h.update(repr((arcs, [int(x) for x in u], [int(x) for x in v])).encode())
     return h.hexdigest()
@@ -140,29 +146,12 @@ def test_solver_corpus_pins_bland_fallback(monkeypatch):
     assert _corpus_digest() == SOLVER_CORPUS_BLAND_DIGEST
 
 
-@st.composite
-def transport_instances(draw):
-    """Two small measures on {0,1,2}^n with integer weights, so that tied
-    masses make degenerate pivots common."""
-    n = draw(st.integers(1, 3))
-    cube = list(itertools.product(range(3), repeat=n))
-    words = st.lists(st.sampled_from(cube), min_size=1, max_size=8, unique=True)
-    src, tgt = draw(words), draw(words)
-    weights = st.integers(1, 6)
-    wa = np.array(draw(st.lists(weights, min_size=len(src), max_size=len(src))), float)
-    wb = np.array(draw(st.lists(weights, min_size=len(tgt), max_size=len(tgt))), float)
-    atoms_a = dict(zip(sorted(src), (wa / wa.sum()).tolist()))
-    atoms_b = dict(zip(sorted(tgt), (wb / wb.sum()).tolist()))
-    return n, atoms_a, atoms_b
-
-
-@given(transport_instances())
-@settings(max_examples=150, deadline=None)
-def test_solver_invariants(instance):
-    n, atoms_a, atoms_b = instance
-    a, b, cost = _instance(atoms_a, atoms_b)
+def _check_solution(a, b, cost, flow, u, v) -> float:
+    """Check a solve without reference to any golden: the basis is a spanning
+    tree, complementary slackness holds on it and dual feasibility
+    everywhere, and the plan has marginals a and b to 1e-12.  Returns the
+    plan's cost in mismatch counts, for comparison with an LP oracle."""
     nr, nc = cost.shape
-    flow, u, v = _solve_transport(a, b, cost)
     # the basis is a spanning tree: R+C-1 arcs that connect all R+C nodes
     assert len(flow) == nr + nc - 1
     adj = {k: [] for k in range(nr + nc)}
@@ -176,7 +165,6 @@ def test_solver_invariants(instance):
                 seen.add(nb)
                 stack.append(nb)
     assert len(seen) == nr + nc
-    # complementary slackness on the basis and dual feasibility everywhere
     for i, j in flow:
         assert u[i] + v[j] == cost[i, j]
     assert (cost - u[:, None] - v[None, :]).min() >= 0
@@ -186,7 +174,77 @@ def test_solver_invariants(instance):
         plan[i, j] = m
     assert np.abs(plan.sum(axis=1) - a).max() <= 1e-12
     assert np.abs(plan.sum(axis=0) - b).max() <= 1e-12
-    total = float((plan * cost).sum()) / n
+    return float((plan * cost).sum())
+
+
+def test_solver_corpus_solutions_are_optimal():
+    # the independent checks behind the two goldens, on every corpus entry
+    for a, b, cost in _solver_corpus():
+        flow, u, v, _, _ = _solve_transport(a, b, cost)
+        total = _check_solution(a, b, cost, flow, u, v)
+        assert abs(total - lp_coupling_cost(a, b, cost)) <= 1e-10
+
+
+#: (pivots, degenerate pivots) of the corpus entries 200-217 (product law
+#: against its own product of marginals, the reverse, one-ulp jitter of a
+#: uniform law, for n = 2, 3, 4, 5, 5, 5), recorded from the solver that
+#: started at the north-west corner; the diagonal start must take at most a
+#: quarter of each
+NORTHWEST_PIVOTS = (
+    (2, 2), (2, 2), (1, 0), (3, 3), (4, 4), (6, 5), (23, 10), (19, 9),
+    (16, 13), (45, 9), (34, 9), (57, 53), (60, 11), (58, 13), (48, 40),
+    (30, 15), (31, 11), (55, 50))
+#: the same counts from the diagonal start
+DIAGONAL_PIVOTS = (
+    (0, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0),
+    (1, 1), (0, 0), (0, 0), (10, 9), (0, 0), (0, 0), (3, 3), (3, 3),
+    (0, 0), (0, 0))
+
+
+def test_near_identical_corpus_entries_take_few_pivots():
+    near = list(_solver_corpus())[200:218]
+    counts = tuple(_solve_transport(a, b, cost)[3:] for a, b, cost in near)
+    assert counts == DIAGONAL_PIVOTS
+    for (pivots, degenerate), (old_pivots, old_degenerate) in zip(
+            counts, NORTHWEST_PIVOTS):
+        assert 4 * pivots <= old_pivots and 4 * degenerate <= old_degenerate
+
+
+@st.composite
+def transport_instances(draw):
+    """Two small measures on {0,1,2}^n with integer weights, so that tied
+    masses make degenerate pivots common.  In the near-identical arm the
+    second is the first with each mass moved down one ulp, up one ulp, or
+    left alone (an exact tie a_w == b_w), as a measure and its own product of
+    marginals are."""
+    n = draw(st.integers(1, 3))
+    cube = list(itertools.product(range(3), repeat=n))
+    words = st.lists(st.sampled_from(cube), min_size=1, max_size=8, unique=True)
+    weights = st.integers(1, 6)
+
+    def atoms(support):
+        w = np.array(draw(st.lists(weights, min_size=len(support),
+                                   max_size=len(support))), float)
+        return dict(zip(sorted(support), (w / w.sum()).tolist()))
+
+    atoms_a = atoms(draw(words))
+    if draw(st.booleans()):
+        steps = draw(st.lists(st.sampled_from((-1, 0, 1)), min_size=len(atoms_a),
+                              max_size=len(atoms_a)))
+        atoms_b = {w: m if step == 0 else float(np.nextafter(m, step * math.inf))
+                   for (w, m), step in zip(atoms_a.items(), steps)}
+    else:
+        atoms_b = atoms(draw(words))
+    return n, atoms_a, atoms_b
+
+
+@given(transport_instances())
+@settings(max_examples=150, deadline=None)
+def test_solver_invariants(instance):
+    n, atoms_a, atoms_b = instance
+    a, b, cost = _instance(atoms_a, atoms_b)
+    flow, u, v, _, _ = _solve_transport(a, b, cost)
+    total = _check_solution(a, b, cost, flow, u, v) / n
     assert abs(total - lp_transport_cost(atoms_a, atoms_b, n)) <= 1e-10
 
 
