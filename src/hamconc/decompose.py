@@ -32,6 +32,8 @@ from .measures import (
     MeasureError,
     MixtureRepresentation,
     Word,
+    _density_values,
+    _split_masses,
     condition,
     coordinate_marginals,
     fuzzy_split,
@@ -42,6 +44,8 @@ from .measures import (
     variation_norm,
 )
 from .information import (
+    _dtc,
+    _kl,
     dual_total_correlation,
     mixture_mutual_information,
     per_coordinate_entropies,
@@ -77,6 +81,9 @@ CARVE_RETRIES = 16
 SPLIT_BUDGET = RefutationBudget(restarts=2, max_grad_steps=15)
 SAMPLE_START = 64
 SAMPLE_CAP = 1 << 18
+#: how far below its floor, and below I/2, a split's information and drop may be
+GATE_FLOOR_SLACK = 1e-12
+GATE_DROP_SLACK = 1e-8
 
 
 @dataclass(frozen=True)
@@ -219,35 +226,39 @@ def _check_envelope(mu: DiscreteMeasure) -> None:
 # -----------------------------------------------------------------------------
 # Decrement machinery
 # -----------------------------------------------------------------------------
-def _decrement_checks(mu: DiscreteMeasure, fp: FuzzyPartition, r: float,
-                      i_floor: float | None = None, *,
-                      dtc: float | None = None) -> tuple[bool, dict]:
-    """Exact evaluation of the split inequalities: average-DTC drop >= I/2 and
-    I above the information floor.
-
-    The floor is max of the asymptotic bound r^2 n^{-1} e^{-n} and an optional
-    significance floor; without the latter, measures with any residual
-    correlation would admit endless micro-splits at small n.  The floor is
-    tested first: a split below it fails without any DTC being computed, and
-    its check carries no ``"decrement"``.  ``dtc`` is DTC(mu), when the caller
-    has it already.
-    """
-    n = mu.space.dimension
-    rep = fuzzy_split(mu, fp)
-    if len(rep) < 2:
-        return False, {"reason": "degenerate split"}
-    info = mixture_mutual_information(rep, mu)
-    floor = r * r * math.exp(-n) / n
-    if i_floor is not None:
-        floor = max(floor, i_floor)
-    if not info >= floor - 1e-12:
-        return False, {"information": info, "floor": floor}
+def _score_split(support: tuple[Word, ...], masses: tuple[float, ...],
+                 densities: Sequence[Sequence[float]], r: float,
+                 i_floor: float = 0.0, dtc: float | None = None
+                 ) -> tuple[bool, float | None, float | None]:
+    """The decrement gate, (ok, information, decrement), for the split of mu,
+    given by its atoms, by density values on them: ok when the average-DTC
+    drop is >= I/2 and I is above the floor, the max of r^2 n^{-1} e^{-n} and
+    the significance floor ``i_floor``.  The information is None for a split
+    into fewer than two parts.  The floor is tested first: below it no DTC is
+    computed and the decrement is None.  No measure is built, yet every float
+    is the one ``fuzzy_split``, ``mixture_mutual_information`` and DTC give."""
+    n = len(support[0])
+    weights, comps = _split_masses(support, masses, densities)
+    if len(weights) < 2:
+        return False, None, None
+    # a component that kept every atom pairs with the masses of mu as they are
+    info = sum(p * _kl(ms, masses if len(ms) == len(masses) else
+                       map(dict(zip(support, masses)).__getitem__, words))
+               for p, (words, ms) in zip(weights, comps))
+    if not info >= max(r * r * math.exp(-n) / n, i_floor) - GATE_FLOOR_SLACK:
+        return False, info, None
     if dtc is None:
-        dtc = dual_total_correlation(mu)
-    drop = dtc - sum(
-        p * dual_total_correlation(c) for p, c in zip(rep.weights, rep.components))
-    ok = drop >= 0.5 * info - 1e-8
-    return ok, {"information": info, "decrement": drop, "floor": floor}
+        dtc = _dtc(support, masses)
+    drop = dtc - sum(p * _dtc(words, ms) for p, (words, ms) in zip(weights, comps))
+    return drop >= 0.5 * info - GATE_DROP_SLACK, info, drop
+
+
+def _decrement_checks(mu: DiscreteMeasure, fp: FuzzyPartition, r: float,
+                      i_floor: float = 0.0, *, dtc: float | None = None
+                      ) -> tuple[bool, float | None, float | None]:
+    """``_score_split`` on the fuzzy partition ``fp`` of ``mu``."""
+    return _score_split(mu.support, tuple(mu.atoms.values()),
+                        [_density_values(mu, d) for d in fp.densities], r, i_floor, dtc)
 
 
 @dataclass(frozen=True)
@@ -271,22 +282,25 @@ def decrement_step(mu: DiscreteMeasure, r: float,
     Besides the asymptotic floor, a split must carry information at least
     r^2/(4n) and at least a tenth of the measure's dual correlation:
     significance levels below which a split is treated as noise at small n,
-    keeping the recursion from chasing vanishing decrements.
+    keeping the recursion from chasing vanishing decrements.  DTC(mu) is
+    computed once, each distinct candidate tilt (up to 18) is scored once by
+    ``_score_split`` without building measures, and only the winner is built
+    as a ``FuzzyPartition``.
     """
     if not (0.0 < r < 1.0):
         raise MeasureError(f"r must lie in (0,1), got {r}")
     if len(mu.support) == 1:
         return None
     n = mu.space.dimension
+    support, masses = mu.support, tuple(mu.atoms.values())
     dtc = dual_total_correlation(mu)
     i_floor = max(r * r / (4.0 * n), 0.1 * dtc)
-    if 2.0 * dtc < i_floor - 1e-12:
+    if 2.0 * dtc < i_floor - GATE_FLOOR_SLACK:
         # the drop inequality caps any split's information at 2 DTC
         return None
     kappa = r * n / DEC_DENOMINATOR
     # allow tilts strong enough to cleanly separate the lightest atom
-    min_mass = min(mu.atoms.values())
-    t_hi = min(max(kappa, r / 2.0, math.log(1.0 / min_mass) + 6.0), 50.0)
+    t_hi = min(max(kappa, r / 2.0, math.log(1.0 / min(masses)) + 6.0), 50.0)
     candidates = _l_search_candidates(mu, r, kappa, budget, t_hi=t_hi,
                                       t_points=10)
     # the decrement gate favours informative tilts, not the raw score margin
@@ -294,25 +308,32 @@ def decrement_step(mu: DiscreteMeasure, r: float,
     slate = [(fm, t) for _, fm, t, _, _ in candidates[:6]]
     # plus the plain anchor separators, which divergence ascent tends to
     # sharpen past the point of a balanced split
-    masses = {w: m for w, m in mu.atoms.items()}
-    anchors = sorted(mu.support, key=lambda w: (-masses[w], w))[:2]
+    anchors = [w for _, w in sorted((-m, w) for w, m in zip(support, masses))[:2]]
     t_coarse = np.exp(np.linspace(math.log(max(r / 2.0, 0.25)),
                                   math.log(max(t_hi, 1.0)), 6))
     for anchor in anchors:
         fm = {w: min(sum(a != b for a, b in zip(w, anchor)) / n, 1.0)
-              for w in mu.support}
+              for w in support}
         for t in t_coarse:
             slate.append((fm, float(t)))
-    # among passing candidates keep the one consuming the most correlation
-    best = None
+    # among passing candidates keep the one consuming the most correlation; a
+    # tilt already scored (a search candidate can equal an anchor separator)
+    # cannot beat itself, so it is skipped
+    best, scored = None, set()
     for fm, t in slate:
-        rho1 = {w: 0.5 * math.exp(-t * v) for w, v in fm.items()}
-        rho2 = {w: 1.0 - rho1[w] for w in rho1}
-        fp = FuzzyPartition(mu.space, (rho1, rho2))
-        ok, chk = _decrement_checks(mu, fp, r, i_floor, dtc=dtc)
-        if ok and (best is None or chk["decrement"] > best.decrement):
-            best = Split(fp, chk["information"], chk["decrement"])
-    return best
+        rho = tuple([0.5 * math.exp(-t * fm[w]) for w in support])
+        if rho in scored:
+            continue
+        scored.add(rho)
+        dens = (rho, [1.0 - v for v in rho])
+        ok, info, drop = _score_split(support, masses, dens, r, i_floor, dtc)
+        if ok and (best is None or drop > best[2]):
+            best = (dens, info, drop)
+    if best is None:
+        return None
+    dens, info, drop = best
+    return Split(FuzzyPartition(mu.space, tuple(dict(zip(support, d)) for d in dens)),
+                 info, drop)
 
 
 @dataclass

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .measures import (
     DiscreteMeasure,
@@ -51,9 +51,13 @@ def kl_divergence(nu: DiscreteMeasure, mu: DiscreteMeasure) -> float:
     """KL divergence D(nu || mu); +inf unless supp(nu) is inside supp(mu)."""
     if nu.space != mu.space:
         raise MeasureError("kl_divergence needs measures on the same space")
+    return _kl(nu.atoms.values(), map(mu.mass, nu.atoms))
+
+
+def _kl(qs: Iterable[float], ps: Iterable[float]) -> float:
+    """sum q log(q / p) over paired masses, left to right; +inf at a p of 0."""
     total = 0.0
-    for w, q in nu.atoms.items():
-        p = mu.mass(w)
+    for q, p in zip(qs, ps):
         if p == 0.0:
             return math.inf
         total += q * math.log(q / p)
@@ -90,15 +94,22 @@ def _loo_groups(support: tuple[Word, ...]) -> tuple[tuple[tuple[int, ...], ...],
 
 def _grouped_entropy(masses: Sequence[float],
                      groups: Sequence[Sequence[int]]) -> float:
-    # The order of the groups and of the masses inside each `sum` is the
-    # order the words appear in: DTC feeds the decrement gate, whose choice of
-    # split turns on last-bit differences, so the float operations here must
-    # stay exactly as they are.
+    # DTC feeds the decrement gate, whose choice of split turns on last-bit
+    # differences, so these float operations must stay exactly as they are:
+    # q, then h = sum of x log x over x = m / q > 0, each left to right in
+    # word order, and total -= q h, which is total += q * entropy_of_vector.
+    log = math.log
     total = 0.0
     for group in groups:
-        ms = [masses[k] for k in group]
-        q = sum(ms)
-        total += q * entropy_of_vector([m / q for m in ms])
+        q = 0.0
+        for k in group:
+            q += masses[k]
+        h = 0.0
+        for k in group:
+            x = masses[k] / q
+            if x > 0.0:
+                h += x * log(x)
+        total -= q * h
     return total
 
 
@@ -117,13 +128,15 @@ def total_correlation(mu: DiscreteMeasure) -> float:
 
 def dual_total_correlation(mu: DiscreteMeasure) -> float:
     """Joint entropy minus the sum of each coordinate's entropy given the rest."""
-    n = mu.space.dimension
-    if n == 1:
+    return _dtc(mu.support, tuple(mu.atoms.values()))
+
+
+def _dtc(support: tuple[Word, ...], masses: Sequence[float]) -> float:
+    """``dual_total_correlation`` of the measure with these atoms, in order."""
+    if len(support[0]) == 1:
         return 0.0
-    h = shannon_entropy(mu)
-    masses = tuple(mu.atoms.values())
-    return _clip_roundoff(
-        h - sum(_grouped_entropy(masses, g) for g in _loo_groups(mu.support)))
+    return _clip_roundoff(entropy_of_vector(masses) - sum(
+        _grouped_entropy(masses, g) for g in _loo_groups(support)))
 
 
 @dataclass(frozen=True)

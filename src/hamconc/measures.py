@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import compress
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 Word = tuple[int, ...]
 
@@ -55,6 +56,19 @@ class ProductSpace:
         return ProductSpace(self.alphabet_size, dimension)
 
 
+def _pruned(words: tuple[Word, ...], raw: list[float]
+            ) -> tuple[tuple[Word, ...], list[float]]:
+    """``words`` and their masses ``raw`` without those at or below
+    ``PRUNE_TOL``, the masses divided by their total."""
+    keep = [x > PRUNE_TOL for x in raw]
+    if not all(keep):
+        words, raw = tuple(compress(words, keep)), list(compress(raw, keep))
+    total = sum(raw)
+    if total <= 0.0:
+        raise MeasureError("null reweighting")
+    return words, [x / total for x in raw]
+
+
 class DiscreteMeasure:
     """A probability measure on a :class:`ProductSpace`, stored sparsely.
 
@@ -82,6 +96,9 @@ class DiscreteMeasure:
                 raise MeasureError(f"negative mass {mass} at word {word!r}")
             if mass > 0.0:
                 cleaned[tuple(word)] = mass
+        self._store(space, cleaned)
+
+    def _store(self, space: ProductSpace, cleaned: dict[Word, float]) -> None:
         if not cleaned:
             raise MeasureError("measure has empty support")
         total = sum(cleaned.values())
@@ -96,12 +113,18 @@ class DiscreteMeasure:
     # -- construction helpers ---------------------------------------------------
     @classmethod
     def from_unnormalized(cls, space: ProductSpace, raw: Mapping[Word, float]) -> "DiscreteMeasure":
-        """Prune masses below ``PRUNE_TOL`` and renormalize. Used by all arithmetic."""
-        kept = {w: m for w, m in raw.items() if m > PRUNE_TOL}
-        total = sum(kept.values())
-        if total <= 0.0:
-            raise MeasureError("null reweighting")
-        return cls(space, {w: m / total for w, m in kept.items()})
+        """Prune masses below ``PRUNE_TOL`` and renormalize; the words are checked."""
+        return cls(space, dict(zip(*_pruned(tuple(raw), list(raw.values())))))
+
+    @classmethod
+    def _of_support(cls, space: ProductSpace, words: Sequence[Word],
+                    masses: Sequence[float]) -> "DiscreteMeasure":
+        """The measure with these atoms, for words taken in order from the
+        support of a measure on ``space``: they are valid and sorted already,
+        so only the masses are checked."""
+        out = object.__new__(cls)
+        out._store(space, {w: m for w, m in zip(words, masses) if m > 0.0})
+        return out
 
     @classmethod
     def point_mass(cls, space: ProductSpace, word: Word) -> "DiscreteMeasure":
@@ -174,22 +197,17 @@ class FuzzyPartition:
         return len(self.densities)
 
     @classmethod
-    def from_functions(cls, space: ProductSpace, support: Iterable[Word],
-                       funcs: Sequence[Callable[[Word], float]]) -> "FuzzyPartition":
-        support = [tuple(w) for w in support]
-        return cls(space, tuple({w: float(f(w)) for w in support} for f in funcs))
-
-    @classmethod
     def indicator(cls, space: ProductSpace, support: Iterable[Word],
                   cells: Sequence[Iterable[Word]]) -> "FuzzyPartition":
-        """Indicator fuzzy partition of ``support`` by disjoint covering ``cells``."""
+        """Indicator fuzzy partition of ``support`` by disjoint covering ``cells``;
+        a support word in no cell is an error."""
         support = [tuple(w) for w in support]
         cell_sets = [frozenset(tuple(w) for w in c) for c in cells]
-        dens = []
-        for cell in cell_sets:
-            dens.append({w: 1.0 for w in support if w in cell})
-        fp = cls(space, tuple(dens))
-        return fp
+        for w in support:
+            if not any(w in cell for cell in cell_sets):
+                raise MeasureError(f"support word {w!r} lies in no cell")
+        return cls(space, tuple({w: 1.0 for w in support if w in cell}
+                                for cell in cell_sets))
 
 
 @dataclass(frozen=True)
@@ -256,11 +274,11 @@ def coordinate_marginals(mu: DiscreteMeasure) -> list[list[float]]:
     return out
 
 
-def _density_values(mu: DiscreteMeasure, rho) -> dict[Word, float]:
-    """Evaluate a density (callable or mapping) on the support of ``mu``."""
+def _density_values(mu: DiscreteMeasure, rho) -> list[float]:
+    """Evaluate a density (callable or mapping) on the support of ``mu``, in order."""
     if callable(rho):
-        return {w: float(rho(w)) for w in mu.support}
-    return {w: float(rho.get(w, 0.0)) for w in mu.support}
+        return [float(rho(w)) for w in mu.support]
+    return [float(rho.get(w, 0.0)) for w in mu.support]
 
 
 def reweight(mu: DiscreteMeasure, rho) -> DiscreteMeasure:
@@ -271,13 +289,10 @@ def reweight(mu: DiscreteMeasure, rho) -> DiscreteMeasure:
     set is the special case where ``rho`` is its indicator.
     """
     vals = _density_values(mu, rho)
-    raw = {}
-    for w, mass in mu.atoms.items():
-        v = vals[w]
-        if v < 0:
-            raise MeasureError(f"negative density {v} at {w!r}")
-        raw[w] = v * mass
-    return DiscreteMeasure.from_unnormalized(mu.space, raw)
+    if min(vals) < 0:
+        raise MeasureError(f"negative density {min(vals)}")
+    return DiscreteMeasure._of_support(mu.space, *_pruned(
+        mu.support, [v * m for v, m in zip(vals, mu.atoms.values())]))
 
 
 def condition(mu: DiscreteMeasure, subset: Iterable[Word]) -> DiscreteMeasure:
@@ -303,19 +318,37 @@ def fuzzy_split(mu: DiscreteMeasure, fp: FuzzyPartition) -> MixtureRepresentatio
     """Split ``mu`` along a fuzzy partition into weights and reweighted components.
 
     Weight ``p_j`` is the integral of the j-th density; the j-th component is
-    ``mu`` reweighted by it.  Zero-weight terms are dropped.
+    ``mu`` reweighted by it.  Zero-weight terms are dropped.  The weights must
+    sum to 1 within ``FUZZY_TOL``: a partition whose densities miss part of
+    the support of ``mu`` would drop that mass silently.
     """
-    weights = []
-    comps = []
-    for dens in fp.densities:
-        vals = _density_values(mu, dens)
-        p = sum(vals[w] * m for w, m in mu.atoms.items())
+    weights, comps = _split_masses(
+        mu.support, tuple(mu.atoms.values()),
+        [_density_values(mu, d) for d in fp.densities])
+    return MixtureRepresentation(tuple(weights), tuple(
+        DiscreteMeasure._of_support(mu.space, *c) for c in comps))
+
+
+def _split_masses(support: tuple[Word, ...], masses: Sequence[float],
+                  densities: Iterable[Sequence[float]]
+                  ) -> tuple[list[float], list[tuple[tuple[Word, ...], list[float]]]]:
+    """The weights and the components (words, masses) of ``fuzzy_split``, for
+    the atoms of a measure and density values in their order."""
+    weights, comps = [], []
+    for dens in densities:
+        raw = [v * m for v, m in zip(dens, masses)]
+        p = sum(raw)
         if p <= PRUNE_TOL:
             continue
+        if min(dens) < 0:
+            raise MeasureError(f"negative density {min(dens)}")
         weights.append(p)
-        comps.append(reweight(mu, vals))
+        comps.append(_pruned(support, raw))
     total = sum(weights)
-    return MixtureRepresentation(tuple(w / total for w in weights), tuple(comps))
+    if not abs(total - 1.0) <= FUZZY_TOL:
+        raise MeasureError(f"fuzzy partition covers mass {total!r} of the "
+                           f"measure, not 1 within {FUZZY_TOL}")
+    return [p / total for p in weights], comps
 
 
 def hookup(weights: Sequence[float], kernel: Sequence[DiscreteMeasure]) -> DiscreteMeasure:

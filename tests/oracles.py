@@ -3,7 +3,10 @@
 These deliberately avoid the library's own code paths: the transport oracle
 solves the coupling linear program directly with scipy's HiGHS backend (a
 vertex solution from an unrelated implementation), and the information
-oracles are plain summations over explicitly enumerated joint laws.
+oracles are plain summations over explicitly enumerated joint laws.  The
+decrement-gate oracle is the exception: it builds the split's measures with
+the library's public constructor, the path the gate took before it worked
+on mass tuples, so that the two can be compared to the bit.
 """
 from __future__ import annotations
 
@@ -85,3 +88,41 @@ def random_sparse_measure(rng, alphabet, n, max_support):
     masses = rng.random(size) + 1e-3
     masses /= masses.sum()
     return {words[i]: float(m) for i, m in zip(chosen, masses)}
+
+
+def decrement_gate(mu, fp, r, i_floor=None):
+    """(ok, information, decrement) of the decrement gate on ``mu`` split by
+    the fuzzy partition ``fp``, by building the split's measures as the gate
+    did before it worked on mass tuples: each component through the public
+    constructor, then ``mixture_mutual_information`` and
+    ``dual_total_correlation``.  The information is None for a split into
+    fewer than two parts, and the decrement is None below the floor."""
+    from hamconc import DiscreteMeasure, MixtureRepresentation, decompose
+    from hamconc.information import (dual_total_correlation,
+                                     mixture_mutual_information)
+    from hamconc.measures import PRUNE_TOL
+
+    weights, comps = [], []
+    for dens in fp.densities:
+        raw = {w: dens.get(w, 0.0) * m for w, m in mu.atoms.items()}
+        p = sum(raw.values())
+        if p <= PRUNE_TOL:
+            continue
+        kept = {w: x for w, x in raw.items() if x > PRUNE_TOL}
+        total = sum(kept.values())
+        weights.append(p)
+        comps.append(DiscreteMeasure(mu.space, {w: x / total for w, x in kept.items()}))
+    if len(weights) < 2:
+        return False, None, None
+    total = sum(weights)
+    rep = MixtureRepresentation(tuple(p / total for p in weights), tuple(comps))
+    info = mixture_mutual_information(rep, mu)
+    n = mu.space.dimension
+    floor = r * r * math.exp(-n) / n
+    if i_floor is not None:
+        floor = max(floor, i_floor)
+    if not info >= floor - decompose.GATE_FLOOR_SLACK:
+        return False, info, None
+    drop = dual_total_correlation(mu) - sum(
+        p * dual_total_correlation(c) for p, c in zip(rep.weights, rep.components))
+    return drop >= 0.5 * info - decompose.GATE_DROP_SLACK, info, drop

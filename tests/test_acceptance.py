@@ -193,10 +193,10 @@ def test_criterion_05_decrement_soundness(fixture_suite, product_controls):
         if split is None:
             continue
         fired += 1
-        ok, chk = _decrement_checks(mu, split.partition, r)
+        ok, info, drop = _decrement_checks(mu, split.partition, r)
         n = mu.space.dimension
-        assert chk["decrement"] >= 0.5 * chk["information"] - 1e-8, name
-        assert chk["information"] >= r * r * math.exp(-n) / n - 1e-12, name
+        assert drop >= 0.5 * info - 1e-8, name
+        assert info >= r * r * math.exp(-n) / n - 1e-12, name
     for name, mu in product_controls:
         assert decrement_step(mu, r) is None, name
     report(5, time.monotonic() - start, 120,

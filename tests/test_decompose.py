@@ -40,11 +40,9 @@ from hamconc.decompose import (
     sample_coarsen,
     _sample_coarsen_detail,
 )
-from hamconc.information import (
-    dual_total_correlation,
-    mixture_mutual_information,
-)
+from hamconc.information import dual_total_correlation
 
+import oracles
 from conftest import (
     biased_product,
     criterion_suite,
@@ -80,10 +78,10 @@ def test_step_fires_on_two_cluster_with_verified_conclusions():
     split = decrement_step(mu, 0.3)
     assert split is not None
     fp = split.partition
-    ok, chk = _decrement_checks(mu, fp, 0.3)
+    ok, info, drop = _decrement_checks(mu, fp, 0.3)
     assert ok
-    assert chk["decrement"] >= 0.5 * chk["information"] - 1e-8
-    assert chk["information"] >= 0.3 ** 2 * math.exp(-6) / 6 - 1e-12
+    assert drop >= 0.5 * info - 1e-8
+    assert info >= 0.3 ** 2 * math.exp(-6) / 6 - 1e-12
     # the split has the exponential-tilt shape: first density in (0, 1/2]
     rep = fuzzy_split(mu, fp)
     assert 0.0 < rep.weights[0] <= 0.5 + 1e-12
@@ -93,17 +91,17 @@ def test_step_fires_on_product_mixture():
     mu = product_mix(6, 0.1, 0.9)
     split = decrement_step(mu, 0.3)
     assert split is not None
-    ok, chk = _decrement_checks(mu, split.partition, 0.3)
-    assert ok and chk["decrement"] > 0
+    ok, _, drop = _decrement_checks(mu, split.partition, 0.3)
+    assert ok and drop > 0
 
 
 def test_split_carries_gate_numbers():
     # the numbers a Split carries are those a fresh check of it computes
     for mu in (two_cluster(6), product_mix(6, 0.1, 0.9), diagonal_code(4)):
         split = decrement_step(mu, 0.3)
-        _, chk = _decrement_checks(mu, split.partition, 0.3)
-        assert split.information.hex() == chk["information"].hex()
-        assert split.decrement.hex() == chk["decrement"].hex()
+        _, info, drop = _decrement_checks(mu, split.partition, 0.3)
+        assert split.information.hex() == info.hex()
+        assert split.decrement.hex() == drop.hex()
 
 
 def test_step_information_floor_evaluates():
@@ -132,43 +130,94 @@ def test_decrement_step_pins_split_densities():
         pinned = None
         if split is not None:
             fp = split.partition
-            _, chk = _decrement_checks(mu, fp, 0.3)
+            _, info, drop = _decrement_checks(mu, fp, 0.3)
             pinned = ([[(w, v.hex()) for w, v in sorted(d.items())]
                        for d in fp.densities],
-                      chk["information"].hex(), chk["decrement"].hex())
+                      info.hex(), drop.hex())
         h.update(repr((name, pinned)).encode())
     assert h.hexdigest() == DECREMENT_STEP_DIGEST
+
+
+def _record_gate(monkeypatch):
+    """Record every (args, result) of the decrement gate while a test runs."""
+    calls = []
+    score = decompose._score_split
+
+    def recording(*args):
+        calls.append((args, score(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(decompose, "_score_split", recording)
+    return calls
+
+
+def _hexed(gate_result):
+    ok, info, drop = gate_result
+    return ok, *(None if v is None else v.hex() for v in (info, drop))
+
+
+def test_gate_matches_measure_building_oracle(monkeypatch):
+    # every slate candidate, passing or not, scores to the bit what building
+    # the split's measures gives
+    calls = _record_gate(monkeypatch)
+    seen = {"pass": 0, "fail": 0, "below floor": 0}
+    suite = [mu for _, mu in criterion_suite()] + skewed_small_measures()
+    for mu in suite:
+        calls.clear()
+        decrement_step(mu, 0.3)
+        for (support, masses, densities, r, i_floor, dtc), got in calls:
+            assert support == mu.support and masses == tuple(mu.atoms.values())
+            assert dtc.hex() == dual_total_correlation(mu).hex()
+            fp = FuzzyPartition(mu.space, tuple(dict(zip(mu.support, d))
+                                                for d in densities))
+            want = oracles.decrement_gate(mu, fp, r, i_floor)
+            assert _hexed(got) == _hexed(want)
+            seen["pass" if got[0] else
+                 "below floor" if got[2] is None else "fail"] += 1
+    assert min(seen.values()) > 0, seen
 
 
 def test_decrement_gate_dtc_evaluations(monkeypatch):
     # DTC(mu) once per step, and two component DTCs for each candidate split
     # at or above the information floor, none for the others
-    calls, infos = [], []
+    mu_calls, component_calls = [], []
+    dtc, component_dtc = decompose.dual_total_correlation, decompose._dtc
 
     def counting_dtc(m):
-        calls.append(m)
-        return dual_total_correlation(m)
+        mu_calls.append(m)
+        return dtc(m)
 
-    def recording_mi(rep, m):
-        infos.append(mixture_mutual_information(rep, m))
-        return infos[-1]
+    def counting_component_dtc(support, masses):
+        component_calls.append(support)
+        return component_dtc(support, masses)
 
     monkeypatch.setattr(decompose, "dual_total_correlation", counting_dtc)
-    monkeypatch.setattr(decompose, "mixture_mutual_information", recording_mi)
+    monkeypatch.setattr(decompose, "_dtc", counting_component_dtc)
+    calls = _record_gate(monkeypatch)
     mu, r, n = product_mix(6, 0.1, 0.9), 0.3, 6
     assert decrement_step(mu, r) is not None
     floor = max(r * r * math.exp(-n) / n, r * r / (4 * n),
                 0.1 * dual_total_correlation(mu))
+    infos = [info for _, (_, info, _) in calls]
     passing = sum(i >= floor - 1e-12 for i in infos)
     assert 0 < passing < len(infos)
-    assert sum(m is mu for m in calls) == 1
-    assert len(calls) == 1 + 2 * passing
+    assert mu_calls == [mu]
+    assert len(component_calls) == 2 * passing
 
     fp = decrement_step(mu, r).partition
-    calls.clear()
-    ok, chk = _decrement_checks(mu, fp, r, i_floor=10.0)
-    assert not ok and "decrement" not in chk
-    assert calls == []
+    mu_calls.clear()
+    component_calls.clear()
+    ok, _, drop = _decrement_checks(mu, fp, r, i_floor=10.0)
+    assert not ok and drop is None
+    assert mu_calls == [] and component_calls == []
+
+
+def test_partition_missing_support_fails_the_gate():
+    mu = DiscreteMeasure.uniform_on(ProductSpace(2, 2),
+                                    [(0, 0), (0, 1), (1, 0), (1, 1)])
+    half = FuzzyPartition(mu.space, ({(0, 0): 1.0}, {(1, 1): 1.0}))
+    with pytest.raises(MeasureError, match="covers mass 0.5"):
+        _decrement_checks(mu, half, 0.3)
 
 
 # -----------------------------------------------------------------------------
@@ -232,11 +281,11 @@ def test_recursion_checks_each_split_once(monkeypatch):
     # instead of running the gate on it again
     calls = {"in_step": 0, "outside": 0}
     in_step = [False]
-    checks, step = decompose._decrement_checks, decompose.decrement_step
+    score, step = decompose._score_split, decompose.decrement_step
 
-    def counting_checks(*args, **kwargs):
+    def counting_score(*args):
         calls["in_step" if in_step[0] else "outside"] += 1
-        return checks(*args, **kwargs)
+        return score(*args)
 
     def tracked_step(*args, **kwargs):
         in_step[0] = True
@@ -245,7 +294,7 @@ def test_recursion_checks_each_split_once(monkeypatch):
         finally:
             in_step[0] = False
 
-    monkeypatch.setattr(decompose, "_decrement_checks", counting_checks)
+    monkeypatch.setattr(decompose, "_score_split", counting_score)
     monkeypatch.setattr(decompose, "decrement_step", tracked_step)
     _, audit = decrement_recursion(product_mix(6, 0.1, 0.9), CFG)
     assert sum(len(rnd["splits"]) for rnd in audit["rounds"]) > 0

@@ -1,4 +1,5 @@
-"""Every name a library module imports is used in that module."""
+"""Every name a library module imports is used in that module, and every
+private module-level function of the library is referenced somewhere."""
 import ast
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "hamconc"
 #: ``__init__`` imports only to re-export
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = Path(__file__).resolve().parent
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -44,3 +46,40 @@ def test_checker_sees_unused_and_used_names():
               "from typing import Callable, Mapping\n"
               "def f(x: 'Mapping') -> float:\n    return np.sqrt(x)\n")
     assert _unused_imports(source) == ["Callable (line 4)", "math (line 2)"]
+
+
+def _orphaned_private_functions(defining: list[str],
+                                referencing: list[str]) -> list[str]:
+    """Private module-level functions of the ``defining`` sources that no
+    name or attribute in the ``referencing`` sources mentions."""
+    private = {node.name for source in defining
+               for node in ast.parse(source).body
+               if isinstance(node, ast.FunctionDef) and node.name.startswith("_")}
+    used = set()
+    for source in referencing:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return sorted(private - used)
+
+
+def test_no_orphaned_private_functions():
+    library = [p.read_text() for p in PACKAGE.glob("*.py")]
+    tests = [p.read_text() for p in TESTS.glob("*.py")]
+    assert _orphaned_private_functions(library, library + tests) == []
+
+
+def test_checker_sees_orphaned_and_referenced_functions():
+    source = ("import helpers\n"
+              "def _called():\n    return 1\n"
+              "def _orphan():\n    return _orphan\n"
+              "def _via_attribute():\n    pass\n"
+              "def public():\n    return _called() + helpers._via_attribute\n"
+              "class K:\n    def _method(self):\n        pass\n")
+    # a self-reference counts as a use; methods are not checked
+    assert _orphaned_private_functions([source], [source]) == []
+    assert _orphaned_private_functions(
+        [source, "def _elsewhere():\n    pass\n"],
+        [source.replace("_called() + ", "")]) == ["_called", "_elsewhere"]

@@ -29,6 +29,7 @@ from hamconc import (
 from hamconc.concentration import cumulant, gibbs_tilt
 from hamconc.information import (
     LOO_GROUP_CACHE_SIZE,
+    _grouped_entropy,
     _loo_groups,
     binary_entropy,
     conditional_coordinate_entropy,
@@ -36,7 +37,7 @@ from hamconc.information import (
     mixture_mutual_information,
     per_coordinate_entropies,
 )
-from hamconc.measures import product_measure
+from hamconc.measures import PRUNE_TOL, product_measure
 
 from conftest import (
     biased_product,
@@ -227,6 +228,42 @@ def test_dtc_matches_oracle_on_random_supports(instance):
     alphabet, n, atoms = instance
     mu = make_measure(alphabet, n, atoms)
     assert abs(dual_total_correlation(mu) - dtc_direct(atoms, n)) <= 1e-12
+
+
+def _grouped_entropy_reference(masses, groups):
+    """The per-group form: sum over groups of q H(m / q for m in the group)."""
+    total = 0.0
+    for group in groups:
+        ms = [masses[k] for k in group]
+        q = sum(ms)
+        total += q * entropy_of_vector([m / q for m in ms])
+    return total
+
+
+#: zero masses, masses near the prune threshold, and ordinary ones
+_group_masses = st.one_of(st.just(0.0), st.floats(PRUNE_TOL / 4, PRUNE_TOL * 4),
+                          st.floats(1e-300, 1.0))
+
+
+@given(groups=st.lists(
+           st.lists(_group_masses, min_size=1, max_size=6).filter(
+               lambda g: any(m > 0.0 for m in g)), max_size=8),
+       data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_flat_grouped_entropy_matches_per_group_form(groups, data):
+    # the groups take their atoms in any order from one mass vector
+    masses = [m for g in groups for m in g]
+    order = data.draw(st.permutations(range(len(masses))))
+    at = {k: pos for pos, k in enumerate(order)}
+    vector = [0.0] * len(masses)
+    for k, m in enumerate(masses):
+        vector[at[k]] = m
+    index_groups, k = [], 0
+    for g in groups:
+        index_groups.append([at[k + i] for i in range(len(g))])
+        k += len(g)
+    assert _grouped_entropy(vector, index_groups).hex() == \
+        _grouped_entropy_reference(vector, index_groups).hex()
 
 
 def test_loo_group_cache_stays_bounded():

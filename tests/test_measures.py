@@ -287,3 +287,86 @@ def test_loader_errors_carry_field_paths(tmp_path):
            "atoms": [{"word": [0], "mass": 0.5}, {"word": [0], "mass": 0.5}]}
     with pytest.raises(MeasureError, match="duplicate"):
         measure_from_dict(dup)
+
+
+def test_public_constructors_reject_bad_input():
+    # arithmetic results skip the word checks, so the entry points must still
+    # apply them: bad words, bad masses and bad partitions are refused
+    sp = ProductSpace(2, 2)
+    bad_atoms = [
+        ({(0, 2): 1.0}, "not in A"),                      # symbol out of range
+        ({(0, 0, 1): 1.0}, "not in A"),                   # wrong length
+        ({(0, 0): -0.5, (1, 1): 1.5}, "negative mass"),
+        ({(0, 0): 0.6, (1, 1): 0.6}, "sum to"),
+        ({(0, 0): 0.0}, "empty support"),
+    ]
+    for atoms, message in bad_atoms:
+        with pytest.raises(MeasureError, match=message):
+            DiscreteMeasure(sp, atoms)
+
+    def as_dict(word, mass):
+        return {"alphabet_size": 2, "dimension": 2,
+                "atoms": [{"word": word, "mass": mass}]}
+
+    for word, mass, message in [([0, 2], 1.0, r"atoms\[0\]\.word"),
+                                ([0], 1.0, r"atoms\[0\]\.word"),
+                                ([0, 1], -1.0, r"atoms\[0\]\.mass"),
+                                ([0, 1], "1", r"atoms\[0\]\.mass"),
+                                ([0, 1], 0.5, "sum to")]:
+        with pytest.raises(MeasureError, match=message):
+            measure_from_dict(as_dict(word, mass))
+
+    with pytest.raises(MeasureError, match="coordinate distributions"):
+        product_measure(sp, [[0.5, 0.5]] * 3)
+    with pytest.raises(MeasureError, match="not in A"):
+        product_measure(sp, [[0.5, 0.25, 0.25]])
+    with pytest.raises(MeasureError, match="null reweighting"):
+        product_measure(sp, [[0.0, 0.0]])
+
+    support = [(0, 0), (1, 1)]
+    with pytest.raises(MeasureError, match="at least one density"):
+        FuzzyPartition(sp, ())
+    with pytest.raises(MeasureError, match="outside"):
+        FuzzyPartition(sp, ({(0, 0): 1.5}, {(0, 0): -0.5}))
+    with pytest.raises(MeasureError, match="sum to"):
+        FuzzyPartition(sp, ({(0, 0): 0.5}, {(0, 0): 0.4}))
+    with pytest.raises(MeasureError, match="sum to"):
+        FuzzyPartition.indicator(sp, support, [support, [(1, 1)]])
+
+    mu = two_cluster(2)
+    with pytest.raises(MeasureError, match="negative density"):
+        reweight(mu, {(0, 0): 1.0, (1, 1): -0.5})
+    with pytest.raises(MeasureError, match="negative density"):
+        reweight(mu, lambda w: -1.0)
+
+
+def test_reweight_equals_the_validating_constructor(rng):
+    # the path that skips the word checks gives the measure the public
+    # constructor gives, masses to the bit and words in the same order
+    for _ in range(25):
+        mu = random_measure(rng, 3, 3, 12)
+        # some atoms reweighted to 0, so the pruning runs too
+        rho = {w: float(rng.random()) if rng.random() > 0.2 else 0.0
+               for w in mu.support}
+        rho[mu.support[0]] = 0.5
+        out = reweight(mu, rho)
+        want = DiscreteMeasure.from_unnormalized(
+            mu.space, {w: rho[w] * m for w, m in mu.atoms.items()})
+        assert list(out.atoms) == list(want.atoms)
+        assert [m.hex() for m in out.atoms.values()] == \
+            [m.hex() for m in want.atoms.values()]
+
+
+def test_partition_missing_part_of_the_support_fails_loudly():
+    # the uniform law on {0,1}^2 with cells covering only half its mass
+    sp = ProductSpace(2, 2)
+    mu = DiscreteMeasure.uniform_on(sp, [(0, 0), (0, 1), (1, 0), (1, 1)])
+    with pytest.raises(MeasureError, match=r"\(0, 1\) lies in no cell"):
+        FuzzyPartition.indicator(sp, mu.support, [[(0, 0)], [(1, 1)]])
+    half = FuzzyPartition(sp, ({(0, 0): 1.0}, {(1, 1): 1.0}))
+    with pytest.raises(MeasureError, match="covers mass 0.5"):
+        fuzzy_split(mu, half)
+    # a word outside the support in some cell is harmless
+    whole = FuzzyPartition.indicator(
+        sp, mu.support, [[(0, 0), (0, 1)], [(1, 0), (1, 1), (0, 0, 0)]])
+    assert fuzzy_split(mu, whole).weights == (0.5, 0.5)
