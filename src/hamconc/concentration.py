@@ -222,22 +222,36 @@ def tilted_divergence(mu: DiscreteMeasure, f, t: float) -> float:
 # -----------------------------------------------------------------------------
 # Lipschitz projection
 # -----------------------------------------------------------------------------
+#: largest (rows, k, k) temporary, in floats, of one projection block
+PROJECT_BLOCK_ELEMENTS = 1 << 15
+
+
 def lipschitz_project(values: np.ndarray, dist: np.ndarray,
                       max_iters: int = 50, tol: float = 1e-10) -> np.ndarray:
-    """Project a vector of support values onto the 1-Lipschitz cone.
+    """Project support values onto the 1-Lipschitz cone: one vector, or each
+    row of a 2-D array on its own.
 
     Iterates the average of the upper and lower tight extensions to a fixed
-    point; idempotent on functions that are already 1-Lipschitz.
+    point; idempotent on functions that are already 1-Lipschitz.  A row stops
+    at the iteration where it converges, so every row comes out bit for bit
+    as it would alone.  Rows go through in blocks whose ``(rows, k, k)``
+    extension temporaries hold at most ``PROJECT_BLOCK_ELEMENTS`` floats.
     """
-    f = values.astype(float).copy()
-    for _ in range(max_iters):
-        upper = (f[None, :] + dist).min(axis=1)
-        lower = (f[None, :] - dist).max(axis=1)
-        g = 0.5 * (upper + lower)
-        if np.abs(g - f).max() <= tol:
-            f = g
-            break
-        f = g
+    f = np.array(values, dtype=float)
+    rows = f.reshape(-1, f.shape[-1])
+    block = max(1, PROJECT_BLOCK_ELEMENTS // dist.size)
+    for start in range(0, len(rows), block):
+        live = np.arange(start, min(start + block, len(rows)))
+        cur = rows[live]
+        for _ in range(max_iters):
+            upper = (cur[:, None, :] + dist).min(axis=2)
+            lower = (cur[:, None, :] - dist).max(axis=2)
+            g = 0.5 * (upper + lower)
+            moving = ~(np.abs(g - cur).max(axis=1) <= tol)
+            rows[live] = g
+            live, cur = live[moving], g[moving]
+            if not live.size:
+                break
     return f
 
 
@@ -405,20 +419,32 @@ def _dual_channel(mu, params, budget, support, masses, dist, used):
 # -----------------------------------------------------------------------------
 # L-inequality violation search
 # -----------------------------------------------------------------------------
-def _l_search_candidates(mu: DiscreteMeasure, r: float, kappa: float,
-                         budget: RefutationBudget, t_hi: float | None = None,
-                         t_points: int = 24):
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a[i] @ b[i]`` for every row i, each the same BLAS ``ddot`` that 1-D
+    ``@`` calls, so every value is the one a per-row loop gives; a row sum
+    of ``a * b`` would round differently."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _l_search_candidates(mu: DiscreteMeasure, dist: np.ndarray, r: float,
+                         kappa: float, budget: RefutationBudget,
+                         t_hi: float | None = None, t_points: int = 24):
     """Ranked (score, f-values, t, divergence, threshold) candidates for the
     tilted-divergence search.  f ranges over 1-Lipschitz functions into [0,1],
-    t over a 24-point logarithmic grid spanning [r/2, kappa] (in either order;
-    the upper end can be raised via ``t_hi`` for decisive splitting tilts),
-    and score = D(mu tilted by exp(-t f) || mu) - alpha t^2 with
-    alpha = (r/2)/kappa."""
+    t over a ``t_points``-point logarithmic grid spanning [r/2, kappa] (in
+    either order; the upper end can be raised via ``t_hi`` for decisive
+    splitting tilts), and score = D(mu tilted by exp(-t f) || mu) - alpha t^2
+    with alpha = (r/2)/kappa.  ``dist`` is the normalized Hamming distance
+    matrix of the support.
+
+    The gradient ascents of all (seed, t) pairs run in lock step as one
+    ``(rows, k)`` batch, one row each.  A row leaves the batch at the step
+    where its divergence stops rising, and its best iterate is the
+    candidate's f-values: an array row in support order.  Every float is the
+    one a separate ascent per pair gives."""
     support = list(mu.support)
-    n = mu.space.dimension
     masses = np.array([mu.atoms[w] for w in support])
     logm = np.log(masses)
-    dist = mismatch_matrix(support, support) / n
     alpha = (r / 2.0) / kappa
     lo, hi = sorted((r / 2.0, kappa))
     if t_hi is not None:
@@ -436,22 +462,34 @@ def _l_search_candidates(mu: DiscreteMeasure, r: float, kappa: float,
     while len(seeds) < budget.restarts:
         seeds.append(project01(rng.uniform(0.0, 1.0, size=len(support))))
 
-    candidates = []
-    for f0 in seeds:
-        for t in t_grid:
-            f = f0.copy()
-            best_f, best_div = f, -math.inf
-            for _ in range(budget.max_grad_steps):
-                w, logz = _tilted_weights(logm, f, -t)
-                div = float(w @ (-t * f)) - logz
-                if div <= best_div + 1e-14:
-                    break
-                best_f, best_div = f, div
-                grad = t * t * w * (f - float(w @ f))
-                f = project01(f + (0.5 / max(t * t, 1.0)) * grad)
-            fm = {word: float(v) for word, v in zip(support, best_f)}
-            candidates.append((best_div - alpha * t * t, fm, float(t),
-                               best_div, alpha * t * t))
+    # row s * t_points + j ascends from seeds[s] at t_grid[j]
+    t_rows = np.tile(t_grid, len(seeds))
+    f = np.repeat(np.array(seeds), t_points, axis=0)
+    best_f, best_div = f.copy(), np.full(len(t_rows), -math.inf)
+    live, t = np.arange(len(t_rows)), t_rows
+    for step in range(budget.max_grad_steps):
+        tf = -t[:, None] * f
+        z = tf + logm
+        peak = z.max(axis=1)
+        sums = np.exp(z - peak[:, None]).sum(axis=1)
+        logz = peak + np.array([math.log(x) for x in sums.tolist()])
+        w = np.exp(z - logz[:, None])
+        div = _row_dots(w, tf) - logz
+        rising = ~(div <= best_div[live] + 1e-14)
+        if not rising.all():
+            live, t, f, w, div = (a[rising] for a in (live, t, f, w, div))
+            if not live.size:
+                break
+        best_f[live], best_div[live] = f, div
+        if step + 1 == budget.max_grad_steps:
+            break
+        t2 = t * t
+        grad = t2[:, None] * w * (f - _row_dots(w, f)[:, None])
+        f = project01(f + (0.5 / np.maximum(t2, 1.0))[:, None] * grad)
+    thresholds = alpha * t_rows * t_rows
+    candidates = list(zip((best_div - thresholds).tolist(), best_f,
+                          t_rows.tolist(), best_div.tolist(),
+                          thresholds.tolist()))
     candidates.sort(key=lambda c: -c[0])
     return candidates
 
@@ -470,11 +508,15 @@ def find_L_violation(mu: DiscreteMeasure, r: float, kappa: float | None = None,
     n = mu.space.dimension
     kappa = r * n / 200.0 if kappa is None else kappa
     budget = budget or RefutationBudget(restarts=8, max_grad_steps=60)
-    if len(mu.support) == 1:
+    support = mu.support
+    if len(support) == 1:
         return None
-    for score, fm, t, div, threshold in _l_search_candidates(mu, r, kappa, budget):
+    dist = mismatch_matrix(support, support) / n
+    for score, f, t, div, threshold in _l_search_candidates(
+            mu, dist, r, kappa, budget):
         if score <= 1e-12:
             break
+        fm = dict(zip(support, f.tolist()))
         # exact re-verification on log-masses
         div_exact = tilted_divergence(mu, fm, -t)
         if div_exact > threshold + 1e-12:

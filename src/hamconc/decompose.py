@@ -52,7 +52,7 @@ from .information import (
     total_correlation,
     trim_coordinates,
 )
-from .transport import transport_distance
+from .transport import mismatch_matrix, transport_distance
 from .concentration import (
     DensityBound,
     Lift,
@@ -301,27 +301,27 @@ def decrement_step(mu: DiscreteMeasure, r: float,
     kappa = r * n / DEC_DENOMINATOR
     # allow tilts strong enough to cleanly separate the lightest atom
     t_hi = min(max(kappa, r / 2.0, math.log(1.0 / min(masses)) + 6.0), 50.0)
-    candidates = _l_search_candidates(mu, r, kappa, budget, t_hi=t_hi,
+    dist = mismatch_matrix(support, support) / n
+    candidates = _l_search_candidates(mu, dist, r, kappa, budget, t_hi=t_hi,
                                       t_points=10)
     # the decrement gate favours informative tilts, not the raw score margin
     candidates = sorted(candidates, key=lambda c: -c[3])
-    slate = [(fm, t) for _, fm, t, _, _ in candidates[:6]]
+    slate = [(f.tolist(), t) for _, f, t, _, _ in candidates[:6]]
     # plus the plain anchor separators, which divergence ascent tends to
     # sharpen past the point of a balanced split
-    anchors = [w for _, w in sorted((-m, w) for w, m in zip(support, masses))[:2]]
+    anchors = np.argsort(-np.array(masses), kind="stable")[:2]
     t_coarse = np.exp(np.linspace(math.log(max(r / 2.0, 0.25)),
                                   math.log(max(t_hi, 1.0)), 6))
     for anchor in anchors:
-        fm = {w: min(sum(a != b for a, b in zip(w, anchor)) / n, 1.0)
-              for w in support}
+        f = np.minimum(dist[anchor], 1.0).tolist()
         for t in t_coarse:
-            slate.append((fm, float(t)))
+            slate.append((f, float(t)))
     # among passing candidates keep the one consuming the most correlation; a
     # tilt already scored (a search candidate can equal an anchor separator)
     # cannot beat itself, so it is skipped
     best, scored = None, set()
-    for fm, t in slate:
-        rho = tuple([0.5 * math.exp(-t * fm[w]) for w in support])
+    for f, t in slate:
+        rho = tuple([0.5 * math.exp(-t * v) for v in f])
         if rho in scored:
             continue
         scored.add(rho)
@@ -351,11 +351,13 @@ class _Component:
 
 def decrement_recursion(mu: DiscreteMeasure, cfg: PipelineConfig,
                         *, r: float | None = None, epsilon: float | None = None
-                        ) -> tuple[FuzzyPartition, dict]:
+                        ) -> tuple[FuzzyPartition, dict, MixtureRepresentation]:
     """Iterated splitting of ``mu`` until the still-splittable mass is < epsilon.
 
-    Returns the final fuzzy partition (bad cell first when present) and an
-    audit ledger with the per-step information growth and decrement totals.
+    Returns the final fuzzy partition (bad cell first when present), an
+    audit ledger with the per-step information growth and decrement totals,
+    and ``fuzzy_split(mu, partition)``, split once for the audit's
+    ``final_information`` and kept for the caller.
 
     A component joins the bad cell when it still admits a split at the
     natural stop.  At the round cap, or when the splittable mass stalls, every
@@ -446,7 +448,7 @@ def decrement_recursion(mu: DiscreteMeasure, cfg: PipelineConfig,
     rep = fuzzy_split(mu, fp_final)
     audit["final_information"] = mixture_mutual_information(rep, mu)
     audit["dtc"] = dual_total_correlation(mu)
-    return fp_final, audit
+    return fp_final, audit, rep
 
 
 # -----------------------------------------------------------------------------
@@ -576,9 +578,8 @@ def mixture_decomposition(mu: DiscreteMeasure, cfg: PipelineConfig
         audit["paper_inequality_failures"].append(
             "reweight-radius bookkeeping 400 log((1-3e/2)^-1) < r^2")
 
-    fp, dec_audit = decrement_recursion(mu_s, cfg, r=r_dec, epsilon=eps_rec)
+    _, dec_audit, rep = decrement_recursion(mu_s, cfg, r=r_dec, epsilon=eps_rec)
     audit["decrement_recursion"] = dec_audit
-    rep = fuzzy_split(mu_s, fp)
     bad_present = dec_audit["bad_present"]
     good = list(range(1, len(rep))) if bad_present else list(range(len(rep)))
     bad_rec = rep.weights[0] if bad_present else 0.0

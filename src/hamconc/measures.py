@@ -12,6 +12,7 @@ represented through finite samples of their kernels.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from itertools import compress
 from types import MappingProxyType
@@ -92,8 +93,9 @@ class DiscreteMeasure:
             if not space.contains(tuple(word)):
                 raise MeasureError(f"word {word!r} not in A^{space.dimension} "
                                    f"with |A|={space.alphabet_size}")
-            if mass < 0.0:
-                raise MeasureError(f"negative mass {mass} at word {word!r}")
+            if not mass >= 0.0:
+                kind = "NaN" if math.isnan(mass) else "negative"
+                raise MeasureError(f"{kind} mass {mass} at word {word!r}")
             if mass > 0.0:
                 cleaned[tuple(word)] = mass
         self._store(space, cleaned)
@@ -186,7 +188,7 @@ class FuzzyPartition:
             support.update(d)
         for w in support:
             vals = [d.get(w, 0.0) for d in frozen]
-            if any(v < -FUZZY_TOL or v > 1.0 + FUZZY_TOL for v in vals):
+            if not all(-FUZZY_TOL <= v <= 1.0 + FUZZY_TOL for v in vals):
                 raise MeasureError(f"density value outside [0,1] at {w!r}")
             total = sum(vals)
             if abs(total - 1.0) > FUZZY_TOL:
@@ -461,7 +463,7 @@ def measure_from_dict(data: dict) -> DiscreteMeasure:
             raise MeasureError(
                 f"atoms[{i}].word: symbol out of range [0,{space.alphabet_size})")
         mass = entry["mass"]
-        if not isinstance(mass, (int, float)) or mass < 0:
+        if not isinstance(mass, (int, float)) or not mass >= 0:
             raise MeasureError(f"atoms[{i}].mass: expected nonnegative number")
         if word in atoms:
             raise MeasureError(f"atoms[{i}].word: duplicate word {list(word)}")

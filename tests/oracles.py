@@ -6,7 +6,9 @@ vertex solution from an unrelated implementation), and the information
 oracles are plain summations over explicitly enumerated joint laws.  The
 decrement-gate oracle is the exception: it builds the split's measures with
 the library's public constructor, the path the gate took before it worked
-on mass tuples, so that the two can be compared to the bit.
+on mass tuples, so that the two can be compared to the bit.  Likewise the
+tilt-search oracle is the search as one gradient ascent per (seed, t) pair,
+as it ran before its ascents were batched.
 """
 from __future__ import annotations
 
@@ -126,3 +128,80 @@ def decrement_gate(mu, fp, r, i_floor=None):
     drop = dual_total_correlation(mu) - sum(
         p * dual_total_correlation(c) for p, c in zip(rep.weights, rep.components))
     return drop >= 0.5 * info - decompose.GATE_DROP_SLACK, info, drop
+
+
+def lipschitz_project_1d(values, dist, max_iters=50, tol=1e-10):
+    """The Lipschitz projection of one vector as a plain loop: the average of
+    the upper and lower tight extensions, iterated to a fixed point."""
+    f = np.asarray(values, dtype=float).copy()
+    for _ in range(max_iters):
+        upper = (f[None, :] + dist).min(axis=1)
+        lower = (f[None, :] - dist).max(axis=1)
+        g = 0.5 * (upper + lower)
+        if np.abs(g - f).max() <= tol:
+            f = g
+            break
+        f = g
+    return f
+
+
+def tilt_ascent(mu, dist, r, kappa, budget, t_hi=None, t_points=24):
+    """The tilted-divergence search run one (seed, t) gradient ascent at a
+    time, as the library ran it before its ascents were batched.  Returns
+    its ranked (score, f-values, t, divergence, threshold) candidates, f as a
+    word -> value dict, and for each the step at which its ascent stopped
+    (None when it ran all ``budget.max_grad_steps``)."""
+    support = list(mu.support)
+    masses = np.array([mu.atoms[w] for w in support])
+    logm = np.log(masses)
+    alpha = (r / 2.0) / kappa
+    lo, hi = sorted((r / 2.0, kappa))
+    if t_hi is not None:
+        hi = max(hi, t_hi)
+    t_grid = np.exp(np.linspace(math.log(lo), math.log(hi), t_points))
+    rng = np.random.default_rng(np.random.SeedSequence(budget.seed))
+
+    def project01(f):
+        return np.clip(lipschitz_project_1d(f, dist), 0.0, 1.0)
+
+    seeds = []
+    for i in np.argsort(-masses, kind="stable")[: max(2, budget.restarts // 2)]:
+        seeds.append(np.clip(dist[int(i)], 0.0, 1.0))
+    while len(seeds) < budget.restarts:
+        seeds.append(project01(rng.uniform(0.0, 1.0, size=len(support))))
+
+    ranked, stops = [], []
+    for f0 in seeds:
+        for t in t_grid:
+            f = f0.copy()
+            best_f, best_div, stop = f, -math.inf, None
+            for step in range(budget.max_grad_steps):
+                z = -t * f + logm
+                peak = z.max()
+                logz = peak + math.log(np.exp(z - peak).sum())
+                w = np.exp(z - logz)
+                div = float(w @ (-t * f)) - logz
+                if div <= best_div + 1e-14:
+                    stop = step
+                    break
+                best_f, best_div = f, div
+                grad = t * t * w * (f - float(w @ f))
+                f = project01(f + (0.5 / max(t * t, 1.0)) * grad)
+            fm = {word: float(v) for word, v in zip(support, best_f)}
+            ranked.append((best_div - alpha * t * t, fm, float(t),
+                           best_div, alpha * t * t))
+            stops.append(stop)
+    order = sorted(range(len(ranked)), key=lambda i: -ranked[i][0])
+    return [ranked[i] for i in order], [stops[i] for i in order]
+
+
+def hexed_candidates(ranked, support):
+    """Ranked search candidates as (score, t, divergence, threshold,
+    f-values) in ``float.hex``, f taken in support order from an array row or
+    a word map."""
+    out = []
+    for score, f, t, div, threshold in ranked:
+        vals = [f[w] for w in support] if isinstance(f, dict) else f.tolist()
+        out.append((float(score).hex(), float(t).hex(), float(div).hex(),
+                    float(threshold).hex(), [float(v).hex() for v in vals]))
+    return out

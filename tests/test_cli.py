@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hamconc import decompose
 from hamconc.cli import run
 from hamconc.measures import (
     DiscreteMeasure,
@@ -207,6 +208,35 @@ def test_invalid_measure_exits_2(capsys, tmp_path):
     payload = json.loads(capsys.readouterr().out)
     assert code == 2
     assert "atoms[0].word" in payload["error"]["message"]
+
+
+def test_nan_mass_exits_2(capsys, tmp_path):
+    # json accepts NaN; the mass was once dropped, leaving a point mass
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(
+        {"alphabet_size": 2, "dimension": 2,
+         "atoms": [{"word": [0, 0], "mass": 1.0},
+                   {"word": [1, 1], "mass": math.nan}]}))
+    assert "NaN" in path.read_text()
+    code = run(["decompose-b", str(path)])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert "atoms[1].mass" in payload["error"]["message"]
+
+
+def test_decompose_b_splits_the_final_partition_once(capsys, mix_file,
+                                                     monkeypatch):
+    splits = []
+    split = decompose.fuzzy_split
+
+    def counting(mu, fp):
+        splits.append(fp)
+        return split(mu, fp)
+
+    monkeypatch.setattr(decompose, "fuzzy_split", counting)
+    code, payload = run_json(capsys, ["decompose-b", mix_file, "--seed", "3"])
+    assert code == 0 and payload["result"]["kind"] == "mixture"
+    assert len(splits) == 1
 
 
 def test_removed_knobs_exit_2(capsys, diag_file):

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from hamconc.concentration import (
     TParams,
     _dual_channel,
     _l_search_candidates,
+    _row_dots,
     bobkov_gotze_objective,
     concentrate_subset,
     cumulant,
@@ -46,6 +48,7 @@ from hamconc.transport import mismatch_matrix
 from hamconc.measures import product_measure
 
 from conftest import biased_product, make_measure, random_measure, two_cluster
+from oracles import hexed_candidates, lipschitz_project_1d, tilt_ascent
 
 
 # -----------------------------------------------------------------------------
@@ -107,6 +110,55 @@ def test_projection_produces_lipschitz(rng):
         assert lipschitz_slack(out, dist) <= 1e-10
 
 
+@st.composite
+def projection_batches(draw):
+    """A support, a block cap small enough to split the batch, and rows that
+    converge at different iterations: a 1-Lipschitz row moved by noise at
+    several scales (at 3e-11 it converges within the tolerance, not exactly,
+    so a row iterated past its convergence would differ), and an iteration
+    cap some of them reach."""
+    n = draw(st.integers(1, 5))
+    cube = list(itertools.product(range(2), repeat=n))
+    words = draw(st.lists(st.sampled_from(cube), min_size=1, max_size=len(cube),
+                          unique=True))
+    dist = mismatch_matrix(words, words) / n
+    k = len(words)
+    scales = draw(st.lists(st.sampled_from([0.0, 3e-11, 0.01, 1.0, 5.0]),
+                           min_size=1, max_size=12))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    rows = np.array([dist[0] + s * rng.normal(size=k) for s in scales])
+    cap = draw(st.integers(1, 3 * k * k))
+    max_iters = draw(st.sampled_from([1, 2, 3, 50]))
+    return rows, dist, cap, max_iters
+
+
+@given(projection_batches())
+@settings(max_examples=80, deadline=None)
+def test_projection_of_rows_matches_each_row_alone(batch):
+    rows, dist, cap, max_iters = batch
+    with mock.patch.object(concentration_module, "PROJECT_BLOCK_ELEMENTS", cap):
+        out = lipschitz_project(rows, dist, max_iters=max_iters)
+    assert out.shape == rows.shape
+    for row, got in zip(rows, out):
+        for want in (lipschitz_project(row, dist, max_iters=max_iters),
+                     lipschitz_project_1d(row, dist, max_iters=max_iters)):
+            assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
+
+
+def test_row_reductions_match_one_dimensional_ones():
+    # the batched tilt search relies on these to reproduce 1-D ``w @ f`` and
+    # ``z.sum()`` bit for bit; a numpy or BLAS change that breaks it fails here
+    rng = np.random.default_rng(1705)
+    for k in range(1, 129):
+        a = rng.random((5, k))
+        b = rng.normal(size=(5, k)) * 10.0
+        dots, sums = _row_dots(a, b), a.sum(axis=1)
+        for i in range(5):
+            assert dots[i].hex() == float(a[i] @ b[i]).hex(), k
+            assert sums[i].hex() == a[i].sum().hex(), k
+
+
 # -----------------------------------------------------------------------------
 # refute_T
 # -----------------------------------------------------------------------------
@@ -121,9 +173,13 @@ def test_point_mass_never_refuted():
                                              "gradient_steps": 0}}
 
 
-def _diameter(mu):
+def _distances(mu):
     support = list(mu.support)
-    return float((mismatch_matrix(support, support) / mu.space.dimension).max())
+    return mismatch_matrix(support, support) / mu.space.dimension
+
+
+def _diameter(mu):
+    return float(_distances(mu).max())
 
 
 def test_hoeffding_bound_decides_before_search():
@@ -293,8 +349,9 @@ def test_tilt_corpus_pins_refutation_and_search():
         res = refute_T(mu, params, _corpus_budget(idx))
         refuted += res.refuted
         h.update(json.dumps(res.to_dict(), sort_keys=True).encode())
-        ranked = _l_search_candidates(mu, params.r, params.kappa, RefutationBudget(
-            restarts=4, max_grad_steps=30, seed=idx))
+        ranked = _l_search_candidates(
+            mu, _distances(mu), params.r, params.kappa,
+            RefutationBudget(restarts=4, max_grad_steps=30, seed=idx))
         h.update(repr([(float(score).hex(), float(t).hex(), float(div).hex())
                        for score, _, t, div, _ in ranked]).encode())
     assert refuted == 11
@@ -330,6 +387,47 @@ def test_primal_diameter_skip_keeps_result(monkeypatch):
     # leaves open are solved (all 254 were before the skip)
     assert res.budget_used["subsets_checked"] == 254
     assert 0 < len(solves) < 254
+
+
+def _search_against_oracle(mu, r, kappa, budget, **kwargs):
+    """Assert that the batched search ranks the candidates of the per-pair
+    oracle, bit for bit; returns the oracle's stop steps."""
+    dist = _distances(mu)
+    got = _l_search_candidates(mu, dist, r, kappa, budget, **kwargs)
+    want, stops = tilt_ascent(mu, dist, r, kappa, budget, **kwargs)
+    assert hexed_candidates(got, mu.support) == hexed_candidates(want, mu.support)
+    return stops
+
+
+def test_batched_search_matches_oracle_on_tilt_corpus():
+    staggered = 0
+    for idx, (mu, params) in enumerate(_tilt_corpus()):
+        stops = _search_against_oracle(mu, params.r, params.kappa, RefutationBudget(
+            restarts=4, max_grad_steps=30, seed=idx))
+        staggered += len(set(stops)) > 1
+    # rows leave the batch at different steps on most entries
+    assert staggered >= 20
+
+
+_SMALL_SUPPORTS = [
+    make_measure(2, 3, {(0, 1, 0): 1.0}),
+    make_measure(2, 3, {(0, 0, 0): 0.5, (1, 1, 1): 0.5}),
+    make_measure(2, 4, {(0, 0, 0, 0): 0.9, (1, 1, 0, 1): 0.1}),
+    make_measure(3, 2, {(0, 0): 0.3, (0, 2): 0.7}),
+]
+
+
+@pytest.mark.parametrize("steps", [0, 1, 15])
+@pytest.mark.parametrize("kappa", [0.01, 10.0])
+@pytest.mark.parametrize("mu", _SMALL_SUPPORTS)
+def test_batched_search_matches_oracle_on_small_supports(mu, kappa, steps):
+    stops = _search_against_oracle(mu, 0.3, kappa, RefutationBudget(
+        restarts=2, max_grad_steps=steps), t_hi=8.0, t_points=10)
+    if steps == 15:
+        # every row stops at step 1 at once, which empties the batch
+        assert set(stops) == {1}
+    else:
+        assert set(stops) == {None}
 
 
 @st.composite

@@ -177,6 +177,27 @@ def test_gate_matches_measure_building_oracle(monkeypatch):
     assert min(seen.values()) > 0, seen
 
 
+def test_step_search_matches_per_pair_oracle(monkeypatch):
+    # the batched tilt search of every criterion-5 step ranks, bit for bit,
+    # the candidates of one gradient ascent per (seed, t) pair
+    calls = []
+    search = decompose._l_search_candidates
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs, search(*args, **kwargs)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(decompose, "_l_search_candidates", recording)
+    for _, mu in criterion_suite():
+        decrement_step(mu, 0.3)
+    assert len(calls) >= 40
+    for args, kwargs, got in calls:
+        want, _ = oracles.tilt_ascent(*args, **kwargs)
+        support = args[0].support
+        assert (oracles.hexed_candidates(got, support)
+                == oracles.hexed_candidates(want, support))
+
+
 def test_decrement_gate_dtc_evaluations(monkeypatch):
     # DTC(mu) once per step, and two component DTCs for each candidate split
     # at or above the information floor, none for the others
@@ -225,7 +246,7 @@ def test_partition_missing_support_fails_the_gate():
 # -----------------------------------------------------------------------------
 def test_recursion_trivial_on_product():
     mu = biased_product(5, 0.3)
-    fp, audit = decrement_recursion(mu, CFG)
+    fp, audit, _ = decrement_recursion(mu, CFG)
     assert audit["final_cells"] == 1
     assert not audit["bad_present"]
     assert abs(audit["final_information"]) < 1e-10
@@ -233,7 +254,7 @@ def test_recursion_trivial_on_product():
 
 def test_recursion_splits_product_mixture():
     mu = product_mix(6, 0.1, 0.9)
-    fp, audit = decrement_recursion(mu, CFG)
+    fp, audit, _ = decrement_recursion(mu, CFG)
     assert audit["final_cells"] >= 2
     assert not audit["truncated"]
     # information bound from the executed decrement chain
@@ -249,7 +270,7 @@ def test_recursion_splits_product_mixture():
 
 def test_recursion_reconstructs(rng):
     mu = product_mix(5, 0.15, 0.85)
-    fp, _ = decrement_recursion(mu, CFG)
+    fp, _, _ = decrement_recursion(mu, CFG)
     assert tv_distance(mix(fuzzy_split(mu, fp)), mu) < 1e-9
 
 
@@ -268,7 +289,7 @@ def test_decrement_recursion_pins_audit_and_densities():
         for name, mu in criterion_suite():
             if small_only and len(mu) > 16:
                 continue
-            fp, audit = decrement_recursion(mu, cfg)
+            fp, audit, _ = decrement_recursion(mu, cfg)
             h.update(repr((name, cfg.max_iters)).encode())
             h.update(json.dumps(audit, sort_keys=True).encode())
             h.update(repr([[(w, v.hex()) for w, v in sorted(d.items())]
@@ -296,7 +317,7 @@ def test_recursion_checks_each_split_once(monkeypatch):
 
     monkeypatch.setattr(decompose, "_score_split", counting_score)
     monkeypatch.setattr(decompose, "decrement_step", tracked_step)
-    _, audit = decrement_recursion(product_mix(6, 0.1, 0.9), CFG)
+    _, audit, _ = decrement_recursion(product_mix(6, 0.1, 0.9), CFG)
     assert sum(len(rnd["splits"]) for rnd in audit["rounds"]) > 0
     assert calls["in_step"] > 0
     assert calls["outside"] == 0
@@ -329,7 +350,7 @@ def test_capped_recursion_and_mixture_certify_without_search(monkeypatch):
         return results[-1]
 
     monkeypatch.setattr(decompose, "refute_T", recording)
-    _, audit = decrement_recursion(product_mix(6, 0.1, 0.9),
+    _, audit, _ = decrement_recursion(product_mix(6, 0.1, 0.9),
                                    replace(CFG, max_iters=2))
     assert audit["cap_hit"] and not audit["truncated"]
     assert results == []

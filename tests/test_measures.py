@@ -297,6 +297,7 @@ def test_public_constructors_reject_bad_input():
         ({(0, 2): 1.0}, "not in A"),                      # symbol out of range
         ({(0, 0, 1): 1.0}, "not in A"),                   # wrong length
         ({(0, 0): -0.5, (1, 1): 1.5}, "negative mass"),
+        ({(0, 0): 1.0, (1, 1): math.nan}, "NaN mass"),   # once a point mass
         ({(0, 0): 0.6, (1, 1): 0.6}, "sum to"),
         ({(0, 0): 0.0}, "empty support"),
     ]
@@ -311,6 +312,7 @@ def test_public_constructors_reject_bad_input():
     for word, mass, message in [([0, 2], 1.0, r"atoms\[0\]\.word"),
                                 ([0], 1.0, r"atoms\[0\]\.word"),
                                 ([0, 1], -1.0, r"atoms\[0\]\.mass"),
+                                ([0, 1], math.nan, r"atoms\[0\]\.mass"),
                                 ([0, 1], "1", r"atoms\[0\]\.mass"),
                                 ([0, 1], 0.5, "sum to")]:
         with pytest.raises(MeasureError, match=message):
@@ -328,6 +330,8 @@ def test_public_constructors_reject_bad_input():
         FuzzyPartition(sp, ())
     with pytest.raises(MeasureError, match="outside"):
         FuzzyPartition(sp, ({(0, 0): 1.5}, {(0, 0): -0.5}))
+    with pytest.raises(MeasureError, match="outside"):
+        FuzzyPartition(sp, ({(0, 0): math.nan}, {(0, 0): math.nan}))
     with pytest.raises(MeasureError, match="sum to"):
         FuzzyPartition(sp, ({(0, 0): 0.5}, {(0, 0): 0.4}))
     with pytest.raises(MeasureError, match="sum to"):
