@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 input validation failure, 3 budget or cap exhaustion
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -133,11 +134,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``run`` uses, built on its first call rather than at import.
+    Parsing keeps no state in the parser: each call fills a new namespace."""
+    return build_parser()
+
+
 def run(argv: list[str]) -> int:
     started = time.monotonic()
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
 

@@ -81,9 +81,14 @@ CARVE_RETRIES = 16
 SPLIT_BUDGET = RefutationBudget(restarts=2, max_grad_steps=15)
 SAMPLE_START = 64
 SAMPLE_CAP = 1 << 18
-#: how far below its floor, and below I/2, a split's information and drop may be
+#: how far below its floor, and below I/2, a split's information and drop may
+#: be; and how far below the best drop so far a split's information must lie
+#: before its DTCs are skipped: drop <= I holds exactly, and round-off made
+#: the computed drop exceed the computed I by at most 6.1e-15 over the mixture
+#: bench (a slack up to 1e-6 skips the same candidates there)
 GATE_FLOOR_SLACK = 1e-12
 GATE_DROP_SLACK = 1e-8
+GATE_WIN_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -228,7 +233,8 @@ def _check_envelope(mu: DiscreteMeasure) -> None:
 # -----------------------------------------------------------------------------
 def _score_split(support: tuple[Word, ...], masses: tuple[float, ...],
                  densities: Sequence[Sequence[float]], r: float,
-                 i_floor: float = 0.0, dtc: float | None = None
+                 i_floor: float = 0.0, dtc: float | None = None,
+                 beat: float = -math.inf
                  ) -> tuple[bool, float | None, float | None]:
     """The decrement gate, (ok, information, decrement), for the split of mu,
     given by its atoms, by density values on them: ok when the average-DTC
@@ -236,7 +242,19 @@ def _score_split(support: tuple[Word, ...], masses: tuple[float, ...],
     the significance floor ``i_floor``.  The information is None for a split
     into fewer than two parts.  The floor is tested first: below it no DTC is
     computed and the decrement is None.  No measure is built, yet every float
-    is the one ``fuzzy_split``, ``mixture_mutual_information`` and DTC give."""
+    is the one ``fuzzy_split``, ``mixture_mutual_information`` and DTC give.
+
+    A split that cannot pass with a drop above ``beat`` (the largest passing
+    drop seen so far, if any) also returns (False, I, None), as soon as one
+    of two bounds shows it, so its decrement is not computed.  The drop is
+    I - sum_i I(X_i; J | X_{[n]\\i}) for the component label J, so drop <= I:
+    with I < beat - ``GATE_WIN_SLACK`` no component DTC is computed.  Else
+    the heavier component h goes first.  Every term p_j DTC_j is >= 0
+    (``_clip_roundoff``) and float addition rounds monotonically, so the
+    drop, whose sum still runs in component order, is at most the float
+    DTC(mu) - p_h DTC_h; when that is <= ``beat`` or below the pass threshold
+    I/2 - ``GATE_DROP_SLACK``, the other DTCs are skipped.
+    """
     n = len(support[0])
     weights, comps = _split_masses(support, masses, densities)
     if len(weights) < 2:
@@ -247,10 +265,19 @@ def _score_split(support: tuple[Word, ...], masses: tuple[float, ...],
                for p, (words, ms) in zip(weights, comps))
     if not info >= max(r * r * math.exp(-n) / n, i_floor) - GATE_FLOOR_SLACK:
         return False, info, None
+    if info < beat - GATE_WIN_SLACK:
+        return False, info, None
     if dtc is None:
         dtc = _dtc(support, masses)
-    drop = dtc - sum(p * _dtc(words, ms) for p, (words, ms) in zip(weights, comps))
-    return drop >= 0.5 * info - GATE_DROP_SLACK, info, drop
+    threshold = 0.5 * info - GATE_DROP_SLACK
+    h = max(range(len(weights)), key=weights.__getitem__)
+    first = weights[h] * _dtc(*comps[h])
+    cap = dtc - first
+    if cap <= beat or cap < threshold:
+        return False, info, None
+    drop = dtc - sum(first if j == h else p * _dtc(words, ms)
+                     for j, (p, (words, ms)) in enumerate(zip(weights, comps)))
+    return drop >= threshold, info, drop
 
 
 def _decrement_checks(mu: DiscreteMeasure, fp: FuzzyPartition, r: float,
@@ -285,7 +312,11 @@ def decrement_step(mu: DiscreteMeasure, r: float,
     keeping the recursion from chasing vanishing decrements.  DTC(mu) is
     computed once, each distinct candidate tilt (up to 18) is scored once by
     ``_score_split`` without building measures, and only the winner is built
-    as a ``FuzzyPartition``.
+    as a ``FuzzyPartition``.  Each candidate is scored against the best
+    passing drop so far, so its component DTCs are skipped when the bound
+    drop <= I (with ``GATE_WIN_SLACK``), or drop <= DTC(mu) - p_h DTC(mu_h)
+    for its heavier component h, shows that it cannot win; the split returned
+    is still the first candidate with the largest passing drop.
     """
     if not (0.0 < r < 1.0):
         raise MeasureError(f"r must lie in (0,1), got {r}")
@@ -319,21 +350,21 @@ def decrement_step(mu: DiscreteMeasure, r: float,
     # among passing candidates keep the one consuming the most correlation; a
     # tilt already scored (a search candidate can equal an anchor separator)
     # cannot beat itself, so it is skipped
-    best, scored = None, set()
+    best, beat, scored = None, -math.inf, set()
     for f, t in slate:
         rho = tuple([0.5 * math.exp(-t * v) for v in f])
         if rho in scored:
             continue
         scored.add(rho)
         dens = (rho, [1.0 - v for v in rho])
-        ok, info, drop = _score_split(support, masses, dens, r, i_floor, dtc)
-        if ok and (best is None or drop > best[2]):
-            best = (dens, info, drop)
+        ok, info, drop = _score_split(support, masses, dens, r, i_floor, dtc, beat)
+        if ok and drop > beat:
+            best, beat = (dens, info), drop
     if best is None:
         return None
-    dens, info, drop = best
+    dens, info = best
     return Split(FuzzyPartition(mu.space, tuple(dict(zip(support, d)) for d in dens)),
-                 info, drop)
+                 info, beat)
 
 
 @dataclass

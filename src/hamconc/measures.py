@@ -228,8 +228,9 @@ class MixtureRepresentation:
         for comp in self.components:
             if comp.space != space:
                 raise MeasureError("mixture components on different spaces")
-        if any(w < 0 for w in self.weights):
-            raise MeasureError("negative mixture weight")
+        bad = [w for w in self.weights if not w >= 0]
+        if bad:
+            raise MeasureError(f"mixture weight {bad[0]!r} is not a nonnegative number")
         total = sum(self.weights)
         if abs(total - 1.0) > MASS_TOL:
             raise MeasureError(f"weights sum to {total!r}, not 1 within {MASS_TOL}")
@@ -456,14 +457,16 @@ def measure_from_dict(data: dict) -> DiscreteMeasure:
             raise MeasureError(f"atoms[{i}]: expected object with 'word' and 'mass'")
         word = entry["word"]
         if (not isinstance(word, list) or len(word) != space.dimension
-                or not all(isinstance(s, int) for s in word)):
+                or not all(isinstance(s, int) and not isinstance(s, bool)
+                           for s in word)):
             raise MeasureError(f"atoms[{i}].word: expected {space.dimension} integers")
         word = tuple(word)
         if not space.contains(word):
             raise MeasureError(
                 f"atoms[{i}].word: symbol out of range [0,{space.alphabet_size})")
         mass = entry["mass"]
-        if not isinstance(mass, (int, float)) or not mass >= 0:
+        if (not isinstance(mass, (int, float)) or isinstance(mass, bool)
+                or not mass >= 0):
             raise MeasureError(f"atoms[{i}].mass: expected nonnegative number")
         if word in atoms:
             raise MeasureError(f"atoms[{i}].word: duplicate word {list(word)}")

@@ -130,6 +130,23 @@ def decrement_gate(mu, fp, r, i_floor=None):
     return drop >= 0.5 * info - decompose.GATE_DROP_SLACK, info, drop
 
 
+def unpruned_step(mu, r, i_floor, slate):
+    """The decrement step's choice with every candidate scored in full: each
+    split of ``slate`` (pairs of density values in support order) through
+    ``decrement_gate``, and the first one with the largest passing drop.
+    Returns the gate results in slate order and the winner's index, None when
+    no candidate passes."""
+    from hamconc import FuzzyPartition
+
+    results = [decrement_gate(mu, FuzzyPartition(mu.space, tuple(
+        dict(zip(mu.support, d)) for d in dens)), r, i_floor) for dens in slate]
+    win = None
+    for k, (ok, _, drop) in enumerate(results):
+        if ok and (win is None or drop > results[win][2]):
+            win = k
+    return results, win
+
+
 def lipschitz_project_1d(values, dist, max_iters=50, tol=1e-10):
     """The Lipschitz projection of one vector as a plain loop: the average of
     the upper and lower tight extensions, iterated to a fixed point."""

@@ -383,3 +383,45 @@ def test_process_subcommand(capsys, tmp_path):
         capsys, ["process", str(path), "--op", "tc-profile", "--n", "3"])
     assert code == 0
     assert all(abs(x) < 1e-10 for x in payload["result"]["tc_profile"])
+
+
+def test_boolean_mass_exits_2(capsys, tmp_path):
+    # isinstance(True, int) holds, so a JSON true once loaded as mass 1.0
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(
+        {"alphabet_size": 2, "dimension": 2,
+         "atoms": [{"word": [0, 0], "mass": True}]}))
+    code, payload = run_json(capsys, ["decompose-b", str(path)])
+    assert code == 2 and payload["error"]["type"] == "validation"
+    assert payload["error"]["message"] == (
+        f"{path}: atoms[0].mass: expected nonnegative number")
+
+
+def test_consecutive_runs_share_no_parse_state(capsys, diag_file, joint_spec_file,
+                                               tmp_path):
+    # run builds its parser once; each call must still read only its own argv
+    code, payload = run_json(capsys, ["decompose-b", diag_file, "--constants", "c=5"])
+    assert code == 0 and payload["manifest"]["config"]["c"] == 5.0
+    code, payload = run_json(capsys, ["decompose-b", diag_file])
+    assert code == 0 and payload["manifest"]["config"]["c"] == 50.0
+
+    theta = tmp_path / "theta.json"
+    theta.write_text(Path(joint_spec_file).read_text())
+    code, payload = run_json(capsys, ["process", joint_spec_file, "--theta",
+                                      str(theta), "--op", "rel-dbar", "--n", "2"])
+    assert code == 0 and str(theta) in payload["manifest"]["input_digest"]
+    code, payload = run_json(capsys, ["process", joint_spec_file, "--op", "block",
+                                      "--n", "2"])
+    assert code == 0
+    assert list(payload["manifest"]["input_digest"]) == [joint_spec_file]
+    code, payload = run_json(capsys, ["process", joint_spec_file, "--op", "rel-dbar",
+                                      "--n", "2"])
+    assert code == 2
+    assert payload["error"]["message"] == "rel-dbar needs --theta"
+
+    assert run(["info", diag_file, "--no-such-flag"]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert run(["--help"]) == 0
+    assert "decompose-b" in capsys.readouterr().out
+    code, payload = run_json(capsys, ["info", diag_file])
+    assert code == 0 and payload["manifest"]["command"] == ["info", diag_file]

@@ -158,23 +158,76 @@ def _hexed(gate_result):
 
 def test_gate_matches_measure_building_oracle(monkeypatch):
     # every slate candidate, passing or not, scores to the bit what building
-    # the split's measures gives
+    # the split's measures gives; a candidate the bounds skip (no decrement,
+    # though its information is above the floor) still has the oracle's
+    # information, and is checked against the oracle's drop in
+    # test_step_matches_unpruned_oracle
     calls = _record_gate(monkeypatch)
-    seen = {"pass": 0, "fail": 0, "below floor": 0}
+    seen = {"pass": 0, "fail": 0, "below floor": 0, "skipped": 0}
     suite = [mu for _, mu in criterion_suite()] + skewed_small_measures()
     for mu in suite:
         calls.clear()
         decrement_step(mu, 0.3)
-        for (support, masses, densities, r, i_floor, dtc), got in calls:
+        for (support, masses, densities, r, i_floor, dtc, _), got in calls:
             assert support == mu.support and masses == tuple(mu.atoms.values())
             assert dtc.hex() == dual_total_correlation(mu).hex()
             fp = FuzzyPartition(mu.space, tuple(dict(zip(mu.support, d))
                                                 for d in densities))
             want = oracles.decrement_gate(mu, fp, r, i_floor)
+            if got[2] is None and want[2] is not None:
+                assert _hexed(got) == (False, _hexed(want)[1], None)
+                seen["skipped"] += 1
+                continue
             assert _hexed(got) == _hexed(want)
             seen["pass" if got[0] else
                  "below floor" if got[2] is None else "fail"] += 1
     assert min(seen.values()) > 0, seen
+
+
+def _heavier_bound(mu, densities):
+    """DTC(mu) - p_h DTC(mu_h) for the heavier component h of the split of
+    ``mu`` by these density values, from the split's measures."""
+    rep = fuzzy_split(mu, FuzzyPartition(mu.space, tuple(
+        dict(zip(mu.support, d)) for d in densities)))
+    h = max(range(len(rep)), key=rep.weights.__getitem__)
+    return (dual_total_correlation(mu)
+            - rep.weights[h] * dual_total_correlation(rep.components[h]))
+
+
+def test_step_matches_unpruned_oracle(monkeypatch):
+    # decrement_step skips the DTCs of candidates that cannot win, yet returns
+    # the split that scoring every candidate in full picks, to the bit; every
+    # skipped candidate fails the gate or has a drop no larger than the
+    # winner's, and both bounds the skips rest on hold for every scored split
+    calls = _record_gate(monkeypatch)
+    skipped = scored = 0
+    suite = [mu for _, mu in criterion_suite()] + skewed_small_measures()
+    for mu in suite:
+        calls.clear()
+        split = decrement_step(mu, 0.3)
+        if not calls:
+            assert split is None
+            continue
+        slate = [args[2] for args, _ in calls]
+        want, win = oracles.unpruned_step(mu, 0.3, calls[0][0][4], slate)
+        if win is None:
+            assert split is None
+        else:
+            assert [[v.hex() for v in (d[w] for w in mu.support)]
+                    for d in split.partition.densities] == \
+                [[v.hex() for v in d] for d in slate[win]]
+            assert split.information.hex() == want[win][1].hex()
+            assert split.decrement.hex() == want[win][2].hex()
+        for (args, got), (ok, info, drop) in zip(calls, want):
+            if drop is None:
+                continue
+            scored += 1
+            assert drop <= info + decompose.GATE_WIN_SLACK
+            assert drop <= _heavier_bound(mu, args[2])
+            if got[2] is None:
+                skipped += 1
+                assert not ok or drop <= want[win][2]
+    assert 0 < skipped < scored, (skipped, scored)
 
 
 def test_step_search_matches_per_pair_oracle(monkeypatch):
@@ -199,8 +252,10 @@ def test_step_search_matches_per_pair_oracle(monkeypatch):
 
 
 def test_decrement_gate_dtc_evaluations(monkeypatch):
-    # DTC(mu) once per step, and two component DTCs for each candidate split
-    # at or above the information floor, none for the others
+    # DTC(mu) once per step.  A candidate split gets no component DTC below
+    # the information floor or when its information is already below the best
+    # drop so far; one, of its heavier component, when DTC(mu) - p_h DTC_h
+    # shows it cannot pass or beat that drop; two otherwise
     mu_calls, component_calls = [], []
     dtc, component_dtc = decompose.dual_total_correlation, decompose._dtc
 
@@ -214,17 +269,41 @@ def test_decrement_gate_dtc_evaluations(monkeypatch):
 
     monkeypatch.setattr(decompose, "dual_total_correlation", counting_dtc)
     monkeypatch.setattr(decompose, "_dtc", counting_component_dtc)
-    calls = _record_gate(monkeypatch)
-    mu, r, n = product_mix(6, 0.1, 0.9), 0.3, 6
-    assert decrement_step(mu, r) is not None
-    floor = max(r * r * math.exp(-n) / n, r * r / (4 * n),
-                0.1 * dual_total_correlation(mu))
-    infos = [info for _, (_, info, _) in calls]
-    passing = sum(i >= floor - 1e-12 for i in infos)
-    assert 0 < passing < len(infos)
-    assert mu_calls == [mu]
-    assert len(component_calls) == 2 * passing
+    calls, score = [], decompose._score_split
 
+    def recording(*args):
+        before = len(component_calls)
+        out = score(*args)
+        calls.append((args, out, len(component_calls) - before))
+        return out
+
+    monkeypatch.setattr(decompose, "_score_split", recording)
+    seen = {"below floor": 0, "information bound": 0, "heavier bound": 0,
+            "scored": 0}
+    fired = []
+    for mu in (product_mix(6, 0.1, 0.9), product_mix(4, 0.2, 0.7)):
+        calls.clear()
+        mu_calls.clear()
+        r, n = 0.3, mu.space.dimension
+        fired.append(decrement_step(mu, r) is not None)
+        assert mu_calls == [mu]
+        floor = max(r * r * math.exp(-n) / n, r * r / (4 * n),
+                    0.1 * dual_total_correlation(mu))
+        for args, (_, info, drop), count in calls:
+            if info < floor - decompose.GATE_FLOOR_SLACK:
+                kind, want = "below floor", 0
+            elif info < args[6] - decompose.GATE_WIN_SLACK:
+                kind, want = "information bound", 0
+            elif drop is None:
+                kind, want = "heavier bound", 1
+            else:
+                kind, want = "scored", 2
+            assert count == want, kind
+            seen[kind] += 1
+    assert fired == [True, False]
+    assert min(seen.values()) > 0, seen
+
+    mu, r = product_mix(6, 0.1, 0.9), 0.3
     fp = decrement_step(mu, r).partition
     mu_calls.clear()
     component_calls.clear()

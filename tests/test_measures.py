@@ -127,6 +127,17 @@ def test_mix_two_point_masses():
     assert math.isclose(out.mass((1, 1)), 0.5)
 
 
+@pytest.mark.parametrize("weight", [math.nan, -0.5])
+def test_mixture_rejects_weight_that_is_not_a_nonnegative_number(weight):
+    # a NaN weight once passed both checks, and mix then dropped that
+    # component, returning the other one as if it had weight 1
+    sp = ProductSpace(2, 1)
+    points = (DiscreteMeasure.point_mass(sp, (0,)),
+              DiscreteMeasure.point_mass(sp, (1,)))
+    with pytest.raises(MeasureError, match="not a nonnegative number"):
+        MixtureRepresentation((weight, 1.0), points)
+
+
 def test_mix_of_biased_products_has_average_marginals():
     p, q = 0.2, 0.6
     rep = MixtureRepresentation(
@@ -314,6 +325,8 @@ def test_public_constructors_reject_bad_input():
                                 ([0, 1], -1.0, r"atoms\[0\]\.mass"),
                                 ([0, 1], math.nan, r"atoms\[0\]\.mass"),
                                 ([0, 1], "1", r"atoms\[0\]\.mass"),
+                                ([0, 1], True, r"atoms\[0\]\.mass"),
+                                ([True, 0], 1.0, r"atoms\[0\]\.word"),
                                 ([0, 1], 0.5, "sum to")]:
         with pytest.raises(MeasureError, match=message):
             measure_from_dict(as_dict(word, mass))
