@@ -1,26 +1,50 @@
 """Normalized Hamming metric and exact transportation distances with dual certificates.
 
-The exact backend is a transportation simplex over the bipartite support
-graph.  Costs are integer mismatch counts (Hamming distances times n), so all
-pivoting decisions and dual potentials are exact integer arithmetic; only the
-transported amounts are floats.  The basis is a spanning tree rooted at the
-first source atom, held in flat per-node lists (parent, depth, flow on the arc
-to the parent, children) next to one int64 potential vector, so a pivot climbs
-to a lowest common ancestor and re-roots one subtree instead of searching the
-tree.  The start puts min(a_w, b_w) on the zero-cost arc of every word the
-two supports share and routes the residual by least cost, so a measure and
-its own product of marginals, equal up to round-off, are coupled in a few
-pivots.  Pivot order is pinned (that start, most negative reduced cost with
-row-major tie-break, lexicographically smallest leaving arc, and a Bland
-fallback against degenerate cycling) so plans are reproducible byte for byte.
+The exact backend is a network simplex, run on one of two graphs:
+
+* the bipartite support graph, an arc from every source atom to every target
+  atom at its mismatch count (a transportation problem, k_s * k_t arcs);
+* the Hamming graph of A^n, an arc of cost 1 between every two words that
+  differ in one coordinate (q^n * n * (q-1) arcs for |A| = q), with supply
+  a_w - b_w on every word.  The Hamming metric is this graph's path metric,
+  so the least-cost flow is the same distance.
+
+``transport_distance`` takes the Hamming graph when it has fewer arcs than
+the support graph (dense supports in low dimension), and the support graph
+otherwise, the only one that fits sparse supports in high dimension.
+
+Costs are integers, so all pivoting decisions and dual potentials are exact
+integer arithmetic; only the transported amounts are floats.  On either
+graph the basis is a spanning tree rooted at node 0, held in flat per-node
+lists (parent, depth, flow on the arc to the parent and its direction,
+children) next to one int64 potential vector, and both solvers run the same
+pricing loop (``_network_simplex``) and pivot (``_pivot``): climb to the
+lowest common ancestor, take the leaving arc, move the flow, re-root the
+cut-off subtree and shift its potentials.  Pivot order is pinned (most
+negative reduced cost, first in arc order on ties, lexicographically
+smallest leaving arc, and a Bland fallback against degenerate cycling) so
+plans are reproducible byte for byte.  The bipartite solver starts from the
+diagonal, min(a_w, b_w) on the zero-cost arc of every shared word, and
+routes the residual by least cost; the graph solver starts from a greedy
+tree (``_greedy_tree``) whose arcs carry the net supply below them.  A
+measure and its own product of marginals, equal up to round-off, are then
+coupled in a few pivots.
+
+The graph solver's plan is min(a_w, b_w) on the diagonal plus a path
+decomposition of the optimal tree flow (``_split_tree_flow``), and its
+potentials restricted to the two supports are the transportation potentials,
+so ``dual_gap`` treats both solvers alike.
 
 The approximate backend is entropically regularized iteration.  It runs only
 on request (``method='sinkhorn'``, or ``transport --approx`` on the command
 line), never in place of an exact solve, and its plans are always labeled
-inexact, with bias bound ``reg * log(|supp mu| * |supp nu|)``.
+inexact.  Their bias bound is certified: the plan's cost minus the dual value
+of c-transformed potentials, which holds even when the iteration stopped at
+its cap or underflowed.
 """
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -53,10 +77,14 @@ def exact_support_cap() -> int:
     if value is None:
         return DEFAULT_EXACT_CAP
     try:
-        return int(value)
+        cap = int(value)
     except ValueError:
+        cap = None
+    # two atoms are the least that any exact solve needs
+    if cap is None or cap < 2:
         raise MeasureError(
-            f"{ENV_CAP_VAR} must be an integer, got {value!r}") from None
+            f"{ENV_CAP_VAR} must be an integer >= 2, got {value!r}")
+    return cap
 
 
 # -----------------------------------------------------------------------------
@@ -280,108 +308,105 @@ def _diagonal_start(a: np.ndarray, b: np.ndarray, cost: np.ndarray):
     return parent, depth, flow, children, np.array(y, dtype=np.int64)
 
 
-def _solve_transport(a: np.ndarray, b: np.ndarray, cost: np.ndarray):
-    """Exact transportation simplex with integer costs.
+def _pivot(tail, head, delta, parent, depth, flow, children, up, y) -> float:
+    """Enter the arc ``tail -> head``, of reduced cost ``delta < 0``, into a
+    spanning-tree basis and return the flow theta it carries.
 
-    Returns (flow dict over the R+C-1 basic arcs, integer row potentials u,
-    integer column potentials v, pivot count, degenerate pivot count).  Nodes
-    are rows 0..R-1 and columns R..R+C-1; the basis is a spanning tree rooted
-    at row 0, kept in per-node lists (``parent``, ``depth``, ``flow`` on the
-    arc to the parent, ``children``) and one int64 potential vector
-    ``y`` = (u, -v).
-
-    Pivot rules, pinned so that plans are reproducible bit for bit:
-
-    * start from the diagonal, then the residual by least cost
-      (``_diagonal_start``);
-    * entering arc: the most negative reduced cost c_ij - u_i - v_j over all
-      arcs, first in row-major order on ties; after more than
-      ``BLAND_STREAK_PER_NODE * (R+C)`` degenerate pivots in a row, the first
-      negative one (Bland's rule, which cannot cycle) for the rest of the solve;
-    * leaving arc: the lexicographically smallest (i, j) among the cycle's
-      backward arcs with the least flow.
-
-    The cycle is the entering arc plus the tree paths from both of its ends up
-    to their lowest common ancestor, found by climbing by depth.  The leaving
-    arc cuts off a subtree; it is re-rooted at the entering arc's end inside
-    it and hung from the other end.  The potentials shift by the entering
-    reduced cost on the side holding the entering column, so they stay exact
-    integers.
+    Each node k but the root holds its tree arc to ``parent[k]``: the arc's
+    ``flow`` and ``up[k]``, true when it points k -> parent[k].  The cycle is
+    the entering arc plus the tree paths from both of its ends up to their
+    lowest common ancestor, found by climbing by depth.  Flow pushed along the
+    entering arc returns from ``head`` to ``tail``, so the backward arcs are
+    those pointing up on the tail's climb and down on the head's climb.  The
+    leaving arc is the smallest (tail, head) pair among the backward arcs with
+    the least flow.  It cuts off a subtree, which is re-rooted at the entering
+    arc's end inside it and hung from the other end.  Reduced costs are
+    c - y[t] + y[h], so the potentials on the side holding ``head`` drop by
+    delta and stay exact integers.
     """
-    nr, nc = cost.shape
-    b = b * (a.sum() / b.sum())
-    parent, depth, flow, children, y = _diagonal_start(a, b, cost)
+    tail_climb: list[int] = []
+    head_climb: list[int] = []
+    x, z = tail, head
+    while depth[x] > depth[z]:
+        tail_climb.append(x)
+        x = parent[x]
+    while depth[z] > depth[x]:
+        head_climb.append(z)
+        z = parent[z]
+    while x != z:
+        tail_climb.append(x)
+        head_climb.append(z)
+        x = parent[x]
+        z = parent[z]
+    minus_head = [k for k in head_climb if not up[k]]
+    minus = [k for k in tail_climb if up[k]] + minus_head
+    theta = min([flow[k] for k in minus])
+    leave = min([k for k in minus if flow[k] <= theta],
+                key=lambda k: (k, parent[k]) if up[k] else (parent[k], k))
+    for k in tail_climb:
+        if not up[k]:
+            flow[k] += theta
+    for k in head_climb:
+        if up[k]:
+            flow[k] += theta
+    for k in minus:
+        flow[k] = max(flow[k] - theta, 0.0)
+    # re-root the cut-off subtree at the entering end inside it
+    inside, outside = (head, tail) if leave in minus_head else (tail, head)
+    node, new_parent, carried, points_up = inside, outside, theta, inside == tail
+    while True:
+        old_parent, old_flow, old_up = parent[node], flow[node], up[node]
+        children[old_parent].remove(node)
+        children[new_parent].append(node)
+        parent[node] = new_parent
+        flow[node] = carried
+        up[node] = points_up
+        if node == leave:
+            break
+        node, new_parent, carried, points_up = old_parent, node, old_flow, not old_up
+    depth[inside] = depth[outside] + 1
+    subtree = [inside]
+    for k in subtree:  # breadth first: the loop reaches appended nodes
+        d = depth[k] + 1
+        for child in children[k]:
+            depth[child] = d
+        subtree.extend(children[k])
+    if inside == head:
+        y[subtree] -= delta
+    else:
+        y -= delta
+        y[subtree] += delta
+    return theta
 
-    def arc(k):
-        return (k, parent[k] - nr) if k < nr else (parent[k], k - nr)
 
+def _network_simplex(reduced, ends, parent, depth, flow, children, up, y):
+    """Pivot a feasible spanning-tree basis to optimality; returns the pivot
+    count and the degenerate pivot count.
+
+    ``reduced(y)`` prices every arc, ``ends(index)`` gives an arc's (tail,
+    head).  Entering arc: the most negative reduced cost, first in arc order
+    on ties; after more than ``BLAND_STREAK_PER_NODE`` degenerate pivots per
+    node in a row, the first negative one (Bland's rule, which cannot cycle)
+    for the rest of the solve.  The pivot itself is ``_pivot``.
+    """
     bland = False
     pivots = degenerate = 0
     degenerate_streak = 0
-    max_streak = BLAND_STREAK_PER_NODE * (nr + nc)
+    max_streak = BLAND_STREAK_PER_NODE * len(parent)
     while True:
-        red = (cost - y[:nr, None] + y[None, nr:]).ravel()
+        red = reduced(y)
         if bland:
             negative = red < 0
             if not negative.any():
                 break
-            flat = int(np.argmax(negative))
+            index = int(np.argmax(negative))
         else:
-            flat = int(np.argmin(red))
-            if red[flat] >= 0:
+            index = int(np.argmin(red))
+            if red[index] >= 0:
                 break
-        delta = int(red[flat])
-        ei, ej = divmod(flat, nc)
-        col = nr + ej
-        # climb both ends to the lowest common ancestor; along each climb the
-        # tree arcs alternate backward (-), forward (+), starting backward
-        up_row: list[int] = []
-        up_col: list[int] = []
-        x, z = ei, col
-        while depth[x] > depth[z]:
-            up_row.append(x)
-            x = parent[x]
-        while depth[z] > depth[x]:
-            up_col.append(z)
-            z = parent[z]
-        while x != z:
-            up_row.append(x)
-            up_col.append(z)
-            x = parent[x]
-            z = parent[z]
-        minus_col = up_col[0::2]
-        minus = up_row[0::2] + minus_col
-        theta = min([flow[k] for k in minus])
-        leave = min([k for k in minus if flow[k] <= theta], key=arc)
-        for k in up_row[1::2] + up_col[1::2]:
-            flow[k] += theta
-        for k in minus:
-            flow[k] = max(flow[k] - theta, 0.0)
-        # re-root the cut-off subtree at the entering end inside it
-        inside, outside = (col, ei) if leave in minus_col else (ei, col)
-        node, new_parent, carried = inside, outside, theta
-        while True:
-            old_parent, old_flow = parent[node], flow[node]
-            children[old_parent].remove(node)
-            children[new_parent].append(node)
-            parent[node] = new_parent
-            flow[node] = carried
-            if node == leave:
-                break
-            node, new_parent, carried = old_parent, node, old_flow
-        depth[inside] = depth[outside] + 1
-        subtree = [inside]
-        for k in subtree:  # breadth first: the loop reaches appended nodes
-            d = depth[k] + 1
-            for child in children[k]:
-                depth[child] = d
-            subtree.extend(children[k])
-        # shift the potentials on the side that holds the entering column
-        if inside == col:
-            y[subtree] -= delta
-        else:
-            y -= delta
-            y[subtree] += delta
+        tail, head = ends(index)
+        theta = _pivot(tail, head, int(red[index]), parent, depth, flow,
+                       children, up, y)
         pivots += 1
         if theta <= 0.0:
             degenerate += 1
@@ -390,13 +415,177 @@ def _solve_transport(a: np.ndarray, b: np.ndarray, cost: np.ndarray):
                 bland = True
         else:
             degenerate_streak = 0
-    basis = {arc(k): flow[k] for k in range(1, nr + nc)}
+    return pivots, degenerate
+
+
+def _solve_transport(a: np.ndarray, b: np.ndarray, cost: np.ndarray):
+    """Exact transportation simplex with integer costs.
+
+    Returns (flow dict over the R+C-1 basic arcs, integer row potentials u,
+    integer column potentials v, pivot count, degenerate pivot count).  Nodes
+    are rows 0..R-1 and columns R..R+C-1, every arc points row -> column, and
+    the basis is a spanning tree rooted at row 0 with potentials
+    ``y`` = (u, -v).  It starts from the diagonal, then the residual by least
+    cost (``_diagonal_start``); arcs are priced in row-major order
+    (``_network_simplex``).
+    """
+    nr, nc = cost.shape
+    b = b * (a.sum() / b.sum())
+    parent, depth, flow, children, y = _diagonal_start(a, b, cost)
+    up = [k < nr for k in range(nr + nc)]
+    pivots, degenerate = _network_simplex(
+        lambda y: (cost - y[:nr, None] + y[None, nr:]).ravel(),
+        lambda index: (index // nc, nr + index % nc),
+        parent, depth, flow, children, up, y)
+    basis = {(k, parent[k] - nr) if k < nr else (parent[k], k - nr): flow[k]
+             for k in range(1, nr + nc)}
     return basis, y[:nr].copy(), -y[nr:], pivots, degenerate
+
+
+@functools.lru_cache(maxsize=8)
+def _hamming_graph(q: int, n: int):
+    """The Hamming graph on ``range(q)^n``, words numbered in cube order (a
+    word's code is its base-q number, first coordinate most significant).
+
+    Returns the words' digits, one row per word, and the tails and heads of
+    its q^n n (q-1) arcs, one per ordered pair of words that differ in one
+    coordinate, sorted by (tail, head).  The arrays are read-only, since the
+    cache shares them.
+    """
+    codes = np.arange(q ** n, dtype=np.int64)
+    digits = np.empty((q ** n, n), dtype=np.int64)
+    tails, heads = [], []
+    for c in range(n):
+        stride = q ** (n - 1 - c)
+        digits[:, c] = codes // stride % q
+        for other in range(q):
+            moved = digits[:, c] != other
+            tails.append(codes[moved])
+            heads.append(codes[moved] + (other - digits[moved, c]) * stride)
+    tails, heads = np.concatenate(tails), np.concatenate(heads)
+    order = np.lexsort((heads, tails))
+    out = digits, tails[order], heads[order]
+    for array in out:
+        array.setflags(write=False)
+    return out
+
+
+def _greedy_tree(supply: list[float], words: Sequence[Sequence[int]], q: int):
+    """Initial basis on the Hamming graph (``words``: the digits of each word,
+    in code order): a spanning tree rooted at word 0 in which each word
+    hangs from a word with one of its non-zero coordinates set to 0, so
+    parents have smaller codes.
+
+    Words are hung from the last code down, so a word's subtree, and with it
+    its net supply S (own supply plus what hangs below it), is complete when
+    its turn comes.  It hangs from the candidate whose net supply so far best
+    cancels S: the most negative when S > 0, the most positive when S < 0,
+    the first coordinate on ties and when S = 0.  Each tree arc carries |S|,
+    pointing up when S >= 0, so every such tree is a feasible basis.  Returns
+    ``parent``, ``depth``, ``flow``, ``children``, ``up`` and the potentials
+    ``y`` (c - y[t] + y[h] = 0 on the tree).
+    """
+    size, n = len(words), len(words[0])
+    strides = [q ** (n - 1 - c) for c in range(n)]
+    below = list(supply)
+    parent = [-1] * size
+    for w in range(size - 1, 0, -1):
+        net = below[w]
+        sign = 1.0 if net > 0.0 else (-1.0 if net < 0.0 else 0.0)
+        best = None
+        for d, stride in zip(words[w], strides):
+            if d:
+                p = w - d * stride
+                if best is None or sign * below[p] < sign * below[best]:
+                    best = p
+        parent[w] = best
+        below[best] += net
+    depth = [0] * size
+    children: list[list[int]] = [[] for _ in range(size)]
+    up = [m >= 0.0 for m in below]
+    y = [0] * size
+    for k in range(1, size):
+        p = parent[k]
+        depth[k] = depth[p] + 1
+        children[p].append(k)
+        y[k] = y[p] + 1 if up[k] else y[p] - 1
+    flow = [abs(m) for m in below]
+    flow[0] = 0.0
+    return parent, depth, flow, children, up, np.array(y, dtype=np.int64)
+
+
+def _solve_graph(supply: list[float], q: int, n: int):
+    """Exact min-cost flow on the Hamming graph of ``range(q)^n``.
+
+    Every word (numbered as in ``_hamming_graph``) is a node with the given
+    supply, every arc costs 1, and the least total flow is the distance in
+    mismatch counts.  The basis starts as ``_greedy_tree`` and is pivoted
+    by the same loop and pivot as the transportation simplex, with arcs
+    priced in (tail, head) order.
+
+    Returns the optimal tree (``parent``, ``children``, ``flow`` on the arc
+    to the parent, ``up``), the integer potentials y, normalized to
+    y[0] = 0, the pivot count and the degenerate pivot count.  On every arc
+    y[t] - y[h] <= 1, so y is 1-Lipschitz in mismatch counts.
+    """
+    digits, tails, heads = _hamming_graph(q, n)
+    parent, depth, flow, children, up, y = _greedy_tree(supply, digits.tolist(), q)
+    pivots, degenerate = _network_simplex(
+        lambda y: 1 - y[tails] + y[heads],
+        lambda index: (int(tails[index]), int(heads[index])),
+        parent, depth, flow, children, up, y)
+    y -= y[0]  # the pivots shift the root's side too
+    return parent, children, flow, up, y, pivots, degenerate
+
+
+def _split_tree_flow(children: Sequence[Sequence[int]], supply: Sequence[float]
+                     ) -> dict[tuple[int, int], float]:
+    """Split the flow of a spanning-tree basis into (origin, sink) amounts.
+
+    On a tree the flow across each arc is the net supply below it, so a
+    subtree's surplus can meet its own deficits first.  Children come before
+    their parent; each node queues its own surplus or deficit, then what
+    each child passed up, in child order, and matches the two queues front
+    to front.  What is left, of one kind only, goes up to the parent (at the
+    root, round-off alone is left).  Each unit of mass thus follows the tree
+    path, along the flow, from its origin to its sink; as the flow is
+    optimal, that path is a shortest one.
+    """
+    order = [0]
+    for k in order:  # breadth first from the root
+        order.extend(children[k])
+    left: list = [None] * len(order)
+    pairs: dict[tuple[int, int], float] = {}
+    for w in reversed(order):
+        m = supply[w]
+        give = [[w, m]] if m > 0.0 else []
+        take = [[w, -m]] if m < 0.0 else []
+        for child in children[w]:
+            kind, packets = left[child]
+            (give if kind else take).extend(packets)
+        i = j = 0
+        while i < len(give) and j < len(take):
+            g, t = give[i], take[j]
+            m = min(g[1], t[1])
+            pairs[(g[0], t[0])] = m  # the two never meet again
+            g[1] -= m
+            t[1] -= m
+            i += g[1] <= 0.0
+            j += t[1] <= 0.0
+        left[w] = (True, give[i:]) if i < len(give) else (False, take[j:])
+    return pairs
 
 
 def _mcshane_potential(cost_src_union: np.ndarray, g: np.ndarray) -> np.ndarray:
     """phi(z) = min_i (g_i + c(x_i, z)), the tight 1-Lipschitz extension."""
     return (g[:, None] + cost_src_union).min(axis=0)
+
+
+def _graph_is_smaller(q: int, n: int, k_src: int, k_tgt: int) -> bool:
+    """The exact solver choice: the Hamming graph of ``range(q)^n`` when its
+    q^n n (q-1) arcs are fewer than the k_src k_tgt arcs of the bipartite
+    support graph, else the transportation simplex."""
+    return q ** n * n * (q - 1) < k_src * k_tgt
 
 
 def transport_distance(mu: DiscreteMeasure, nu: DiscreteMeasure, *,
@@ -437,22 +626,59 @@ def transport_distance(mu: DiscreteMeasure, nu: DiscreteMeasure, *,
                            col_potentials=(0,) * len(tgt))
         return 0.0, tp
 
-    a = np.array([mu.atoms[w] for w in src])
-    b = np.array([nu.atoms[w] for w in tgt])
-    cost = mismatch_matrix(src, tgt)
-    flow, u, v, _, _ = _solve_transport(a, b, cost)
+    a = np.fromiter(mu.atoms.values(), float, len(src))
+    b = np.fromiter(nu.atoms.values(), float, len(tgt))
+    src_digits = np.asarray(src, dtype=np.int64)
+    tgt_digits = np.asarray(tgt, dtype=np.int64)
+    q = mu.space.alphabet_size
+    if _graph_is_smaller(q, n, len(src), len(tgt)):
+        pairs, u, v = _graph_coupling(src_digits, tgt_digits, a, b, q)
+    else:
+        cost = mismatch_matrix(src_digits, tgt_digits)
+        pairs, u, v, _, _ = _solve_transport(a, b, cost)
+    keys = sorted(pairs)
+    rows, cols = np.array(keys).T
+    counts = np.count_nonzero(src_digits[rows] != tgt_digits[cols], axis=1)
     plan = {}
     total = 0.0
-    for (i, j) in sorted(flow):
-        m = flow[(i, j)]
+    for (i, j), c in zip(keys, counts.tolist()):
+        m = pairs[(i, j)]
         if m > 0.0:
             plan[(src[i], tgt[j])] = m
-            total += m * cost[i, j]
+            total += m * c
     cost_value = total / n
     tp = TransportPlan(mu, nu, plan, cost_value, exact=True,
-                       row_potentials=tuple(int(x) for x in u),
-                       col_potentials=tuple(int(x) for x in v))
+                       row_potentials=tuple(u.tolist()),
+                       col_potentials=tuple(v.tolist()))
     return cost_value, tp
+
+
+def _graph_coupling(src: np.ndarray, tgt: np.ndarray, a: np.ndarray,
+                    b: np.ndarray, q: int):
+    """Optimal coupling of the atoms ``(src, a)`` and ``(tgt, b)``, words as
+    rows of digits, from a min-cost flow on the Hamming graph
+    (``_solve_graph``).
+
+    The plan is min(a_w, b_w) on the diagonal of every shared word plus the
+    path decomposition of the flow (``_split_tree_flow``); the potentials are
+    u_i = y(x_i) and v_j = -y(y_j).  Returns ({(i, j): mass}, u, v).
+    """
+    n = src.shape[1]
+    powers = q ** np.arange(n - 1, -1, -1)
+    src_codes, tgt_codes = src @ powers, tgt @ powers
+    supply = np.zeros(q ** n)
+    supply[src_codes] += a
+    supply[tgt_codes] -= b
+    supply = supply.tolist()
+    _, children, _, _, y, _, _ = _solve_graph(supply, q, n)
+    row = {w: i for i, w in enumerate(src_codes.tolist())}
+    col = {w: j for j, w in enumerate(tgt_codes.tolist())}
+    pairs = {(row[x], col[z]): m
+             for (x, z), m in _split_tree_flow(children, supply).items()}
+    for w, j in col.items():
+        if w in row:
+            pairs[(row[w], j)] = min(a[row[w]], b[j])
+    return pairs, y[src_codes], -y[tgt_codes]
 
 
 def dual_gap(plan: TransportPlan) -> tuple[DualCertificate, float]:
@@ -516,9 +742,30 @@ def _sinkhorn_distance(mu: DiscreteMeasure, nu: DiscreteMeasure, *,
             if p[i, j] > 0.0:
                 plan[(x, y)] = float(p[i, j])
                 total += p[i, j] * cost[i, j]
-    bias = reg * math.log(max(len(src) * len(tgt), 2))
+    bias = float(total) - _c_transform_bound(cost, a, b, g)
     tp = TransportPlan(mu, nu, plan, float(total), exact=False, bias_bound=bias)
     return float(total), tp
+
+
+def _c_transform_bound(cost: np.ndarray, a: np.ndarray, b: np.ndarray,
+                       g: np.ndarray) -> float:
+    """A lower bound on the transport cost from column potentials ``g``.
+
+    f = g^c, f_i = min_j (c_ij - g_j), and then g' = f^c are feasible
+    potentials (f_i + g'_j <= c_ij) whatever ``g`` is, so by weak duality
+    their value sum_i a_i f_i + sum_j b_j g'_j is at most the optimal cost;
+    so is 0.  The larger of the two bounds the optimum from below, even when
+    the iteration stopped short or its potentials over- or underflowed.
+    """
+    if not np.isfinite(g).all():
+        return 0.0
+    f = (cost - g[None, :]).min(axis=1)
+    g = (cost - f[:, None]).min(axis=0)
+    value = 0.0
+    for mass, potential in zip(np.concatenate([a, b]).tolist(),
+                               np.concatenate([f, g]).tolist()):
+        value += mass * potential
+    return max(value, 0.0)
 
 
 def _logsumexp(m: np.ndarray, axis: int) -> np.ndarray:

@@ -370,6 +370,16 @@ def test_non_integer_support_cap_exits_2(capsys, diag_file, monkeypatch):
     assert "HC_MAX_SUPPORT" in payload["error"]["message"]
 
 
+@pytest.mark.parametrize("cap", ["0", "-3", "1"])
+def test_support_cap_below_two_exits_2(capsys, diag_file, monkeypatch, cap):
+    # such a cap would make every exact solve exit 3
+    monkeypatch.setenv("HC_MAX_SUPPORT", cap)
+    code, payload = run_json(capsys, ["transport", diag_file, diag_file])
+    assert code == 2
+    assert payload["error"]["type"] == "validation"
+    assert "HC_MAX_SUPPORT" in payload["error"]["message"]
+
+
 def test_process_subcommand(capsys, tmp_path):
     spec = {"kind": "joint", "b_size": 2, "a_size": 2,
             "base": {"kind": "iid", "dist": [0.25, 0.25, 0.25, 0.25]}}

@@ -555,12 +555,13 @@ def _count_carve_solves(monkeypatch):
     nested mixture decomposition and the certificate search are not counted."""
     count = [0]
     nested = [0]
-    real_solve = transport._solve_transport
 
-    def solve(a, b, cost):
-        if not nested[0]:
-            count[0] += 1
-        return real_solve(a, b, cost)
+    def counted(solve):
+        def wrapped(*args):
+            if not nested[0]:
+                count[0] += 1
+            return solve(*args)
+        return wrapped
 
     def uncounted(fn):
         def wrapped(*args, **kwargs):
@@ -571,7 +572,8 @@ def _count_carve_solves(monkeypatch):
                 nested[0] -= 1
         return wrapped
 
-    monkeypatch.setattr(transport, "_solve_transport", solve)
+    for solver in ("_solve_transport", "_solve_graph"):  # either exact solver
+        monkeypatch.setattr(transport, solver, counted(getattr(transport, solver)))
     monkeypatch.setattr(decompose, "mixture_decomposition",
                         uncounted(decompose.mixture_decomposition))
     monkeypatch.setattr(decompose, "refute_T", uncounted(decompose.refute_T))

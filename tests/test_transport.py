@@ -2,6 +2,7 @@
 import hashlib
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -67,16 +68,23 @@ def _random_words(rng, n, k):
     return [cube[i] for i in sorted(rng.choice(len(cube), size=k, replace=False))]
 
 
+def _oracle_pairs():
+    """The criterion 3 oracle pairs (same draws) as (alphabet, n, atoms,
+    atoms)."""
+    rng = np.random.default_rng(303)
+    for _ in range(200):
+        n = int(rng.integers(2, 5))
+        alphabet = int(rng.integers(2, 4))
+        yield (alphabet, n, random_sparse_measure(rng, alphabet, n, 30),
+               random_sparse_measure(rng, alphabet, n, 30))
+
+
 def _solver_corpus():
     """Seeded solver inputs: the criterion 3 oracle pairs, near-identical
     pairs, point masses, single-row / single-column shapes, and atoms no arc
     can carry."""
-    rng = np.random.default_rng(303)
-    for _ in range(200):  # same draws as criterion 3's oracle loop
-        n = int(rng.integers(2, 5))
-        alphabet = int(rng.integers(2, 4))
-        yield _instance(random_sparse_measure(rng, alphabet, n, 30),
-                        random_sparse_measure(rng, alphabet, n, 30))
+    for _, _, atoms_a, atoms_b in _oracle_pairs():
+        yield _instance(atoms_a, atoms_b)
     rng = np.random.default_rng(1705)
     for n in (2, 3, 4, 5, 5, 5):
         # a product law against the product of its own marginals: the two
@@ -208,6 +216,178 @@ def test_near_identical_corpus_entries_take_few_pivots():
     for (pivots, degenerate), (old_pivots, old_degenerate) in zip(
             counts, NORTHWEST_PIVOTS):
         assert 4 * pivots <= old_pivots and 4 * degenerate <= old_degenerate
+
+
+# -----------------------------------------------------------------------------
+# the Hamming graph solver
+# -----------------------------------------------------------------------------
+def _check_graph_solution(supply, q, n, parent, flow, up, y) -> float:
+    """Check a graph solve without reference to any golden: the tree spans
+    the words, its arcs are arcs of the graph, tight, and carry no negative
+    flow, every arc is dual feasible, and the flow meets the supplies to
+    1e-12.  Returns the total flow, the distance in mismatch counts."""
+    _, tails, heads = transport_module._hamming_graph(q, n)
+    arcs = set(zip(tails.tolist(), heads.tolist()))
+    size = len(supply)
+    assert parent[0] == -1 and all(0 <= parent[k] < size for k in range(1, size))
+    for k in range(1, size):
+        hops = 0
+        node = k
+        while node:
+            node, hops = parent[node], hops + 1
+            assert hops < size  # no cycle: every word reaches the root
+    assert int((y[tails] - y[heads]).max()) <= 1
+    net = list(supply)
+    total = 0.0
+    for k in range(1, size):
+        t, h = (k, parent[k]) if up[k] else (parent[k], k)
+        assert (t, h) in arcs and y[t] - y[h] == 1
+        assert flow[k] >= 0.0
+        net[t] -= flow[k]
+        net[h] += flow[k]
+        total += flow[k]
+    assert max(abs(m) for m in net) <= 1e-12
+    return total
+
+
+def _forced_graph_distance(mu, nu):
+    """``transport_distance`` with the Hamming graph solver whatever the
+    selection rule says."""
+    with mock.patch.object(transport_module, "_graph_is_smaller",
+                           lambda *args: True):
+        return transport_distance(mu, nu)
+
+
+def test_graph_solver_matches_oracle_on_corpus_pairs():
+    for q, n, atoms_a, atoms_b in _oracle_pairs():
+        space = ProductSpace(q, n)
+        cost, plan = _forced_graph_distance(DiscreteMeasure(space, atoms_a),
+                                            DiscreteMeasure(space, atoms_b))
+        assert abs(cost - lp_transport_cost(atoms_a, atoms_b, n)) <= 1e-10
+        plan.check_marginals(tol=1e-12)
+
+
+#: (pivots, degenerate pivots) of the graph solver on the corpus entries
+#: 200-217, all on the full cube {0,1}^n in cube order
+GRAPH_PIVOTS = (
+    (0, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0),
+    (8, 7), (0, 0), (4, 4), (24, 24), (0, 0), (0, 0), (27, 25), (0, 0),
+    (0, 0), (0, 0))
+
+
+def test_near_identical_corpus_entries_take_few_graph_pivots():
+    near = list(_solver_corpus())[200:218]
+    counts = []
+    for a, b, cost in near:
+        n = len(a).bit_length() - 1
+        supply = (a - b).tolist()
+        parent, _, flow, up, y, pivots, degenerate = \
+            transport_module._solve_graph(supply, 2, n)
+        total = _check_graph_solution(supply, 2, n, parent, flow, up, y)
+        assert abs(total - lp_coupling_cost(a, b, cost)) <= 1e-10
+        assert pivots <= len(a)  # at most one pivot per word
+        counts.append((pivots, degenerate))
+    assert tuple(counts) == GRAPH_PIVOTS
+
+
+@st.composite
+def graph_instances(draw):
+    """Two measures on {0,..,q-1}^n, q in {2, 3}: random pairs, one-ulp
+    neighbours, a point mass against a measure, and disjoint supports."""
+    q = draw(st.sampled_from((2, 3)))
+    n = draw(st.integers(1, 3))
+    cube = list(itertools.product(range(q), repeat=n))
+
+    def atoms(support):
+        w = np.array(draw(st.lists(st.integers(1, 6), min_size=len(support),
+                                   max_size=len(support))), float)
+        return dict(zip(sorted(support), (w / w.sum()).tolist()))
+
+    support = draw(st.lists(st.sampled_from(cube), min_size=1,
+                            max_size=len(cube), unique=True))
+    atoms_a = atoms(support)
+    kind = draw(st.sampled_from(("random", "near", "point", "disjoint")))
+    if kind == "near":
+        steps = draw(st.lists(st.sampled_from((-1, 0, 1)), min_size=len(atoms_a),
+                              max_size=len(atoms_a)))
+        atoms_b = {w: m if step == 0 else float(np.nextafter(m, step * math.inf))
+                   for (w, m), step in zip(atoms_a.items(), steps)}
+    elif kind == "point":
+        atoms_b = {draw(st.sampled_from(cube)): 1.0}
+    elif kind == "disjoint" and len(support) < len(cube):
+        rest = [w for w in cube if w not in atoms_a]
+        atoms_b = atoms(draw(st.lists(st.sampled_from(rest), min_size=1,
+                                      max_size=len(rest), unique=True)))
+    else:
+        atoms_b = atoms(draw(st.lists(st.sampled_from(cube), min_size=1,
+                                      max_size=len(cube), unique=True)))
+    if draw(st.booleans()):
+        atoms_a, atoms_b = atoms_b, atoms_a
+    return q, n, atoms_a, atoms_b
+
+
+@given(graph_instances())
+@settings(max_examples=150, deadline=None)
+def test_graph_solver_matches_transportation_simplex(instance):
+    q, n, atoms_a, atoms_b = instance
+    space = ProductSpace(q, n)
+    cost, plan = _forced_graph_distance(DiscreteMeasure(space, atoms_a),
+                                        DiscreteMeasure(space, atoms_b))
+    a, b, mismatches = _instance(atoms_a, atoms_b)
+    flow, _, _, _, _ = _solve_transport(a, b, mismatches)
+    simplex = 0.0
+    for (i, j), m in sorted(flow.items()):
+        simplex += m * mismatches[i, j]
+    assert abs(cost - simplex / n) <= 1e-12
+    assert abs(cost - lp_transport_cost(atoms_a, atoms_b, n)) <= 1e-10
+    plan.check_marginals(tol=1e-12)
+    _, gap = dual_gap(plan)
+    assert abs(gap) <= 1e-12
+
+
+@pytest.mark.parametrize("q, n, k_src, k_tgt, graph", [
+    (2, 3, 4, 6, False),   # 24 support pairs, 24 graph arcs
+    (2, 3, 5, 5, True),    # 25 pairs
+    (3, 2, 6, 6, False),   # 36 pairs, 36 graph arcs
+    (3, 2, 5, 8, True),    # 40 pairs
+])
+def test_selection_rule_picks_the_smaller_graph(monkeypatch, q, n, k_src, k_tgt,
+                                                graph):
+    calls = []
+    for name in ("_solve_graph", "_solve_transport"):
+        real = getattr(transport_module, name)
+
+        def spy(*args, real=real, name=name):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(transport_module, name, spy)
+    cube = list(itertools.product(range(q), repeat=n))
+    rng = np.random.default_rng(k_src * k_tgt)
+    space = ProductSpace(q, n)
+    mu = DiscreteMeasure(space, dict(zip(cube[:k_src],
+                                         rng.dirichlet(np.ones(k_src)).tolist())))
+    nu = DiscreteMeasure(space, dict(zip(cube[-k_tgt:],
+                                         rng.dirichlet(np.ones(k_tgt)).tolist())))
+    cost, _ = transport_distance(mu, nu)
+    assert calls == ["_solve_graph" if graph else "_solve_transport"]
+    assert abs(cost - lp_transport_cost(dict(mu.atoms), dict(nu.atoms), n)) <= 1e-10
+
+
+@pytest.mark.parametrize("reg", [1e-4, 1e-5, 1e-300])
+def test_sinkhorn_bias_bound_holds_at_tiny_reg(reg):
+    # at these regularizations the iteration stops at its cap or underflows
+    # to the product coupling; the reported bound must still hold
+    rng = np.random.default_rng(11)
+    cube = list(itertools.product((0, 1), repeat=3))
+    space = ProductSpace(2, 3)
+    for _ in range(20):
+        mu = DiscreteMeasure(space, dict(zip(cube, rng.dirichlet(np.ones(8)).tolist())))
+        nu = DiscreteMeasure(space, dict(zip(cube, rng.dirichlet(np.ones(8)).tolist())))
+        exact, _ = transport_distance(mu, nu)
+        approx, plan = transport_distance(mu, nu, method="sinkhorn", reg=reg)
+        plan.check_marginals(tol=1e-8)
+        assert not plan.exact and plan.bias_bound >= 0.0
+        assert exact - 1e-12 <= approx <= exact + plan.bias_bound + 1e-12
 
 
 @st.composite
