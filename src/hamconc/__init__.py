@@ -14,6 +14,7 @@ from .measures import (  # noqa: F401
     MeasureError,
     MixtureRepresentation,
     ProductSpace,
+    SupportCapExceeded,
     condition,
     fuzzy_split,
     hookup,
@@ -39,7 +40,6 @@ from .information import (  # noqa: F401
 )
 from .transport import (  # noqa: F401
     DualCertificate,
-    SupportCapExceeded,
     TransportPlan,
     dual_gap,
     hamming,

@@ -20,9 +20,9 @@ import sys
 import time
 
 from . import __version__
-from .measures import MeasureError, load_measure, measure_to_dict
+from .measures import MeasureError, SupportCapExceeded, load_measure, measure_to_dict
 from .information import info_report
-from .transport import SupportCapExceeded, dual_gap, transport_distance
+from .transport import dual_gap, transport_distance
 from .concentration import RefutationBudget, TParams, refute_T
 from .decompose import (
     BudgetExhausted,
@@ -72,6 +72,17 @@ def _pipeline_config(args) -> PipelineConfig:
     return PipelineConfig(
         epsilon=args.epsilon, r=args.r, seed=args.seed,
         max_iters=args.max_iters, **extra)
+
+
+#: the ``process`` flags besides --n that each op reads; any other flag must
+#: keep its default, or the run exits 2
+PROCESS_OP_FLAGS = {
+    "block": {"empirical_length", "seed"},
+    "tc-profile": {"block_size"},
+    "rel-dbar": {"theta"},
+    "gap": {"k"},
+    "partition": {"block_size", "seed", "epsilon", "r", "max_iters", "constants"},
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -214,6 +225,12 @@ def run(argv: list[str]) -> int:
             return _emit(manifest, res.to_dict(), summary, started)
 
         if args.command == "process":
+            defaults = _parser().parse_args(
+                ["process", "--op", args.op, "--", args.spec])
+            for name in sorted(vars(args).keys() - PROCESS_OP_FLAGS[args.op] - {"n"}):
+                if getattr(args, name) != getattr(defaults, name):
+                    flag = "--" + name.replace("_", "-")
+                    raise MeasureError(f"--op {args.op} does not read {flag}")
             spec = proc.load_spec(args.spec)
             manifest["input_digest"][args.spec] = _digest(args.spec)
             manifest["config"] = {"op": args.op, "n": args.n, "k": args.k,

@@ -41,6 +41,7 @@ from .measures import (
     MeasureError,
     MixtureRepresentation,
     Word,
+    _sum,
     condition,
     mix,
 )
@@ -49,6 +50,7 @@ from .transport import (
     TransportPlan,
     dual_gap,
     hamming,
+    lipschitz_slack,
     mismatch_matrix,
     transport_distance,
 )
@@ -172,12 +174,15 @@ def _as_values(mu: DiscreteMeasure, f) -> np.ndarray:
     return np.array([float(f[w]) for w in mu.support])
 
 
-def _log_partition(z: np.ndarray) -> float:
-    """log sum exp(z), shifted by the peak.  The log is ``math.log``:
-    ``np.log`` differs from it in the last bit on some inputs, and refutation
-    margins, witnesses and search rankings are pinned bit for bit."""
-    peak = z.max()
-    return peak + math.log(np.exp(z - peak).sum())
+def _log_partition(z: np.ndarray) -> float | np.ndarray:
+    """log sum exp over the last axis of a 1-D or 2-D array (a number, or one
+    per row), shifted by the peak.  The log is ``math.log``: ``np.log``
+    differs from it in the last bit on some inputs, and refutation margins,
+    witnesses and search rankings are pinned bit for bit."""
+    peak = z.max(axis=-1, keepdims=True)
+    sums = np.exp(z - peak).sum(axis=-1).tolist()
+    return peak[..., 0] + ([math.log(x) for x in sums] if z.ndim > 1
+                           else math.log(sums))
 
 
 def _tilted_weights(logm: np.ndarray, f: np.ndarray, t: float
@@ -253,11 +258,6 @@ def lipschitz_project(values: np.ndarray, dist: np.ndarray,
             if not live.size:
                 break
     return f
-
-
-def lipschitz_slack(values: np.ndarray, dist: np.ndarray) -> float:
-    diff = np.abs(values[:, None] - values[None, :]) - dist
-    return float(diff.max())
 
 
 # -----------------------------------------------------------------------------
@@ -470,9 +470,7 @@ def _l_search_candidates(mu: DiscreteMeasure, dist: np.ndarray, r: float,
     for step in range(budget.max_grad_steps):
         tf = -t[:, None] * f
         z = tf + logm
-        peak = z.max(axis=1)
-        sums = np.exp(z - peak[:, None]).sum(axis=1)
-        logz = peak + np.array([math.log(x) for x in sums.tolist()])
+        logz = _log_partition(z)
         w = np.exp(z - logz[:, None])
         div = _row_dots(w, tf) - logz
         rising = ~(div <= best_div[live] + 1e-14)
@@ -611,13 +609,8 @@ def extremality_gap(rep: MixtureRepresentation, kappa: float) -> ExtremalityRepo
     extremal iff r_required <= r.
     """
     base = mix(rep)
-    lhs = 0.0
-    rhs = 0.0
-    per = []
-    for p, comp in zip(rep.weights, rep.components):
-        cost, _ = transport_distance(comp, base)
-        div = kl_divergence(comp, base)
-        lhs += p * cost
-        rhs += p * div
-        per.append((p, cost, div))
-    return ExtremalityReport(lhs, rhs, lhs - rhs / kappa, tuple(per))
+    per = tuple((p, transport_distance(comp, base)[0], kl_divergence(comp, base))
+                for p, comp in zip(rep.weights, rep.components))
+    lhs = _sum(p * cost for p, cost, _ in per)
+    rhs = _sum(p * div for p, _, div in per)
+    return ExtremalityReport(lhs, rhs, lhs - rhs / kappa, per)

@@ -34,6 +34,7 @@ from .measures import (
     Word,
     _density_values,
     _split_masses,
+    _sum,
     condition,
     coordinate_marginals,
     fuzzy_split,
@@ -189,10 +190,9 @@ class DecompositionResult:
     def reconstruct(self) -> DiscreteMeasure:
         pairs = [(w, c) for w, c in zip(self.weights, self.components)
                  if c is not None and w > 0.0]
-        rep = MixtureRepresentation(
-            tuple(w / sum(p[0] for p in pairs) for w, _ in pairs),
-            tuple(c for _, c in pairs))
-        return mix(rep)
+        total = _sum(w for w, _ in pairs)
+        return mix(MixtureRepresentation(tuple(w / total for w, _ in pairs),
+                                         tuple(c for _, c in pairs)))
 
     def to_dict(self) -> dict:
         out = {
@@ -260,9 +260,9 @@ def _score_split(support: tuple[Word, ...], masses: tuple[float, ...],
     if len(weights) < 2:
         return False, None, None
     # a component that kept every atom pairs with the masses of mu as they are
-    info = sum(p * _kl(ms, masses if len(ms) == len(masses) else
-                       map(dict(zip(support, masses)).__getitem__, words))
-               for p, (words, ms) in zip(weights, comps))
+    info = _sum(p * _kl(ms, masses if len(ms) == len(masses) else
+                        map(dict(zip(support, masses)).__getitem__, words))
+                for p, (words, ms) in zip(weights, comps))
     if not info >= max(r * r * math.exp(-n) / n, i_floor) - GATE_FLOOR_SLACK:
         return False, info, None
     if info < beat - GATE_WIN_SLACK:
@@ -275,8 +275,8 @@ def _score_split(support: tuple[Word, ...], masses: tuple[float, ...],
     cap = dtc - first
     if cap <= beat or cap < threshold:
         return False, info, None
-    drop = dtc - sum(first if j == h else p * _dtc(words, ms)
-                     for j, (p, (words, ms)) in enumerate(zip(weights, comps)))
+    drop = dtc - _sum(first if j == h else p * _dtc(words, ms)
+                      for j, (p, (words, ms)) in enumerate(zip(weights, comps)))
     return drop >= threshold, info, drop
 
 
@@ -407,7 +407,7 @@ def decrement_recursion(mu: DiscreteMeasure, cfg: PipelineConfig,
 
     def component(dens: dict[Word, float]) -> _Component:
         return _Component(
-            dens, sum(dens.get(w, 0.0) * m for w, m in mu.atoms.items()))
+            dens, _sum(dens.get(w, 0.0) * m for w, m in mu.atoms.items()))
 
     # a component is tried once, and exactly one (the heaviest firing one) is
     # split per round
@@ -429,7 +429,7 @@ def decrement_recursion(mu: DiscreteMeasure, cfg: PipelineConfig,
                 cfg.spawned_budget(SPLIT_BUDGET, 1, round_no, idx))
             comp.status = "concentrated" if comp.split is None else "firing"
         firing = [i for i, comp in enumerate(comps) if comp.status == "firing"]
-        firing_mass = sum(comps[i].weight for i in firing)
+        firing_mass = _sum(comps[i].weight for i in firing)
         round_entry = {"round": round_no, "firing_mass": firing_mass,
                        "splits": []}
         history.append(firing_mass)
@@ -634,7 +634,7 @@ def mixture_decomposition(mu: DiscreteMeasure, cfg: PipelineConfig
     bad_raw: dict[Word, float] = {w: v for w, v in resid.items() if v > 0.0}
     kept: list[tuple[float, DiscreteMeasure, float]] = []  # weight, comp, M
     for q, comp in zip(emp.weights, emp.components):
-        mass_f = sum(f_dens.get(w, 0.0) * m for w, m in comp.atoms.items())
+        mass_f = _sum(f_dens.get(w, 0.0) * m for w, m in comp.atoms.items())
         if mass_f > keep_threshold:
             tilted = reweight(comp, lambda w: f_dens.get(w, 0.0))
             density_bound = max(
@@ -650,7 +650,7 @@ def mixture_decomposition(mu: DiscreteMeasure, cfg: PipelineConfig
     sel = list(retained)
 
     def lift(raw: Mapping[Word, float]) -> DiscreteMeasure:
-        total = sum(raw.values())
+        total = _sum(raw.values())
         scaled = {z: v / total for z, v in raw.items()}
         if len(retained) == n:
             return DiscreteMeasure.from_unnormalized(mu.space, scaled)
@@ -662,7 +662,7 @@ def mixture_decomposition(mu: DiscreteMeasure, cfg: PipelineConfig
     weights: list[float] = []
     components: list[DiscreteMeasure | None] = []
     params_list: list[TParams | None] = []
-    bad_mass = sum(bad_raw.values())
+    bad_mass = _sum(bad_raw.values())
     bad_index = None
     if bad_mass > 1e-12:
         bad_index = 0
@@ -677,7 +677,7 @@ def mixture_decomposition(mu: DiscreteMeasure, cfg: PipelineConfig
             _certificate_params(r_dec, m_dim, a_frac, density_bound))
 
     # normalize float drift in the weights
-    total_w = sum(weights)
+    total_w = _sum(weights)
     weights = [w / total_w for w in weights]
 
     # certify every non-bad component; at these parameters each one holds by
@@ -769,7 +769,7 @@ def carve_concentrated_set(mu: DiscreteMeasure, cfg: PipelineConfig,
             failures.append("marton distance dbar <= r^2")
         delta_cs = min(math.sqrt(max(dbar, 0.0)) if dbar > r * r else r, 0.124)
         cell, params = concentrate_subset(plan, TParams(8 * r * n, r), delta_cs)
-        mass = sum(mu.mass(w) for w in cell)
+        mass = _sum(map(mu.mass, cell))
         if mass < 1.0 - 4.0 * delta_cs - 1e-9 or mass <= 0.0:
             raise CarveError(f"small-tc subset kept mass {mass}; diagnostics {info}")
         params = TParams(params.kappa, min(params.r, 1.0))
@@ -792,7 +792,7 @@ def carve_concentrated_set(mu: DiscreteMeasure, cfg: PipelineConfig,
             continue
         cond_j = condition(mu, cells[j])
         tc_j = total_correlation(cond_j)
-        mass_j = sum(mu.mass(w) for w in cells[j])
+        mass_j = _sum(map(mu.mass, cells[j]))
         if tc_j <= 4.0 * e_val + 1e-9:
             candidates.append((mass_j, -j, j))
     if not candidates:
@@ -827,7 +827,7 @@ def carve_concentrated_set(mu: DiscreteMeasure, cfg: PipelineConfig,
     r_words = [w for w in mu_p.support
                if tuple(w[c] for c in s_coords) in q_words]
     nu = condition(mu, r_words)
-    mass_r = sum(mu.mass(w) for w in r_words)
+    mass_r = _sum(map(mu.mass, r_words))
     info["kept_coordinates"] = list(s_coords)
     info["r_mass"] = mass_r
     tc_nu = total_correlation(nu)
@@ -835,7 +835,7 @@ def carve_concentrated_set(mu: DiscreteMeasure, cfg: PipelineConfig,
         failures.append("TC of sliced measure <= 33 TC / delta")
     for z in sorted(q_words):
         block = [w for w in r_words if tuple(w[c] for c in s_coords) == z]
-        bmass = sum(nu.mass(w) for w in block)
+        bmass = _sum(map(nu.mass, block))
         top = max(nu.mass(w) for w in block)
         if top > math.exp(-delta * h / 4.0) * bmass + 1e-12:
             failures.append("within-block flatness (max atom <= e^{-delta h/4} block)")
@@ -868,7 +868,7 @@ def carve_concentrated_set(mu: DiscreteMeasure, cfg: PipelineConfig,
         if not u_words:
             attempts.append({"attempt": attempt, "reason": "empty set"})
             continue
-        mass_u = sum(nu.mass(w) for w in u_words)
+        mass_u = _sum(map(nu.mass, u_words))
         nu_u = condition(nu, u_words)
         nu_rho = comp
         dd, plan = transport_distance(nu_rho, nu_u)
@@ -895,7 +895,7 @@ def carve_concentrated_set(mu: DiscreteMeasure, cfg: PipelineConfig,
     cell = tuple(sorted(set(cell) & set(u_words))) or tuple(sorted(cell))
     params = TParams(params.kappa, min(params.r, 1.0))
     cert = refute_T(condition(mu, cell), params)
-    mass_v = sum(mu.mass(w) for w in cell)
+    mass_v = _sum(map(mu.mass, cell))
     info["cell_mass"] = mass_v
     floor_v = math.exp(-min(cfg.c * e_val, 700.0))
     info["mass_floor_reported"] = floor_v
@@ -923,7 +923,7 @@ def partition_decomposition(mu: DiscreteMeasure, cfg: PipelineConfig
     truncated = False
     step = 0
     while True:
-        mass_w = sum(mu.mass(w) for w in remaining)
+        mass_w = _sum(map(mu.mass, remaining))
         if mass_w < cfg.epsilon or not remaining:
             break
         if step >= MAX_CELLS:
@@ -942,14 +942,14 @@ def partition_decomposition(mu: DiscreteMeasure, cfg: PipelineConfig
         step += 1
 
     residual = tuple(sorted(remaining))
-    weights = [sum(mu.mass(w) for w in residual)]
+    weights = [_sum(map(mu.mass, residual))]
     components: list[DiscreteMeasure | None] = [
         condition(mu, residual) if weights[0] > 0.0 else None]
     sets: list[tuple[Word, ...]] = [residual]
     out_params: list[TParams | None] = [None]
     out_certs: list[RefutationResult | None] = [None]
     for cell, params, cert in zip(cells, params_list, certs):
-        weights.append(sum(mu.mass(w) for w in cell))
+        weights.append(_sum(map(mu.mass, cell)))
         components.append(condition(mu, cell))
         sets.append(cell)
         out_params.append(params)

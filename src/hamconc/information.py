@@ -19,6 +19,7 @@ from .measures import (
     MeasureError,
     MixtureRepresentation,
     Word,
+    _sum,
     coordinate_marginals,
     fuzzy_split,
     hookup,
@@ -35,12 +36,12 @@ def _clip_roundoff(x: float) -> float:
 
 def shannon_entropy(mu: DiscreteMeasure) -> float:
     """-sum p log p over the atoms of ``mu``."""
-    return -sum(m * math.log(m) for m in mu.atoms.values() if m > 0.0)
+    return -_sum(m * math.log(m) for m in mu.atoms.values() if m > 0.0)
 
 
 def entropy_of_vector(probs: Sequence[float]) -> float:
     """Entropy of a bare probability vector (zero entries contribute 0)."""
-    return -sum(p * math.log(p) for p in probs if p > 0.0)
+    return -_sum(p * math.log(p) for p in probs if p > 0.0)
 
 
 def binary_entropy(p: float) -> float:
@@ -123,7 +124,7 @@ def conditional_coordinate_entropy(mu: DiscreteMeasure, i: int) -> float:
 def total_correlation(mu: DiscreteMeasure) -> float:
     """Sum of marginal entropies minus joint entropy; equals the KL divergence
     from ``mu`` to the product of its marginals."""
-    return _clip_roundoff(sum(per_coordinate_entropies(mu)) - shannon_entropy(mu))
+    return _clip_roundoff(_sum(per_coordinate_entropies(mu)) - shannon_entropy(mu))
 
 
 def dual_total_correlation(mu: DiscreteMeasure) -> float:
@@ -135,7 +136,7 @@ def _dtc(support: tuple[Word, ...], masses: Sequence[float]) -> float:
     """``dual_total_correlation`` of the measure with these atoms, in order."""
     if len(support[0]) == 1:
         return 0.0
-    return _clip_roundoff(entropy_of_vector(masses) - sum(
+    return _clip_roundoff(entropy_of_vector(masses) - _sum(
         _grouped_entropy(masses, g) for g in _loo_groups(support)))
 
 
@@ -160,7 +161,7 @@ class InfoReport:
 def info_report(mu: DiscreteMeasure) -> InfoReport:
     h = shannon_entropy(mu)
     coords = per_coordinate_entropies(mu)
-    return InfoReport(h, coords, _clip_roundoff(sum(coords) - h),
+    return InfoReport(h, coords, _clip_roundoff(_sum(coords) - h),
                       dual_total_correlation(mu))
 
 
@@ -178,8 +179,8 @@ def fuzzy_mutual_information(mu: DiscreteMeasure, fp: FuzzyPartition) -> float:
 
 def mixture_mutual_information(rep: MixtureRepresentation, mu: DiscreteMeasure) -> float:
     """sum_j p_j D(mu_j || mu) for an explicit mixture representation of ``mu``."""
-    return sum(p * kl_divergence(comp, mu)
-               for p, comp in zip(rep.weights, rep.components))
+    return _sum(p * kl_divergence(comp, mu)
+                for p, comp in zip(rep.weights, rep.components))
 
 
 def dtc_decrement(mu: DiscreteMeasure, fp: FuzzyPartition) -> tuple[float, float]:
@@ -199,7 +200,7 @@ def dtc_decrement(mu: DiscreteMeasure, fp: FuzzyPartition) -> tuple[float, float
     joint = hookup(rep.weights, rep.components)
     n = mu.space.dimension
 
-    lhs = dual_total_correlation(mu) - sum(
+    lhs = dual_total_correlation(mu) - _sum(
         p * dual_total_correlation(comp)
         for p, comp in zip(rep.weights, rep.components))
 
@@ -208,15 +209,12 @@ def dtc_decrement(mu: DiscreteMeasure, fp: FuzzyPartition) -> tuple[float, float
     h_word = shannon_entropy(marginal(joint, range(1, n + 1)))
     h_index = shannon_entropy(marginal(joint, [0]))
     mutual = h_word + h_index - h_joint
-    cond_sum = 0.0
-    for i in range(n):
-        rest = [c for c in range(1, n + 1) if c != i + 1]
-        h_rest = shannon_entropy(marginal(joint, rest))
-        h_rest_index = shannon_entropy(marginal(joint, [0] + rest))
-        # I(coord_i; index | rest) = H(coord_i|rest) - H(coord_i|rest,index)
-        cond_sum += (h_word - h_rest) - (h_joint - h_rest_index)
-    rhs = mutual - cond_sum
-    return lhs, rhs
+    # I(coord_i; index | rest) = H(coord_i|rest) - H(coord_i|rest,index)
+    rests = [[c for c in range(1, n + 1) if c != i + 1] for i in range(n)]
+    cond_sum = _sum((h_word - shannon_entropy(marginal(joint, rest)))
+                    - (h_joint - shannon_entropy(marginal(joint, [0] + rest)))
+                    for rest in rests)
+    return lhs, mutual - cond_sum
 
 
 # -----------------------------------------------------------------------------

@@ -8,6 +8,12 @@ kept in lexicographic order so that all downstream output is deterministic.
 Mixing variables are always finite index sets here; kernels are finite lists
 of measures.  Measures with genuinely continuous mixing variables can only be
 represented through finite samples of their kernels.
+
+Summation policy: sums of Python floats add left to right from 0 on every
+supported interpreter, through ``_sum`` or an explicit loop.  The builtin
+``sum`` is never called (a test enforces this): from Python 3.12 on it
+compensates float sums, and the decrement gate and the pinned results turn
+on last bits.  numpy reductions keep numpy's own order.
 """
 from __future__ import annotations
 
@@ -32,6 +38,28 @@ DEFAULT_SUPPORT_CAP = 1 << 20
 
 class MeasureError(ValueError):
     """Raised when a measure, partition, or mixture violates its invariants."""
+
+
+class SupportCapExceeded(MeasureError):
+    """Raised when an exact computation would enumerate more words than its
+    cap allows; the message says how to get round it."""
+
+
+def _sum(xs: Iterable[float]) -> float:
+    """The sum of ``xs``, added left to right from 0: the order of the builtin
+    ``sum`` before Python 3.12, on every version (see the module docstring)."""
+    total = 0
+    for x in xs:
+        total += x
+    return total
+
+
+def _check_support_cap(size: int) -> None:
+    """Raise ``SupportCapExceeded`` above ``DEFAULT_SUPPORT_CAP`` words."""
+    if size > DEFAULT_SUPPORT_CAP:
+        raise SupportCapExceeded(
+            f"support of {size} words exceeds cap {DEFAULT_SUPPORT_CAP}; "
+            "a process window can be sampled with --empirical-length instead")
 
 
 @dataclass(frozen=True)
@@ -64,7 +92,7 @@ def _pruned(words: tuple[Word, ...], raw: list[float]
     keep = [x > PRUNE_TOL for x in raw]
     if not all(keep):
         words, raw = tuple(compress(words, keep)), list(compress(raw, keep))
-    total = sum(raw)
+    total = _sum(raw)
     if total <= 0.0:
         raise MeasureError("null reweighting")
     return words, [x / total for x in raw]
@@ -103,7 +131,7 @@ class DiscreteMeasure:
     def _store(self, space: ProductSpace, cleaned: dict[Word, float]) -> None:
         if not cleaned:
             raise MeasureError("measure has empty support")
-        total = sum(cleaned.values())
+        total = _sum(cleaned.values())
         if abs(total - 1.0) > MASS_TOL:
             raise MeasureError(f"masses sum to {total!r}, not 1 within {MASS_TOL}")
         object.__setattr__(self, "space", space)
@@ -190,7 +218,7 @@ class FuzzyPartition:
             vals = [d.get(w, 0.0) for d in frozen]
             if not all(-FUZZY_TOL <= v <= 1.0 + FUZZY_TOL for v in vals):
                 raise MeasureError(f"density value outside [0,1] at {w!r}")
-            total = sum(vals)
+            total = _sum(vals)
             if abs(total - 1.0) > FUZZY_TOL:
                 raise MeasureError(
                     f"densities sum to {total!r} at {w!r}, not 1 within {FUZZY_TOL}")
@@ -231,7 +259,7 @@ class MixtureRepresentation:
         bad = [w for w in self.weights if not w >= 0]
         if bad:
             raise MeasureError(f"mixture weight {bad[0]!r} is not a nonnegative number")
-        total = sum(self.weights)
+        total = _sum(self.weights)
         if abs(total - 1.0) > MASS_TOL:
             raise MeasureError(f"weights sum to {total!r}, not 1 within {MASS_TOL}")
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
@@ -340,14 +368,14 @@ def _split_masses(support: tuple[Word, ...], masses: Sequence[float],
     weights, comps = [], []
     for dens in densities:
         raw = [v * m for v, m in zip(dens, masses)]
-        p = sum(raw)
+        p = _sum(raw)
         if p <= PRUNE_TOL:
             continue
         if min(dens) < 0:
             raise MeasureError(f"negative density {min(dens)}")
         weights.append(p)
         comps.append(_pruned(support, raw))
-    total = sum(weights)
+    total = _sum(weights)
     if not abs(total - 1.0) <= FUZZY_TOL:
         raise MeasureError(f"fuzzy partition covers mass {total!r} of the "
                            f"measure, not 1 within {FUZZY_TOL}")
@@ -401,7 +429,7 @@ def regroup(mu: DiscreteMeasure, block: int) -> DiscreteMeasure:
 def variation_norm(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     """The total mass of |mu - nu| (lies in [0, 2])."""
     words = set(mu.atoms) | set(nu.atoms)
-    return sum(abs(mu.mass(w) - nu.mass(w)) for w in sorted(words))
+    return _sum(abs(mu.mass(w) - nu.mass(w)) for w in sorted(words))
 
 
 def tv_distance(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
@@ -409,8 +437,8 @@ def tv_distance(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     return 0.5 * variation_norm(mu, nu)
 
 
-def product_measure(space: ProductSpace, dists: Sequence[Sequence[float]],
-                    cap: int = DEFAULT_SUPPORT_CAP) -> DiscreteMeasure:
+def product_measure(space: ProductSpace, dists: Sequence[Sequence[float]]
+                    ) -> DiscreteMeasure:
     """The product of per-coordinate distributions, enumerated sparsely."""
     n = space.dimension
     if len(dists) == 1 and n > 1:
@@ -425,8 +453,7 @@ def product_measure(space: ProductSpace, dists: Sequence[Sequence[float]],
                 m = mass * p
                 if m > PRUNE_TOL:
                     nxt[prefix + (s,)] = m
-        if len(nxt) > cap:
-            raise MeasureError(f"product support exceeds cap {cap}")
+        _check_support_cap(len(nxt))
         partial = nxt
     return DiscreteMeasure.from_unnormalized(space, partial)
 

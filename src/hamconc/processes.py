@@ -21,11 +21,13 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .measures import (
-    DEFAULT_SUPPORT_CAP,
+    PRUNE_TOL,
     DiscreteMeasure,
     MeasureError,
     ProductSpace,
     Word,
+    _check_support_cap,
+    _sum,
     product_measure,
     regroup,
     variation_norm,
@@ -56,7 +58,7 @@ class IIDSpec(ProcessSpec):
 
     def __post_init__(self) -> None:
         d = tuple(float(p) for p in self.dist)
-        if any(p < 0 for p in d) or abs(sum(d) - 1.0) > ROW_TOL:
+        if any(p < 0 for p in d) or abs(_sum(d) - 1.0) > ROW_TOL:
             raise MeasureError("iid distribution must be a probability vector")
         object.__setattr__(self, "dist", d)
 
@@ -79,9 +81,9 @@ class MarkovSpec(ProcessSpec):
         if any(len(row) != k for row in t) or len(pi) != k:
             raise MeasureError("transition matrix must be square, matching stationary")
         for row in t:
-            if any(x < 0 for x in row) or abs(sum(row) - 1.0) > ROW_TOL:
+            if any(x < 0 for x in row) or abs(_sum(row) - 1.0) > ROW_TOL:
                 raise MeasureError("transition rows must be stochastic")
-        flow = [sum(pi[i] * t[i][j] for i in range(k)) for j in range(k)]
+        flow = [_sum(pi[i] * t[i][j] for i in range(k)) for j in range(k)]
         if max(abs(flow[j] - pi[j]) for j in range(k)) > STATIONARY_TOL:
             raise MeasureError("law is not stationary for the transition matrix")
         object.__setattr__(self, "transition", t)
@@ -199,24 +201,22 @@ def _uniform_cube(space: ProductSpace) -> DiscreteMeasure:
 # -----------------------------------------------------------------------------
 # Exact block laws by forward dynamic programming
 # -----------------------------------------------------------------------------
-def exact_block_measure(spec: ProcessSpec, n: int,
-                        cap: int = DEFAULT_SUPPORT_CAP) -> DiscreteMeasure:
+def exact_block_measure(spec: ProcessSpec, n: int) -> DiscreteMeasure:
     """Exact law of a length-``n`` output window."""
     if n < 1:
         raise MeasureError("window length must be >= 1")
     if isinstance(spec, IIDSpec):
         space = ProductSpace(spec.alphabet_size, n)
-        return product_measure(space, [list(spec.dist)], cap=cap)
+        return product_measure(space, [list(spec.dist)])
     if isinstance(spec, MarkovSpec):
         return _dp_block(spec.stationary, spec.transition,
-                         tuple(range(spec.alphabet_size)), spec.alphabet_size,
-                         n, cap)
+                         tuple(range(spec.alphabet_size)), spec.alphabet_size, n)
     if isinstance(spec, HiddenSpec):
         return _dp_block(spec.base.stationary, spec.base.transition,
-                         spec.emit, spec.alphabet_size, n, cap)
+                         spec.emit, spec.alphabet_size, n)
     if isinstance(spec, BlockCodeSpec):
         k = -(-n // spec.out_len)  # windows needed to cover n letters
-        base_law = exact_block_measure(spec.base, k * spec.window, cap=cap)
+        base_law = exact_block_measure(spec.base, k * spec.window)
         space = ProductSpace(spec.out_alphabet, n)
         out: dict[Word, float] = {}
         for word, mass in base_law.atoms.items():
@@ -230,13 +230,13 @@ def exact_block_measure(spec: ProcessSpec, n: int,
             out[key] = out.get(key, 0.0) + mass
         return DiscreteMeasure.from_unnormalized(space, out)
     if isinstance(spec, JointSpec):
-        return exact_block_measure(spec.base, n, cap=cap)
+        return exact_block_measure(spec.base, n)
     raise MeasureError(f"unknown spec {spec!r}")
 
 
 def _dp_block(start: Sequence[float], transition, emit: Sequence[int],
-              out_alpha: int, n: int, cap: int) -> DiscreteMeasure:
-    """Forward DP over (state, emitted word); prunes mass below 1e-15."""
+              out_alpha: int, n: int) -> DiscreteMeasure:
+    """Forward DP over (state, emitted word); prunes masses <= ``PRUNE_TOL``."""
     k = len(start)
     # state maps: word -> vector of per-state masses
     layer: dict[Word, np.ndarray] = {}
@@ -250,16 +250,13 @@ def _dp_block(start: Sequence[float], transition, emit: Sequence[int],
         nxt: dict[Word, np.ndarray] = {}
         for word, vec in layer.items():
             for s2 in range(k):
-                mass = sum(vec[s1] * transition[s1][s2] for s1 in range(k))
-                if mass <= 1e-15:
+                mass = _sum(vec[s1] * transition[s1][s2] for s1 in range(k))
+                if mass <= PRUNE_TOL:
                     continue
                 key = word + (emit[s2],)
                 tgt = nxt.setdefault(key, np.zeros(k))
                 tgt[s2] += mass
-        if len(nxt) > cap:
-            raise MeasureError(
-                f"window support exceeds cap {cap}; "
-                "use empirical_block_measure instead")
+        _check_support_cap(len(nxt))
         layer = nxt
     space = ProductSpace(out_alpha, n)
     return DiscreteMeasure.from_unnormalized(
@@ -319,12 +316,11 @@ def empirical_block_measure(spec: ProcessSpec, n: int, length: int,
 # -----------------------------------------------------------------------------
 # Block kernels and derived statistics
 # -----------------------------------------------------------------------------
-def block_kernel(spec: JointSpec, n: int,
-                 cap: int = DEFAULT_SUPPORT_CAP) -> BlockKernel:
+def block_kernel(spec: JointSpec, n: int) -> BlockKernel:
     """Conditional law of the A-window given the B-window of a joint process."""
     if not isinstance(spec, JointSpec):
         raise MeasureError("block_kernel needs a joint spec")
-    joint = exact_block_measure(spec, n, cap=cap)
+    joint = exact_block_measure(spec, n)
     by_b: dict[Word, dict[Word, float]] = {}
     mass_b: dict[Word, float] = {}
     for word, mass in joint.atoms.items():
@@ -353,8 +349,8 @@ def hookup_block_kernel(bk: BlockKernel, spec: JointSpec) -> DiscreteMeasure:
     return DiscreteMeasure(space, out)
 
 
-def tc_profile(spec: ProcessSpec, n_max: int, block_size: int | None = None,
-               cap: int = DEFAULT_SUPPORT_CAP) -> list[float]:
+def tc_profile(spec: ProcessSpec, n_max: int, block_size: int | None = None
+               ) -> list[float]:
     """Total correlation of the window laws for n = 1 .. n_max.
 
     With ``block_size`` = L, window kL is viewed as k symbols over the
@@ -366,64 +362,49 @@ def tc_profile(spec: ProcessSpec, n_max: int, block_size: int | None = None,
         raise MeasureError("block size must be >= 1")
     out = []
     for k in range(1, n_max + 1):
-        window = k * ell
         if isinstance(spec, JointSpec):
-            bk = block_kernel(spec, window, cap=cap)
-            total = 0.0
-            for b, mass in bk.base.atoms.items():
-                cond = bk.conditional(b)
-                grouped = regroup(cond, ell) if ell > 1 else cond
-                total += mass * total_correlation(grouped)
-            out.append(total)
+            bk = block_kernel(spec, k * ell)
+            laws = [(mass, bk.conditional(b)) for b, mass in bk.base.atoms.items()]
         else:
-            mu = exact_block_measure(spec, window, cap=cap)
-            grouped = regroup(mu, ell) if ell > 1 else mu
-            out.append(total_correlation(grouped))
+            laws = [(1.0, exact_block_measure(spec, k * ell))]
+        out.append(_sum(p * total_correlation(regroup(mu, ell) if ell > 1 else mu)
+                        for p, mu in laws))
     return out
 
 
-def relative_dbar_estimate(lam: JointSpec, theta: JointSpec, n: int,
-                           cap: int = DEFAULT_SUPPORT_CAP) -> float:
+def relative_dbar_estimate(lam: JointSpec, theta: JointSpec, n: int) -> float:
     """Base-averaged transportation distance between the two conditional
     window laws; the n-indexed sequence of these converges to the relative
     distance between the joints, but no single n bounds it either way."""
-    bk_l = block_kernel(lam, n, cap=cap)
-    bk_t = block_kernel(theta, n, cap=cap)
+    bk_l = block_kernel(lam, n)
+    bk_t = block_kernel(theta, n)
     if (bk_l.base.space != bk_t.base.space
             or variation_norm(bk_l.base, bk_t.base) > 1e-9):
         raise MeasureError("joint specs do not share the base marginal")
-    total = 0.0
-    for b, mass in bk_l.base.atoms.items():
-        cost, _ = transport_distance(bk_l.conditional(b), bk_t.conditional(b))
-        total += mass * cost
-    return total
+    return _sum(mass * transport_distance(bk_l.conditional(b), bk_t.conditional(b))[0]
+                for b, mass in bk_l.base.atoms.items())
 
 
-def block_independence_gap(lam: JointSpec, n: int, k: int,
-                           cap: int = DEFAULT_SUPPORT_CAP) -> float:
+def block_independence_gap(lam: JointSpec, n: int, k: int) -> float:
     """Base-averaged distance between the kn-window conditional law and the
     product of its n-window conditional laws along the base string."""
     if k < 1:
         raise MeasureError("k must be >= 1")
-    bk_long = block_kernel(lam, k * n, cap=cap)
-    bk_short = block_kernel(lam, n, cap=cap)
-    total = 0.0
-    for b, mass in bk_long.base.atoms.items():
-        pieces = [bk_short.conditional(b[j * n:(j + 1) * n]) for j in range(k)]
+    bk_long = block_kernel(lam, k * n)
+    bk_short = block_kernel(lam, n)
+    space = ProductSpace(lam.a_size, k * n)
+
+    def product_of_pieces(b: Word) -> DiscreteMeasure:
         prod: dict[Word, float] = {(): 1.0}
-        for piece in pieces:
-            nxt: dict[Word, float] = {}
-            for prefix, pm in prod.items():
-                for w, m in piece.atoms.items():
-                    val = pm * m
-                    if val > 1e-15:
-                        nxt[prefix + w] = val
-            prod = nxt
-        space = ProductSpace(lam.a_size, k * n)
-        prod_measure = DiscreteMeasure.from_unnormalized(space, prod)
-        cost, _ = transport_distance(bk_long.conditional(b), prod_measure)
-        total += mass * cost
-    return total
+        for j in range(k):
+            piece = bk_short.conditional(b[j * n:(j + 1) * n])
+            prod = {prefix + w: pm * m for prefix, pm in prod.items()
+                    for w, m in piece.atoms.items() if pm * m > PRUNE_TOL}
+        return DiscreteMeasure.from_unnormalized(space, prod)
+
+    return _sum(mass * transport_distance(bk_long.conditional(b),
+                                          product_of_pieces(b))[0]
+                for b, mass in bk_long.base.atoms.items())
 
 
 @dataclass(frozen=True)
@@ -441,9 +422,7 @@ class ConditionalPartitionReport:
 
 
 def conditional_partition(lam: JointSpec, n: int, cfg: PipelineConfig,
-                          block_size: int = 1,
-                          cap: int = DEFAULT_SUPPORT_CAP
-                          ) -> ConditionalPartitionReport:
+                          block_size: int = 1) -> ConditionalPartitionReport:
     """Gate conditioning strings by the total correlation of their regrouped
     conditional law (TC <= delta * n) and partition each good conditional.
 
@@ -454,7 +433,7 @@ def conditional_partition(lam: JointSpec, n: int, cfg: PipelineConfig,
     """
     if block_size < 1:
         raise MeasureError("block size must be >= 1")
-    bk = block_kernel(lam, n, cap=cap)
+    bk = block_kernel(lam, n)
     delta = cfg.delta
     tc_by_string: dict[Word, float] = {}
     conds: dict[Word, DiscreteMeasure] = {}
@@ -465,7 +444,7 @@ def conditional_partition(lam: JointSpec, n: int, cfg: PipelineConfig,
         tc_by_string[b] = total_correlation(grouped)
     good = tuple(b for b in bk.base.support
                  if tc_by_string[b] <= delta * n + 1e-12)
-    good_mass = sum(bk.base.mass(b) for b in good)
+    good_mass = _sum(map(bk.base.mass, good))
 
     partitions: dict[Word, DecompositionResult] = {}
     labels: dict[Word, dict[Word, str]] = {}

@@ -52,7 +52,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .measures import DiscreteMeasure, MeasureError, Word, condition, marginal
+from .measures import (DiscreteMeasure, MeasureError, SupportCapExceeded, Word,
+                       _sum, condition, marginal)
 
 #: default cap on combined support size for the exact backend
 DEFAULT_EXACT_CAP = 1 << 16
@@ -62,14 +63,6 @@ MATRIX_CELL_CAP = 1 << 24
 DIAMETER_PAIR_CAP = 10_000
 
 ENV_CAP_VAR = "HC_MAX_SUPPORT"
-
-
-class SupportCapExceeded(MeasureError):
-    """Raised when the exact backend would exceed its support cap.
-
-    Callers should retry with the approximate backend (``method='sinkhorn'``)
-    or raise the cap via the HC_MAX_SUPPORT environment variable.
-    """
 
 
 def exact_support_cap() -> int:
@@ -94,7 +87,7 @@ def hamming(x: Word, y: Word) -> float:
     """Fraction of coordinates where two equal-length words differ."""
     if len(x) != len(y):
         raise MeasureError(f"length mismatch: {len(x)} vs {len(y)}")
-    return sum(a != b for a, b in zip(x, y)) / len(x)
+    return _sum(a != b for a, b in zip(x, y)) / len(x)
 
 
 def mismatch_matrix(src: Sequence[Word], tgt: Sequence[Word]) -> np.ndarray:
@@ -102,6 +95,13 @@ def mismatch_matrix(src: Sequence[Word], tgt: Sequence[Word]) -> np.ndarray:
     a = np.asarray(src, dtype=np.int64)
     b = np.asarray(tgt, dtype=np.int64)
     return (a[:, None, :] != b[None, :, :]).sum(axis=2).astype(np.int64)
+
+
+def lipschitz_slack(values: np.ndarray, dist: np.ndarray) -> float:
+    """max over support pairs of |f(x)-f(y)| - d(x,y) for the values of f and
+    the distance matrix of the support; <= 0 means 1-Lipschitz."""
+    diff = np.abs(values[:, None] - values[None, :]) - dist
+    return float(diff.max())
 
 
 def diameter(words: Sequence[Word]) -> float:
@@ -160,17 +160,15 @@ class DualCertificate:
     potential: Mapping[Word, float]
 
     def lipschitz_slack(self) -> float:
-        """max over support pairs of |f(x)-f(y)| - d(x,y); <= 0 means 1-Lipschitz."""
+        """``lipschitz_slack`` of the potential on its support."""
         words = sorted(self.potential)
-        vals = np.array([self.potential[w] for w in words])
-        dm = mismatch_matrix(words, words) / len(words[0])
-        diff = np.abs(vals[:, None] - vals[None, :]) - dm
-        return float(diff.max())
+        return lipschitz_slack(np.array([self.potential[w] for w in words]),
+                               mismatch_matrix(words, words) / len(words[0]))
 
     def objective(self, mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
         """integral of f d(nu) - integral of f d(mu)."""
-        up = sum(self.potential[w] * m for w, m in nu.atoms.items())
-        down = sum(self.potential[w] * m for w, m in mu.atoms.items())
+        up = _sum(self.potential[w] * m for w, m in nu.atoms.items())
+        down = _sum(self.potential[w] * m for w, m in mu.atoms.items())
         return up - down
 
 
@@ -639,14 +637,10 @@ def transport_distance(mu: DiscreteMeasure, nu: DiscreteMeasure, *,
     keys = sorted(pairs)
     rows, cols = np.array(keys).T
     counts = np.count_nonzero(src_digits[rows] != tgt_digits[cols], axis=1)
-    plan = {}
-    total = 0.0
-    for (i, j), c in zip(keys, counts.tolist()):
-        m = pairs[(i, j)]
-        if m > 0.0:
-            plan[(src[i], tgt[j])] = m
-            total += m * c
-    cost_value = total / n
+    kept = [(i, j, pairs[(i, j)], c) for (i, j), c in zip(keys, counts.tolist())
+            if pairs[(i, j)] > 0.0]
+    plan = {(src[i], tgt[j]): m for i, j, m, _ in kept}
+    cost_value = _sum(m * c for _, _, m, c in kept) / n
     tp = TransportPlan(mu, nu, plan, cost_value, exact=True,
                        row_potentials=tuple(u.tolist()),
                        col_potentials=tuple(v.tolist()))
@@ -735,13 +729,9 @@ def _sinkhorn_distance(mu: DiscreteMeasure, nu: DiscreteMeasure, *,
             break
     p = np.exp(m + f[:, None] / reg + g[None, :] / reg)
     p = _round_to_feasible(p, a, b)
-    plan = {}
-    total = 0.0
-    for i, x in enumerate(src):
-        for j, y in enumerate(tgt):
-            if p[i, j] > 0.0:
-                plan[(x, y)] = float(p[i, j])
-                total += p[i, j] * cost[i, j]
+    pos = p > 0.0
+    plan = {(src[i], tgt[j]): float(p[i, j]) for i, j in zip(*np.nonzero(pos))}
+    total = _sum((p * cost)[pos].tolist())
     bias = float(total) - _c_transform_bound(cost, a, b, g)
     tp = TransportPlan(mu, nu, plan, float(total), exact=False, bias_bound=bias)
     return float(total), tp
@@ -761,11 +751,7 @@ def _c_transform_bound(cost: np.ndarray, a: np.ndarray, b: np.ndarray,
         return 0.0
     f = (cost - g[None, :]).min(axis=1)
     g = (cost - f[:, None]).min(axis=0)
-    value = 0.0
-    for mass, potential in zip(np.concatenate([a, b]).tolist(),
-                               np.concatenate([f, g]).tolist()):
-        value += mass * potential
-    return max(value, 0.0)
+    return max(_sum((a * f).tolist() + (b * g).tolist()), 0.0)
 
 
 def _logsumexp(m: np.ndarray, axis: int) -> np.ndarray:
@@ -810,12 +796,12 @@ def product_coupling_bound(lam: DiscreteMeasure, mu: DiscreteMeasure,
         raise MeasureError(f"invalid split: alpha must be {k}/{n}")
     lam_k = marginal(lam, range(k))
     cost_k, _ = transport_distance(lam_k, mu)
-    expected = 0.0
-    for x in lam_k.support:
+
+    def cost_given(x: Word) -> float:
         block = condition(lam, [w for w in lam.support if w[:k] == x])
-        cond = marginal(block, range(k, n))
-        cost_l, _ = transport_distance(cond, nu)
-        expected += lam_k.mass(x) * cost_l
+        return transport_distance(marginal(block, range(k, n)), nu)[0]
+
+    expected = _sum(lam_k.mass(x) * cost_given(x) for x in lam_k.support)
     return alpha * cost_k + (1.0 - alpha) * expected
 
 
@@ -823,12 +809,7 @@ def tv_partition_bound(mu: DiscreteMeasure, nu: DiscreteMeasure,
                        blocks: Sequence[Iterable[Word]]) -> float:
     """Partition upper bound on dbar(nu, mu): mass-weighted block diameters plus
     half the blockwise mass discrepancy times the ambient diameter (= 1)."""
-    total = 0.0
-    disc = 0.0
-    for block in blocks:
-        words = [tuple(w) for w in block]
-        bm = sum(mu.mass(w) for w in words)
-        bn = sum(nu.mass(w) for w in words)
-        total += bm * diameter(words)
-        disc += abs(bn - bm)
-    return total + 0.5 * disc
+    blocks = [[tuple(w) for w in block] for block in blocks]
+    masses = [(_sum(map(mu.mass, b)), _sum(map(nu.mass, b))) for b in blocks]
+    total = _sum(bm * diameter(b) for (bm, _), b in zip(masses, blocks))
+    return total + 0.5 * _sum(abs(bn - bm) for bm, bn in masses)

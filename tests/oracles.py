@@ -9,14 +9,73 @@ the library's public constructor, the path the gate took before it worked
 on mass tuples, so that the two can be compared to the bit.  Likewise the
 tilt-search oracle is the search as one gradient ascent per (seed, t) pair,
 as it ran before its ascents were batched.
+
+The oracles compared to the library in ``float.hex`` add with ``left_sum``,
+the library's order, whatever the interpreter's builtin ``sum`` does.
+``neumaier_sum`` is that builtin as Python 3.12 computes it, so that tests
+can run under it on any interpreter.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 
 import numpy as np
 from scipy.optimize import linprog
+
+
+def left_sum(xs):
+    """The sum of ``xs`` added left to right from 0."""
+    return functools.reduce(operator.add, xs, 0)
+
+
+def neumaier_sum(iterable, /, start=0):
+    """The builtin ``sum`` of CPython 3.12 (``builtin_sum_impl`` in
+    Python/bltinmodule.c): exact while the total and the items are ints; then,
+    while the total and the items are exact floats (or ints that fit a C
+    long, added without compensation), a float total with a Neumaier
+    compensation term that is added back at the end or before the first
+    other item; then plain ``+``."""
+    def fits_long(x):
+        return -2 ** 63 <= x < 2 ** 63
+
+    items = iter(iterable)
+    total = start
+    if type(total) is int and fits_long(total):
+        for item in items:
+            if (type(item) in (int, bool) and fits_long(item)
+                    and fits_long(total + item)):
+                total += item
+                continue
+            total = total + item
+            break
+    if type(total) is float:
+        comp = 0.0
+        for item in items:
+            if type(item) is float:
+                t = total + item
+                if abs(total) >= abs(item):
+                    comp += (total - t) + item
+                else:
+                    comp += (item - t) + total
+                total = t
+                continue
+            if isinstance(item, int) and fits_long(item):
+                total += float(item)
+                continue
+            if comp and math.isfinite(comp):
+                total += comp
+            total = total + item
+            break
+        else:
+            if comp and math.isfinite(comp):
+                total += comp
+            return total
+    for item in items:
+        total = total + item
+    return total
 
 
 def lp_transport_cost(atoms_a: dict, atoms_b: dict, n: int) -> float:
@@ -107,16 +166,16 @@ def decrement_gate(mu, fp, r, i_floor=None):
     weights, comps = [], []
     for dens in fp.densities:
         raw = {w: dens.get(w, 0.0) * m for w, m in mu.atoms.items()}
-        p = sum(raw.values())
+        p = left_sum(raw.values())
         if p <= PRUNE_TOL:
             continue
         kept = {w: x for w, x in raw.items() if x > PRUNE_TOL}
-        total = sum(kept.values())
+        total = left_sum(kept.values())
         weights.append(p)
         comps.append(DiscreteMeasure(mu.space, {w: x / total for w, x in kept.items()}))
     if len(weights) < 2:
         return False, None, None
-    total = sum(weights)
+    total = left_sum(weights)
     rep = MixtureRepresentation(tuple(p / total for p in weights), tuple(comps))
     info = mixture_mutual_information(rep, mu)
     n = mu.space.dimension
@@ -125,7 +184,7 @@ def decrement_gate(mu, fp, r, i_floor=None):
         floor = max(floor, i_floor)
     if not info >= floor - decompose.GATE_FLOOR_SLACK:
         return False, info, None
-    drop = dual_total_correlation(mu) - sum(
+    drop = dual_total_correlation(mu) - left_sum(
         p * dual_total_correlation(c) for p, c in zip(rep.weights, rep.components))
     return drop >= 0.5 * info - decompose.GATE_DROP_SLACK, info, drop
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hamconc import decompose
+from hamconc import decompose, measures
 from hamconc.cli import run
 from hamconc.measures import (
     DiscreteMeasure,
@@ -352,6 +352,56 @@ def test_cap_exhaustion_exits_3(capsys, tmp_path, monkeypatch):
     payload = json.loads(capsys.readouterr().out)
     assert code == 3
     assert payload["error"]["type"] == "SupportCapExceeded"
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "iid", "dist": [0.2, 0.3, 0.5]},
+    {"kind": "markov", "transition": [[0.5, 0.25, 0.25], [0.25, 0.5, 0.25],
+                                      [0.25, 0.25, 0.5]]},
+])
+def test_block_support_cap_exits_3(capsys, tmp_path, monkeypatch, spec):
+    # 3 letters: 9 words at n = 2 fit a cap of 20, 27 at n = 3 do not
+    monkeypatch.setattr(measures, "DEFAULT_SUPPORT_CAP", 20)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, payload = run_json(capsys, ["process", str(path), "--op", "block",
+                                      "--n", "2"])
+    assert code == 0 and len(payload["result"]["atoms"]) == 9
+    code, payload = run_json(capsys, ["process", str(path), "--op", "block",
+                                      "--n", "3"])
+    assert code == 3
+    assert payload["error"]["type"] == "SupportCapExceeded"
+    assert "--empirical-length" in payload["error"]["message"]
+
+
+@pytest.mark.parametrize("op, flag, value", [
+    ("block", "--block-size", "2"),
+    ("rel-dbar", "--block-size", "2"),
+    ("gap", "--block-size", "2"),
+    ("tc-profile", "--empirical-length", "50"),
+    ("rel-dbar", "--empirical-length", "50"),
+    ("gap", "--empirical-length", "50"),
+    ("partition", "--empirical-length", "50"),
+    ("tc-profile", "--k", "3"),
+    ("block", "--theta", "SPEC"),
+    ("gap", "--epsilon", "0.2"),
+    ("tc-profile", "--seed", "4"),
+])
+def test_process_flag_its_op_ignores_exits_2(capsys, joint_spec_file, op, flag,
+                                             value):
+    argv = ["process", joint_spec_file, "--op", op, "--n", "2", flag,
+            joint_spec_file if value == "SPEC" else value]
+    code, payload = run_json(capsys, argv)
+    assert code == 2
+    assert payload["error"] == {"type": "validation",
+                                "message": f"--op {op} does not read {flag}"}
+
+
+def test_process_flag_at_its_default_is_accepted(capsys, joint_spec_file):
+    code, payload = run_json(capsys, ["process", joint_spec_file, "--op", "gap",
+                                      "--n", "2", "--block-size", "1",
+                                      "--empirical-length", "0"])
+    assert code == 0 and payload["result"]["gap"] == 0.0
 
 
 def test_non_numeric_constant_exits_2(capsys, diag_file):

@@ -1,5 +1,6 @@
-"""Every name a library module imports is used in that module, and every
-private module-level function of the library is referenced somewhere."""
+"""Every name a library module imports is used in that module, every
+private module-level function of the library is referenced somewhere, and
+the library never calls the builtin ``sum``."""
 import ast
 from pathlib import Path
 
@@ -83,3 +84,25 @@ def test_checker_sees_orphaned_and_referenced_functions():
     assert _orphaned_private_functions(
         [source, "def _elsewhere():\n    pass\n"],
         [source.replace("_called() + ", "")]) == ["_called", "_elsewhere"]
+
+
+def _builtin_sum_calls(source: str) -> list[int]:
+    """Lines that call or pass the name ``sum``: the builtin, whose float
+    order changed in Python 3.12 (``measures._sum`` adds left to right)."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Name) and node.id == "sum")
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_builtin_sum(path):
+    assert _builtin_sum_calls(path.read_text()) == []
+
+
+def test_checker_sees_builtin_sum_calls():
+    source = ("import numpy as np\n"
+              "def f(xs, a):\n"
+              "    total = sum(xs)\n"
+              "    rows = list(map(sum, [xs]))\n"
+              "    return _sum(xs) + a.sum() + np.sum(a) + sum(\n"
+              "        x for x in xs)\n")
+    assert _builtin_sum_calls(source) == [3, 4, 5]

@@ -54,6 +54,7 @@ from conftest import (
 from oracles import (
     dtc_direct,
     entropy_direct,
+    left_sum,
     mutual_information_from_joint,
     project_joint,
 )
@@ -235,7 +236,7 @@ def _grouped_entropy_reference(masses, groups):
     total = 0.0
     for group in groups:
         ms = [masses[k] for k in group]
-        q = sum(ms)
+        q = left_sum(ms)
         total += q * entropy_of_vector([m / q for m in ms])
     return total
 
