@@ -75,7 +75,8 @@ def _pipeline_config(args) -> PipelineConfig:
 
 
 #: the ``process`` flags besides --n that each op reads; any other flag must
-#: keep its default, or the run exits 2
+#: keep its default, or the run exits 2.  ``block`` reads --seed only with
+#: --empirical-length: the exact window law takes no seed
 PROCESS_OP_FLAGS = {
     "block": {"empirical_length", "seed"},
     "tc-profile": {"block_size"},
@@ -227,7 +228,9 @@ def run(argv: list[str]) -> int:
         if args.command == "process":
             defaults = _parser().parse_args(
                 ["process", "--op", args.op, "--", args.spec])
-            for name in sorted(vars(args).keys() - PROCESS_OP_FLAGS[args.op] - {"n"}):
+            exact_block = args.op == "block" and args.empirical_length <= 0
+            read = PROCESS_OP_FLAGS[args.op] - ({"seed"} if exact_block else set())
+            for name in sorted(vars(args).keys() - read - {"n"}):
                 if getattr(args, name) != getattr(defaults, name):
                     flag = "--" + name.replace("_", "-")
                     raise MeasureError(f"--op {args.op} does not read {flag}")

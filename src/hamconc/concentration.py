@@ -450,7 +450,6 @@ def _l_search_candidates(mu: DiscreteMeasure, dist: np.ndarray, r: float,
     if t_hi is not None:
         hi = max(hi, t_hi)
     t_grid = np.exp(np.linspace(math.log(lo), math.log(hi), t_points))
-    rng = np.random.default_rng(np.random.SeedSequence(budget.seed))
 
     def project01(f):
         return np.clip(lipschitz_project(f, dist), 0.0, 1.0)
@@ -459,6 +458,8 @@ def _l_search_candidates(mu: DiscreteMeasure, dist: np.ndarray, r: float,
     anchor_order = np.argsort(-masses, kind="stable")
     for i in anchor_order[: max(2, budget.restarts // 2)]:
         seeds.append(np.clip(dist[int(i)], 0.0, 1.0))
+    if len(seeds) < budget.restarts:     # the generator is made only when drawn from
+        rng = np.random.default_rng(np.random.SeedSequence(budget.seed))
     while len(seeds) < budget.restarts:
         seeds.append(project01(rng.uniform(0.0, 1.0, size=len(support))))
 

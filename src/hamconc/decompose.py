@@ -31,9 +31,9 @@ from .measures import (
     FuzzyPartition,
     MeasureError,
     MixtureRepresentation,
+    PRUNE_TOL,
     Word,
     _density_values,
-    _split_masses,
     _sum,
     condition,
     coordinate_marginals,
@@ -45,8 +45,9 @@ from .measures import (
     variation_norm,
 )
 from .information import (
-    _dtc,
-    _kl,
+    _dtc_rows,
+    _kl_rows,
+    _left_sums,
     dual_total_correlation,
     mixture_mutual_information,
     per_coordinate_entropies,
@@ -83,13 +84,12 @@ SPLIT_BUDGET = RefutationBudget(restarts=2, max_grad_steps=15)
 SAMPLE_START = 64
 SAMPLE_CAP = 1 << 18
 #: how far below its floor, and below I/2, a split's information and drop may
-#: be; and how far below the best drop so far a split's information must lie
-#: before its DTCs are skipped: drop <= I holds exactly, and round-off made
-#: the computed drop exceed the computed I by at most 6.1e-15 over the mixture
-#: bench (a slack up to 1e-6 skips the same candidates there)
+#: be; and how far below a step's largest passing drop a passing drop earlier
+#: in the slate may be and win: over the mixture bench and the criterion
+#: fixtures runners-up lie within 6.7e-15 of the winner or 7.3e-9 below it
 GATE_FLOOR_SLACK = 1e-12
 GATE_DROP_SLACK = 1e-8
-GATE_WIN_SLACK = 1e-9
+GATE_TIE_SLACK = 1e-10
 
 
 @dataclass(frozen=True)
@@ -231,61 +231,48 @@ def _check_envelope(mu: DiscreteMeasure) -> None:
 # -----------------------------------------------------------------------------
 # Decrement machinery
 # -----------------------------------------------------------------------------
-def _score_split(support: tuple[Word, ...], masses: tuple[float, ...],
-                 densities: Sequence[Sequence[float]], r: float,
-                 i_floor: float = 0.0, dtc: float | None = None,
-                 beat: float = -math.inf
-                 ) -> tuple[bool, float | None, float | None]:
-    """The decrement gate, (ok, information, decrement), for the split of mu,
-    given by its atoms, by density values on them: ok when the average-DTC
-    drop is >= I/2 and I is above the floor, the max of r^2 n^{-1} e^{-n} and
-    the significance floor ``i_floor``.  The information is None for a split
-    into fewer than two parts.  The floor is tested first: below it no DTC is
-    computed and the decrement is None.  No measure is built, yet every float
-    is the one ``fuzzy_split``, ``mixture_mutual_information`` and DTC give.
-
-    A split that cannot pass with a drop above ``beat`` (the largest passing
-    drop seen so far, if any) also returns (False, I, None), as soon as one
-    of two bounds shows it, so its decrement is not computed.  The drop is
-    I - sum_i I(X_i; J | X_{[n]\\i}) for the component label J, so drop <= I:
-    with I < beat - ``GATE_WIN_SLACK`` no component DTC is computed.  Else
-    the heavier component h goes first.  Every term p_j DTC_j is >= 0
-    (``_clip_roundoff``) and float addition rounds monotonically, so the
-    drop, whose sum still runs in component order, is at most the float
-    DTC(mu) - p_h DTC_h; when that is <= ``beat`` or below the pass threshold
-    I/2 - ``GATE_DROP_SLACK``, the other DTCs are skipped.
-    """
-    n = len(support[0])
-    weights, comps = _split_masses(support, masses, densities)
-    if len(weights) < 2:
-        return False, None, None
-    # a component that kept every atom pairs with the masses of mu as they are
-    info = _sum(p * _kl(ms, masses if len(ms) == len(masses) else
-                        map(dict(zip(support, masses)).__getitem__, words))
-                for p, (words, ms) in zip(weights, comps))
-    if not info >= max(r * r * math.exp(-n) / n, i_floor) - GATE_FLOOR_SLACK:
-        return False, info, None
-    if info < beat - GATE_WIN_SLACK:
-        return False, info, None
-    if dtc is None:
-        dtc = _dtc(support, masses)
-    threshold = 0.5 * info - GATE_DROP_SLACK
-    h = max(range(len(weights)), key=weights.__getitem__)
-    first = weights[h] * _dtc(*comps[h])
-    cap = dtc - first
-    if cap <= beat or cap < threshold:
-        return False, info, None
-    drop = dtc - _sum(first if j == h else p * _dtc(words, ms)
-                      for j, (p, (words, ms)) in enumerate(zip(weights, comps)))
-    return drop >= threshold, info, drop
+def _score_slate(support: tuple[Word, ...], masses: Sequence[float],
+                 densities: np.ndarray, r: float, i_floor: float = 0.0,
+                 dtc: float | None = None
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The decrement gate, arrays (ok, information, decrement), on a slate of
+    splits of mu given by its atoms: split c has valid density values
+    ``densities[c, j]`` (a ``(C, J, k)`` array).  ok when the average-DTC drop
+    is >= I/2 and I is above the floor, the max of r^2 n^{-1} e^{-n} and
+    ``i_floor``; I is NaN for fewer than two parts.  Only splits above the
+    floor get DTCs (also of mu when ``dtc`` is None); below it the drop is NaN.
+    Components are rows on the support of mu, zero at pruned atoms, so every
+    float is the one ``fuzzy_split`` and the public functionals give."""
+    n, k = len(support[0]), len(support)
+    raw = densities * np.asarray(masses)
+    p = _left_sums(raw)
+    kept = p > PRUNE_TOL
+    atoms = np.where(raw > PRUNE_TOL, raw, 0.0)
+    weights = np.where(kept, p, 0.0)
+    weights /= _left_sums(weights)[:, None]
+    comps = atoms / np.where(kept, _left_sums(atoms), 1.0)[..., None]
+    kls = _kl_rows(comps.reshape(-1, k), masses).reshape(p.shape)
+    info = np.where(kept.sum(axis=1) >= 2, _left_sums(weights * kls), np.nan)
+    drop = np.full(len(p), np.nan)
+    above = info >= max(r * r * math.exp(-n) / n, i_floor) - GATE_FLOOR_SLACK
+    if above.any():
+        rows = comps[above].reshape(-1, k)
+        if dtc is None:
+            rows = np.concatenate([[masses], rows])
+        dtcs = _dtc_rows(support, rows)
+        dtc, dtcs = (dtcs[0], dtcs[1:]) if dtc is None else (dtc, dtcs)
+        drop[above] = dtc - _left_sums(weights[above] * dtcs.reshape(-1, p.shape[1]))
+    return above & (drop >= 0.5 * info - GATE_DROP_SLACK), info, drop
 
 
 def _decrement_checks(mu: DiscreteMeasure, fp: FuzzyPartition, r: float,
-                      i_floor: float = 0.0, *, dtc: float | None = None
-                      ) -> tuple[bool, float | None, float | None]:
-    """``_score_split`` on the fuzzy partition ``fp`` of ``mu``."""
-    return _score_split(mu.support, tuple(mu.atoms.values()),
-                        [_density_values(mu, d) for d in fp.densities], r, i_floor, dtc)
+                      i_floor: float = 0.0) -> tuple[bool, float | None, float | None]:
+    """``_score_slate`` on the fuzzy partition ``fp`` of ``mu`` alone (which
+    ``fuzzy_split`` checks), as (ok, information, decrement), None for NaN."""
+    fuzzy_split(mu, fp)
+    ok, info, drop = (a[0] for a in _score_slate(mu.support, tuple(mu.atoms.values()),
+        np.array([[_density_values(mu, d) for d in fp.densities]]), r, i_floor))
+    return bool(ok), *(None if math.isnan(v) else float(v) for v in (info, drop))
 
 
 @dataclass(frozen=True)
@@ -307,17 +294,10 @@ def decrement_step(mu: DiscreteMeasure, r: float,
     average-DTC drop can never reach half the split information).
 
     Besides the asymptotic floor, a split must carry information at least
-    r^2/(4n) and at least a tenth of the measure's dual correlation:
-    significance levels below which a split is treated as noise at small n,
-    keeping the recursion from chasing vanishing decrements.  DTC(mu) is
-    computed once, each distinct candidate tilt (up to 18) is scored once by
-    ``_score_split`` without building measures, and only the winner is built
-    as a ``FuzzyPartition``.  Each candidate is scored against the best
-    passing drop so far, so its component DTCs are skipped when the bound
-    drop <= I (with ``GATE_WIN_SLACK``), or drop <= DTC(mu) - p_h DTC(mu_h)
-    for its heavier component h, shows that it cannot win; the split returned
-    is still the first candidate with the largest passing drop.
-    """
+    r^2/(4n) and a tenth of the measure's DTC (below, a split is noise at
+    small n).  The distinct candidate tilts (up to 18) are scored as one
+    ``(C, 2, k)`` slate; the winner, the first passing candidate whose drop
+    is within ``GATE_TIE_SLACK`` of the largest passing drop, is built."""
     if not (0.0 < r < 1.0):
         raise MeasureError(f"r must lie in (0,1), got {r}")
     if len(mu.support) == 1:
@@ -337,34 +317,28 @@ def decrement_step(mu: DiscreteMeasure, r: float,
                                       t_points=10)
     # the decrement gate favours informative tilts, not the raw score margin
     candidates = sorted(candidates, key=lambda c: -c[3])
-    slate = [(f.tolist(), t) for _, f, t, _, _ in candidates[:6]]
+    fs, ts = [c[1] for c in candidates[:6]], [c[2] for c in candidates[:6]]
     # plus the plain anchor separators, which divergence ascent tends to
     # sharpen past the point of a balanced split
     anchors = np.argsort(-np.array(masses), kind="stable")[:2]
     t_coarse = np.exp(np.linspace(math.log(max(r / 2.0, 0.25)),
                                   math.log(max(t_hi, 1.0)), 6))
     for anchor in anchors:
-        f = np.minimum(dist[anchor], 1.0).tolist()
-        for t in t_coarse:
-            slate.append((f, float(t)))
-    # among passing candidates keep the one consuming the most correlation; a
-    # tilt already scored (a search candidate can equal an anchor separator)
-    # cannot beat itself, so it is skipped
-    best, beat, scored = None, -math.inf, set()
-    for f, t in slate:
-        rho = tuple([0.5 * math.exp(-t * v) for v in f])
-        if rho in scored:
-            continue
-        scored.add(rho)
-        dens = (rho, [1.0 - v for v in rho])
-        ok, info, drop = _score_split(support, masses, dens, r, i_floor, dtc, beat)
-        if ok and drop > beat:
-            best, beat = (dens, info), drop
-    if best is None:
+        fs += [np.minimum(dist[anchor], 1.0)] * len(t_coarse)
+        ts += t_coarse.tolist()
+    rho = 0.5 * np.exp(-np.array(ts)[:, None] * np.array(fs))
+    # a tilt met twice (a search candidate can equal an anchor separator) is
+    # scored once, at its first place in the slate
+    first = {row.tobytes(): c for c, row in reversed(list(enumerate(rho)))}
+    rho = rho[sorted(first.values())]
+    dens = np.stack([rho, 1.0 - rho], axis=1)
+    ok, info, drop = _score_slate(support, masses, dens, r, i_floor, dtc)
+    if not ok.any():
         return None
-    dens, info = best
-    return Split(FuzzyPartition(mu.space, tuple(dict(zip(support, d)) for d in dens)),
-                 info, beat)
+    win = int(np.flatnonzero(ok & (drop >= drop[ok].max() - GATE_TIE_SLACK))[0])
+    return Split(FuzzyPartition(mu.space, tuple(dict(zip(support, d.tolist()))
+                                                for d in dens[win])),
+                 float(info[win]), float(drop[win]))
 
 
 @dataclass
@@ -393,13 +367,10 @@ def decrement_recursion(mu: DiscreteMeasure, cfg: PipelineConfig,
     A component joins the bad cell when it still admits a split at the
     natural stop.  At the round cap, or when the splittable mass stalls, every
     still-splittable component is kept as concentrated instead, and
-    ``cap_hit`` is recorded.  Split availability alone does not disqualify a
-    component there: strongly correlated but concentrated measures (block
-    codes, subgroup laws) admit decrement splits indefinitely, and T(kappa, r)
-    at kappa = r n / ``DEC_DENOMINATOR`` holds for each of them by Hoeffding's
-    lemma, since kappa diam^2 / 8 <= r n / 1600 <= r for every n <= 1600
-    (diam <= 1).  No refutation can therefore fail a capped component, and
-    ``audit["truncated"]`` stays False.
+    ``cap_hit`` is recorded: concentrated measures (block codes, subgroup
+    laws) admit splits indefinitely, and T(r n / ``DEC_DENOMINATOR``, r) holds
+    for each by Hoeffding's lemma for n <= 1600, so ``audit["truncated"]``
+    stays False.
     """
     r = cfg.r if r is None else r
     epsilon = cfg.epsilon if epsilon is None else epsilon

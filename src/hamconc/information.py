@@ -5,13 +5,21 @@ KL divergence returns ``math.inf`` when the first argument is not absolutely
 continuous with respect to the second.  Conditional entropies are evaluated
 only over conditioning strings realized in the support, via the chain-rule
 identity H(coord | rest) = H(joint) - H(rest).
+
+Log policy: DTC and KL use ``np.log`` on ``(rows, k)`` mass arrays on one
+support (``_dtc_rows``, ``_kl_rows``); H and TC use ``math.log``.  Rows add left
+to right, so a row's bits do not depend on the other rows or on zero masses.
+``np.log``, like the tilt search's ``np.exp``, follows numpy's SIMD dispatch:
+the pinned digests name the CPU flags they were recorded with.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from .measures import (
     DiscreteMeasure,
@@ -52,73 +60,100 @@ def kl_divergence(nu: DiscreteMeasure, mu: DiscreteMeasure) -> float:
     """KL divergence D(nu || mu); +inf unless supp(nu) is inside supp(mu)."""
     if nu.space != mu.space:
         raise MeasureError("kl_divergence needs measures on the same space")
-    return _kl(nu.atoms.values(), map(mu.mass, nu.atoms))
-
-
-def _kl(qs: Iterable[float], ps: Iterable[float]) -> float:
-    """sum q log(q / p) over paired masses, left to right; +inf at a p of 0."""
-    total = 0.0
-    for q, p in zip(qs, ps):
-        if p == 0.0:
-            return math.inf
-        total += q * math.log(q / p)
-    return _clip_roundoff(total)
+    ps = list(map(mu.mass, nu.atoms))
+    return math.inf if 0.0 in ps else float(_kl_rows([tuple(nu.atoms.values())], ps)[0])
 
 
 def per_coordinate_entropies(mu: DiscreteMeasure) -> tuple[float, ...]:
     return tuple(entropy_of_vector(row) for row in coordinate_marginals(mu))
 
 
-#: supports whose leave-one-out groups are kept; one entry for 65,536 atoms on
-#: 12 coordinates takes megabytes, and the decrement gate reuses a support
-#: only within one step.  The groups keep the order in which their words first
-#: appear, because `_grouped_entropy` must sum in that order (see there).
+#: supports whose leave-one-out index arrays are kept (one for 65,536 atoms
+#: on 12 coordinates takes megabytes), and the element cap of a row block
 LOO_GROUP_CACHE_SIZE = 8
+ROW_BLOCK_ELEMENTS = 1 << 18
+
+
+def _left_sums(a: np.ndarray) -> np.ndarray:
+    """Last-axis sums added left to right, so a zero term changes no bit."""
+    return a.cumsum(axis=-1)[..., -1] if a.shape[-1] else np.zeros(a.shape[:-1])
+
+
+def _xlogx(x: np.ndarray) -> np.ndarray:
+    """x log x elementwise, and 0 where x <= 0 (where log is taken of 1)."""
+    x = np.where(x > 0.0, x, 1.0)
+    return x * np.log(x)
+
+
+def _row_blocks(fn, rows: np.ndarray, per_row: int) -> np.ndarray:
+    """``fn`` of blocks of ``rows`` under ``ROW_BLOCK_ELEMENTS``, stacked."""
+    step = max(1, ROW_BLOCK_ELEMENTS // per_row)
+    return fn(rows) if len(rows) <= step else np.concatenate(
+        [fn(rows[lo:lo + step]) for lo in range(0, len(rows), step)])
 
 
 @lru_cache(maxsize=LOO_GROUP_CACHE_SIZE)
-def _loo_groups(support: tuple[Word, ...]) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """For each coordinate i, the atom indices of the support grouped by the
-    word with coordinate i deleted, in order of first appearance.
-
-    Groups of one atom are left out: such a group adds q * -(1.0 * log 1.0)
-    = -0.0 to a conditional entropy, so the sum is the same to the bit.
-    """
-    out = []
-    for i in range(len(support[0])):
+def _loo_index(support: tuple[Word, ...]) -> np.ndarray:
+    """``(n, G, L)`` atom indices: row i holds the groups of two or more atoms
+    agreeing off coordinate i, in the order of that common word (so a
+    sub-support meets its groups in the same order), each in support order,
+    padded with ``len(support)``.  A group of one atom adds m log(m/m) = 0."""
+    k, n = len(support), len(support[0])
+    layers = []
+    for i in range(n):
         groups: dict[Word, list[int]] = {}
-        for k, w in enumerate(support):
-            groups.setdefault(w[:i] + w[i + 1:], []).append(k)
-        out.append(tuple(tuple(g) for g in groups.values() if len(g) > 1))
-    return tuple(out)
+        for atom, w in enumerate(support):
+            groups.setdefault(w[:i] + w[i + 1:], []).append(atom)
+        layers.append([g for _, g in sorted(groups.items()) if len(g) > 1])
+    size = max(map(len, layers))
+    width = max((len(g) for gs in layers for g in gs), default=0)
+    return np.array([[g + [k] * (width - len(g)) for g in gs]
+                     + [[k] * width] * (size - len(gs)) for gs in layers],
+                    dtype=np.intp).reshape(n, size, width)
 
 
-def _grouped_entropy(masses: Sequence[float],
-                     groups: Sequence[Sequence[int]]) -> float:
-    # DTC feeds the decrement gate, whose choice of split turns on last-bit
-    # differences, so these float operations must stay exactly as they are:
-    # q, then h = sum of x log x over x = m / q > 0, each left to right in
-    # word order, and total -= q h, which is total += q * entropy_of_vector.
-    log = math.log
-    total = 0.0
-    for group in groups:
-        q = 0.0
-        for k in group:
-            q += masses[k]
-        h = 0.0
-        for k in group:
-            x = masses[k] / q
-            if x > 0.0:
-                h += x * log(x)
-        total -= q * h
-    return total
+def _loo_entropies(support: tuple[Word, ...], masses) -> np.ndarray:
+    """H(joint), then each H(coordinate i | the others), for each row of
+    ``masses`` (a measure on ``support``, zero at a missing atom)."""
+    index = _loo_index(support)
+
+    def block(rows: np.ndarray) -> np.ndarray:
+        joint = -_left_sums(_xlogx(rows))[:, None]
+        if not index.size:   # no groups: each -(empty sum) below is -0.0
+            return np.concatenate((joint, np.full((len(rows), len(index)), -0.0)), axis=1)
+        grouped = np.concatenate((rows, np.zeros((len(rows), 1))), axis=1)[:, index]
+        q = _left_sums(grouped)
+        # a group of zero mass divides 0 by the least positive float
+        h = _left_sums(_xlogx(grouped / np.maximum(q, 5e-324)[..., None]))
+        return np.concatenate((joint, -_left_sums(q * h)), axis=1)
+
+    rows = np.asarray(masses, dtype=float).reshape(-1, len(support))
+    return _row_blocks(block, rows, index.size + len(support))
+
+
+def _dtc_rows(support: tuple[Word, ...], masses) -> np.ndarray:
+    """DTC of each row of ``masses`` (as in ``_loo_entropies``), as if alone."""
+    if len(support[0]) == 1:
+        return np.zeros(np.size(masses) // len(support))
+    h = _loo_entropies(support, masses)
+    return np.array([_clip_roundoff(v) for v in
+                     (h[:, 0] - _left_sums(h[:, 1:])).tolist()])
+
+
+def _kl_rows(masses, reference: Sequence[float]) -> np.ndarray:
+    """D(row || reference), the sum of q log(q / p) over q > 0, for each row of
+    ``masses`` on a support where ``reference`` is positive, as if alone."""
+    p = np.asarray(reference, dtype=float)
+    return np.array([_clip_roundoff(v) for v in _row_blocks(
+        lambda q: _left_sums(q * np.log(np.where(q > 0.0, q / p, 1.0))),
+        np.asarray(masses, dtype=float).reshape(-1, len(p)), len(p)).tolist()])
 
 
 def conditional_coordinate_entropy(mu: DiscreteMeasure, i: int) -> float:
     """H(coordinate i | all other coordinates), grouping atoms by their projection."""
     if mu.space.dimension == 1:
         return shannon_entropy(mu)
-    return _grouped_entropy(tuple(mu.atoms.values()), _loo_groups(mu.support)[i])
+    return float(_loo_entropies(mu.support, tuple(mu.atoms.values()))[0, i + 1])
 
 
 def total_correlation(mu: DiscreteMeasure) -> float:
@@ -129,15 +164,7 @@ def total_correlation(mu: DiscreteMeasure) -> float:
 
 def dual_total_correlation(mu: DiscreteMeasure) -> float:
     """Joint entropy minus the sum of each coordinate's entropy given the rest."""
-    return _dtc(mu.support, tuple(mu.atoms.values()))
-
-
-def _dtc(support: tuple[Word, ...], masses: Sequence[float]) -> float:
-    """``dual_total_correlation`` of the measure with these atoms, in order."""
-    if len(support[0]) == 1:
-        return 0.0
-    return _clip_roundoff(entropy_of_vector(masses) - _sum(
-        _grouped_entropy(masses, g) for g in _loo_groups(support)))
+    return float(_dtc_rows(mu.support, tuple(mu.atoms.values()))[0])
 
 
 @dataclass(frozen=True)
@@ -178,9 +205,13 @@ def fuzzy_mutual_information(mu: DiscreteMeasure, fp: FuzzyPartition) -> float:
 
 
 def mixture_mutual_information(rep: MixtureRepresentation, mu: DiscreteMeasure) -> float:
-    """sum_j p_j D(mu_j || mu) for an explicit mixture representation of ``mu``."""
-    return _sum(p * kl_divergence(comp, mu)
-                for p, comp in zip(rep.weights, rep.components))
+    """sum_j p_j D(mu_j || mu) for a mixture representation of ``mu``, the
+    divergences one batch of rows on its support (the bits of ``kl_divergence``)."""
+    atoms = mu.atoms
+    kls = _kl_rows([[comp.mass(w) for w in atoms] for comp in rep.components],
+                   list(atoms.values())).tolist()
+    return _sum(p * (kl if all(w in atoms for w in comp.atoms) else math.inf)
+                for p, kl, comp in zip(rep.weights, kls, rep.components))
 
 
 def dtc_decrement(mu: DiscreteMeasure, fp: FuzzyPartition) -> tuple[float, float]:
@@ -241,11 +272,9 @@ def trim_coordinates(mu: DiscreteMeasure, r: float) -> tuple[int, ...]:
         if len(retained) <= 1:
             break
         sub = marginal(mu, retained)
-        gaps = []
-        for pos, coord in enumerate(retained):
-            h_i = shannon_entropy(marginal(sub, [pos]))
-            h_cond = conditional_coordinate_entropy(sub, pos)
-            gaps.append((h_i - h_cond, coord, pos))
+        conds = _loo_entropies(sub.support, tuple(sub.atoms.values()))[0, 1:]
+        gaps = [(h - c, coord, pos) for pos, (coord, h, c) in enumerate(
+            zip(retained, per_coordinate_entropies(sub), conds.tolist()))]
         excess, coord, pos = max(gaps, key=lambda g: (g[0], -g[1]))
         if excess <= alpha + 1e-12:
             break

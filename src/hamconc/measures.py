@@ -54,8 +54,10 @@ def _sum(xs: Iterable[float]) -> float:
     return total
 
 
-def _check_support_cap(size: int) -> None:
-    """Raise ``SupportCapExceeded`` above ``DEFAULT_SUPPORT_CAP`` words."""
+def _check_support_cap(bound: int, count) -> None:
+    """Raise ``SupportCapExceeded`` when a layer of at most ``bound`` words has
+    more than ``DEFAULT_SUPPORT_CAP``, counted by ``count()`` when ``bound`` has."""
+    size = count() if bound > DEFAULT_SUPPORT_CAP else bound
     if size > DEFAULT_SUPPORT_CAP:
         raise SupportCapExceeded(
             f"support of {size} words exceeds cap {DEFAULT_SUPPORT_CAP}; "
@@ -85,14 +87,14 @@ class ProductSpace:
         return ProductSpace(self.alphabet_size, dimension)
 
 
-def _pruned(words: tuple[Word, ...], raw: list[float]
-            ) -> tuple[tuple[Word, ...], list[float]]:
+def _pruned(words: tuple[Word, ...], raw: list[float],
+            total: float | None = None) -> tuple[tuple[Word, ...], list[float]]:
     """``words`` and their masses ``raw`` without those at or below
-    ``PRUNE_TOL``, the masses divided by their total."""
+    ``PRUNE_TOL``, divided by their total (``total`` if given and none pruned)."""
     keep = [x > PRUNE_TOL for x in raw]
     if not all(keep):
-        words, raw = tuple(compress(words, keep)), list(compress(raw, keep))
-    total = _sum(raw)
+        words, raw, total = tuple(compress(words, keep)), list(compress(raw, keep)), None
+    total = _sum(raw) if total is None else total
     if total <= 0.0:
         raise MeasureError("null reweighting")
     return words, [x / total for x in raw]
@@ -353,20 +355,10 @@ def fuzzy_split(mu: DiscreteMeasure, fp: FuzzyPartition) -> MixtureRepresentatio
     sum to 1 within ``FUZZY_TOL``: a partition whose densities miss part of
     the support of ``mu`` would drop that mass silently.
     """
-    weights, comps = _split_masses(
-        mu.support, tuple(mu.atoms.values()),
-        [_density_values(mu, d) for d in fp.densities])
-    return MixtureRepresentation(tuple(weights), tuple(
-        DiscreteMeasure._of_support(mu.space, *c) for c in comps))
-
-
-def _split_masses(support: tuple[Word, ...], masses: Sequence[float],
-                  densities: Iterable[Sequence[float]]
-                  ) -> tuple[list[float], list[tuple[tuple[Word, ...], list[float]]]]:
-    """The weights and the components (words, masses) of ``fuzzy_split``, for
-    the atoms of a measure and density values in their order."""
+    masses = tuple(mu.atoms.values())
     weights, comps = [], []
-    for dens in densities:
+    for rho in fp.densities:
+        dens = _density_values(mu, rho)
         raw = [v * m for v, m in zip(dens, masses)]
         p = _sum(raw)
         if p <= PRUNE_TOL:
@@ -374,12 +366,12 @@ def _split_masses(support: tuple[Word, ...], masses: Sequence[float],
         if min(dens) < 0:
             raise MeasureError(f"negative density {min(dens)}")
         weights.append(p)
-        comps.append(_pruned(support, raw))
+        comps.append(DiscreteMeasure._of_support(mu.space, *_pruned(mu.support, raw, p)))
     total = _sum(weights)
     if not abs(total - 1.0) <= FUZZY_TOL:
         raise MeasureError(f"fuzzy partition covers mass {total!r} of the "
                            f"measure, not 1 within {FUZZY_TOL}")
-    return [p / total for p in weights], comps
+    return MixtureRepresentation(tuple(p / total for p in weights), tuple(comps))
 
 
 def hookup(weights: Sequence[float], kernel: Sequence[DiscreteMeasure]) -> DiscreteMeasure:
@@ -446,14 +438,15 @@ def product_measure(space: ProductSpace, dists: Sequence[Sequence[float]]
     if len(dists) != n:
         raise MeasureError(f"need {n} coordinate distributions, got {len(dists)}")
     partial: dict[Word, float] = {(): 1.0}
-    for i in range(n):
+    for dist in dists:
+        _check_support_cap(len(partial) * len(dist), lambda: _sum(
+            mass * p > PRUNE_TOL for mass in partial.values() for p in dist))
         nxt: dict[Word, float] = {}
         for prefix, mass in partial.items():
-            for s, p in enumerate(dists[i]):
+            for s, p in enumerate(dist):
                 m = mass * p
                 if m > PRUNE_TOL:
                     nxt[prefix + (s,)] = m
-        _check_support_cap(len(nxt))
         partial = nxt
     return DiscreteMeasure.from_unnormalized(space, partial)
 

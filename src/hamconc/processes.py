@@ -247,6 +247,9 @@ def _dp_block(start: Sequence[float], transition, emit: Sequence[int],
         vec = layer.setdefault(key, np.zeros(k))
         vec[s] += start[s]
     for _ in range(1, n):
+        _check_support_cap(len(layer) * len(set(emit)), lambda: _sum(len(
+            {emit[s2] for s2 in range(k) if PRUNE_TOL < _sum(
+                vec[s1] * transition[s1][s2] for s1 in range(k))}) for vec in layer.values()))
         nxt: dict[Word, np.ndarray] = {}
         for word, vec in layer.items():
             for s2 in range(k):
@@ -256,7 +259,6 @@ def _dp_block(start: Sequence[float], transition, emit: Sequence[int],
                 key = word + (emit[s2],)
                 tgt = nxt.setdefault(key, np.zeros(k))
                 tgt[s2] += mass
-        _check_support_cap(len(nxt))
         layer = nxt
     space = ProductSpace(out_alpha, n)
     return DiscreteMeasure.from_unnormalized(

@@ -190,19 +190,22 @@ def decrement_gate(mu, fp, r, i_floor=None):
 
 
 def unpruned_step(mu, r, i_floor, slate):
-    """The decrement step's choice with every candidate scored in full: each
-    split of ``slate`` (pairs of density values in support order) through
-    ``decrement_gate``, and the first one with the largest passing drop.
-    Returns the gate results in slate order and the winner's index, None when
-    no candidate passes."""
-    from hamconc import FuzzyPartition
+    """The decrement step's choice with every candidate scored on its own:
+    each split of ``slate`` (pairs of density values in support order)
+    through ``decrement_gate``, and the first passing one whose drop is
+    within ``decompose.GATE_TIE_SLACK`` of the largest passing drop.  Returns
+    the gate results in slate order and the winner's index, None when no
+    candidate passes."""
+    from hamconc import FuzzyPartition, decompose
 
     results = [decrement_gate(mu, FuzzyPartition(mu.space, tuple(
         dict(zip(mu.support, d)) for d in dens)), r, i_floor) for dens in slate]
-    win = None
-    for k, (ok, _, drop) in enumerate(results):
-        if ok and (win is None or drop > results[win][2]):
-            win = k
+    passing = [drop for ok, _, drop in results if ok]
+    if not passing:
+        return results, None
+    best = max(passing)
+    win = next(k for k, (ok, _, drop) in enumerate(results)
+               if ok and drop >= best - decompose.GATE_TIE_SLACK)
     return results, win
 
 

@@ -160,6 +160,18 @@ def test_decompose_b_good_certificates_hold(capsys, mix_file):
         assert cert["bound"] in ("diameter", "hoeffding")
 
 
+def test_decompose_b_result_keeps_the_contract_fields(capsys, mix_file):
+    # the mixture bench contract reads these fields; ``truncated`` is False
+    # on every input but is still emitted
+    code, payload = run_json(capsys, ["decompose-b", mix_file, "--seed", "3"])
+    assert code == 0
+    res = payload["result"]
+    assert {"weights", "components", "bad_index", "truncated",
+            "certificates"} <= res.keys()
+    assert res["truncated"] is False
+    assert len(res["weights"]) == len(res["components"]) == len(res["certificates"])
+
+
 def test_bench_smoke_contracts_hold():
     # the bench checks every workload's result contract (reconstruction,
     # standing certificates, re-verified witnesses) on one small job each
@@ -395,6 +407,25 @@ def test_process_flag_its_op_ignores_exits_2(capsys, joint_spec_file, op, flag,
     assert code == 2
     assert payload["error"] == {"type": "validation",
                                 "message": f"--op {op} does not read {flag}"}
+
+
+def test_exact_block_law_takes_no_seed(capsys, joint_spec_file):
+    code, payload = run_json(capsys, ["process", joint_spec_file, "--op", "block",
+                                      "--n", "2", "--seed", "4"])
+    assert code == 2
+    assert payload["error"] == {"type": "validation",
+                                "message": "--op block does not read --seed"}
+
+
+def test_empirical_block_law_reads_its_seed(capsys, joint_spec_file):
+    laws = []
+    for seed in ("4", "5", "4"):
+        code, payload = run_json(capsys, ["process", joint_spec_file, "--op",
+                                          "block", "--n", "2", "--seed", seed,
+                                          "--empirical-length", "40"])
+        assert code == 0 and payload["manifest"]["seed"] == int(seed)
+        laws.append(payload["result"])
+    assert laws[0] == laws[2] != laws[1]
 
 
 def test_process_flag_at_its_default_is_accepted(capsys, joint_spec_file):

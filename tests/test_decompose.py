@@ -116,9 +116,10 @@ def test_step_information_floor_evaluates():
 #: sha256 of the densities (words and float.hex values) that decrement_step
 #: returns at r = 0.3, and of the information and decrement of that split, on
 #: the criterion-5 fixtures, the product controls and skewed small measures;
-#: recorded before the decrement gate was made cheaper, so it pins that the
-#: gate still computes the same floats and picks the same split
-DECREMENT_STEP_DIGEST = "897321a059e29a209f8ae02ab7b2a43129d4e1dbcb3cc751692fb364324b0f3b"
+#: recorded when the gate moved to ``np.log`` on one slate batch with the
+#: GATE_TIE_SLACK rule (numpy 2.4.6, SIMD found: X86_V3, X86_V4, AVX512_ICL,
+#: AVX512_SPR), so it pins the gate's floats and the split it picks
+DECREMENT_STEP_DIGEST = "2e7cd25524202ba457946906690866f31f8eb9c752e3b9739d44b6c0eae8d613"
 
 
 def test_decrement_step_pins_split_densities():
@@ -139,16 +140,24 @@ def test_decrement_step_pins_split_densities():
 
 
 def _record_gate(monkeypatch):
-    """Record every (args, result) of the decrement gate while a test runs."""
+    """Record every (args, result) of the slate scorer while a test runs."""
     calls = []
-    score = decompose._score_split
+    score = decompose._score_slate
 
     def recording(*args):
         calls.append((args, score(*args)))
         return calls[-1][1]
 
-    monkeypatch.setattr(decompose, "_score_split", recording)
+    monkeypatch.setattr(decompose, "_score_slate", recording)
     return calls
+
+
+def _candidates(gate_result):
+    """The slate scorer's arrays as one (ok, information, decrement) per
+    candidate, NaN as None, floats in ``float.hex``."""
+    return [(bool(ok), *(None if math.isnan(v) else float(v).hex()
+                         for v in (info, drop)))
+            for ok, info, drop in zip(*gate_result)]
 
 
 def _hexed(gate_result):
@@ -158,49 +167,32 @@ def _hexed(gate_result):
 
 def test_gate_matches_measure_building_oracle(monkeypatch):
     # every slate candidate, passing or not, scores to the bit what building
-    # the split's measures gives; a candidate the bounds skip (no decrement,
-    # though its information is above the floor) still has the oracle's
-    # information, and is checked against the oracle's drop in
-    # test_step_matches_unpruned_oracle
+    # the split's measures gives
     calls = _record_gate(monkeypatch)
-    seen = {"pass": 0, "fail": 0, "below floor": 0, "skipped": 0}
+    seen = {"pass": 0, "fail": 0, "below floor": 0}
     suite = [mu for _, mu in criterion_suite()] + skewed_small_measures()
     for mu in suite:
         calls.clear()
         decrement_step(mu, 0.3)
-        for (support, masses, densities, r, i_floor, dtc, _), got in calls:
+        for (support, masses, densities, r, i_floor, dtc), got in calls:
             assert support == mu.support and masses == tuple(mu.atoms.values())
             assert dtc.hex() == dual_total_correlation(mu).hex()
-            fp = FuzzyPartition(mu.space, tuple(dict(zip(mu.support, d))
-                                                for d in densities))
-            want = oracles.decrement_gate(mu, fp, r, i_floor)
-            if got[2] is None and want[2] is not None:
-                assert _hexed(got) == (False, _hexed(want)[1], None)
-                seen["skipped"] += 1
-                continue
-            assert _hexed(got) == _hexed(want)
-            seen["pass" if got[0] else
-                 "below floor" if got[2] is None else "fail"] += 1
+            for dens, cand in zip(densities, _candidates(got)):
+                fp = FuzzyPartition(mu.space, tuple(dict(zip(mu.support, d.tolist()))
+                                                    for d in dens))
+                assert cand == _hexed(oracles.decrement_gate(mu, fp, r, i_floor))
+                seen["pass" if cand[0] else
+                     "below floor" if cand[2] is None else "fail"] += 1
     assert min(seen.values()) > 0, seen
 
 
-def _heavier_bound(mu, densities):
-    """DTC(mu) - p_h DTC(mu_h) for the heavier component h of the split of
-    ``mu`` by these density values, from the split's measures."""
-    rep = fuzzy_split(mu, FuzzyPartition(mu.space, tuple(
-        dict(zip(mu.support, d)) for d in densities)))
-    h = max(range(len(rep)), key=rep.weights.__getitem__)
-    return (dual_total_correlation(mu)
-            - rep.weights[h] * dual_total_correlation(rep.components[h]))
-
-
 def test_step_matches_unpruned_oracle(monkeypatch):
-    # decrement_step skips the DTCs of candidates that cannot win, yet returns
-    # the split that scoring every candidate in full picks, to the bit; every
-    # skipped candidate fails the gate or has a drop no larger than the
-    # winner's, and both bounds the skips rest on hold for every scored split
+    # decrement_step returns, to the bit, the split that scoring each
+    # candidate on its own picks: the first passing one within
+    # GATE_TIE_SLACK of the largest passing drop; every scored drop is at
+    # most the split's information (drop = I - sum_i I(X_i; J | rest))
     calls = _record_gate(monkeypatch)
-    skipped = scored = 0
+    ties = scored = 0
     suite = [mu for _, mu in criterion_suite()] + skewed_small_measures()
     for mu in suite:
         calls.clear()
@@ -208,8 +200,9 @@ def test_step_matches_unpruned_oracle(monkeypatch):
         if not calls:
             assert split is None
             continue
-        slate = [args[2] for args, _ in calls]
-        want, win = oracles.unpruned_step(mu, 0.3, calls[0][0][4], slate)
+        (args, _), = calls
+        slate = [[d.tolist() for d in dens] for dens in args[2]]
+        want, win = oracles.unpruned_step(mu, 0.3, args[4], slate)
         if win is None:
             assert split is None
         else:
@@ -218,16 +211,13 @@ def test_step_matches_unpruned_oracle(monkeypatch):
                 [[v.hex() for v in d] for d in slate[win]]
             assert split.information.hex() == want[win][1].hex()
             assert split.decrement.hex() == want[win][2].hex()
-        for (args, got), (ok, info, drop) in zip(calls, want):
-            if drop is None:
-                continue
-            scored += 1
-            assert drop <= info + decompose.GATE_WIN_SLACK
-            assert drop <= _heavier_bound(mu, args[2])
-            if got[2] is None:
-                skipped += 1
-                assert not ok or drop <= want[win][2]
-    assert 0 < skipped < scored, (skipped, scored)
+            best = max(drop for ok, _, drop in want if ok)
+            ties += best != want[win][2]
+        for ok, info, drop in want:
+            if drop is not None:
+                scored += 1
+                assert drop <= info + 1e-12
+    assert scored > 0 and ties > 0, (scored, ties)
 
 
 def test_step_search_matches_per_pair_oracle(monkeypatch):
@@ -252,64 +242,52 @@ def test_step_search_matches_per_pair_oracle(monkeypatch):
 
 
 def test_decrement_gate_dtc_evaluations(monkeypatch):
-    # DTC(mu) once per step.  A candidate split gets no component DTC below
-    # the information floor or when its information is already below the best
-    # drop so far; one, of its heavier component, when DTC(mu) - p_h DTC_h
-    # shows it cannot pass or beat that drop; two otherwise
-    mu_calls, component_calls = [], []
-    dtc, component_dtc = decompose.dual_total_correlation, decompose._dtc
+    # DTC(mu) once per step, and the two component DTCs of a candidate split
+    # only when its information is above the floor
+    mu_calls, component_rows = [], []
+    dtc, dtc_rows = decompose.dual_total_correlation, decompose._dtc_rows
 
     def counting_dtc(m):
         mu_calls.append(m)
         return dtc(m)
 
-    def counting_component_dtc(support, masses):
-        component_calls.append(support)
-        return component_dtc(support, masses)
+    def counting_rows(support, masses):
+        component_rows.append(len(masses))
+        return dtc_rows(support, masses)
 
     monkeypatch.setattr(decompose, "dual_total_correlation", counting_dtc)
-    monkeypatch.setattr(decompose, "_dtc", counting_component_dtc)
-    calls, score = [], decompose._score_split
-
-    def recording(*args):
-        before = len(component_calls)
-        out = score(*args)
-        calls.append((args, out, len(component_calls) - before))
-        return out
-
-    monkeypatch.setattr(decompose, "_score_split", recording)
-    seen = {"below floor": 0, "information bound": 0, "heavier bound": 0,
-            "scored": 0}
+    monkeypatch.setattr(decompose, "_dtc_rows", counting_rows)
+    calls = _record_gate(monkeypatch)
+    seen = {"below floor": 0, "scored": 0}
     fired = []
     for mu in (product_mix(6, 0.1, 0.9), product_mix(4, 0.2, 0.7)):
         calls.clear()
         mu_calls.clear()
+        component_rows.clear()
         r, n = 0.3, mu.space.dimension
         fired.append(decrement_step(mu, r) is not None)
         assert mu_calls == [mu]
         floor = max(r * r * math.exp(-n) / n, r * r / (4 * n),
                     0.1 * dual_total_correlation(mu))
-        for args, (_, info, drop), count in calls:
-            if info < floor - decompose.GATE_FLOOR_SLACK:
-                kind, want = "below floor", 0
-            elif info < args[6] - decompose.GATE_WIN_SLACK:
-                kind, want = "information bound", 0
-            elif drop is None:
-                kind, want = "heavier bound", 1
-            else:
-                kind, want = "scored", 2
-            assert count == want, kind
+        (_, got), = calls
+        above = 0
+        for _, info, drop in _candidates(got):
+            kind = ("below floor" if info is None or float.fromhex(info)
+                    < floor - decompose.GATE_FLOOR_SLACK else "scored")
+            assert (drop is None) == (kind == "below floor")
+            above += kind == "scored"
             seen[kind] += 1
+        assert component_rows == ([2 * above] if above else [])
     assert fired == [True, False]
     assert min(seen.values()) > 0, seen
 
     mu, r = product_mix(6, 0.1, 0.9), 0.3
     fp = decrement_step(mu, r).partition
     mu_calls.clear()
-    component_calls.clear()
+    component_rows.clear()
     ok, _, drop = _decrement_checks(mu, fp, r, i_floor=10.0)
     assert not ok and drop is None
-    assert mu_calls == [] and component_calls == []
+    assert mu_calls == [] and component_rows == []
 
 
 def test_partition_missing_support_fails_the_gate():
@@ -356,9 +334,9 @@ def test_recursion_reconstructs(rng):
 #: sha256 of decrement_recursion's audit (JSON, sorted keys) and final
 #: densities (float.hex) on the criterion fixtures at CFG, and, with the round
 #: cap at 2 so the capped refutation path runs, on those of at most 16 atoms;
-#: recorded before the recursion kept one record per component, so it pins
-#: that the audit reads the same split numbers and the cells stay in order
-RECURSION_DIGEST = "5eeca5a22c211df84f027dfd461e263556909499c4c34d90139197c328a308ad"
+#: recorded with DECREMENT_STEP_DIGEST (same numpy and SIMD flags), so it
+#: pins that the audit reads the same split numbers and the cells stay in order
+RECURSION_DIGEST = "756f01ef157d41aa2e71ddbe9b90889e88254fc89de2fc0e155026e043db6672"
 
 
 def test_decrement_recursion_pins_audit_and_densities():
@@ -381,7 +359,7 @@ def test_recursion_checks_each_split_once(monkeypatch):
     # instead of running the gate on it again
     calls = {"in_step": 0, "outside": 0}
     in_step = [False]
-    score, step = decompose._score_split, decompose.decrement_step
+    score, step = decompose._score_slate, decompose.decrement_step
 
     def counting_score(*args):
         calls["in_step" if in_step[0] else "outside"] += 1
@@ -394,7 +372,7 @@ def test_recursion_checks_each_split_once(monkeypatch):
         finally:
             in_step[0] = False
 
-    monkeypatch.setattr(decompose, "_score_split", counting_score)
+    monkeypatch.setattr(decompose, "_score_slate", counting_score)
     monkeypatch.setattr(decompose, "decrement_step", tracked_step)
     _, audit, _ = decrement_recursion(product_mix(6, 0.1, 0.9), CFG)
     assert sum(len(rnd["splits"]) for rnd in audit["rounds"]) > 0

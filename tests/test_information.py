@@ -29,8 +29,10 @@ from hamconc import (
 from hamconc.concentration import cumulant, gibbs_tilt
 from hamconc.information import (
     LOO_GROUP_CACHE_SIZE,
-    _grouped_entropy,
-    _loo_groups,
+    ROW_BLOCK_ELEMENTS,
+    _dtc_rows,
+    _kl_rows,
+    _loo_index,
     binary_entropy,
     conditional_coordinate_entropy,
     entropy_of_vector,
@@ -181,11 +183,11 @@ def dtc_corpus():
 
 
 #: sha256 of the float.hex of DTC, of every H(coord i | rest) and of the
-#: retained coordinates of trim_coordinates over ``dtc_corpus``; recorded
-#: before the leave-one-out groups were cached, and changed by taking the
-#: group entropies with ``np.log`` or summing the groups or the masses in a
-#: group in another order
-DTC_CORPUS_DIGEST = "62868c4ee474a68476b1400c0825e5065e46c2b1a4770db909f68032470f5c99"
+#: retained coordinates of trim_coordinates over ``dtc_corpus``; recorded when
+#: DTC moved to ``np.log`` on row batches (numpy 2.4.6, SIMD found: X86_V3,
+#: X86_V4, AVX512_ICL, AVX512_SPR), and changed by summing the groups or the
+#: masses in a group in another order
+DTC_CORPUS_DIGEST = "9ae8deacb69eb788d6023c3781cda69f7c3b1837a468f8e9311b0f43a4448b22"
 
 
 def test_dtc_corpus_pins_correlation_bits():
@@ -231,46 +233,71 @@ def test_dtc_matches_oracle_on_random_supports(instance):
     assert abs(dual_total_correlation(mu) - dtc_direct(atoms, n)) <= 1e-12
 
 
-def _grouped_entropy_reference(masses, groups):
-    """The per-group form: sum over groups of q H(m / q for m in the group)."""
-    total = 0.0
-    for group in groups:
-        ms = [masses[k] for k in group]
-        q = left_sum(ms)
-        total += q * entropy_of_vector([m / q for m in ms])
-    return total
+@st.composite
+def mass_rows(draw):
+    """A support of k words of {0..q-1}^n, for k in 1..128 and q in {2, 3},
+    and 1-40 rows of masses on it with zeros in them: each row a measure, or
+    a row of zeros."""
+    q = draw(st.sampled_from((2, 3)))
+    n = draw(st.integers(1, 7 if q == 2 else 5))
+    cube = list(itertools.product(range(q), repeat=n))
+    k = draw(st.integers(1, min(128, len(cube))))
+    start = draw(st.integers(0, len(cube) - k))
+    support = tuple(cube[start:start + k])
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    rows = rng.dirichlet(np.ones(k), size=draw(st.integers(1, 40)))
+    rows[rng.random(rows.shape) < draw(st.sampled_from((0.0, 0.3, 0.9)))] = 0.0
+    return support, rows
 
 
-#: zero masses, masses near the prune threshold, and ordinary ones
-_group_masses = st.one_of(st.just(0.0), st.floats(PRUNE_TOL / 4, PRUNE_TOL * 4),
-                          st.floats(1e-300, 1.0))
+@given(mass_rows())
+@settings(max_examples=120, deadline=None)
+def test_batched_rows_match_one_row_calls(instance):
+    # a row's DTC and KL do not depend on the rows batched with it, nor on its
+    # zero masses: the row taken on its own nonzero atoms gives the same bits
+    support, rows = instance
+    reference = rows[0] if (rows[0] > 0).all() else np.full(len(support), 1.0)
+    dtcs, kls = _dtc_rows(support, rows).tolist(), _kl_rows(rows, reference).tolist()
+    assert len(dtcs) == len(kls) == len(rows)
+    for dtc, kl, row in zip(dtcs, kls, rows):
+        assert dtc.hex() == float(_dtc_rows(support, row[None])[0]).hex()
+        assert kl.hex() == float(_kl_rows(row[None], reference)[0]).hex()
+        nonzero = row > 0.0
+        if nonzero.any():
+            sub = tuple(w for w, keep in zip(support, nonzero) if keep)
+            assert dtc.hex() == float(_dtc_rows(sub, row[nonzero])[0]).hex()
+            assert kl.hex() == float(_kl_rows(row[nonzero], reference[nonzero])[0]).hex()
 
 
-@given(groups=st.lists(
-           st.lists(_group_masses, min_size=1, max_size=6).filter(
-               lambda g: any(m > 0.0 for m in g)), max_size=8),
-       data=st.data())
-@settings(max_examples=300, deadline=None)
-def test_flat_grouped_entropy_matches_per_group_form(groups, data):
-    # the groups take their atoms in any order from one mass vector
-    masses = [m for g in groups for m in g]
-    order = data.draw(st.permutations(range(len(masses))))
-    at = {k: pos for pos, k in enumerate(order)}
-    vector = [0.0] * len(masses)
-    for k, m in enumerate(masses):
-        vector[at[k]] = m
-    index_groups, k = [], 0
-    for g in groups:
-        index_groups.append([at[k + i] for i in range(len(g))])
-        k += len(g)
-    assert _grouped_entropy(vector, index_groups).hex() == \
-        _grouped_entropy_reference(vector, index_groups).hex()
+def test_blocked_rows_match_one_row_calls(monkeypatch):
+    # rows split into blocks under the element cap keep their bits
+    mu = product_mix(7, 0.1, 0.9)
+    rows = np.random.default_rng(5).dirichlet(np.ones(len(mu)), size=9)
+    whole = (_dtc_rows(mu.support, rows), _kl_rows(rows, rows[0]))
+    monkeypatch.setattr("hamconc.information.ROW_BLOCK_ELEMENTS", 1)
+    blocked = (_dtc_rows(mu.support, rows), _kl_rows(rows, rows[0]))
+    assert ROW_BLOCK_ELEMENTS > 1
+    for a, b in zip(whole, blocked):
+        assert [v.hex() for v in a.tolist()] == [v.hex() for v in b.tolist()]
+
+
+def test_batched_dtc_matches_oracle_on_corpus():
+    # one batch per support: each row agrees with the independent DTC
+    by_support = {}
+    for mu in dtc_corpus():
+        by_support.setdefault(mu.support, []).append(mu)
+    for support, group in by_support.items():
+        values = _dtc_rows(support, [tuple(mu.atoms.values()) for mu in group])
+        n = group[0].space.dimension
+        for value, mu in zip(values.tolist(), group):
+            assert abs(value - dtc_direct(dict(mu.atoms), n)) <= 1e-12
 
 
 def test_loo_group_cache_stays_bounded():
     for n in range(2, LOO_GROUP_CACHE_SIZE + 7):
         dual_total_correlation(two_cluster(n))
-    assert _loo_groups.cache_info().currsize == LOO_GROUP_CACHE_SIZE
+    assert _loo_index.cache_info().currsize == LOO_GROUP_CACHE_SIZE
 
 
 def test_info_report_consistency(rng):

@@ -1,5 +1,6 @@
 """Process generators, block kernels, and the conditional block statistics."""
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,8 +18,8 @@ from hamconc import (
     total_correlation,
     tv_distance,
 )
-from hamconc import processes
-from hamconc.measures import product_measure, variation_norm
+from hamconc import measures, processes
+from hamconc.measures import SupportCapExceeded, product_measure, variation_norm
 from hamconc.decompose import PipelineConfig
 from hamconc.processes import (
     BlockCodeSpec,
@@ -369,3 +370,31 @@ def test_spec_roundtrip(tmp_path):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(blob))
         assert spec_to_dict(load_spec(str(path))) == blob
+
+
+def _peak_bytes(fn) -> int:
+    """Peak traced allocation while ``fn`` runs, a support-cap error caught."""
+    tracemalloc.start()
+    try:
+        fn()
+    except SupportCapExceeded:
+        pass
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return peak
+
+
+@pytest.mark.parametrize("spec", [
+    IIDSpec((0.125,) * 8),
+    MarkovSpec.from_matrix([[0.125] * 8] * 8),
+], ids=["iid", "markov"])
+def test_over_cap_layer_is_counted_before_it_is_built(monkeypatch, spec):
+    # with the cap at 4,000 words, the 4,096-word fourth layer raises before
+    # it is built: the failed window costs less memory than twice the
+    # 512-word window that fits, and building that layer would cost 4x more
+    monkeypatch.setattr(measures, "DEFAULT_SUPPORT_CAP", 4000)
+    fits = _peak_bytes(lambda: exact_block_measure(spec, 3))
+    with pytest.raises(SupportCapExceeded, match="4096 words"):
+        exact_block_measure(spec, 4)
+    assert _peak_bytes(lambda: exact_block_measure(spec, 4)) < 2 * fits
