@@ -49,7 +49,6 @@ from .information import kl_divergence
 from .transport import (
     TransportPlan,
     dual_gap,
-    hamming,
     lipschitz_slack,
     mismatch_matrix,
     transport_distance,
@@ -336,17 +335,16 @@ def refute_T(mu: DiscreteMeasure, params: TParams,
     budget = budget or RefutationBudget()
     support = list(mu.support)
     n = mu.space.dimension
-    masses = np.array([mu.atoms[w] for w in support])
     dist_int = mismatch_matrix(support, support)
-    dist = dist_int / n
-    rng = np.random.default_rng(np.random.SeedSequence(budget.seed))
     used = {"subsets_checked": 0, "restarts_run": 0, "gradient_steps": 0}
 
-    diam = float(dist.max())
+    diam = int(dist_int.max()) / n
     if params.r >= diam:
         return RefutationResult("holds", budget_used=used, bound="diameter")
     if params.kappa * diam ** 2 / 8 <= params.r:
         return RefutationResult("holds", budget_used=used, bound="hoeffding")
+    masses = np.array([mu.atoms[w] for w in support])
+    dist = dist_int / n
 
     # --- dual channel (cheap: no transport solves) ------------------------------
     dual_result = _dual_channel(mu, params, budget, support, masses, dist, used)
@@ -354,6 +352,7 @@ def refute_T(mu: DiscreteMeasure, params: TParams,
         return dual_result
 
     # --- primal channel ---------------------------------------------------------
+    rng = np.random.default_rng(np.random.SeedSequence(budget.seed))
     for idx in _primal_subsets(support, masses, dist_int, budget.max_subsets, rng):
         used["subsets_checked"] += 1
         cell = [support[i] for i in idx]
@@ -426,6 +425,11 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
+#: restarts of the tilt search that start at the heaviest atoms' distance rows
+#: (this many, or half of a larger budget); only the others read the seed
+TILT_ANCHOR_STARTS = 2
+
+
 def _l_search_candidates(mu: DiscreteMeasure, dist: np.ndarray, r: float,
                          kappa: float, budget: RefutationBudget,
                          t_hi: float | None = None, t_points: int = 24):
@@ -456,7 +460,7 @@ def _l_search_candidates(mu: DiscreteMeasure, dist: np.ndarray, r: float,
 
     seeds = []
     anchor_order = np.argsort(-masses, kind="stable")
-    for i in anchor_order[: max(2, budget.restarts // 2)]:
+    for i in anchor_order[: max(TILT_ANCHOR_STARTS, budget.restarts // 2)]:
         seeds.append(np.clip(dist[int(i)], 0.0, 1.0))
     if len(seeds) < budget.restarts:     # the generator is made only when drawn from
         rng = np.random.default_rng(np.random.SeedSequence(budget.seed))
@@ -581,10 +585,15 @@ def concentrate_subset(plan: TransportPlan, params: TParams, delta: float,
         raise MeasureError(f"delta must lie in [0, 1/8), got {delta}")
     nu = plan.target
     # nu1 = second marginal of the coupling restricted to pairs within delta
+    pairs = list(plan.plan)
+    n = nu.space.dimension
+    ends = np.array(pairs, dtype=np.int64).reshape(len(pairs), 2, n)
+    near = (np.count_nonzero(ends[:, 0] != ends[:, 1], axis=1) / n
+            <= delta + 1e-12).tolist()
     kept: dict[Word, float] = {}
     kept_mass = 0.0
-    for (x, y), m in plan.plan.items():
-        if hamming(x, y) <= delta + 1e-12:
+    for (_, y), m, close in zip(pairs, plan.plan.values(), near):
+        if close:
             kept[y] = kept.get(y, 0.0) + m
             kept_mass += m
     if kept_mass <= 0.0:

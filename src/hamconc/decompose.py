@@ -60,6 +60,7 @@ from .concentration import (
     Lift,
     RefutationBudget,
     RefutationResult,
+    TILT_ANCHOR_STARTS,
     TParams,
     _l_search_candidates,
     concentrate_subset,
@@ -146,6 +147,12 @@ class PipelineConfig:
         return 161.0 * self.c_B / (d * d)
 
     def spawned_budget(self, base: RefutationBudget, *key: int) -> RefutationBudget:
+        """``base`` with a tilt-search seed spawned from ``self.seed`` at
+        ``key``; ``base`` itself when its restarts are at most
+        ``TILT_ANCHOR_STARTS``, since on two or more atoms every restart then
+        starts at an anchor and the seed is never read."""
+        if base.restarts <= TILT_ANCHOR_STARTS:
+            return base
         child = int(np.random.SeedSequence(self.seed, spawn_key=key)
                     .generate_state(1)[0])
         return replace(base, seed=child)
@@ -355,14 +362,16 @@ class _Component:
 
 
 def decrement_recursion(mu: DiscreteMeasure, cfg: PipelineConfig,
-                        *, r: float | None = None, epsilon: float | None = None
+                        *, r: float | None = None, epsilon: float | None = None,
+                        dtc: float | None = None
                         ) -> tuple[FuzzyPartition, dict, MixtureRepresentation]:
     """Iterated splitting of ``mu`` until the still-splittable mass is < epsilon.
 
     Returns the final fuzzy partition (bad cell first when present), an
     audit ledger with the per-step information growth and decrement totals,
     and ``fuzzy_split(mu, partition)``, split once for the audit's
-    ``final_information`` and kept for the caller.
+    ``final_information`` and kept for the caller.  ``dtc`` is the audit's
+    DTC(mu) when the caller has computed it.
 
     A component joins the bad cell when it still admits a split at the
     natural stop.  At the round cap, or when the splittable mass stalls, every
@@ -449,7 +458,7 @@ def decrement_recursion(mu: DiscreteMeasure, cfg: PipelineConfig,
     audit["final_cells"] = len(final)
     rep = fuzzy_split(mu, fp_final)
     audit["final_information"] = mixture_mutual_information(rep, mu)
-    audit["dtc"] = dual_total_correlation(mu)
+    audit["dtc"] = dual_total_correlation(mu) if dtc is None else dtc
     return fp_final, audit, rep
 
 
@@ -580,7 +589,8 @@ def mixture_decomposition(mu: DiscreteMeasure, cfg: PipelineConfig
         audit["paper_inequality_failures"].append(
             "reweight-radius bookkeeping 400 log((1-3e/2)^-1) < r^2")
 
-    _, dec_audit, rep = decrement_recursion(mu_s, cfg, r=r_dec, epsilon=eps_rec)
+    _, dec_audit, rep = decrement_recursion(mu_s, cfg, r=r_dec, epsilon=eps_rec,
+                                          dtc=dtc_s)
     audit["decrement_recursion"] = dec_audit
     bad_present = dec_audit["bad_present"]
     good = list(range(1, len(rep))) if bad_present else list(range(len(rep)))

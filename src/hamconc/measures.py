@@ -24,6 +24,8 @@ from itertools import compress
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 Word = tuple[int, ...]
 
 #: slack accepted when validating that masses sum to one
@@ -157,6 +159,13 @@ class DiscreteMeasure:
         out = object.__new__(cls)
         out._store(space, {w: m for w, m in zip(words, masses) if m > 0.0})
         return out
+
+    @classmethod
+    def _of_rows(cls, space: ProductSpace, digits: np.ndarray,
+                 masses: np.ndarray) -> "DiscreteMeasure":
+        """``_of_support`` for words given as the rows of an integer array."""
+        return cls._of_support(space, list(map(tuple, digits.tolist())),
+                               masses.tolist())
 
     @classmethod
     def point_mass(cls, space: ProductSpace, word: Word) -> "DiscreteMeasure":
@@ -437,18 +446,33 @@ def product_measure(space: ProductSpace, dists: Sequence[Sequence[float]]
         dists = [dists[0]] * n
     if len(dists) != n:
         raise MeasureError(f"need {n} coordinate distributions, got {len(dists)}")
-    partial: dict[Word, float] = {(): 1.0}
+    digits, masses = _product_rows(dists)
+    bad = np.flatnonzero(digits.max(axis=1, initial=0) >= space.alphabet_size)
+    if bad.size:
+        raise MeasureError(f"word {tuple(digits[bad[0]].tolist())!r} not in "
+                           f"A^{n} with |A|={space.alphabet_size}")
+    return DiscreteMeasure._of_rows(space, digits, masses)
+
+
+def _product_rows(dists: Sequence[Sequence[float]]) -> tuple[np.ndarray, np.ndarray]:
+    """The atoms of the product of ``dists`` as lexicographically sorted digit
+    rows and their masses.  Each layer is the outer product of the masses so
+    far with the next distribution (mass times letter probability, as one
+    multiplication each), pruned at ``PRUNE_TOL``; the masses are divided by
+    their total, added left to right."""
+    digits, masses = np.zeros((1, 0), dtype=np.int64), np.ones(1)
     for dist in dists:
-        _check_support_cap(len(partial) * len(dist), lambda: _sum(
-            mass * p > PRUNE_TOL for mass in partial.values() for p in dist))
-        nxt: dict[Word, float] = {}
-        for prefix, mass in partial.items():
-            for s, p in enumerate(dist):
-                m = mass * p
-                if m > PRUNE_TOL:
-                    nxt[prefix + (s,)] = m
-        partial = nxt
-    return DiscreteMeasure.from_unnormalized(space, partial)
+        probs = np.asarray(dist, dtype=float)
+        _check_support_cap(len(masses) * len(probs), lambda: _sum(
+            np.count_nonzero(masses * p > PRUNE_TOL) for p in probs))
+        outer = masses[:, None] * probs
+        row, letter = np.nonzero(outer > PRUNE_TOL)
+        digits = np.concatenate((digits[row], letter[:, None]), axis=1)
+        masses = outer[row, letter]
+    total = _sum(masses.tolist())
+    if total <= 0.0:
+        raise MeasureError("null reweighting")
+    return digits, masses / total
 
 
 # -----------------------------------------------------------------------------

@@ -3,11 +3,20 @@
 Process specifications are small declarative records (i.i.d., Markov, hidden
 Markov with a deterministic letter map, expansive block codes, and joint
 processes over a product alphabet).  Exact window laws come from forward
-dynamic programming over (state, emitted word) with mass pruning; empirical
-laws from seeded path simulation with sliding windows.  On top of these sit
-the conditional block statistics: block kernels, total-correlation profiles,
-relative transportation estimates between joints sharing a base marginal,
-block-independence gaps, and per-conditioning-string partitions.
+dynamic programming over (state, emitted word) with mass pruning, one layer
+of digit rows at a time; empirical laws from seeded path simulation with
+sliding windows.  On top of these sit the conditional block statistics:
+block kernels, total-correlation profiles, relative transportation estimates
+between joints sharing a base marginal, block-independence gaps, and
+per-conditioning-string partitions.
+
+Summation order of the exact laws (every float is fixed by it): a next-layer
+state mass adds ``mass[s1] * transition[s1][s2]`` left to right over s1; a
+word's mass is numpy's sum of its state masses (pairwise from 8 states on);
+the normalising total adds the word masses left to right in the order the
+words were generated (parent word, then state), and the words are sorted
+after it.  A block kernel's base mass and each conditional's total add the
+joint masses of one conditioning word left to right in joint-word order.
 
 Zero-probability conditioning strings map to the uniform measure: the
 conditional law there is arbitrary, and uniform is the deterministic choice.
@@ -27,12 +36,13 @@ from .measures import (
     ProductSpace,
     Word,
     _check_support_cap,
+    _product_rows,
     _sum,
     product_measure,
     regroup,
     variation_norm,
 )
-from .information import total_correlation
+from .information import _left_sums, total_correlation
 from .transport import transport_distance
 from .decompose import DecompositionResult, PipelineConfig, partition_decomposition
 
@@ -170,11 +180,6 @@ class JointSpec(ProcessSpec):
     def alphabet_size(self) -> int:
         return self.b_size * self.a_size
 
-    def split_word(self, word: Word) -> tuple[Word, Word]:
-        b = tuple(s // self.a_size for s in word)
-        a = tuple(s % self.a_size for s in word)
-        return b, a
-
 
 @dataclass(frozen=True)
 class BlockKernel:
@@ -205,15 +210,9 @@ def exact_block_measure(spec: ProcessSpec, n: int) -> DiscreteMeasure:
     """Exact law of a length-``n`` output window."""
     if n < 1:
         raise MeasureError("window length must be >= 1")
-    if isinstance(spec, IIDSpec):
-        space = ProductSpace(spec.alphabet_size, n)
-        return product_measure(space, [list(spec.dist)])
-    if isinstance(spec, MarkovSpec):
-        return _dp_block(spec.stationary, spec.transition,
-                         tuple(range(spec.alphabet_size)), spec.alphabet_size, n)
-    if isinstance(spec, HiddenSpec):
-        return _dp_block(spec.base.stationary, spec.base.transition,
-                         spec.emit, spec.alphabet_size, n)
+    if isinstance(spec, (IIDSpec, MarkovSpec, HiddenSpec)):
+        return DiscreteMeasure._of_rows(ProductSpace(spec.alphabet_size, n),
+                                        *_window_rows(spec, n))
     if isinstance(spec, BlockCodeSpec):
         k = -(-n // spec.out_len)  # windows needed to cover n letters
         base_law = exact_block_measure(spec.base, k * spec.window)
@@ -234,35 +233,61 @@ def exact_block_measure(spec: ProcessSpec, n: int) -> DiscreteMeasure:
     raise MeasureError(f"unknown spec {spec!r}")
 
 
-def _dp_block(start: Sequence[float], transition, emit: Sequence[int],
-              out_alpha: int, n: int) -> DiscreteMeasure:
-    """Forward DP over (state, emitted word); prunes masses <= ``PRUNE_TOL``."""
-    k = len(start)
-    # state maps: word -> vector of per-state masses
-    layer: dict[Word, np.ndarray] = {}
-    for s in range(k):
-        if start[s] <= 0.0:
-            continue
-        key = (emit[s],)
-        vec = layer.setdefault(key, np.zeros(k))
-        vec[s] += start[s]
-    for _ in range(1, n):
-        _check_support_cap(len(layer) * len(set(emit)), lambda: _sum(len(
-            {emit[s2] for s2 in range(k) if PRUNE_TOL < _sum(
-                vec[s1] * transition[s1][s2] for s1 in range(k))}) for vec in layer.values()))
-        nxt: dict[Word, np.ndarray] = {}
-        for word, vec in layer.items():
-            for s2 in range(k):
-                mass = _sum(vec[s1] * transition[s1][s2] for s1 in range(k))
-                if mass <= PRUNE_TOL:
-                    continue
-                key = word + (emit[s2],)
-                tgt = nxt.setdefault(key, np.zeros(k))
-                tgt[s2] += mass
-        layer = nxt
-    space = ProductSpace(out_alpha, n)
-    return DiscreteMeasure.from_unnormalized(
-        space, {w: float(v.sum()) for w, v in layer.items()})
+def _window_rows(spec: ProcessSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The atoms of ``exact_block_measure(spec, n)`` as sorted digit rows
+    ``(W, n)`` and their masses ``(W,)``."""
+    if isinstance(spec, JointSpec):
+        return _window_rows(spec.base, n)
+    if isinstance(spec, IIDSpec):
+        return _product_rows([spec.dist] * n)
+    if isinstance(spec, MarkovSpec):
+        return _dp_block(spec, range(spec.alphabet_size), n)
+    if isinstance(spec, HiddenSpec):
+        return _dp_block(spec.base, spec.emit, n)
+    law = exact_block_measure(spec, n)
+    return (np.array(law.support, dtype=np.int64).reshape(len(law), n),
+            np.array(list(law.atoms.values())))
+
+
+def _dp_block(chain: MarkovSpec, emit: Sequence[int], n: int
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """Forward DP over (state, emitted word), as sorted digit rows and masses.
+
+    A layer is a ``(W, t)`` digit array (rows, not base-|A| codes, so no
+    window overflows) and a ``(W, k)`` state-mass array, in generation order;
+    the states of a row that emit the same letter share a next-layer row.
+    Start masses that are not positive and later masses at or below
+    ``PRUNE_TOL`` are dropped.  The float order is in the module docstring."""
+    emit = np.asarray(emit, dtype=np.int64)
+    letters = np.unique(emit)
+    radix = int(emit.max()) + 1
+    trans = np.asarray(chain.transition, dtype=float)
+    acc = np.asarray(chain.stationary, dtype=float)[None, :]
+    keep = acc > 0.0
+    digits = np.zeros((1, 0), dtype=np.int64)
+    for t in range(n):
+        if t:
+            acc = states[:, 0, None] * trans[0]
+            for s1 in range(1, len(trans)):
+                acc += states[:, s1, None] * trans[s1]
+            keep = acc > PRUNE_TOL
+            # rows of the next layer: per row, the letters of its kept states
+            _check_support_cap(len(acc) * len(letters), lambda: _sum(
+                np.count_nonzero(keep[:, emit == e].any(axis=1)) for e in letters))
+        row, state = np.nonzero(keep)
+        _, first, group = np.unique(row * radix + emit[state],
+                                    return_index=True, return_inverse=True)
+        opened = np.argsort(first)           # groups in generation order
+        states = np.zeros((len(opened), len(trans)))
+        states[np.argsort(opened)[group], state] = acc[row, state]
+        head = first[opened]
+        digits = np.concatenate((digits[row[head]], emit[state[head], None]), axis=1)
+    totals = states.sum(axis=1)
+    kept = totals > PRUNE_TOL
+    total = _sum(totals[kept].tolist())
+    digits = digits[kept]
+    order = np.lexsort(digits.T[::-1])
+    return digits[order], totals[kept][order] / total
 
 
 # -----------------------------------------------------------------------------
@@ -319,23 +344,36 @@ def empirical_block_measure(spec: ProcessSpec, n: int, length: int,
 # Block kernels and derived statistics
 # -----------------------------------------------------------------------------
 def block_kernel(spec: JointSpec, n: int) -> BlockKernel:
-    """Conditional law of the A-window given the B-window of a joint process."""
+    """Conditional law of the A-window given the B-window of a joint process.
+
+    The joint digit rows are split into (b, a) and stably sorted by b, so
+    each b keeps its atoms in joint order (the module docstring has the sums)."""
     if not isinstance(spec, JointSpec):
         raise MeasureError("block_kernel needs a joint spec")
-    joint = exact_block_measure(spec, n)
-    by_b: dict[Word, dict[Word, float]] = {}
-    mass_b: dict[Word, float] = {}
-    for word, mass in joint.atoms.items():
-        b, a = spec.split_word(word)
-        by_b.setdefault(b, {})[a] = by_b.get(b, {}).get(a, 0.0) + mass
-        mass_b[b] = mass_b.get(b, 0.0) + mass
+    digits, masses = _window_rows(spec, n)
+    b_digits, a_digits = np.divmod(digits, spec.a_size)
+    order = np.lexsort(b_digits.T[::-1])
+    b_digits, masses = b_digits[order], masses[order]
+    opens = np.ones(len(order), dtype=bool)
+    opens[1:] = (b_digits[1:] != b_digits[:-1]).any(axis=1)
+    starts = np.flatnonzero(opens)
+    group = np.cumsum(opens) - 1
+    # one row per b, padded with zeros, which change no left-to-right sum
+    grid = np.zeros((len(starts), int(np.bincount(group).max())))
+    grid[group, np.arange(len(order)) - starts[group]] = masses
+    totals = _left_sums(np.where(grid > PRUNE_TOL, grid, 0.0))
+    if not (totals > 0.0).all():
+        raise MeasureError("null reweighting")
+    # a pruned atom gets mass 0, which ``_of_support`` drops
+    cond = np.where(masses > PRUNE_TOL, masses / totals[group], 0.0).tolist()
+    a_words = list(map(tuple, a_digits[order].tolist()))
     a_space = ProductSpace(spec.a_size, n)
-    b_space = ProductSpace(spec.b_size, n)
-    kernel = {
-        b: DiscreteMeasure.from_unnormalized(a_space, atoms)
-        for b, atoms in sorted(by_b.items())
-    }
-    base = DiscreteMeasure(b_space, mass_b)
+    bounds = np.append(starts, len(order)).tolist()
+    kernel = {b: DiscreteMeasure._of_support(a_space, a_words[lo:hi], cond[lo:hi])
+              for b, lo, hi in zip(map(tuple, b_digits[starts].tolist()),
+                                   bounds, bounds[1:])}
+    base = DiscreteMeasure._of_rows(ProductSpace(spec.b_size, n),
+                                    b_digits[starts], _left_sums(grid))
     return BlockKernel(n, base, kernel)
 
 

@@ -93,8 +93,13 @@ def hamming(x: Word, y: Word) -> float:
 def mismatch_matrix(src: Sequence[Word], tgt: Sequence[Word]) -> np.ndarray:
     """Integer matrix of coordinate mismatch counts between two word lists."""
     a = np.asarray(src, dtype=np.int64)
-    b = np.asarray(tgt, dtype=np.int64)
-    return (a[:, None, :] != b[None, :, :]).sum(axis=2).astype(np.int64)
+    b = a if tgt is src else np.asarray(tgt, dtype=np.int64)
+    if a.shape[1] != b.shape[1]:
+        raise MeasureError(f"length mismatch: {a.shape[1]} vs {b.shape[1]}")
+    out = np.zeros((len(a), len(b)), dtype=np.int64)
+    for i in range(a.shape[1]):    # one coordinate at a time: no (k_s, k_t, n) temporary
+        out += a[:, i, None] != b[:, i]
+    return out
 
 
 def lipschitz_slack(values: np.ndarray, dist: np.ndarray) -> float:

@@ -8,7 +8,9 @@ decrement-gate oracle is the exception: it builds the split's measures with
 the library's public constructor, the path the gate took before it worked
 on mass tuples, so that the two can be compared to the bit.  Likewise the
 tilt-search oracle is the search as one gradient ascent per (seed, t) pair,
-as it ran before its ascents were batched.
+as it ran before its ascents were batched, and the window-law, block-kernel
+and product oracles build their measures word by word in dicts, as the
+library did before it built them as arrays.
 
 The oracles compared to the library in ``float.hex`` add with ``left_sum``,
 the library's order, whatever the interpreter's builtin ``sum`` does.
@@ -284,3 +286,98 @@ def hexed_candidates(ranked, support):
         out.append((float(score).hex(), float(t).hex(), float(div).hex(),
                     float(threshold).hex(), [float(v).hex() for v in vals]))
     return out
+
+
+def product_measure_dict(space, dists):
+    """``measures.product_measure`` as a dict of words grown one coordinate
+    at a time, as the library built it before its layers became arrays."""
+    from hamconc import DiscreteMeasure
+    from hamconc.measures import PRUNE_TOL
+
+    if len(dists) == 1 and space.dimension > 1:
+        dists = [dists[0]] * space.dimension
+    partial = {(): 1.0}
+    for dist in dists:
+        nxt = {}
+        for prefix, mass in partial.items():
+            for s, p in enumerate(dist):
+                m = mass * p
+                if m > PRUNE_TOL:
+                    nxt[prefix + (s,)] = m
+        partial = nxt
+    return DiscreteMeasure.from_unnormalized(space, partial)
+
+
+def dp_block_dict(start, transition, emit, out_alpha, n):
+    """The forward DP over (state, emitted word) as a dict from words to
+    per-state mass vectors, as ``processes._dp_block`` ran before its layers
+    became arrays: every state mass added left to right, pruned at
+    ``PRUNE_TOL``, each word's mass the numpy sum of its vector."""
+    from hamconc import DiscreteMeasure, ProductSpace
+    from hamconc.measures import PRUNE_TOL
+
+    k = len(start)
+    layer = {}
+    for s in range(k):
+        if start[s] <= 0.0:
+            continue
+        vec = layer.setdefault((emit[s],), np.zeros(k))
+        vec[s] += start[s]
+    for _ in range(1, n):
+        nxt = {}
+        for word, vec in layer.items():
+            for s2 in range(k):
+                mass = left_sum(vec[s1] * transition[s1][s2] for s1 in range(k))
+                if mass <= PRUNE_TOL:
+                    continue
+                tgt = nxt.setdefault(word + (emit[s2],), np.zeros(k))
+                tgt[s2] += mass
+        layer = nxt
+    return DiscreteMeasure.from_unnormalized(
+        ProductSpace(out_alpha, n), {w: float(v.sum()) for w, v in layer.items()})
+
+
+def exact_block_measure_dict(spec, n):
+    """``processes.exact_block_measure`` with the dict DP and dict product."""
+    from hamconc import DiscreteMeasure, ProductSpace, processes
+
+    if isinstance(spec, processes.JointSpec):
+        return exact_block_measure_dict(spec.base, n)
+    if isinstance(spec, processes.IIDSpec):
+        return product_measure_dict(ProductSpace(spec.alphabet_size, n),
+                                    [list(spec.dist)])
+    if isinstance(spec, processes.MarkovSpec):
+        return dp_block_dict(spec.stationary, spec.transition,
+                             tuple(range(spec.alphabet_size)), spec.alphabet_size, n)
+    if isinstance(spec, processes.HiddenSpec):
+        return dp_block_dict(spec.base.stationary, spec.base.transition,
+                             spec.emit, spec.alphabet_size, n)
+    k = -(-n // spec.out_len)
+    out = {}
+    for word, mass in exact_block_measure_dict(spec.base, k * spec.window).atoms.items():
+        key = tuple(itertools.chain.from_iterable(
+            spec.code[word[i * spec.window:(i + 1) * spec.window]] for i in range(k)))[:n]
+        out[key] = out.get(key, 0.0) + mass
+    return DiscreteMeasure.from_unnormalized(ProductSpace(spec.out_alphabet, n), out)
+
+
+def block_kernel_dict(spec, n):
+    """(base, kernel) of ``processes.block_kernel`` grouped word by word in
+    dicts, as the library built them before they became arrays."""
+    from hamconc import DiscreteMeasure, ProductSpace
+
+    by_b, mass_b = {}, {}
+    for word, mass in exact_block_measure_dict(spec, n).atoms.items():
+        b = tuple(x // spec.a_size for x in word)
+        a = tuple(x % spec.a_size for x in word)
+        by_b.setdefault(b, {})[a] = by_b.get(b, {}).get(a, 0.0) + mass
+        mass_b[b] = mass_b.get(b, 0.0) + mass
+    a_space = ProductSpace(spec.a_size, n)
+    kernel = {b: DiscreteMeasure.from_unnormalized(a_space, atoms)
+              for b, atoms in sorted(by_b.items())}
+    return DiscreteMeasure(ProductSpace(spec.b_size, n), mass_b), kernel
+
+
+def hexed_atoms(mu):
+    """The atoms of a measure in support order, masses in ``float.hex``."""
+    return [(w, m.hex()) for w, m in mu.atoms.items()]

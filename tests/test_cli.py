@@ -516,3 +516,62 @@ def test_consecutive_runs_share_no_parse_state(capsys, diag_file, joint_spec_fil
     assert "decompose-b" in capsys.readouterr().out
     code, payload = run_json(capsys, ["info", diag_file])
     assert code == 0 and payload["manifest"]["command"] == ["info", diag_file]
+
+
+def _memory_chain():
+    """A 2x2 joint chain whose next a-letter also depends on the last one,
+    so the conditional laws are not products; its stationary law comes from
+    ``MarkovSpec.from_matrix``."""
+    rows = []
+    for state in range(4):
+        b, a = divmod(state, 2)
+        row = []
+        for b2 in range(2):
+            for a2 in range(2):
+                p_match = 0.7 if a == b2 else 0.6
+                row.append((0.75 if b2 == b else 0.25)
+                           * (p_match if a2 == b2 else 1 - p_match))
+        rows.append(row)
+    return {"kind": "markov", "transition": rows}
+
+
+#: joint specs for the pinned ``process --op partition`` results: the bench
+#: chain (product conditionals), a chain with memory in a, and a hidden chain
+#: with zero transitions and a decreasing emit map (no good strings at this r,
+#: so it pins the window law through ``tc_by_string`` alone)
+PARTITION_SPECS = {
+    "sticky": {"kind": "markov",
+               "transition": [[0.42, 0.28, 0.12, 0.18]] * 2
+               + [[0.18, 0.12, 0.28, 0.42]] * 2,
+               "stationary": [0.3, 0.2, 0.2, 0.3]},
+    "memory": _memory_chain(),
+    "hidden": {"kind": "hidden", "emit": [2, 0, 3, 1, 0],
+               "base": {"kind": "markov", "transition": [
+                   [0.25, 0.2, 0.0, 0.3, 0.25], [0.2, 0.25, 0.3, 0.0, 0.25],
+                   [0.25, 0.0, 0.25, 0.25, 0.25], [0.2, 0.3, 0.0, 0.25, 0.25],
+                   [0.3, 0.2, 0.25, 0.0, 0.25]]}},
+}
+#: sha256 of each whole partition result (JSON, sorted keys): partitions,
+#: labels, ``tc_by_string`` and ``good_mass``, recorded while the window laws
+#: and block kernels were still built word by word in dicts
+PARTITION_RESULT_DIGESTS = {
+    "sticky": "b8dc3af2e599e9a9a5da75e2f8771e2541d7e97c8656517ed4e8aa0fcb9a861e",
+    "memory": "f77809aff01294d767f1e5ab4b6de33186902b815ff969b69aa7bd59b727d1d9",
+    "hidden": "7454d7c5a5e8271536b154b74cc6bdaad505a82c3e11891dc1d3094d84a1ed43",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARTITION_SPECS))
+def test_process_partition_result_is_pinned(capsys, tmp_path, name):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"kind": "joint", "b_size": 2, "a_size": 2,
+                                "base": PARTITION_SPECS[name]}))
+    code, payload = run_json(capsys, [
+        "process", str(path), "--op", "partition", "--n", "4",
+        "--epsilon", "0.3", "--r", "0.6", "--seed", "5"])
+    assert code == 0
+    result = payload["result"]
+    assert len(result["tc_by_string"]) == 16
+    assert bool(result["good_strings"]) == (name != "hidden")
+    blob = json.dumps(result, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == PARTITION_RESULT_DIGESTS[name]

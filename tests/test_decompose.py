@@ -380,6 +380,39 @@ def test_recursion_checks_each_split_once(monkeypatch):
     assert calls["outside"] == 0
 
 
+def test_split_budget_spawns_no_seed():
+    # both restarts of SPLIT_BUDGET start at anchor atoms, so the tilt search
+    # never reads its seed and the recursion derives no child seed for it
+    assert decompose.SPLIT_BUDGET.restarts <= decompose.TILT_ANCHOR_STARTS
+    assert CFG.spawned_budget(decompose.SPLIT_BUDGET, 1, 0, 0) is decompose.SPLIT_BUDGET
+    wide = replace(decompose.SPLIT_BUDGET, restarts=3)
+    assert CFG.spawned_budget(wide, 1, 0, 0).seed == int(np.random.SeedSequence(
+        CFG.seed, spawn_key=(1, 0, 0)).generate_state(1)[0])
+    mu = product_mix(5, 0.2, 0.8)
+    dist = transport.mismatch_matrix(mu.support, mu.support) / 5
+    ranked = [oracles.hexed_candidates(decompose._l_search_candidates(
+        mu, dist, 0.3, 0.3 * 5 / DEC_DENOMINATOR,
+        replace(decompose.SPLIT_BUDGET, seed=seed), t_points=10), mu.support)
+        for seed in (0, 12345)]
+    assert ranked[0] == ranked[1]
+
+
+def test_mixture_computes_the_trimmed_dtc_once(monkeypatch):
+    seen = []
+    dtc = decompose.dual_total_correlation
+
+    def counting(mu):
+        seen.append(mu)
+        return dtc(mu)
+
+    monkeypatch.setattr(decompose, "dual_total_correlation", counting)
+    mu = product_mix(5, 0.1, 0.9)
+    res = mixture_decomposition(mu, CFG)
+    assert res.audit["retained_coordinates"] == list(range(5))
+    assert len([m for m in seen if m is mu]) == 1
+    assert res.audit["decrement_recursion"]["dtc"] == res.audit["dtc_trimmed"]
+
+
 @given(n=st.integers(1, 12),
        r=st.floats(1e-9, 1.0, exclude_max=True),
        data=st.data(), density_bound=st.floats(1.0, 1e300))

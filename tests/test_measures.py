@@ -31,6 +31,7 @@ from hamconc.measures import (
     product_measure,
 )
 
+import oracles
 from conftest import (
     biased_product,
     criterion_suite,
@@ -54,6 +55,24 @@ def test_coordinate_marginals_match_marginal(rng):
             m = marginal(mu, [i])
             assert [v.hex() for v in row] == [
                 m.mass((s,)).hex() for s in range(mu.space.alphabet_size)]
+
+
+def test_product_measure_matches_dict_oracle(rng):
+    # per-coordinate laws with zero letters and products under PRUNE_TOL,
+    # which prune whole branches
+    for alphabet in range(1, 5):
+        for n in range(1, 7):
+            dists = []
+            for _ in range(n):
+                d = rng.random(alphabet) * (rng.random(alphabet) > 0.25)
+                d[rng.integers(alphabet)] += 0.5
+                d[rng.integers(alphabet)] = 1e-9 if alphabet > 1 else 1.0
+                dists.append((d / d.sum()).tolist())
+            space = ProductSpace(alphabet, n)
+            for coords in (dists, dists[:1]):
+                got = product_measure(space, coords)
+                want = oracles.product_measure_dict(space, coords)
+                assert oracles.hexed_atoms(got) == oracles.hexed_atoms(want)
 
 
 def test_marginal_of_product_is_factor():

@@ -42,6 +42,7 @@ from hamconc.processes import (
     tc_profile,
 )
 
+import oracles
 from conftest import biased_product
 
 
@@ -127,6 +128,64 @@ def test_block_code_diagonal():
 def test_markov_stationarity_validated():
     with pytest.raises(MeasureError, match="stationary"):
         MarkovSpec(((0.9, 0.1), (0.4, 0.6)), (0.5, 0.5))
+
+
+def _sparse_chain(k, seed):
+    """An irreducible k-state chain with about half of its transitions zero."""
+    rng = np.random.default_rng(seed)
+    t = rng.random((k, k)) * (rng.random((k, k)) > 0.5)
+    t[np.arange(k), (np.arange(k) + 1) % k] += 0.2   # a cycle through all states
+    return MarkovSpec.from_matrix(t / t.sum(axis=1, keepdims=True))
+
+
+def _same_atoms(got, want):
+    assert got.space == want.space
+    assert oracles.hexed_atoms(got) == oracles.hexed_atoms(want)
+
+
+@pytest.mark.parametrize("k", range(2, 10))
+def test_window_laws_match_dict_dp_oracle(k):
+    # k >= 8 states reach numpy's pairwise sum of each word's state masses;
+    # a decreasing emit map opens a parent's rows out of lexicographic order
+    # and merges the states that share a letter
+    chain = _sparse_chain(k, 1705 + k)
+    specs = [chain, HiddenSpec(chain, tuple((k - 1 - s) // 2 for s in range(k))),
+             HiddenSpec(chain, tuple(int(e) for e in
+                                     np.random.default_rng(k).permutation(k) % 3))]
+    for spec in specs:
+        for n in range(1, 7 if k <= 4 else 5):
+            _same_atoms(exact_block_measure(spec, n),
+                        oracles.exact_block_measure_dict(spec, n))
+
+
+def test_iid_and_block_code_laws_match_dict_oracle():
+    iid = IIDSpec((0.5, 0.0, 0.3, 0.2))
+    code = BlockCodeSpec(_sparse_chain(3, 7), 2, 3,
+                         {(a, b): ((a + b) % 2, a, b % 2) for a in range(3)
+                          for b in range(3)}, 3)
+    for spec in (iid, code):
+        for n in range(1, 7):
+            _same_atoms(exact_block_measure(spec, n),
+                        oracles.exact_block_measure_dict(spec, n))
+
+
+@pytest.mark.parametrize("joint", [
+    JointSpec(_sparse_chain(4, 11), 2, 2),
+    JointSpec(_sparse_chain(6, 12), 2, 3),
+    JointSpec(_sparse_chain(9, 13), 3, 3),
+    JointSpec(HiddenSpec(_sparse_chain(5, 14), (3, 1, 2, 0, 1)), 2, 2),
+    JointSpec(IIDSpec((0.4, 0.0, 0.1, 0.25, 0.0, 0.25)), 3, 2),
+    JointSpec(BlockCodeSpec(IIDSpec((0.3, 0.7)), 1, 2,
+                            {(0,): (0, 3), (1,): (2, 1)}, 4), 2, 2),
+], ids=["markov-2x2", "markov-2x3", "markov-3x3", "hidden", "iid", "block-code"])
+def test_block_kernel_matches_dict_oracle(joint):
+    for n in range(1, 5):
+        bk = block_kernel(joint, n)
+        base, kernel = oracles.block_kernel_dict(joint, n)
+        _same_atoms(bk.base, base)
+        assert list(bk.kernel) == list(kernel)
+        for b, cond in kernel.items():
+            _same_atoms(bk.kernel[b], cond)
 
 
 # -----------------------------------------------------------------------------

@@ -46,6 +46,18 @@ def test_hamming_basics():
         hamming((0,), (0, 1))
 
 
+def test_mismatch_matrix_counts_differing_coordinates(rng):
+    for alphabet, n, k_s, k_t in ((2, 1, 1, 3), (3, 4, 7, 5), (4, 6, 40, 33)):
+        src = [tuple(w) for w in rng.integers(0, alphabet, size=(k_s, n))]
+        tgt = [tuple(w) for w in rng.integers(0, alphabet, size=(k_t, n))]
+        got = mismatch_matrix(src, tgt)
+        assert got.dtype == np.int64 and got.shape == (k_s, k_t)
+        assert got.tolist() == [[round(hamming(x, y) * n) for y in tgt]
+                                for x in src]
+    with pytest.raises(MeasureError, match="length mismatch"):
+        mismatch_matrix([(0, 1)], [(0, 1, 1)])
+
+
 def test_diameter_exact_and_bounded():
     words = [(0, 0, 0), (1, 1, 0), (1, 0, 0)]
     assert math.isclose(diameter(words), 2 / 3)
