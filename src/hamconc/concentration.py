@@ -19,8 +19,8 @@ Two refutation channels are implemented, either sufficient:
 
 * dual  - multi-start projected gradient ascent of the exponential-moment
   objective C(kappa f) - kappa<f> - kappa r over 1-Lipschitz f, with the
-  Lipschitz projection taken as the fixed point of averaged upper/lower
-  tight extensions;
+  Lipschitz projection taken in one pass as the midpoint of the upper
+  (McShane) and lower (Whitney) tight extensions, each 1-Lipschitz;
 * primal - enumeration of conditioning sets U, testing
   dbar(mu|U, mu) > D(mu|U || mu)/kappa + r with the exact transport backend
   (exhaustive when 2^|support| fits the budget); a set whose bound
@@ -230,32 +230,30 @@ def tilted_divergence(mu: DiscreteMeasure, f, t: float) -> float:
 PROJECT_BLOCK_ELEMENTS = 1 << 15
 
 
-def lipschitz_project(values: np.ndarray, dist: np.ndarray,
-                      max_iters: int = 50, tol: float = 1e-10) -> np.ndarray:
+def lipschitz_project(values: np.ndarray, dist: np.ndarray) -> np.ndarray:
     """Project support values onto the 1-Lipschitz cone: one vector, or each
     row of a 2-D array on its own.
 
-    Iterates the average of the upper and lower tight extensions to a fixed
-    point; idempotent on functions that are already 1-Lipschitz.  A row stops
-    at the iteration where it converges, so every row comes out bit for bit
-    as it would alone.  Rows go through in blocks whose ``(rows, k, k)``
-    extension temporaries hold at most ``PROJECT_BLOCK_ELEMENTS`` floats.
+    Returns the midpoint of the upper tight extension min_y f(y) + d(x, y)
+    (McShane, Bull. AMS 1934) and the lower one max_y f(y) - d(x, y)
+    (Whitney, Trans. AMS 1934).  Each is 1-Lipschitz because ``dist`` is a
+    metric, so their average is too, and one pass suffices; both equal f when
+    f is already 1-Lipschitz, so the projection is idempotent.  Rows go
+    through in blocks whose ``(rows, k, k)`` extension temporaries hold at
+    most ``PROJECT_BLOCK_ELEMENTS`` floats, and each row comes out bit for bit
+    as it would alone.
     """
     f = np.array(values, dtype=float)
     rows = f.reshape(-1, f.shape[-1])
     block = max(1, PROJECT_BLOCK_ELEMENTS // dist.size)
     for start in range(0, len(rows), block):
-        live = np.arange(start, min(start + block, len(rows)))
-        cur = rows[live]
-        for _ in range(max_iters):
-            upper = (cur[:, None, :] + dist).min(axis=2)
-            lower = (cur[:, None, :] - dist).max(axis=2)
-            g = 0.5 * (upper + lower)
-            moving = ~(np.abs(g - cur).max(axis=1) <= tol)
-            rows[live] = g
-            live, cur = live[moving], g[moving]
-            if not live.size:
-                break
+        cur = rows[start:start + block]
+        # [row, y, x] holds f(y) +/- d(y, x), d symmetric: reducing over y,
+        # not the contiguous x, is 1.2-2x faster and gives the same bits
+        col = cur[:, :, None]
+        upper = (col + dist).min(axis=1)
+        lower = (col - dist).max(axis=1)
+        cur[:] = 0.5 * (upper + lower)
     return f
 
 

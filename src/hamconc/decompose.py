@@ -33,7 +33,6 @@ from .measures import (
     MixtureRepresentation,
     PRUNE_TOL,
     Word,
-    _density_values,
     _sum,
     condition,
     coordinate_marginals,
@@ -270,16 +269,6 @@ def _score_slate(support: tuple[Word, ...], masses: Sequence[float],
         dtc, dtcs = (dtcs[0], dtcs[1:]) if dtc is None else (dtc, dtcs)
         drop[above] = dtc - _left_sums(weights[above] * dtcs.reshape(-1, p.shape[1]))
     return above & (drop >= 0.5 * info - GATE_DROP_SLACK), info, drop
-
-
-def _decrement_checks(mu: DiscreteMeasure, fp: FuzzyPartition, r: float,
-                      i_floor: float = 0.0) -> tuple[bool, float | None, float | None]:
-    """``_score_slate`` on the fuzzy partition ``fp`` of ``mu`` alone (which
-    ``fuzzy_split`` checks), as (ok, information, decrement), None for NaN."""
-    fuzzy_split(mu, fp)
-    ok, info, drop = (a[0] for a in _score_slate(mu.support, tuple(mu.atoms.values()),
-        np.array([[_density_values(mu, d) for d in fp.densities]]), r, i_floor))
-    return bool(ok), *(None if math.isnan(v) else float(v) for v in (info, drop))
 
 
 @dataclass(frozen=True)
@@ -885,17 +874,18 @@ def carve_concentrated_set(mu: DiscreteMeasure, cfg: PipelineConfig,
     return CarveResult(cell, "carve", params, cert, info)
 
 
-def partition_decomposition(mu: DiscreteMeasure, cfg: PipelineConfig
-                            ) -> DecompositionResult:
+def partition_decomposition(mu: DiscreteMeasure, cfg: PipelineConfig,
+                            *, tc: float | None = None) -> DecompositionResult:
     """Partition the support of ``mu`` into cells whose conditioned measures
     carry concentration certificates, plus one residual cell of mass
     below epsilon.
 
     Repeatedly carves a concentrated set out of the conditioned remainder.
     The residual cell is index 0; cells are otherwise in carving order.
+    ``tc`` is the audit's TC(mu) when the caller has computed it.
     """
     _check_envelope(mu)
-    tc = total_correlation(mu)
+    tc = total_correlation(mu) if tc is None else tc
     remaining = set(mu.support)
     cells: list[tuple[Word, ...]] = []
     carve_infos: list[dict] = []

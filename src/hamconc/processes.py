@@ -53,6 +53,12 @@ ROW_TOL = 1e-12
 # -----------------------------------------------------------------------------
 # Specifications
 # -----------------------------------------------------------------------------
+def _is_probability_vector(v: Sequence[float]) -> bool:
+    """Every entry >= 0 and the total within ``ROW_TOL`` of 1; both checks
+    are False for NaN, so a NaN entry fails."""
+    return all(x >= 0 for x in v) and abs(_sum(v) - 1.0) <= ROW_TOL
+
+
 @dataclass(frozen=True)
 class ProcessSpec:
     """Base class; every spec exposes its output alphabet size."""
@@ -68,7 +74,7 @@ class IIDSpec(ProcessSpec):
 
     def __post_init__(self) -> None:
         d = tuple(float(p) for p in self.dist)
-        if any(p < 0 for p in d) or abs(_sum(d) - 1.0) > ROW_TOL:
+        if not _is_probability_vector(d):
             raise MeasureError("iid distribution must be a probability vector")
         object.__setattr__(self, "dist", d)
 
@@ -90,9 +96,10 @@ class MarkovSpec(ProcessSpec):
         k = len(t)
         if any(len(row) != k for row in t) or len(pi) != k:
             raise MeasureError("transition matrix must be square, matching stationary")
-        for row in t:
-            if any(x < 0 for x in row) or abs(_sum(row) - 1.0) > ROW_TOL:
-                raise MeasureError("transition rows must be stochastic")
+        if not all(_is_probability_vector(row) for row in t):
+            raise MeasureError("transition rows must be stochastic")
+        if not _is_probability_vector(pi):
+            raise MeasureError("stationary law must be a probability vector")
         flow = [_sum(pi[i] * t[i][j] for i in range(k)) for j in range(k)]
         if max(abs(flow[j] - pi[j]) for j in range(k)) > STATIONARY_TOL:
             raise MeasureError("law is not stationary for the transition matrix")
@@ -492,7 +499,7 @@ def conditional_partition(lam: JointSpec, n: int, cfg: PipelineConfig,
         sub_cfg = replace(cfg, seed=int(
             np.random.SeedSequence(cfg.seed, spawn_key=(9, j))
             .generate_state(1)[0]))
-        res = partition_decomposition(conds[b], sub_cfg)
+        res = partition_decomposition(conds[b], sub_cfg, tc=tc_by_string[b])
         partitions[b] = res
         # n bits, widened when the partition has more than 2^n cells
         width = max(n, 1, (len(res.sets) - 1).bit_length())

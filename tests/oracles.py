@@ -10,7 +10,9 @@ on mass tuples, so that the two can be compared to the bit.  Likewise the
 tilt-search oracle is the search as one gradient ascent per (seed, t) pair,
 as it ran before its ascents were batched, and the window-law, block-kernel
 and product oracles build their measures word by word in dicts, as the
-library did before it built them as arrays.
+library did before it built them as arrays.  ``decrement_checks`` is no
+oracle: it runs the library's own slate scorer on one partition, for tests
+that read a single split's gate numbers.
 
 The oracles compared to the library in ``float.hex`` add with ``left_sum``,
 the library's order, whatever the interpreter's builtin ``sum`` does.
@@ -191,6 +193,20 @@ def decrement_gate(mu, fp, r, i_floor=None):
     return drop >= 0.5 * info - decompose.GATE_DROP_SLACK, info, drop
 
 
+def decrement_checks(mu, fp, r, i_floor=0.0):
+    """The library's slate scorer ``decompose._score_slate`` on the fuzzy
+    partition ``fp`` of ``mu`` alone (which ``fuzzy_split`` checks), as
+    (ok, information, decrement), None for NaN."""
+    from hamconc import decompose, fuzzy_split
+    from hamconc.measures import _density_values
+
+    fuzzy_split(mu, fp)
+    ok, info, drop = (a[0] for a in decompose._score_slate(
+        mu.support, tuple(mu.atoms.values()),
+        np.array([[_density_values(mu, d) for d in fp.densities]]), r, i_floor))
+    return bool(ok), *(None if math.isnan(v) else float(v) for v in (info, drop))
+
+
 def unpruned_step(mu, r, i_floor, slate):
     """The decrement step's choice with every candidate scored on its own:
     each split of ``slate`` (pairs of density values in support order)
@@ -211,19 +227,17 @@ def unpruned_step(mu, r, i_floor, slate):
     return results, win
 
 
-def lipschitz_project_1d(values, dist, max_iters=50, tol=1e-10):
-    """The Lipschitz projection of one vector as a plain loop: the average of
-    the upper and lower tight extensions, iterated to a fixed point."""
-    f = np.asarray(values, dtype=float).copy()
-    for _ in range(max_iters):
-        upper = (f[None, :] + dist).min(axis=1)
-        lower = (f[None, :] - dist).max(axis=1)
-        g = 0.5 * (upper + lower)
-        if np.abs(g - f).max() <= tol:
-            f = g
-            break
-        f = g
-    return f
+def lipschitz_project_1d(values, dist):
+    """The Lipschitz projection of one vector as a plain loop over its
+    entries: the midpoint of the upper and lower tight extensions, taken
+    once."""
+    f = np.asarray(values, dtype=float)
+    g = np.empty_like(f)
+    for x in range(len(f)):
+        upper = (f + dist[x]).min()
+        lower = (f - dist[x]).max()
+        g[x] = 0.5 * (upper + lower)
+    return g
 
 
 def tilt_ascent(mu, dist, r, kappa, budget, t_hi=None, t_points=24):

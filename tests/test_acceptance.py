@@ -42,7 +42,6 @@ from hamconc.concentration import (
 )
 from hamconc.decompose import (
     PipelineConfig,
-    _decrement_checks,
     decrement_step,
     mixture_decomposition,
     partition_decomposition,
@@ -67,7 +66,7 @@ from conftest import (
     random_measure,
     subgroup_measure,
 )
-from oracles import lp_transport_cost
+from oracles import decrement_checks, lp_transport_cost
 
 
 def report(number, elapsed, budget, detail=""):
@@ -193,7 +192,7 @@ def test_criterion_05_decrement_soundness(fixture_suite, product_controls):
         if split is None:
             continue
         fired += 1
-        ok, info, drop = _decrement_checks(mu, split.partition, r)
+        ok, info, drop = decrement_checks(mu, split.partition, r)
         n = mu.space.dimension
         assert drop >= 0.5 * info - 1e-8, name
         assert info >= r * r * math.exp(-n) / n - 1e-12, name

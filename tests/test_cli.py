@@ -236,6 +236,24 @@ def test_nan_mass_exits_2(capsys, tmp_path):
     assert "atoms[1].mass" in payload["error"]["message"]
 
 
+@pytest.mark.parametrize("spec, field", [
+    ({"kind": "iid", "dist": [math.nan, 0.5]}, "iid distribution"),
+    ({"kind": "markov", "transition": [[math.nan, 0.5], [0.5, 0.5]],
+      "stationary": [0.5, 0.5]}, "transition rows"),
+    ({"kind": "markov", "transition": [[0.5, 0.5], [0.5, 0.5]],
+      "stationary": [math.nan, 0.5]}, "stationary law"),
+], ids=["iid", "markov-transition", "markov-stationary"])
+def test_nan_process_spec_exits_2(capsys, tmp_path, spec, field):
+    # every check was an ordered comparison, so a NaN entry once passed and
+    # the window law silently dropped the paths through it
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code = run(["process", str(path), "--op", "block", "--n", "2"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert field in payload["error"]["message"]
+
+
 def test_decompose_b_splits_the_final_partition_once(capsys, mix_file,
                                                      monkeypatch):
     splits = []

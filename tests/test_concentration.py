@@ -112,11 +112,10 @@ def test_projection_produces_lipschitz(rng):
 
 @st.composite
 def projection_batches(draw):
-    """A support, a block cap small enough to split the batch, and rows that
-    converge at different iterations: a 1-Lipschitz row moved by noise at
-    several scales (at 3e-11 it converges within the tolerance, not exactly,
-    so a row iterated past its convergence would differ), and an iteration
-    cap some of them reach."""
+    """A support, a block cap small enough to split the batch, and rows at
+    several distances from the cone: a 1-Lipschitz row moved by noise at
+    several scales, from none (a row the projection must leave in place) to
+    far beyond the support's diameter."""
     n = draw(st.integers(1, 5))
     cube = list(itertools.product(range(2), repeat=n))
     words = draw(st.lists(st.sampled_from(cube), min_size=1, max_size=len(cube),
@@ -129,21 +128,26 @@ def projection_batches(draw):
     rng = np.random.default_rng(seed)
     rows = np.array([dist[0] + s * rng.normal(size=k) for s in scales])
     cap = draw(st.integers(1, 3 * k * k))
-    max_iters = draw(st.sampled_from([1, 2, 3, 50]))
-    return rows, dist, cap, max_iters
+    return rows, dist, cap
 
 
 @given(projection_batches())
 @settings(max_examples=80, deadline=None)
 def test_projection_of_rows_matches_each_row_alone(batch):
-    rows, dist, cap, max_iters = batch
+    rows, dist, cap = batch
     with mock.patch.object(concentration_module, "PROJECT_BLOCK_ELEMENTS", cap):
-        out = lipschitz_project(rows, dist, max_iters=max_iters)
+        out = lipschitz_project(rows, dist)
     assert out.shape == rows.shape
     for row, got in zip(rows, out):
-        for want in (lipschitz_project(row, dist, max_iters=max_iters),
-                     lipschitz_project_1d(row, dist, max_iters=max_iters)):
+        for want in (lipschitz_project(row, dist), lipschitz_project_1d(row, dist)):
             assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
+        # the midpoint of the two tight extensions is 1-Lipschitz after one
+        # pass, so a second pass, what an iterated projection would run next,
+        # moves nothing beyond round-off (the bound scales with rows above 1,
+        # whose last bit is worth more than 1e-15)
+        assert lipschitz_slack(got, dist) <= 1e-12
+        assert (np.abs(lipschitz_project(got, dist) - got).max()
+                <= 1e-15 * max(1.0, np.abs(got).max()))
 
 
 def test_row_reductions_match_one_dimensional_ones():
@@ -317,8 +321,10 @@ def _tilt_corpus():
 #: before the scalar log-sum-exp copies were merged into one helper (taking
 #: the log with ``np.log`` instead of ``math.log`` changes it), and
 #: re-recorded when the Hoeffding bound started to decide entries 2, 11 and
-#: 13, which now read "holds" with zero budget counts
-TILT_CORPUS_DIGEST = "37a7569c554c76864b2574eb13047d5c1e0c01ea2234dfc177aba5377e8ae09b"
+#: 13, which now read "holds" with zero budget counts, and again when the
+#: Lipschitz projection became one pass (the last bits of some ranked
+#: scores moved; the refute_T results did not)
+TILT_CORPUS_DIGEST = "2094db703d04af4a270d1b68fec428be063dfb3368649305d35db01a86bbf4b3"
 
 #: sha256 over the ``refute_T`` results of the 27 corpus entries that neither
 #: a-priori bound decides (11 of them refuted), recorded before the bounds and

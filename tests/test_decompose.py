@@ -31,7 +31,6 @@ from hamconc.decompose import (
     CarveError,
     PipelineConfig,
     _certificate_params,
-    _decrement_checks,
     carve_concentrated_set,
     decrement_recursion,
     decrement_step,
@@ -78,7 +77,7 @@ def test_step_fires_on_two_cluster_with_verified_conclusions():
     split = decrement_step(mu, 0.3)
     assert split is not None
     fp = split.partition
-    ok, info, drop = _decrement_checks(mu, fp, 0.3)
+    ok, info, drop = oracles.decrement_checks(mu, fp, 0.3)
     assert ok
     assert drop >= 0.5 * info - 1e-8
     assert info >= 0.3 ** 2 * math.exp(-6) / 6 - 1e-12
@@ -91,7 +90,7 @@ def test_step_fires_on_product_mixture():
     mu = product_mix(6, 0.1, 0.9)
     split = decrement_step(mu, 0.3)
     assert split is not None
-    ok, _, drop = _decrement_checks(mu, split.partition, 0.3)
+    ok, _, drop = oracles.decrement_checks(mu, split.partition, 0.3)
     assert ok and drop > 0
 
 
@@ -99,7 +98,7 @@ def test_split_carries_gate_numbers():
     # the numbers a Split carries are those a fresh check of it computes
     for mu in (two_cluster(6), product_mix(6, 0.1, 0.9), diagonal_code(4)):
         split = decrement_step(mu, 0.3)
-        _, info, drop = _decrement_checks(mu, split.partition, 0.3)
+        _, info, drop = oracles.decrement_checks(mu, split.partition, 0.3)
         assert split.information.hex() == info.hex()
         assert split.decrement.hex() == drop.hex()
 
@@ -131,7 +130,7 @@ def test_decrement_step_pins_split_densities():
         pinned = None
         if split is not None:
             fp = split.partition
-            _, info, drop = _decrement_checks(mu, fp, 0.3)
+            _, info, drop = oracles.decrement_checks(mu, fp, 0.3)
             pinned = ([[(w, v.hex()) for w, v in sorted(d.items())]
                        for d in fp.densities],
                       info.hex(), drop.hex())
@@ -285,7 +284,7 @@ def test_decrement_gate_dtc_evaluations(monkeypatch):
     fp = decrement_step(mu, r).partition
     mu_calls.clear()
     component_rows.clear()
-    ok, _, drop = _decrement_checks(mu, fp, r, i_floor=10.0)
+    ok, _, drop = oracles.decrement_checks(mu, fp, r, i_floor=10.0)
     assert not ok and drop is None
     assert mu_calls == [] and component_rows == []
 
@@ -295,7 +294,7 @@ def test_partition_missing_support_fails_the_gate():
                                     [(0, 0), (0, 1), (1, 0), (1, 1)])
     half = FuzzyPartition(mu.space, ({(0, 0): 1.0}, {(1, 1): 1.0}))
     with pytest.raises(MeasureError, match="covers mass 0.5"):
-        _decrement_checks(mu, half, 0.3)
+        oracles.decrement_checks(mu, half, 0.3)
 
 
 # -----------------------------------------------------------------------------

@@ -393,7 +393,7 @@ def test_conditional_partition_labels_widen_past_2n_cells(monkeypatch):
     # last cell the same label
     n = 2
 
-    def many_cells(mu, cfg):
+    def many_cells(mu, cfg, tc=None):
         words = list(mu.support)
         sets = ((words[0],),) + ((),) * (2 ** n - 1) + (tuple(words[1:]),)
         return SimpleNamespace(sets=sets)
