@@ -182,6 +182,9 @@ def run(argv: list[str]) -> int:
             nu = load_measure(args.other)
             for path in (args.measure, args.other):
                 manifest["input_digest"][path] = _digest(path)
+            if not args.approx and args.reg != _parser().parse_args(
+                    ["transport", "--", args.measure, args.other]).reg:
+                raise MeasureError("exact transport does not read --reg")
             manifest["config"] = {"approx": args.approx, "reg": args.reg}
             method = "sinkhorn" if args.approx else "exact"
             cost, plan = transport_distance(mu, nu, method=method, reg=args.reg)

@@ -428,48 +428,47 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 TILT_ANCHOR_STARTS = 2
 
 
-def _l_search_candidates(mu: DiscreteMeasure, dist: np.ndarray, r: float,
+def _l_search_candidates(masses: np.ndarray, dist: np.ndarray, r: float,
                          kappa: float, budget: RefutationBudget,
-                         t_hi: float | None = None, t_points: int = 24):
+                         t_hi: Sequence[float] | None = None, t_points: int = 24):
     """Ranked (score, f-values, t, divergence, threshold) candidates for the
-    tilted-divergence search.  f ranges over 1-Lipschitz functions into [0,1],
-    t over a ``t_points``-point logarithmic grid spanning [r/2, kappa] (in
-    either order; the upper end can be raised via ``t_hi`` for decisive
-    splitting tilts), and score = D(mu tilted by exp(-t f) || mu) - alpha t^2
-    with alpha = (r/2)/kappa.  ``dist`` is the normalized Hamming distance
-    matrix of the support.
+    tilted-divergence search, one list per row of ``masses``, an ``(M, k)``
+    array of measures on one support.  f ranges over 1-Lipschitz functions
+    into [0,1], t over a ``t_points``-point logarithmic grid spanning
+    [r/2, kappa] (in either order; measure m's upper end can be raised to
+    ``t_hi[m]`` for decisive splitting tilts), and score = D(mu tilted by
+    exp(-t f) || mu) - alpha t^2 with alpha = (r/2)/kappa.  ``dist`` is the
+    normalized Hamming distance matrix of the support.
 
-    The gradient ascents of all (seed, t) pairs run in lock step as one
-    ``(rows, k)`` batch, one row each.  A row leaves the batch at the step
-    where its divergence stops rising, and its best iterate is the
-    candidate's f-values: an array row in support order.  Every float is the
-    one a separate ascent per pair gives."""
-    support = list(mu.support)
-    masses = np.array([mu.atoms[w] for w in support])
+    The ascents of all (measure, seed, t) triples run in lock step as one
+    ``(rows, k)`` batch, one row each; seeds past the anchors are drawn once
+    for all measures.  A row leaves the batch when its divergence stops
+    rising, and its best iterate is the candidate's f-values, an array row in
+    support order.  Every float is the one a separate ascent per triple gives."""
+    count, k = masses.shape
     logm = np.log(masses)
     alpha = (r / 2.0) / kappa
     lo, hi = sorted((r / 2.0, kappa))
-    if t_hi is not None:
-        hi = max(hi, t_hi)
-    t_grid = np.exp(np.linspace(math.log(lo), math.log(hi), t_points))
+    t_grid = np.exp(np.linspace(math.log(lo), [math.log(max(hi, h)) for h in (
+        [hi] * count if t_hi is None else t_hi)], t_points, axis=1))
 
     def project01(f):
         return np.clip(lipschitz_project(f, dist), 0.0, 1.0)
 
-    seeds = []
-    anchor_order = np.argsort(-masses, kind="stable")
-    for i in anchor_order[: max(TILT_ANCHOR_STARTS, budget.restarts // 2)]:
-        seeds.append(np.clip(dist[int(i)], 0.0, 1.0))
-    if len(seeds) < budget.restarts:     # the generator is made only when drawn from
+    anchors = np.argsort(-masses, axis=1, kind="stable")[
+        :, :max(TILT_ANCHOR_STARTS, budget.restarts // 2)]
+    if anchors.shape[1] < budget.restarts:   # the generator is made only when drawn from
         rng = np.random.default_rng(np.random.SeedSequence(budget.seed))
-    while len(seeds) < budget.restarts:
-        seeds.append(project01(rng.uniform(0.0, 1.0, size=len(support))))
-
-    # row s * t_points + j ascends from seeds[s] at t_grid[j]
-    t_rows = np.tile(t_grid, len(seeds))
-    f = np.repeat(np.array(seeds), t_points, axis=0)
+    drawn = np.reshape([project01(rng.uniform(0.0, 1.0, size=k))
+                        for _ in range(budget.restarts - anchors.shape[1])], (-1, k))
+    seeds = np.concatenate((np.clip(dist[anchors], 0.0, 1.0),
+                            np.broadcast_to(drawn, (count,) + drawn.shape)), axis=1)
+    # row (m * seeds + s) * t_points + j: measure m from seed s at t_grid[m, j]
+    per = seeds.shape[1] * t_points
+    t_rows = np.repeat(t_grid, seeds.shape[1], axis=0).ravel()
+    f = np.repeat(seeds.reshape(-1, k), t_points, axis=0)
     best_f, best_div = f.copy(), np.full(len(t_rows), -math.inf)
-    live, t = np.arange(len(t_rows)), t_rows
+    live, t, logm = np.arange(len(t_rows)), t_rows, np.repeat(logm, per, axis=0)
     for step in range(budget.max_grad_steps):
         tf = -t[:, None] * f
         z = tf + logm
@@ -478,7 +477,7 @@ def _l_search_candidates(mu: DiscreteMeasure, dist: np.ndarray, r: float,
         div = _row_dots(w, tf) - logz
         rising = ~(div <= best_div[live] + 1e-14)
         if not rising.all():
-            live, t, f, w, div = (a[rising] for a in (live, t, f, w, div))
+            live, t, f, w, div, logm = (a[rising] for a in (live, t, f, w, div, logm))
             if not live.size:
                 break
         best_f[live], best_div[live] = f, div
@@ -491,8 +490,8 @@ def _l_search_candidates(mu: DiscreteMeasure, dist: np.ndarray, r: float,
     candidates = list(zip((best_div - thresholds).tolist(), best_f,
                           t_rows.tolist(), best_div.tolist(),
                           thresholds.tolist()))
-    candidates.sort(key=lambda c: -c[0])
-    return candidates
+    return [sorted(candidates[i:i + per], key=lambda c: -c[0])
+            for i in range(0, len(candidates), per)]
 
 
 def find_L_violation(mu: DiscreteMeasure, r: float, kappa: float | None = None,
@@ -514,7 +513,7 @@ def find_L_violation(mu: DiscreteMeasure, r: float, kappa: float | None = None,
         return None
     dist = mismatch_matrix(support, support) / n
     for score, f, t, div, threshold in _l_search_candidates(
-            mu, dist, r, kappa, budget):
+            np.array([tuple(mu.atoms.values())]), dist, r, kappa, budget)[0]:
         if score <= 1e-12:
             break
         fm = dict(zip(support, f.tolist()))

@@ -2,13 +2,15 @@
 
 ``decrement_step`` splits a non-concentrated measure by a Gibbs-tilted binary
 fuzzy partition; ``decrement_recursion`` iterates it until the still-splittable
-mass is small; ``sample_coarsen`` replaces a low-information mixture by a
-bounded-size empirical average; ``mixture_decomposition`` chains trimming,
-recursion, sampling and lifting into a mixture whose non-bad components carry
-concentration certificates; ``carve_concentrated_set`` extracts one
-concentrated set, and ``partition_decomposition`` repeats it into a partition
-of the support.  ``refute_T`` proves every pipeline certificate by its
-diameter or Hoeffding bound before any search.
+mass is small, scoring each round's untried components as one batch per
+support (a split does not depend on the rest of its batch); ``sample_coarsen``
+replaces a low-information mixture by a bounded-size empirical average;
+``mixture_decomposition`` chains trimming, recursion, sampling and lifting
+into a mixture whose non-bad components carry concentration certificates;
+``carve_concentrated_set`` extracts one concentrated set, and
+``partition_decomposition`` repeats it into a partition of the support.
+``refute_T`` proves every pipeline certificate by its diameter or Hoeffding
+bound before any search.
 
 Every split is gated on the exactly computable decrement inequality
 (average-DTC drop >= half the mutual information of the split, and the mutual
@@ -21,6 +23,7 @@ against achieved counts, never asserted.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
@@ -32,6 +35,7 @@ from .measures import (
     MeasureError,
     MixtureRepresentation,
     PRUNE_TOL,
+    ProductSpace,
     Word,
     _sum,
     condition,
@@ -59,7 +63,6 @@ from .concentration import (
     Lift,
     RefutationBudget,
     RefutationResult,
-    TILT_ANCHOR_STARTS,
     TParams,
     _l_search_candidates,
     concentrate_subset,
@@ -75,7 +78,8 @@ MAX_PIPELINE_SUPPORT = 1 << 16
 #: inequality denominators of the radius arithmetic (r n / 200 for splits and
 #: the recursion, r n / 1200 for the final radius), the cell cap of a
 #: partition, the subset draws of a level-set carve, the tilt-search budget of
-#: one decrement step, and the first and largest sampling sizes
+#: one decrement step (both restarts start at anchor atoms, so it reads no
+#: seed), and the first and largest sampling sizes
 DEC_DENOMINATOR = 200.0
 FINAL_DENOMINATOR = 1200.0
 MAX_CELLS = 4096
@@ -145,20 +149,6 @@ class PipelineConfig:
                 "threshold exponent 161 c_B / delta^2 divides by 0")
         return 161.0 * self.c_B / (d * d)
 
-    def spawned_budget(self, base: RefutationBudget, *key: int) -> RefutationBudget:
-        """``base`` with a tilt-search seed spawned from ``self.seed`` at
-        ``key``; ``base`` itself when its restarts are at most
-        ``TILT_ANCHOR_STARTS``, since on two or more atoms every restart then
-        starts at an anchor and the seed is never read."""
-        if base.restarts <= TILT_ANCHOR_STARTS:
-            return base
-        child = int(np.random.SeedSequence(self.seed, spawn_key=key)
-                    .generate_state(1)[0])
-        return replace(base, seed=child)
-
-    def rng(self, *key: int) -> np.random.Generator:
-        return np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=key))
-
     def to_dict(self) -> dict:
         out = {
             "epsilon": self.epsilon, "r": self.r, "seed": self.seed,
@@ -206,11 +196,8 @@ class DecompositionResult:
             "weights": list(self.weights),
             "bad_index": self.bad_index,
             "truncated": self.truncated,
-            "components": [
-                None if c is None else
-                [[list(w), m] for w, m in c.atoms.items()]
-                for c in self.components
-            ],
+            "components": [None if c is None else [[list(w), m] for w, m in c.atoms.items()]
+                           for c in self.components],
             "certificates": [None if c is None else c.to_dict()
                              for c in self.certificates],
             "certificate_params": [
@@ -237,37 +224,32 @@ def _check_envelope(mu: DiscreteMeasure) -> None:
 # -----------------------------------------------------------------------------
 # Decrement machinery
 # -----------------------------------------------------------------------------
-def _score_slate(support: tuple[Word, ...], masses: Sequence[float],
-                 densities: np.ndarray, r: float, i_floor: float = 0.0,
-                 dtc: float | None = None
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _score_slate(support: tuple[Word, ...], masses: np.ndarray,
+                 densities: np.ndarray, r: float, i_floor: np.ndarray,
+                 dtc: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The decrement gate, arrays (ok, information, decrement), on a slate of
-    splits of mu given by its atoms: split c has valid density values
-    ``densities[c, j]`` (a ``(C, J, k)`` array).  ok when the average-DTC drop
-    is >= I/2 and I is above the floor, the max of r^2 n^{-1} e^{-n} and
-    ``i_floor``; I is NaN for fewer than two parts.  Only splits above the
-    floor get DTCs (also of mu when ``dtc`` is None); below it the drop is NaN.
-    Components are rows on the support of mu, zero at pruned atoms, so every
-    float is the one ``fuzzy_split`` and the public functionals give."""
-    n, k = len(support[0]), len(support)
-    raw = densities * np.asarray(masses)
+    splits: split c has density values ``densities[c, j]`` (a ``(C, J, k)``
+    array) on ``support`` for the measure with atoms ``masses[c]``, DTC
+    ``dtc[c]`` and floor ``i_floor[c]``.  ok when the average-DTC drop is
+    >= I/2 and I (NaN for fewer than two parts) is above the max of
+    r^2 n^{-1} e^{-n} and the floor; only then are component DTCs taken, else
+    the drop is NaN.  Every float, a row on its own, is the one
+    ``fuzzy_split`` and the public functionals give."""
+    n, (count, parts, k) = len(support[0]), densities.shape
+    raw = densities * masses[:, None]
     p = _left_sums(raw)
     kept = p > PRUNE_TOL
     atoms = np.where(raw > PRUNE_TOL, raw, 0.0)
     weights = np.where(kept, p, 0.0)
     weights /= _left_sums(weights)[:, None]
     comps = atoms / np.where(kept, _left_sums(atoms), 1.0)[..., None]
-    kls = _kl_rows(comps.reshape(-1, k), masses).reshape(p.shape)
+    kls = _kl_rows(comps.reshape(-1, k), np.repeat(masses, parts, axis=0)).reshape(p.shape)
     info = np.where(kept.sum(axis=1) >= 2, _left_sums(weights * kls), np.nan)
-    drop = np.full(len(p), np.nan)
-    above = info >= max(r * r * math.exp(-n) / n, i_floor) - GATE_FLOOR_SLACK
+    drop = np.full(count, np.nan)
+    above = info >= np.maximum(r * r * math.exp(-n) / n, i_floor) - GATE_FLOOR_SLACK
     if above.any():
-        rows = comps[above].reshape(-1, k)
-        if dtc is None:
-            rows = np.concatenate([[masses], rows])
-        dtcs = _dtc_rows(support, rows)
-        dtc, dtcs = (dtcs[0], dtcs[1:]) if dtc is None else (dtc, dtcs)
-        drop[above] = dtc - _left_sums(weights[above] * dtcs.reshape(-1, p.shape[1]))
+        dtcs = _dtc_rows(support, comps[above].reshape(-1, k)).reshape(-1, parts)
+        drop[above] = dtc[above] - _left_sums(weights[above] * dtcs)
     return above & (drop >= 0.5 * info - GATE_DROP_SLACK), info, drop
 
 
@@ -281,8 +263,7 @@ class Split:
     decrement: float
 
 
-def decrement_step(mu: DiscreteMeasure, r: float,
-                   budget: RefutationBudget = SPLIT_BUDGET) -> Split | None:
+def decrement_step(mu: DiscreteMeasure, r: float) -> Split | None:
     """One splitting step: search for a tilt witness and return the binary
     fuzzy partition (e^{-t f}/2, 1 - e^{-t f}/2), with the information and
     decrement the gate measured, when the split passes the exact decrement
@@ -291,60 +272,72 @@ def decrement_step(mu: DiscreteMeasure, r: float,
 
     Besides the asymptotic floor, a split must carry information at least
     r^2/(4n) and a tenth of the measure's DTC (below, a split is noise at
-    small n).  The distinct candidate tilts (up to 18) are scored as one
-    ``(C, 2, k)`` slate; the winner, the first passing candidate whose drop
-    is within ``GATE_TIE_SLACK`` of the largest passing drop, is built."""
+    small n).  The 18 candidate tilts are scored as one ``(C, 2, k)`` slate;
+    the winner, the first passing candidate whose drop is within
+    ``GATE_TIE_SLACK`` of the largest passing drop, is built.  This is the
+    one-measure batch of ``_decrement_steps``: the recursion scores a round's
+    components together, one batch per support, and a split does not depend
+    on the other measures of its batch."""
+    return _decrement_steps(mu.space, mu.support, np.array([tuple(mu.atoms.values())]), r)[0]
+
+
+def _decrement_steps(space: ProductSpace, support: tuple[Word, ...],
+                     masses: np.ndarray, r: float) -> list[Split | None]:
+    """``decrement_step`` of each measure on ``support`` with atoms a row of
+    ``masses``, as one batch: one ``_dtc_rows`` call for their DTCs, one
+    distance matrix, one tilt search and one slate.  Every quantity is taken
+    row by row, so each split is, bit for bit, the one its measure gets alone."""
     if not (0.0 < r < 1.0):
         raise MeasureError(f"r must lie in (0,1), got {r}")
-    if len(mu.support) == 1:
-        return None
-    n = mu.space.dimension
-    support, masses = mu.support, tuple(mu.atoms.values())
-    dtc = dual_total_correlation(mu)
-    i_floor = max(r * r / (4.0 * n), 0.1 * dtc)
-    if 2.0 * dtc < i_floor - GATE_FLOOR_SLACK:
-        # the drop inequality caps any split's information at 2 DTC
-        return None
+    out: list[Split | None] = [None] * len(masses)
+    n = space.dimension
+    dtc = _dtc_rows(support, masses)
+    i_floor = np.maximum(r * r / (4.0 * n), 0.1 * dtc)
+    # the drop inequality caps any split's information at 2 DTC
+    live = np.flatnonzero(2.0 * dtc >= i_floor - GATE_FLOOR_SLACK)
+    if len(support) == 1 or not live.size:
+        return out
     kappa = r * n / DEC_DENOMINATOR
     # allow tilts strong enough to cleanly separate the lightest atom
-    t_hi = min(max(kappa, r / 2.0, math.log(1.0 / min(masses)) + 6.0), 50.0)
+    t_hi = [min(max(kappa, r / 2.0, math.log(1.0 / masses[m].min()) + 6.0), 50.0)
+            for m in live]
     dist = mismatch_matrix(support, support) / n
-    candidates = _l_search_candidates(mu, dist, r, kappa, budget, t_hi=t_hi,
-                                      t_points=10)
-    # the decrement gate favours informative tilts, not the raw score margin
-    candidates = sorted(candidates, key=lambda c: -c[3])
-    fs, ts = [c[1] for c in candidates[:6]], [c[2] for c in candidates[:6]]
+    ranked = _l_search_candidates(masses[live], dist, r, kappa, SPLIT_BUDGET,
+                                  t_hi=t_hi, t_points=10)
     # plus the plain anchor separators, which divergence ascent tends to
     # sharpen past the point of a balanced split
-    anchors = np.argsort(-np.array(masses), kind="stable")[:2]
+    seps = np.minimum(dist[np.argsort(-masses[live], axis=1, kind="stable")[:, :2]], 1.0)
     t_coarse = np.exp(np.linspace(math.log(max(r / 2.0, 0.25)),
-                                  math.log(max(t_hi, 1.0)), 6))
-    for anchor in anchors:
-        fs += [np.minimum(dist[anchor], 1.0)] * len(t_coarse)
-        ts += t_coarse.tolist()
+                                  [math.log(max(h, 1.0)) for h in t_hi], 6, axis=1))
+    fs, ts = [], []
+    for cands, sep, coarse in zip(ranked, seps, t_coarse.tolist()):
+        # the decrement gate favours informative tilts, not the raw score margin
+        cands = sorted(cands, key=lambda c: -c[3])[:6]
+        fs += [c[1] for c in cands] + [row for row in sep for _ in coarse]
+        ts += [c[2] for c in cands] + coarse * len(sep)
+    # every measure's slate has one size; a tilt met twice (a search candidate
+    # can equal an anchor separator) scores the same twice, the first winning
     rho = 0.5 * np.exp(-np.array(ts)[:, None] * np.array(fs))
-    # a tilt met twice (a search candidate can equal an anchor separator) is
-    # scored once, at its first place in the slate
-    first = {row.tobytes(): c for c, row in reversed(list(enumerate(rho)))}
-    rho = rho[sorted(first.values())]
-    dens = np.stack([rho, 1.0 - rho], axis=1)
+    dens, size = np.stack([rho, 1.0 - rho], axis=1), len(ts) // len(live)
+    masses, i_floor, dtc = (np.repeat(a[live], size, axis=0) for a in (masses, i_floor, dtc))
     ok, info, drop = _score_slate(support, masses, dens, r, i_floor, dtc)
-    if not ok.any():
-        return None
-    win = int(np.flatnonzero(ok & (drop >= drop[ok].max() - GATE_TIE_SLACK))[0])
-    return Split(FuzzyPartition(mu.space, tuple(dict(zip(support, d.tolist()))
-                                                for d in dens[win])),
-                 float(info[win]), float(drop[win]))
+    gain = np.where(ok, drop, -np.inf).reshape(-1, size)
+    wins = ok.reshape(-1, size) & (gain >= gain.max(axis=1)[:, None] - GATE_TIE_SLACK)
+    for c in (i * size + int(row.argmax()) for i, row in enumerate(wins) if row.any()):
+        out[live[c // size]] = Split(FuzzyPartition(space, tuple(
+            dict(zip(support, d.tolist())) for d in dens[c])),
+            float(info[c]), float(drop[c]))
+    return out
 
 
 @dataclass
 class _Component:
-    """One cell of the recursion: a density over supp(mu), its mass under mu,
-    and its status: "unknown" (not yet tried), "firing" (``split`` passed),
-    "concentrated" (no split within budget, or still splittable at the round
-    cap or a stall) or "bad" (firing at the natural stop)."""
+    """One cell of the recursion: a density array over supp(mu), its mass
+    under mu, and its status: "unknown" (not yet tried), "firing" (``split``
+    passed), "concentrated" (no split within budget, or still splittable at
+    the round cap or a stall) or "bad" (firing at the natural stop)."""
 
-    density: dict[Word, float]
+    density: np.ndarray
     weight: float
     status: str = "unknown"
     split: Split | None = None
@@ -360,7 +353,9 @@ def decrement_recursion(mu: DiscreteMeasure, cfg: PipelineConfig,
     audit ledger with the per-step information growth and decrement totals,
     and ``fuzzy_split(mu, partition)``, split once for the audit's
     ``final_information`` and kept for the caller.  ``dtc`` is the audit's
-    DTC(mu) when the caller has computed it.
+    DTC(mu) when the caller has computed it.  Each round scores its untried
+    components together, one ``_decrement_steps`` batch per support; a split
+    does not depend on the other measures of its batch.
 
     A component joins the bad cell when it still admits a split at the
     natural stop.  At the round cap, or when the splittable mass stalls, every
@@ -372,35 +367,40 @@ def decrement_recursion(mu: DiscreteMeasure, cfg: PipelineConfig,
     """
     r = cfg.r if r is None else r
     epsilon = cfg.epsilon if epsilon is None else epsilon
-    support = mu.support
+    support, masses = mu.support, np.array(tuple(mu.atoms.values()))
 
-    def component(dens: dict[Word, float]) -> _Component:
-        return _Component(
-            dens, _sum(dens.get(w, 0.0) * m for w, m in mu.atoms.items()))
+    def component(dens: np.ndarray) -> _Component:
+        return _Component(dens, float(_left_sums(dens * masses)))
 
     # a component is tried once, and exactly one (the heaviest firing one) is
     # split per round
-    comps = [component({w: 1.0 for w in support})]
+    comps = [component(np.ones(len(support)))]
     audit: dict = {"rounds": [], "truncated": False}
     total_decrement = 0.0
 
     stalled = False
     history: list[float] = []
     for round_no in range(cfg.max_iters):
+        # the round's untried components, reweighted as ``reweight`` does,
+        # one batch per support (the atoms above PRUNE_TOL)
+        batches: dict[bytes, list[int]] = {}
         for idx, comp in enumerate(comps):
-            if comp.status != "unknown":
-                continue
-            if comp.weight <= 1e-14:
+            if comp.status == "unknown" and comp.weight <= 1e-14:
                 comp.status = "concentrated"
-                continue
-            comp.split = decrement_step(
-                reweight(mu, comp.density), r,
-                cfg.spawned_budget(SPLIT_BUDGET, 1, round_no, idx))
-            comp.status = "concentrated" if comp.split is None else "firing"
+            elif comp.status == "unknown":
+                batches.setdefault((comp.density * masses > PRUNE_TOL).tobytes(),
+                                   []).append(idx)
+        for kept, batch in batches.items():
+            kept = np.frombuffer(kept, dtype=bool)
+            raw = np.array([comps[i].density[kept] for i in batch]) * masses[kept]
+            for idx, split in zip(batch, _decrement_steps(
+                    mu.space, tuple(w for w, x in zip(support, kept) if x),
+                    raw / _left_sums(raw)[:, None], r)):
+                comps[idx].split = split
+                comps[idx].status = "concentrated" if split is None else "firing"
         firing = [i for i, comp in enumerate(comps) if comp.status == "firing"]
         firing_mass = _sum(comps[i].weight for i in firing)
-        round_entry = {"round": round_no, "firing_mass": firing_mass,
-                       "splits": []}
+        round_entry = {"round": round_no, "firing_mass": firing_mass, "splits": []}
         history.append(firing_mass)
         if firing_mass < epsilon or not firing:
             for idx in firing:
@@ -419,7 +419,7 @@ def decrement_recursion(mu: DiscreteMeasure, cfg: PipelineConfig,
         round_entry["splits"].append(
             {"component": idx, "weight": weight,
              "information": split.information, "decrement": split.decrement})
-        first, second = ({w: dens[w] * sigma.get(w, 0.5) for w in support}
+        first, second = (dens * np.array([sigma.get(w, 0.5) for w in support])
                          for sigma in split.partition.densities)
         comps[idx] = component(first)
         comps.append(component(second))
@@ -433,15 +433,10 @@ def decrement_recursion(mu: DiscreteMeasure, cfg: PipelineConfig,
                 comp.status = "concentrated"
 
     bad = [comp.density for comp in comps if comp.status == "bad"]
-    final: list[dict[Word, float]] = []
-    if bad:
-        merged: dict[Word, float] = {w: 0.0 for w in support}
-        for d in bad:
-            for w, v in d.items():
-                merged[w] += v
-        final.append(merged)
+    final = [_sum(bad)] if bad else []
     final.extend(comp.density for comp in comps if comp.status != "bad")
-    fp_final = FuzzyPartition(mu.space, tuple(final))
+    fp_final = FuzzyPartition(mu.space, tuple(dict(zip(support, d.tolist()))
+                                              for d in final))
     audit["bad_present"] = bool(bad)
     audit["total_decrement"] = total_decrement
     audit["final_cells"] = len(final)
@@ -476,8 +471,7 @@ def _sample_coarsen_detail(mu: DiscreteMeasure, rep: MixtureRepresentation,
     trunc_mass = 0.0
     for p, comp in zip(rep.weights, rep.components):
         for w, m in comp.atoms.items():
-            ratio = m / mu.mass(w)
-            if ratio > f_cap:
+            if m / mu.mass(w) > f_cap:
                 trunc_mass += p * (m - f_cap * mu.mass(w))
     exponent = 16.0 * (info + 1.0) / epsilon
     m_star = math.inf if exponent > 700 else math.ceil(
@@ -494,9 +488,7 @@ def _sample_coarsen_detail(mu: DiscreteMeasure, rep: MixtureRepresentation,
         draws = rng.choice(len(weights), size=m_eff, p=weights)
         draws = [int(d) if int(d) in good else
                  int(rng.choice(good, p=good_weights)) for d in draws]
-        counts: dict[int, int] = {}
-        for d in draws:
-            counts[d] = counts.get(d, 0) + 1
+        counts = Counter(draws)
         idx = sorted(counts)
         emp = MixtureRepresentation(
             tuple(counts[i] / m_eff for i in idx),
@@ -659,7 +651,7 @@ def mixture_decomposition(mu: DiscreteMeasure, cfg: PipelineConfig
     audit["achieved_m"] = len(weights)
     audit["m_bound_reported"] = cfg.c * math.exp(
         min(cfg.c * dtc_s, 700.0)) if cfg.c * dtc_s <= 700 else math.inf
-    result = DecompositionResult(
+    return DecompositionResult(
         kind="mixture",
         weights=tuple(weights),
         components=tuple(components),
@@ -670,7 +662,6 @@ def mixture_decomposition(mu: DiscreteMeasure, cfg: PipelineConfig
         truncated=dec_audit["truncated"],
         audit=audit,
     )
-    return result
 
 
 # -----------------------------------------------------------------------------
@@ -832,7 +823,8 @@ def carve_concentrated_set(mu: DiscreteMeasure, cfg: PipelineConfig,
     accepted = None
     attempts = []
     for attempt in range(CARVE_RETRIES):
-        rng = cfg.rng(7, attempt, *_seed_key)
+        rng = np.random.default_rng(np.random.SeedSequence(
+            cfg.seed, spawn_key=(7, attempt, *_seed_key)))
         draw = rng.random(len(nu.support))
         u_words = [w for w, x in zip(nu.support, draw) if x < dens[w]]
         if not u_words:
@@ -840,8 +832,7 @@ def carve_concentrated_set(mu: DiscreteMeasure, cfg: PipelineConfig,
             continue
         mass_u = _sum(map(nu.mass, u_words))
         nu_u = condition(nu, u_words)
-        nu_rho = comp
-        dd, plan = transport_distance(nu_rho, nu_u)
+        dd, plan = transport_distance(comp, nu_u)
         ok_mass = abs(mass_u - rho_weight) <= 9.0 * delta * rho_weight + 1e-12
         ok_dist = mass_u * dd <= 21.0 * delta * rho_weight + 1e-12
         attempts.append({"attempt": attempt, "mass": mass_u,

@@ -42,6 +42,11 @@ def _clip_roundoff(x: float) -> float:
     return max(x, 0.0) if x > -1e-12 else x
 
 
+def _clip_rows(v: np.ndarray) -> np.ndarray:
+    """``_clip_roundoff`` of each entry."""
+    return np.where((v < 0.0) & (v > -1e-12), 0.0, v)
+
+
 def shannon_entropy(mu: DiscreteMeasure) -> float:
     """-sum p log p over the atoms of ``mu``."""
     return -_sum(m * math.log(m) for m in mu.atoms.values() if m > 0.0)
@@ -70,8 +75,9 @@ def per_coordinate_entropies(mu: DiscreteMeasure) -> tuple[float, ...]:
 
 #: supports whose leave-one-out index arrays are kept (one for 65,536 atoms
 #: on 12 coordinates takes megabytes), and the element cap of a row block
+#: (larger blocks of a batched recursion round raise the peak memory)
 LOO_GROUP_CACHE_SIZE = 8
-ROW_BLOCK_ELEMENTS = 1 << 18
+ROW_BLOCK_ELEMENTS = 1 << 14
 
 
 def _left_sums(a: np.ndarray) -> np.ndarray:
@@ -85,11 +91,11 @@ def _xlogx(x: np.ndarray) -> np.ndarray:
     return x * np.log(x)
 
 
-def _row_blocks(fn, rows: np.ndarray, per_row: int) -> np.ndarray:
-    """``fn`` of blocks of ``rows`` under ``ROW_BLOCK_ELEMENTS``, stacked."""
-    step = max(1, ROW_BLOCK_ELEMENTS // per_row)
-    return fn(rows) if len(rows) <= step else np.concatenate(
-        [fn(rows[lo:lo + step]) for lo in range(0, len(rows), step)])
+def _row_blocks(fn, per_row: int, *arrays: np.ndarray) -> np.ndarray:
+    """``fn`` of row blocks of ``arrays`` under ``ROW_BLOCK_ELEMENTS``, stacked."""
+    step, size = max(1, ROW_BLOCK_ELEMENTS // per_row), len(arrays[0])
+    return fn(*arrays) if size <= step else np.concatenate(
+        [fn(*(a[lo:lo + step] for a in arrays)) for lo in range(0, size, step)])
 
 
 @lru_cache(maxsize=LOO_GROUP_CACHE_SIZE)
@@ -128,7 +134,7 @@ def _loo_entropies(support: tuple[Word, ...], masses) -> np.ndarray:
         return np.concatenate((joint, -_left_sums(q * h)), axis=1)
 
     rows = np.asarray(masses, dtype=float).reshape(-1, len(support))
-    return _row_blocks(block, rows, index.size + len(support))
+    return _row_blocks(block, index.size + len(support), rows)
 
 
 def _dtc_rows(support: tuple[Word, ...], masses) -> np.ndarray:
@@ -136,17 +142,16 @@ def _dtc_rows(support: tuple[Word, ...], masses) -> np.ndarray:
     if len(support[0]) == 1:
         return np.zeros(np.size(masses) // len(support))
     h = _loo_entropies(support, masses)
-    return np.array([_clip_roundoff(v) for v in
-                     (h[:, 0] - _left_sums(h[:, 1:])).tolist()])
+    return _clip_rows(h[:, 0] - _left_sums(h[:, 1:]))
 
 
-def _kl_rows(masses, reference: Sequence[float]) -> np.ndarray:
+def _kl_rows(masses, reference) -> np.ndarray:
     """D(row || reference), the sum of q log(q / p) over q > 0, for each row of
-    ``masses`` on a support where ``reference`` is positive, as if alone."""
-    p = np.asarray(reference, dtype=float)
-    return np.array([_clip_roundoff(v) for v in _row_blocks(
-        lambda q: _left_sums(q * np.log(np.where(q > 0.0, q / p, 1.0))),
-        np.asarray(masses, dtype=float).reshape(-1, len(p)), len(p)).tolist()])
+    ``masses`` and ``reference`` (one row, or one per row) positive, as if alone."""
+    q = np.asarray(masses, dtype=float).reshape(-1, np.shape(reference)[-1])
+    p = np.broadcast_to(np.asarray(reference, dtype=float), q.shape)
+    return _clip_rows(_row_blocks(lambda q, p: _left_sums(
+        q * np.log(np.where(q > 0.0, q / p, 1.0))), q.shape[1], q, p))
 
 
 def conditional_coordinate_entropy(mu: DiscreteMeasure, i: int) -> float:

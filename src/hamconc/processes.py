@@ -215,11 +215,9 @@ def _uniform_cube(space: ProductSpace) -> DiscreteMeasure:
 # -----------------------------------------------------------------------------
 def exact_block_measure(spec: ProcessSpec, n: int) -> DiscreteMeasure:
     """Exact law of a length-``n`` output window."""
-    if n < 1:
-        raise MeasureError("window length must be >= 1")
     if isinstance(spec, (IIDSpec, MarkovSpec, HiddenSpec)):
-        return DiscreteMeasure._of_rows(ProductSpace(spec.alphabet_size, n),
-                                        *_window_rows(spec, n))
+        digits, masses = _window_rows(spec, n)    # checks n >= 1
+        return DiscreteMeasure._of_rows(ProductSpace(spec.alphabet_size, n), digits, masses)
     if isinstance(spec, BlockCodeSpec):
         k = -(-n // spec.out_len)  # windows needed to cover n letters
         base_law = exact_block_measure(spec.base, k * spec.window)
@@ -243,6 +241,8 @@ def exact_block_measure(spec: ProcessSpec, n: int) -> DiscreteMeasure:
 def _window_rows(spec: ProcessSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The atoms of ``exact_block_measure(spec, n)`` as sorted digit rows
     ``(W, n)`` and their masses ``(W,)``."""
+    if n < 1:
+        raise MeasureError("window length must be >= 1")
     if isinstance(spec, JointSpec):
         return _window_rows(spec.base, n)
     if isinstance(spec, IIDSpec):
@@ -405,8 +405,9 @@ def tc_profile(spec: ProcessSpec, n_max: int, block_size: int | None = None
     base-marginal average of the conditional windows' total correlations.
     """
     ell = 1 if block_size is None else int(block_size)
-    if ell < 1:
-        raise MeasureError("block size must be >= 1")
+    if ell < 1 or n_max < 1:
+        raise MeasureError("block size must be >= 1" if ell < 1 else
+                           "window length must be >= 1")
     out = []
     for k in range(1, n_max + 1):
         if isinstance(spec, JointSpec):

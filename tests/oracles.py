@@ -195,15 +195,18 @@ def decrement_gate(mu, fp, r, i_floor=None):
 
 def decrement_checks(mu, fp, r, i_floor=0.0):
     """The library's slate scorer ``decompose._score_slate`` on the fuzzy
-    partition ``fp`` of ``mu`` alone (which ``fuzzy_split`` checks), as
+    partition ``fp`` of ``mu`` alone (which ``fuzzy_split`` checks), given
+    DTC(mu) from ``information.dual_total_correlation``, as
     (ok, information, decrement), None for NaN."""
     from hamconc import decompose, fuzzy_split
+    from hamconc.information import dual_total_correlation
     from hamconc.measures import _density_values
 
     fuzzy_split(mu, fp)
     ok, info, drop = (a[0] for a in decompose._score_slate(
-        mu.support, tuple(mu.atoms.values()),
-        np.array([[_density_values(mu, d) for d in fp.densities]]), r, i_floor))
+        mu.support, np.array([tuple(mu.atoms.values())]),
+        np.array([[_density_values(mu, d) for d in fp.densities]]), r,
+        np.array([i_floor]), np.array([dual_total_correlation(mu)])))
     return bool(ok), *(None if math.isnan(v) else float(v) for v in (info, drop))
 
 
@@ -240,14 +243,14 @@ def lipschitz_project_1d(values, dist):
     return g
 
 
-def tilt_ascent(mu, dist, r, kappa, budget, t_hi=None, t_points=24):
-    """The tilted-divergence search run one (seed, t) gradient ascent at a
-    time, as the library ran it before its ascents were batched.  Returns
-    its ranked (score, f-values, t, divergence, threshold) candidates, f as a
-    word -> value dict, and for each the step at which its ascent stopped
-    (None when it ran all ``budget.max_grad_steps``)."""
-    support = list(mu.support)
-    masses = np.array([mu.atoms[w] for w in support])
+def tilt_ascent(masses, dist, r, kappa, budget, t_hi=None, t_points=24):
+    """The tilted-divergence search of one measure (its atom masses in
+    support order) run one (seed, t) gradient ascent at a time, as the
+    library ran it before its ascents were batched.  Returns its ranked
+    (score, f-values, t, divergence, threshold) candidates, f as an array in
+    support order, and for each the step at which its ascent stopped (None
+    when it ran all ``budget.max_grad_steps``)."""
+    masses = np.asarray(masses, dtype=float)
     logm = np.log(masses)
     alpha = (r / 2.0) / kappa
     lo, hi = sorted((r / 2.0, kappa))
@@ -263,7 +266,7 @@ def tilt_ascent(mu, dist, r, kappa, budget, t_hi=None, t_points=24):
     for i in np.argsort(-masses, kind="stable")[: max(2, budget.restarts // 2)]:
         seeds.append(np.clip(dist[int(i)], 0.0, 1.0))
     while len(seeds) < budget.restarts:
-        seeds.append(project01(rng.uniform(0.0, 1.0, size=len(support))))
+        seeds.append(project01(rng.uniform(0.0, 1.0, size=len(masses))))
 
     ranked, stops = [], []
     for f0 in seeds:
@@ -282,8 +285,7 @@ def tilt_ascent(mu, dist, r, kappa, budget, t_hi=None, t_points=24):
                 best_f, best_div = f, div
                 grad = t * t * w * (f - float(w @ f))
                 f = project01(f + (0.5 / max(t * t, 1.0)) * grad)
-            fm = {word: float(v) for word, v in zip(support, best_f)}
-            ranked.append((best_div - alpha * t * t, fm, float(t),
+            ranked.append((best_div - alpha * t * t, best_f, float(t),
                            best_div, alpha * t * t))
             stops.append(stop)
     order = sorted(range(len(ranked)), key=lambda i: -ranked[i][0])

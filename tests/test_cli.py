@@ -435,6 +435,31 @@ def test_exact_block_law_takes_no_seed(capsys, joint_spec_file):
                                 "message": "--op block does not read --seed"}
 
 
+@pytest.mark.parametrize("op", ["partition", "rel-dbar", "gap", "tc-profile", "block"])
+def test_zero_window_length_exits_2(capsys, joint_spec_file, op):
+    # partition, rel-dbar and gap used to crash with a traceback (exit 1),
+    # and tc-profile to return an empty profile
+    argv = ["process", joint_spec_file, "--op", op, "--n", "0"]
+    if op == "rel-dbar":
+        argv += ["--theta", joint_spec_file]
+    code, payload = run_json(capsys, argv)
+    assert code == 2
+    assert payload["error"] == {"type": "validation",
+                                "message": "window length must be >= 1"}
+
+
+def test_exact_transport_rejects_reg(capsys, diag_file):
+    # --reg is read only with --approx, so an exact run may not move it
+    code, payload = run_json(capsys, ["transport", diag_file, diag_file,
+                                      "--reg", "-3"])
+    assert code == 2
+    assert payload["error"] == {"type": "validation",
+                                "message": "exact transport does not read --reg"}
+    code, payload = run_json(capsys, ["transport", diag_file, diag_file,
+                                      "--reg", "5e-3"])
+    assert code == 0 and payload["result"]["exact"]
+
+
 def test_empirical_block_law_reads_its_seed(capsys, joint_spec_file):
     laws = []
     for seed in ("4", "5", "4"):

@@ -355,8 +355,8 @@ def test_tilt_corpus_pins_refutation_and_search():
         res = refute_T(mu, params, _corpus_budget(idx))
         refuted += res.refuted
         h.update(json.dumps(res.to_dict(), sort_keys=True).encode())
-        ranked = _l_search_candidates(
-            mu, _distances(mu), params.r, params.kappa,
+        ranked, = _l_search_candidates(
+            _mass_rows(mu), _distances(mu), params.r, params.kappa,
             RefutationBudget(restarts=4, max_grad_steps=30, seed=idx))
         h.update(repr([(float(score).hex(), float(t).hex(), float(div).hex())
                        for score, _, t, div, _ in ranked]).encode())
@@ -395,12 +395,19 @@ def test_primal_diameter_skip_keeps_result(monkeypatch):
     assert 0 < len(solves) < 254
 
 
-def _search_against_oracle(mu, r, kappa, budget, **kwargs):
+def _mass_rows(mu):
+    """The ``(1, k)`` mass array of one measure, as the tilt search takes it."""
+    return np.array([tuple(mu.atoms.values())])
+
+
+def _search_against_oracle(mu, r, kappa, budget, t_hi=None, t_points=24):
     """Assert that the batched search ranks the candidates of the per-pair
     oracle, bit for bit; returns the oracle's stop steps."""
-    dist = _distances(mu)
-    got = _l_search_candidates(mu, dist, r, kappa, budget, **kwargs)
-    want, stops = tilt_ascent(mu, dist, r, kappa, budget, **kwargs)
+    dist, masses = _distances(mu), _mass_rows(mu)
+    got, = _l_search_candidates(masses, dist, r, kappa, budget, t_points=t_points,
+                                t_hi=None if t_hi is None else [t_hi])
+    want, stops = tilt_ascent(masses[0], dist, r, kappa, budget, t_hi=t_hi,
+                              t_points=t_points)
     assert hexed_candidates(got, mu.support) == hexed_candidates(want, mu.support)
     return stops
 

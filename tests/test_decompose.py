@@ -1,5 +1,6 @@
 """Decomposition pipelines: splitting, recursion, sampling, mixtures, partitions."""
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import fields, replace
@@ -22,7 +23,7 @@ from hamconc import (
     tv_distance,
 )
 from hamconc import decompose, transport
-from hamconc.concentration import TParams
+from hamconc.concentration import TILT_ANCHOR_STARTS, TParams
 from hamconc.measures import product_measure, variation_norm
 from hamconc.decompose import (
     DEC_DENOMINATOR,
@@ -174,12 +175,14 @@ def test_gate_matches_measure_building_oracle(monkeypatch):
         calls.clear()
         decrement_step(mu, 0.3)
         for (support, masses, densities, r, i_floor, dtc), got in calls:
-            assert support == mu.support and masses == tuple(mu.atoms.values())
-            assert dtc.hex() == dual_total_correlation(mu).hex()
-            for dens, cand in zip(densities, _candidates(got)):
+            assert support == mu.support
+            for row, floor, d, dens, cand in zip(masses, i_floor, dtc, densities,
+                                                 _candidates(got)):
+                assert tuple(row.tolist()) == tuple(mu.atoms.values())
+                assert float(d).hex() == dual_total_correlation(mu).hex()
                 fp = FuzzyPartition(mu.space, tuple(dict(zip(mu.support, d.tolist()))
                                                     for d in dens))
-                assert cand == _hexed(oracles.decrement_gate(mu, fp, r, i_floor))
+                assert cand == _hexed(oracles.decrement_gate(mu, fp, r, float(floor)))
                 seen["pass" if cand[0] else
                      "below floor" if cand[2] is None else "fail"] += 1
     assert min(seen.values()) > 0, seen
@@ -201,7 +204,8 @@ def test_step_matches_unpruned_oracle(monkeypatch):
             continue
         (args, _), = calls
         slate = [[d.tolist() for d in dens] for dens in args[2]]
-        want, win = oracles.unpruned_step(mu, 0.3, args[4], slate)
+        i_floor, = set(args[4].tolist())
+        want, win = oracles.unpruned_step(mu, 0.3, i_floor, slate)
         if win is None:
             assert split is None
         else:
@@ -220,29 +224,38 @@ def test_step_matches_unpruned_oracle(monkeypatch):
 
 
 def test_step_search_matches_per_pair_oracle(monkeypatch):
-    # the batched tilt search of every criterion-5 step ranks, bit for bit,
-    # the candidates of one gradient ascent per (seed, t) pair
+    # the batched tilt search of every criterion-5 step, and of the recursion
+    # on a product mixture (which batches the components of a round), ranks
+    # for each measure, bit for bit, the candidates of one gradient ascent
+    # per (seed, t) pair
     calls = []
     search = decompose._l_search_candidates
 
-    def recording(*args, **kwargs):
-        calls.append((args, kwargs, search(*args, **kwargs)))
-        return calls[-1][2]
+    def recording(masses, dist, r, kappa, budget, **kwargs):
+        calls.append((masses, dist, r, kappa, budget, kwargs,
+                      search(masses, dist, r, kappa, budget, **kwargs)))
+        return calls[-1][-1]
 
     monkeypatch.setattr(decompose, "_l_search_candidates", recording)
     for _, mu in criterion_suite():
         decrement_step(mu, 0.3)
     assert len(calls) >= 40
-    for args, kwargs, got in calls:
-        want, _ = oracles.tilt_ascent(*args, **kwargs)
-        support = args[0].support
-        assert (oracles.hexed_candidates(got, support)
-                == oracles.hexed_candidates(want, support))
+    decrement_recursion(product_mix(5, 0.15, 0.85), CFG)
+    assert max(len(call[0]) for call in calls) >= 2
+    for masses, dist, r, kappa, budget, kwargs, got in calls:
+        assert len(got) == len(masses) == len(kwargs["t_hi"])
+        for row, t_hi, ranked in zip(masses, kwargs["t_hi"], got):
+            want, _ = oracles.tilt_ascent(row, dist, r, kappa, budget, t_hi=t_hi,
+                                          t_points=kwargs["t_points"])
+            assert (oracles.hexed_candidates(ranked, None)
+                    == oracles.hexed_candidates(want, None))
 
 
 def test_decrement_gate_dtc_evaluations(monkeypatch):
-    # DTC(mu) once per step, and the two component DTCs of a candidate split
-    # only when its information is above the floor
+    # DTC(mu) once per step, as the one row of the step's first DTC batch
+    # (not through dual_total_correlation), and the two component DTCs of a
+    # candidate split only when its information is above the floor; below
+    # it, checking a split computes no DTC in the library's gate
     mu_calls, component_rows = [], []
     dtc, dtc_rows = decompose.dual_total_correlation, decompose._dtc_rows
 
@@ -265,7 +278,7 @@ def test_decrement_gate_dtc_evaluations(monkeypatch):
         component_rows.clear()
         r, n = 0.3, mu.space.dimension
         fired.append(decrement_step(mu, r) is not None)
-        assert mu_calls == [mu]
+        assert mu_calls == []
         floor = max(r * r * math.exp(-n) / n, r * r / (4 * n),
                     0.1 * dual_total_correlation(mu))
         (_, got), = calls
@@ -276,7 +289,7 @@ def test_decrement_gate_dtc_evaluations(monkeypatch):
             assert (drop is None) == (kind == "below floor")
             above += kind == "scored"
             seen[kind] += 1
-        assert component_rows == ([2 * above] if above else [])
+        assert component_rows == [1] + ([2 * above] if above else [])
     assert fired == [True, False]
     assert min(seen.values()) > 0, seen
 
@@ -354,44 +367,101 @@ def test_decrement_recursion_pins_audit_and_densities():
 
 
 def test_recursion_checks_each_split_once(monkeypatch):
-    # the recursion reads an executed split's numbers from decrement_step
-    # instead of running the gate on it again
-    calls = {"in_step": 0, "outside": 0}
-    in_step = [False]
-    score, step = decompose._score_slate, decompose.decrement_step
+    # each round scores every untried component exactly once, in one batch
+    # per support, and the recursion reads an executed split's numbers from
+    # that batch instead of running the gate on it again
+    events, in_step, outside = [], [], []
+    score, steps, total = decompose._score_slate, decompose._decrement_steps, decompose._sum
 
-    def counting_score(*args):
-        calls["in_step" if in_step[0] else "outside"] += 1
-        return score(*args)
-
-    def tracked_step(*args, **kwargs):
-        in_step[0] = True
+    def recording_steps(space, support, masses, *args):
+        batch = {"support": support, "count": len(masses), "slates": [],
+                 "rows": {tuple(row) for row in masses.tolist()}}
+        events.append(batch)
+        in_step.append(batch)
         try:
-            return step(*args, **kwargs)
+            return steps(space, support, masses, *args)
         finally:
-            in_step[0] = False
+            in_step.pop()
 
-    monkeypatch.setattr(decompose, "_score_slate", counting_score)
-    monkeypatch.setattr(decompose, "decrement_step", tracked_step)
+    def recording_score(support, masses, *args):
+        if in_step:
+            in_step[-1]["slates"].append({tuple(row) for row in masses.tolist()})
+        else:
+            outside.append(support)
+        return score(support, masses, *args)
+
+    def recording_sum(xs):
+        # the recursion adds up its firing mass once at the end of each round
+        events.append(None)
+        return total(xs)
+
+    monkeypatch.setattr(decompose, "_decrement_steps", recording_steps)
+    monkeypatch.setattr(decompose, "_score_slate", recording_score)
+    monkeypatch.setattr(decompose, "_sum", recording_sum)
     _, audit, _ = decrement_recursion(product_mix(6, 0.1, 0.9), CFG)
-    assert sum(len(rnd["splits"]) for rnd in audit["rounds"]) > 0
-    assert calls["in_step"] > 0
-    assert calls["outside"] == 0
+    splits = [len(rnd["splits"]) for rnd in audit["rounds"]]
+    assert sum(splits) > 0 and outside == []
+    rounds, current = [], []
+    for event in events:
+        if event is None:
+            rounds.append(current)
+            current = []
+        else:
+            current.append(event)
+    rounds = rounds[:len(splits)]
+    # round 0 tries mu itself, and every later round the two halves of the
+    # previous round's split
+    assert [sum(b["count"] for b in rnd) for rnd in rounds] == \
+        [1] + [2 * s for s in splits[:-1]]
+    for rnd in rounds:
+        assert len({b["support"] for b in rnd}) == len(rnd)
+        for b in rnd:
+            # one slate per batch, holding only the batch's own measures
+            assert len(b["slates"]) <= 1 and all(sl <= b["rows"] for sl in b["slates"])
+    assert max(b["count"] for rnd in rounds for b in rnd) >= 2
+
+
+@st.composite
+def reweighted_batches(draw):
+    """Two to four reweightings of one another on 2-8 atoms of a small cube
+    (so on one support), and r."""
+    q, n = draw(st.integers(2, 3)), draw(st.integers(2, 5))
+    cube = list(itertools.product(range(q), repeat=n))
+    words = draw(st.lists(st.sampled_from(cube), min_size=2, max_size=8, unique=True))
+    row = st.lists(st.floats(0.05, 1.0), min_size=len(words), max_size=len(words))
+    mus = [DiscreteMeasure.from_unnormalized(ProductSpace(q, n), dict(zip(words, masses)))
+           for masses in draw(st.lists(row, min_size=2, max_size=4))]
+    return mus, draw(st.sampled_from((0.05, 0.3)))
+
+
+def _hexed_split(split):
+    return None if split is None else (
+        [[(w, v.hex()) for w, v in sorted(d.items())] for d in split.partition.densities],
+        split.information.hex(), split.decrement.hex())
+
+
+@given(reweighted_batches())
+@settings(max_examples=60, deadline=None)
+def test_split_does_not_depend_on_its_batch(instance):
+    # a measure's split, scored in one batch with other reweightings on its
+    # support, is bit for bit the one decrement_step gives it alone
+    mus, r = instance
+    batched = decompose._decrement_steps(
+        mus[0].space, mus[0].support, np.array([tuple(mu.atoms.values()) for mu in mus]), r)
+    assert len(batched) == len(mus)
+    for mu, split in zip(mus, batched):
+        assert _hexed_split(split) == _hexed_split(decrement_step(mu, r))
 
 
 def test_split_budget_spawns_no_seed():
     # both restarts of SPLIT_BUDGET start at anchor atoms, so the tilt search
-    # never reads its seed and the recursion derives no child seed for it
-    assert decompose.SPLIT_BUDGET.restarts <= decompose.TILT_ANCHOR_STARTS
-    assert CFG.spawned_budget(decompose.SPLIT_BUDGET, 1, 0, 0) is decompose.SPLIT_BUDGET
-    wide = replace(decompose.SPLIT_BUDGET, restarts=3)
-    assert CFG.spawned_budget(wide, 1, 0, 0).seed == int(np.random.SeedSequence(
-        CFG.seed, spawn_key=(1, 0, 0)).generate_state(1)[0])
+    # of every decrement step never reads its seed
+    assert decompose.SPLIT_BUDGET.restarts <= TILT_ANCHOR_STARTS
     mu = product_mix(5, 0.2, 0.8)
     dist = transport.mismatch_matrix(mu.support, mu.support) / 5
     ranked = [oracles.hexed_candidates(decompose._l_search_candidates(
-        mu, dist, 0.3, 0.3 * 5 / DEC_DENOMINATOR,
-        replace(decompose.SPLIT_BUDGET, seed=seed), t_points=10), mu.support)
+        np.array([tuple(mu.atoms.values())]), dist, 0.3, 0.3 * 5 / DEC_DENOMINATOR,
+        replace(decompose.SPLIT_BUDGET, seed=seed), t_points=10)[0], mu.support)
         for seed in (0, 12345)]
     assert ranked[0] == ranked[1]
 
