@@ -86,6 +86,11 @@ PROCESS_OP_FLAGS = {
 }
 
 
+CONSTANTS_HELP = ("existential constants, default c=50,cB=10: c is only "
+                  "reported against; cB scales a carve's heavy-atom "
+                  "threshold exponent 161 cB / delta^2")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hamconc",
@@ -125,8 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--r", type=float, default=0.3)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--max-iters", type=int, default=64)
-        p.add_argument("--constants", default="",
-                       help="existential constants, e.g. c=50,cB=10")
+        p.add_argument("--constants", default="", help=CONSTANTS_HELP)
 
     p = sub.add_parser("process", help="block statistics of a process spec")
     p.add_argument("spec")
@@ -142,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=0.3)
     p.add_argument("--r", type=float, default=0.3)
     p.add_argument("--max-iters", type=int, default=64)
-    p.add_argument("--constants", default="")
+    p.add_argument("--constants", default="", help=CONSTANTS_HELP)
     return parser
 
 

@@ -7,8 +7,10 @@ support (a split does not depend on the rest of its batch); ``sample_coarsen``
 replaces a low-information mixture by a bounded-size empirical average;
 ``mixture_decomposition`` chains trimming, recursion, sampling and lifting
 into a mixture whose non-bad components carry concentration certificates;
-``carve_concentrated_set`` extracts one concentrated set, and
-``partition_decomposition`` repeats it into a partition of the support.
+``carve_concentrated_set`` extracts one concentrated set (a heavy atom, or
+the well-coupled part of a law of small total correlation, with the heaviest
+atom as the audited fallback), and ``partition_decomposition`` repeats it
+into a partition of the support.
 ``refute_T`` proves every pipeline certificate by its diameter or Hoeffding
 bound before any search.
 
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -53,7 +55,6 @@ from .information import (
     _left_sums,
     dual_total_correlation,
     mixture_mutual_information,
-    per_coordinate_entropies,
     total_correlation,
     trim_coordinates,
 )
@@ -77,13 +78,12 @@ MAX_PIPELINE_SUPPORT = 1 << 16
 
 #: inequality denominators of the radius arithmetic (r n / 200 for splits and
 #: the recursion, r n / 1200 for the final radius), the cell cap of a
-#: partition, the subset draws of a level-set carve, the tilt-search budget of
-#: one decrement step (both restarts start at anchor atoms, so it reads no
-#: seed), and the first and largest sampling sizes
+#: partition, the tilt-search budget of one decrement step (both restarts
+#: start at anchor atoms, so it reads no seed), and the first and largest
+#: sampling sizes
 DEC_DENOMINATOR = 200.0
 FINAL_DENOMINATOR = 1200.0
 MAX_CELLS = 4096
-CARVE_RETRIES = 16
 SPLIT_BUDGET = RefutationBudget(restarts=2, max_grad_steps=15)
 SAMPLE_START = 64
 SAMPLE_CAP = 1 << 18
@@ -103,11 +103,11 @@ class PipelineConfig:
     The inequality denominators 200/1200 are the module constants
     ``DEC_DENOMINATOR`` and ``FINAL_DENOMINATOR``.  ``c`` and ``c_B`` stand in
     for the non-constructive existential constants: ``c`` is only reported
-    against, and ``c_B`` scales the carving thresholds; both must be finite
-    and positive.  ``delta_override`` and ``atom_exponent`` replace the derived
-    values min(r^2/42, 1/18) and 161 c_B / delta^2; their correct joint
-    calibration at small n is unspecified, so they are configuration.  An r
-    so small that r^2/42 underflows to 0 is rejected.
+    against, and ``c_B`` scales the heavy-atom threshold exponent
+    161 c_B / delta^2 of a carve; both must be finite and positive.
+    ``delta_override`` replaces the derived min(r^2/42, 1/18); its correct
+    calibration at small n is unspecified, so it is configuration.  An r so
+    small that r^2/42 underflows to 0 is rejected.
     """
 
     epsilon: float = 0.3
@@ -117,7 +117,6 @@ class PipelineConfig:
     c: float = 50.0
     c_B: float = 10.0
     delta_override: float | None = None
-    atom_exponent: float | None = None
 
     def __post_init__(self) -> None:
         if not (0.0 < self.epsilon < 1.0) or not (0.0 < self.r < 1.0):
@@ -140,8 +139,6 @@ class PipelineConfig:
         return min(self.r * self.r / 42.0, 1.0 / 18.0)
 
     def atom_threshold_exponent(self) -> float:
-        if self.atom_exponent is not None:
-            return self.atom_exponent
         d = self.delta
         if d * d == 0.0:
             raise MeasureError(
@@ -157,8 +154,6 @@ class PipelineConfig:
         }
         if self.delta_override is not None:
             out["delta_override"] = self.delta_override
-        if self.atom_exponent is not None:
-            out["atom_exponent"] = self.atom_exponent
         return out
 
 
@@ -668,37 +663,38 @@ def mixture_decomposition(mu: DiscreteMeasure, cfg: PipelineConfig
 # Carving and the partition pipeline
 # -----------------------------------------------------------------------------
 class BudgetExhausted(MeasureError):
-    """An adaptive budget (sampling size, retries) ran out; the message carries
-    the best value achieved."""
+    """The sampling size reached its cap; the message carries the best
+    variation achieved."""
 
 
 @dataclass(frozen=True)
 class CarveResult:
     cell: tuple[Word, ...]
-    case: str  # "atom" | "small-tc" | "carve"
+    case: str  # "atom" (a heavy atom, or the audited fallback) | "small-tc"
     params: TParams
     certificate: RefutationResult
     info: dict
 
 
 class CarveError(MeasureError):
-    """Carving failed; the message lists the inequalities or acceptance tests
-    that could not be met, with diagnostics."""
+    """Carving failed; the message names the check that could not be met,
+    with diagnostics."""
 
 
-def carve_concentrated_set(mu: DiscreteMeasure, cfg: PipelineConfig,
-                           *, _seed_key: tuple[int, ...] = ()) -> CarveResult:
+def carve_concentrated_set(mu: DiscreteMeasure, cfg: PipelineConfig
+                           ) -> CarveResult:
     """Extract one subset V with positive mass whose conditioned measure
     carries a concentration certificate that ``refute_T`` does not refute.
 
-    Three routes: a single heavy atom; small total correlation (compare with
-    the product of marginals and keep the well-coupled part); otherwise the
-    level-set construction (near-flat slice, low-entropy coordinates, one
-    concentrated mixture summand, a random subset with inclusion probabilities
-    given by its density, and a final trim).  Desk-scale failures of the
-    sufficient-n inequalities are recorded in ``info['paper_inequality_failures']``;
-    the random acceptance tests retry over fresh seeds and error out with
-    diagnostics if they never pass.
+    Two routes: a heavy atom, of mass at least e^{-161 c_B TC / delta^2};
+    otherwise, at TC <= r^4 n, small total correlation (compare with the
+    product of marginals and keep the well-coupled part).  When neither
+    applies, the heaviest atom is the cell all the same: the paper's first
+    case, whose point mass satisfies every T(kappa, r).  The paper's third
+    route, a level-set slice, is not built: at desk scale its slices project
+    one-to-one and leave no high-probability word.  The fallback keeps case
+    "atom"; it and every other desk-scale failure of the sufficient-n
+    inequalities are recorded in ``info['paper_inequality_failures']``.
     """
     _check_envelope(mu)
     n = mu.space.dimension
@@ -710,159 +706,34 @@ def carve_concentrated_set(mu: DiscreteMeasure, cfg: PipelineConfig,
     info: dict = {"tc": e_val, "delta": delta,
                   "paper_inequality_failures": failures}
 
-    # case 1: a heavy atom (lexicographically first among the heaviest)
+    # a heavy atom (lexicographically first among the heaviest), or the
+    # fallback when the small-tc route does not apply either
     threshold = math.exp(-min(cfg.atom_threshold_exponent() * e_val, 700.0))
     top_mass = max(mu.atoms.values())
     top_word = min(w for w, m in mu.atoms.items() if m == top_mass)
-    if top_mass >= threshold:
+    if top_mass >= threshold or e_val > (r ** 4) * n:
+        if top_mass < threshold:
+            failures.append("heavy atom mass >= e^{-161 c_B TC / delta^2}")
         cell = (top_word,)
         params = TParams(kappa_n, r)
         cert = refute_T(condition(mu, cell), params)
         info["atom_threshold"] = threshold
         return CarveResult(cell, "atom", params, cert, info)
 
-    # case 2: small total correlation
-    if e_val <= (r ** 4) * n:
-        prod = product_measure(mu.space, coordinate_marginals(mu))
-        dbar, plan = transport_distance(prod, mu)
-        info["dbar_to_product"] = dbar
-        if dbar > r * r:
-            failures.append("marton distance dbar <= r^2")
-        delta_cs = min(math.sqrt(max(dbar, 0.0)) if dbar > r * r else r, 0.124)
-        cell, params = concentrate_subset(plan, TParams(8 * r * n, r), delta_cs)
-        mass = _sum(map(mu.mass, cell))
-        if mass < 1.0 - 4.0 * delta_cs - 1e-9 or mass <= 0.0:
-            raise CarveError(f"small-tc subset kept mass {mass}; diagnostics {info}")
-        params = TParams(params.kappa, min(params.r, 1.0))
-        cert = refute_T(condition(mu, cell), params)
-        return CarveResult(tuple(sorted(cell)), "small-tc", params, cert, info)
-
-    # case 3: level sets, low-entropy coordinates, one concentrated summand
-    big_m = math.ceil(n * math.log(mu.space.alphabet_size)) if \
-        mu.space.alphabet_size > 1 else 1
-    h0 = cfg.atom_threshold_exponent() * e_val
-    cells: dict[int, list[Word]] = {}
-    for w, m in mu.atoms.items():
-        j = min(int(math.floor(-math.log(m) - h0)) if m < math.exp(-h0) else 0,
-                big_m)
-        j = max(j, 0)
-        cells.setdefault(j, []).append(w)
-    candidates = []
-    for j in sorted(cells):
-        if j >= big_m:
-            continue
-        cond_j = condition(mu, cells[j])
-        tc_j = total_correlation(cond_j)
-        mass_j = _sum(map(mu.mass, cells[j]))
-        if tc_j <= 4.0 * e_val + 1e-9:
-            candidates.append((mass_j, -j, j))
-    if not candidates:
-        raise CarveError(
-            f"no level set with TC <= 4 TC(mu); diagnostics {info}")
-    mass_p, _, j_star = max(candidates)
-    p_words = cells[j_star]
-    mu_p = condition(mu, p_words)
-    h = h0 + j_star - math.log(1.0 / mass_p)
-    info["level_index"] = j_star
-    info["level_mass"] = mass_p
-    info["h"] = h
-    if h < 160.0 * cfg.c_B * e_val / (delta * delta):
-        failures.append("flat-slice exponent h >= 160 c_B TC / delta^2")
-    if mass_p < 1.0 / (4.0 * big_m):
-        failures.append("flat-slice mass >= 1/(4 ceil(n log|A|))")
-
-    m_keep = math.ceil((1.0 - delta) * n)
-    if m_keep >= n:
-        failures.append("delta n >= 1 (no coordinate can be dropped)")
-        m_keep = n - 1
-    ents = per_coordinate_entropies(mu_p)
-    order = sorted(range(n), key=lambda i: (ents[i], i))
-    s_coords = tuple(sorted(order[:m_keep]))
-    proj = marginal(mu_p, s_coords)
-    q_thresh = math.exp(-(1.0 - delta / 4.0) * h) if h > 0 else 1.0
-    q_words = {z for z in proj.support if proj.mass(z) >= q_thresh}
-    if not q_words:
-        raise CarveError(
-            f"high-probability projection set empty at threshold {q_thresh}; "
-            f"diagnostics {info}")
-    r_words = [w for w in mu_p.support
-               if tuple(w[c] for c in s_coords) in q_words]
-    nu = condition(mu, r_words)
-    mass_r = _sum(map(mu.mass, r_words))
-    info["kept_coordinates"] = list(s_coords)
-    info["r_mass"] = mass_r
-    tc_nu = total_correlation(nu)
-    if tc_nu > 33.0 * e_val / delta + 1e-9:
-        failures.append("TC of sliced measure <= 33 TC / delta")
-    for z in sorted(q_words):
-        block = [w for w in r_words if tuple(w[c] for c in s_coords) == z]
-        bmass = _sum(map(nu.mass, block))
-        top = max(nu.mass(w) for w in block)
-        if top > math.exp(-delta * h / 4.0) * bmass + 1e-12:
-            failures.append("within-block flatness (max atom <= e^{-delta h/4} block)")
-            break
-
-    inner_cfg = replace(cfg, epsilon=0.5,
-                        seed=int(np.random.SeedSequence(
-                            cfg.seed, spawn_key=(6,) + _seed_key)
-                            .generate_state(1)[0]))
-    inner = mixture_decomposition(nu, inner_cfg)
-    good = inner.good_indices()
-    if not good:
-        raise CarveError(f"no certified summand inside the slice; diagnostics {info}")
-    pick = max(good, key=lambda i: (inner.weights[i], -i))
-    rho_weight = inner.weights[pick]
-    comp = inner.components[pick]
-    floor = math.exp(-min(33.0 * cfg.c_B * e_val / delta, 700.0)) / (2.0 * cfg.c_B)
-    if rho_weight < floor:
-        failures.append("summand weight >= e^{-33 c_B TC/delta} / (2 c_B)")
-    dens = {w: min(rho_weight * comp.mass(w) / nu.mass(w), 1.0)
-            for w in nu.support}
-    info["summand_weight"] = rho_weight
-
-    accepted = None
-    attempts = []
-    for attempt in range(CARVE_RETRIES):
-        rng = np.random.default_rng(np.random.SeedSequence(
-            cfg.seed, spawn_key=(7, attempt, *_seed_key)))
-        draw = rng.random(len(nu.support))
-        u_words = [w for w, x in zip(nu.support, draw) if x < dens[w]]
-        if not u_words:
-            attempts.append({"attempt": attempt, "reason": "empty set"})
-            continue
-        mass_u = _sum(map(nu.mass, u_words))
-        nu_u = condition(nu, u_words)
-        dd, plan = transport_distance(comp, nu_u)
-        ok_mass = abs(mass_u - rho_weight) <= 9.0 * delta * rho_weight + 1e-12
-        ok_dist = mass_u * dd <= 21.0 * delta * rho_weight + 1e-12
-        attempts.append({"attempt": attempt, "mass": mass_u,
-                         "dbar": dd, "ok_mass": ok_mass, "ok_dist": ok_dist})
-        if ok_mass and ok_dist:
-            accepted = (u_words, dd, plan)
-            break
-    info["random_set_attempts"] = attempts
-    if accepted is None:
-        raise CarveError(
-            f"random subset acceptance failed over {CARVE_RETRIES} seeds; "
-            f"diagnostics {info}")
-    u_words, dd, plan = accepted
-    if dd > 42.0 * delta + 1e-12:
-        failures.append("dbar(nu_U, nu_rho) <= 42 delta")
-    delta_cs = math.sqrt(max(dd, 0.0))
-    if delta_cs >= 0.125:
-        raise CarveError(
-            f"trim distance sqrt({dd}) outside [0,1/8); diagnostics {info}")
-    cell, params = concentrate_subset(plan, TParams(kappa_n, r), delta_cs)
-    cell = tuple(sorted(set(cell) & set(u_words))) or tuple(sorted(cell))
+    # small total correlation
+    prod = product_measure(mu.space, coordinate_marginals(mu))
+    dbar, plan = transport_distance(prod, mu)
+    info["dbar_to_product"] = dbar
+    if dbar > r * r:
+        failures.append("marton distance dbar <= r^2")
+    delta_cs = min(math.sqrt(max(dbar, 0.0)) if dbar > r * r else r, 0.124)
+    cell, params = concentrate_subset(plan, TParams(8 * r * n, r), delta_cs)
+    mass = _sum(map(mu.mass, cell))
+    if mass < 1.0 - 4.0 * delta_cs - 1e-9 or mass <= 0.0:
+        raise CarveError(f"small-tc subset kept mass {mass}; diagnostics {info}")
     params = TParams(params.kappa, min(params.r, 1.0))
     cert = refute_T(condition(mu, cell), params)
-    mass_v = _sum(map(mu.mass, cell))
-    info["cell_mass"] = mass_v
-    floor_v = math.exp(-min(cfg.c * e_val, 700.0))
-    info["mass_floor_reported"] = floor_v
-    if mass_v <= 0.0:
-        raise CarveError(f"carved cell has zero mass; diagnostics {info}")
-    return CarveResult(cell, "carve", params, cert, info)
+    return CarveResult(tuple(sorted(cell)), "small-tc", params, cert, info)
 
 
 def partition_decomposition(mu: DiscreteMeasure, cfg: PipelineConfig,
@@ -892,7 +763,7 @@ def partition_decomposition(mu: DiscreteMeasure, cfg: PipelineConfig,
             truncated = True
             break
         cond_w = condition(mu, remaining)
-        carve = carve_concentrated_set(cond_w, cfg, _seed_key=(step,))
+        carve = carve_concentrated_set(cond_w, cfg)
         cell = tuple(sorted(set(carve.cell) & remaining))
         if not cell:
             raise CarveError("carved cell does not intersect the remainder")

@@ -1,5 +1,6 @@
 """CLI contracts: JSON shapes, round trips, determinism, exit codes."""
 import hashlib
+import itertools
 import json
 import math
 import subprocess
@@ -211,6 +212,34 @@ def test_partition_byte_determinism(capsys, mix_file):
     assert blob1 == blob2
 
 
+def test_partition_falls_back_to_heaviest_atom(capsys, tmp_path):
+    # the uniform even-parity law on {0,1}^8 has TC = log 2 > r^4 n, and at
+    # cB = 1e-7 its atoms (1/128) lie below the heavy-atom threshold, so its
+    # carves take neither route and fall back to the heaviest atom
+    words = [w for w in itertools.product(range(2), repeat=8) if sum(w) % 2 == 0]
+    path = tmp_path / "parity.json"
+    dump_measure(DiscreteMeasure.uniform_on(ProductSpace(2, 8), words), str(path))
+    argv = ["partition-c", str(path), "--constants", "cB=1e-7"]
+    code, payload = run_json(capsys, argv)
+    assert code == 0
+    result = payload["result"]
+    weights, carves = result["weights"], result["audit"]["carves"]
+    assert len(carves) == len(weights) - 1
+    fallbacks = 0
+    for i, carve in enumerate(carves, start=1):
+        assert carve["case"] == "atom"
+        # the carved atom's mass in the remainder it was carved from
+        top = weights[i] / (weights[0] + sum(weights[i:]))
+        fallback = top < carve["atom_threshold"]
+        assert fallback == ("heavy atom mass >= e^{-161 c_B TC / delta^2}"
+                            in carve["paper_inequality_failures"])
+        fallbacks += fallback
+    assert fallbacks > 0
+    again = run_json(capsys, argv)
+    assert json.dumps(again[1]["result"], sort_keys=True) == \
+        json.dumps(result, sort_keys=True)
+
+
 def test_invalid_measure_exits_2(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(
@@ -277,7 +306,7 @@ def test_removed_knobs_exit_2(capsys, diag_file):
     code, payload = run_json(capsys, ["decompose-b", diag_file])
     assert code == 0
     removed = {"c_C", "mix_denominator", "approx_transport", "threads",
-               "max_cells", "carve_retries", "dec_denominator",
+               "max_cells", "carve_retries", "atom_exponent", "dec_denominator",
                "final_denominator", "split_budget", "sample_start", "sample_cap"}
     assert not removed & set(payload["manifest"]["config"])
 

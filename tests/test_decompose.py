@@ -61,8 +61,7 @@ CFG = PipelineConfig(epsilon=0.3, r=0.3, seed=11)
 
 def test_pipeline_config_fields():
     assert [f.name for f in fields(PipelineConfig)] == [
-        "epsilon", "r", "seed", "max_iters", "c", "c_B", "delta_override",
-        "atom_exponent"]
+        "epsilon", "r", "seed", "max_iters", "c", "c_B", "delta_override"]
 
 
 # -----------------------------------------------------------------------------
@@ -632,7 +631,7 @@ def test_mixture_envelope_refusal():
 # -----------------------------------------------------------------------------
 def _count_carve_solves(monkeypatch):
     """Count the exact transport solves a carve makes itself; solves inside the
-    nested mixture decomposition and the certificate search are not counted."""
+    certificate search are not counted."""
     count = [0]
     nested = [0]
 
@@ -654,8 +653,6 @@ def _count_carve_solves(monkeypatch):
 
     for solver in ("_solve_transport", "_solve_graph"):  # either exact solver
         monkeypatch.setattr(transport, solver, counted(getattr(transport, solver)))
-    monkeypatch.setattr(decompose, "mixture_decomposition",
-                        uncounted(decompose.mixture_decomposition))
     monkeypatch.setattr(decompose, "refute_T", uncounted(decompose.refute_T))
     return count
 
@@ -669,18 +666,6 @@ def test_small_tc_carve_solves_once(monkeypatch):
     assert carve.case == "small-tc"
     assert carve.info["dbar_to_product"] > 0.0
     assert count == [1]
-
-
-def test_level_set_carve_solves_once_per_attempt(monkeypatch):
-    mu = product_mix(6, 0.3, 0.7, weight=0.3)
-    cfg = PipelineConfig(epsilon=0.3, r=0.2, seed=5,
-                         atom_exponent=0.5, delta_override=0.25)
-    count = _count_carve_solves(monkeypatch)
-    carve = carve_concentrated_set(mu, cfg)
-    assert carve.case == "carve"
-    solved = [a for a in carve.info["random_set_attempts"] if "dbar" in a]
-    assert solved
-    assert count == [len(solved)]
 
 
 def test_carve_atom_case():
@@ -698,19 +683,24 @@ def test_carve_product_case_two():
     assert sum(mu.mass(w) for w in carve.cell) >= 0.5
 
 
-def test_carve_case_three_on_code_measure():
+#: the heavy-atom threshold e^{-161 c_B TC / delta^2} that a carve records
+#: when neither route applies and it falls back to the heaviest atom
+HEAVY_ATOM_FAILURE = "heavy atom mass >= e^{-161 c_B TC / delta^2}"
+
+
+def test_carve_falls_back_to_heaviest_atom_on_code_measure():
+    # TC = 4 log 2 is above r^4 n and every atom (1/16) is below the
+    # threshold e^{-TC/2} = 1/4, so neither route applies
     mu = diagonal_code(8)
-    cfg = PipelineConfig(epsilon=0.3, r=0.2, seed=5,
-                         atom_exponent=0.5, delta_override=0.25)
+    cfg = PipelineConfig(epsilon=0.3, r=0.2, seed=5, delta_override=0.25,
+                         c_B=0.5 * 0.0625 / 161.0)
     carve = carve_concentrated_set(mu, cfg)
-    assert carve.case == "carve"
-    mass = sum(mu.mass(w) for w in carve.cell)
-    assert mass > 0
-    # reported against the configured constant
-    assert mass >= math.exp(-cfg.c * total_correlation(mu))
+    assert carve.case == "atom"
+    top = max(mu.atoms.values())
+    assert carve.cell == (min(w for w, m in mu.atoms.items() if m == top),)
     assert not carve.certificate.refuted
-    # desk-scale inequality failures are recorded, not hidden
-    assert isinstance(carve.info["paper_inequality_failures"], list)
+    assert carve.info["atom_threshold"] > top
+    assert carve.info["paper_inequality_failures"] == [HEAVY_ATOM_FAILURE]
 
 
 # -----------------------------------------------------------------------------
@@ -728,6 +718,24 @@ def _check_partition_contract(mu, res, cfg):
         assert not res.certificates[i].refuted
     m_bound = cfg.c * math.exp(min(cfg.c * total_correlation(mu), 700))
     assert len(res.sets) <= m_bound
+
+
+@pytest.mark.parametrize("r,delta,exponent", [
+    (0.3, 0.1, 1.0), (0.3, 0.1, 4.0), (0.2, 0.25, 0.5), (0.2, 0.25, 1.0),
+    (0.2, 0.4, 0.5)])
+def test_partition_at_small_atom_exponents_never_raises(r, delta, exponent):
+    # at heavy-atom exponents 161 c_B / delta^2 this small, carves on 9-34 of
+    # these fixtures take neither route and fall back to the heaviest atom
+    cfg = PipelineConfig(epsilon=0.3, r=r, delta_override=delta,
+                         c_B=exponent * delta * delta / 161.0)
+    fallbacks = 0
+    for name, mu in criterion_suite():
+        res = partition_decomposition(mu, cfg)
+        _check_partition_contract(mu, res, cfg)
+        for carve in res.audit["carves"]:
+            assert carve["case"] in ("atom", "small-tc"), name
+            fallbacks += HEAVY_ATOM_FAILURE in carve["paper_inequality_failures"]
+    assert fallbacks > 0
 
 
 def test_partition_point_mass():
@@ -767,5 +775,5 @@ def test_partition_determinism_bytes():
         partition_decomposition(
             mu, PipelineConfig(epsilon=0.25, r=0.3, seed=24)).to_dict(),
         sort_keys=True)
-    # different seeds are allowed to differ (and typically do on random carves)
-    assert isinstance(other, str)
+    # no carve route draws random numbers, so the seed does not move a partition
+    assert other == blob1
