@@ -76,13 +76,14 @@ def _pipeline_config(args) -> PipelineConfig:
 
 #: the ``process`` flags besides --n that each op reads; any other flag must
 #: keep its default, or the run exits 2.  ``block`` reads --seed only with
-#: --empirical-length: the exact window law takes no seed
+#: --empirical-length: the exact window law takes no seed.  ``partition``
+#: draws no random numbers, yet accepts --seed, which benchmark jobs pass
 PROCESS_OP_FLAGS = {
     "block": {"empirical_length", "seed"},
     "tc-profile": {"block_size"},
     "rel-dbar": {"theta"},
     "gap": {"k"},
-    "partition": {"block_size", "seed", "epsilon", "r", "max_iters", "constants"},
+    "partition": {"block_size", "seed", "epsilon", "r", "constants"},
 }
 
 
@@ -223,6 +224,9 @@ def run(argv: list[str]) -> int:
         if args.command in ("decompose-b", "partition-c"):
             mu = load_measure(args.measure)
             manifest["input_digest"][args.measure] = _digest(args.measure)
+            if args.command == "partition-c" and args.max_iters != _parser().parse_args(
+                    ["partition-c", "--", args.measure]).max_iters:
+                raise MeasureError("partition-c does not read --max-iters")
             cfg = _pipeline_config(args)
             manifest["config"] = cfg.to_dict()
             fn = (mixture_decomposition if args.command == "decompose-b"

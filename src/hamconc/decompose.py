@@ -24,6 +24,7 @@ against achieved counts, never asserted.
 """
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -273,14 +274,16 @@ def decrement_step(mu: DiscreteMeasure, r: float) -> Split | None:
     one-measure batch of ``_decrement_steps``: the recursion scores a round's
     components together, one batch per support, and a split does not depend
     on the other measures of its batch."""
-    return _decrement_steps(mu.space, mu.support, np.array([tuple(mu.atoms.values())]), r)[0]
+    return _decrement_steps(mu.space, mu.support, np.array([tuple(mu.atoms.values())]), r,
+                            lambda: mismatch_matrix(mu.support, mu.support))[0]
 
 
 def _decrement_steps(space: ProductSpace, support: tuple[Word, ...],
-                     masses: np.ndarray, r: float) -> list[Split | None]:
+                     masses: np.ndarray, r: float, mismatches) -> list[Split | None]:
     """``decrement_step`` of each measure on ``support`` with atoms a row of
-    ``masses``, as one batch: one ``_dtc_rows`` call for their DTCs, one
-    distance matrix, one tilt search and one slate.  Every quantity is taken
+    ``masses``, as one batch: one ``_dtc_rows`` call for their DTCs, one tilt
+    search on the mismatch matrix ``mismatches()`` of ``support`` (asked for
+    only when some measure can split) and one slate.  Every quantity is taken
     row by row, so each split is, bit for bit, the one its measure gets alone."""
     if not (0.0 < r < 1.0):
         raise MeasureError(f"r must lie in (0,1), got {r}")
@@ -296,7 +299,7 @@ def _decrement_steps(space: ProductSpace, support: tuple[Word, ...],
     # allow tilts strong enough to cleanly separate the lightest atom
     t_hi = [min(max(kappa, r / 2.0, math.log(1.0 / masses[m].min()) + 6.0), 50.0)
             for m in live]
-    dist = mismatch_matrix(support, support) / n
+    dist = mismatches() / n
     ranked = _l_search_candidates(masses[live], dist, r, kappa, SPLIT_BUDGET,
                                   t_hi=t_hi, t_points=10)
     # plus the plain anchor separators, which divergence ascent tends to
@@ -319,9 +322,8 @@ def _decrement_steps(space: ProductSpace, support: tuple[Word, ...],
     gain = np.where(ok, drop, -np.inf).reshape(-1, size)
     wins = ok.reshape(-1, size) & (gain >= gain.max(axis=1)[:, None] - GATE_TIE_SLACK)
     for c in (i * size + int(row.argmax()) for i, row in enumerate(wins) if row.any()):
-        out[live[c // size]] = Split(FuzzyPartition(space, tuple(
-            dict(zip(support, d.tolist())) for d in dens[c])),
-            float(info[c]), float(drop[c]))
+        out[live[c // size]] = Split(FuzzyPartition(space, support, dens[c]),
+                                     float(info[c]), float(drop[c]))
     return out
 
 
@@ -363,6 +365,7 @@ def decrement_recursion(mu: DiscreteMeasure, cfg: PipelineConfig,
     r = cfg.r if r is None else r
     epsilon = cfg.epsilon if epsilon is None else epsilon
     support, masses = mu.support, np.array(tuple(mu.atoms.values()))
+    mismatches = functools.cache(lambda: mismatch_matrix(support, support))  # on first need
 
     def component(dens: np.ndarray) -> _Component:
         return _Component(dens, float(_left_sums(dens * masses)))
@@ -390,7 +393,7 @@ def decrement_recursion(mu: DiscreteMeasure, cfg: PipelineConfig,
             raw = np.array([comps[i].density[kept] for i in batch]) * masses[kept]
             for idx, split in zip(batch, _decrement_steps(
                     mu.space, tuple(w for w, x in zip(support, kept) if x),
-                    raw / _left_sums(raw)[:, None], r)):
+                    raw / _left_sums(raw)[:, None], r, lambda: mismatches()[np.ix_(kept, kept)])):
                 comps[idx].split = split
                 comps[idx].status = "concentrated" if split is None else "firing"
         firing = [i for i, comp in enumerate(comps) if comp.status == "firing"]
@@ -414,8 +417,9 @@ def decrement_recursion(mu: DiscreteMeasure, cfg: PipelineConfig,
         round_entry["splits"].append(
             {"component": idx, "weight": weight,
              "information": split.information, "decrement": split.decrement})
-        first, second = (dens * np.array([sigma.get(w, 0.5) for w in support])
-                         for sigma in split.partition.densities)
+        halves = np.full((2, len(support)), 0.5)   # on atoms the split does not cover
+        halves[:, dens * masses > PRUNE_TOL] = split.partition.densities
+        first, second = dens * halves
         comps[idx] = component(first)
         comps.append(component(second))
         audit["rounds"].append(round_entry)
@@ -430,8 +434,7 @@ def decrement_recursion(mu: DiscreteMeasure, cfg: PipelineConfig,
     bad = [comp.density for comp in comps if comp.status == "bad"]
     final = [_sum(bad)] if bad else []
     final.extend(comp.density for comp in comps if comp.status != "bad")
-    fp_final = FuzzyPartition(mu.space, tuple(dict(zip(support, d.tolist()))
-                                              for d in final))
+    fp_final = FuzzyPartition(mu.space, support, np.array(final))
     audit["bad_present"] = bool(bad)
     audit["total_decrement"] = total_decrement
     audit["final_cells"] = len(final)
@@ -593,7 +596,7 @@ def mixture_decomposition(mu: DiscreteMeasure, cfg: PipelineConfig
     for q, comp in zip(emp.weights, emp.components):
         mass_f = _sum(f_dens.get(w, 0.0) * m for w, m in comp.atoms.items())
         if mass_f > keep_threshold:
-            tilted = reweight(comp, lambda w: f_dens.get(w, 0.0))
+            tilted = reweight(comp, f_dens)
             density_bound = max(
                 tilted.mass(w) / comp.mass(w) for w in tilted.support)
             kept.append((q * mass_f, tilted, max(density_bound, 1.0)))

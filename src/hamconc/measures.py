@@ -4,6 +4,7 @@ A measure on ``A^n`` is stored as a map from words (length-``n`` tuples of
 symbols in ``range(alphabet_size)``) to positive masses.  The full cube is
 never materialised: every operation touches supports only, and supports are
 kept in lexicographic order so that all downstream output is deterministic.
+A fuzzy partition is one array of densities over a tuple of support words.
 
 Mixing variables are always finite index sets here; kernels are finite lists
 of measures.  Measures with genuinely continuous mixing variables can only be
@@ -206,33 +207,35 @@ class DiscreteMeasure:
                 f"n={self.space.dimension}, atoms={len(self._atoms)})")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FuzzyPartition:
-    """A finite tuple of densities in [0, 1] summing pointwise to 1 on a support.
-
-    Densities are stored as maps over the support of a reference measure; a
-    word missing from a density map is treated as density 0 there.
-    """
+    """A fuzzy partition of ``support``, a tuple of distinct words: row j of
+    the read-only ``(cells, len(support))`` array ``densities`` is the j-th
+    density, in [0, 1] and summing to 1 down each column within ``FUZZY_TOL``.
+    A word outside ``support`` has density 0 in every cell."""
 
     space: ProductSpace
-    densities: tuple[Mapping[Word, float], ...]
+    support: tuple[Word, ...]
+    densities: np.ndarray
 
     def __post_init__(self) -> None:
-        if not self.densities:
-            raise MeasureError("fuzzy partition needs at least one density")
-        frozen = tuple(MappingProxyType(dict(d)) for d in self.densities)
-        object.__setattr__(self, "densities", frozen)
-        support: set[Word] = set()
-        for d in frozen:
-            support.update(d)
-        for w in support:
-            vals = [d.get(w, 0.0) for d in frozen]
-            if not all(-FUZZY_TOL <= v <= 1.0 + FUZZY_TOL for v in vals):
-                raise MeasureError(f"density value outside [0,1] at {w!r}")
-            total = _sum(vals)
-            if abs(total - 1.0) > FUZZY_TOL:
-                raise MeasureError(
-                    f"densities sum to {total!r} at {w!r}, not 1 within {FUZZY_TOL}")
+        support, dens = tuple(self.support), np.array(self.densities, dtype=float)
+        if not len(dens) or dens.ndim != 2 or dens.shape[1] != len(support):
+            raise MeasureError(f"fuzzy partition needs at least one density, a row of "
+                               f"{len(support)} values; got shape {dens.shape}")
+        if len(set(support)) < len(support):
+            raise MeasureError("fuzzy partition support repeats a word")
+        outside = ~((dens >= -FUZZY_TOL) & (dens <= 1.0 + FUZZY_TOL)).all(axis=0)  # or NaN
+        if outside.any():
+            raise MeasureError(f"density value outside [0,1] at {support[outside.argmax()]!r}")
+        totals = dens.cumsum(axis=0)[-1]
+        off = np.flatnonzero(~(np.abs(totals - 1.0) <= FUZZY_TOL))
+        if off.size:
+            raise MeasureError(f"densities sum to {float(totals[off[0]])!r} at "
+                               f"{support[off[0]]!r}, not 1 within {FUZZY_TOL}")
+        dens.flags.writeable = False
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "densities", dens)
 
     def __len__(self) -> int:
         return len(self.densities)
@@ -242,13 +245,15 @@ class FuzzyPartition:
                   cells: Sequence[Iterable[Word]]) -> "FuzzyPartition":
         """Indicator fuzzy partition of ``support`` by disjoint covering ``cells``;
         a support word in no cell is an error."""
-        support = [tuple(w) for w in support]
-        cell_sets = [frozenset(tuple(w) for w in c) for c in cells]
-        for w in support:
-            if not any(w in cell for cell in cell_sets):
-                raise MeasureError(f"support word {w!r} lies in no cell")
-        return cls(space, tuple({w: 1.0 for w in support if w in cell}
-                                for cell in cell_sets))
+        support = tuple(map(tuple, support))
+        index = {w: i for i, w in enumerate(support)}
+        dens = np.zeros((len(cells), len(support)))
+        for row, cell in zip(dens, cells):
+            row[[index[w] for w in map(tuple, cell) if w in index]] = 1.0
+        missing = np.flatnonzero(~dens.any(axis=0))
+        if missing.size:
+            raise MeasureError(f"support word {support[missing[0]]!r} lies in no cell")
+        return cls(space, support, dens)
 
 
 @dataclass(frozen=True)
@@ -316,21 +321,14 @@ def coordinate_marginals(mu: DiscreteMeasure) -> list[list[float]]:
     return out
 
 
-def _density_values(mu: DiscreteMeasure, rho) -> list[float]:
-    """Evaluate a density (callable or mapping) on the support of ``mu``, in order."""
-    if callable(rho):
-        return [float(rho(w)) for w in mu.support]
-    return [float(rho.get(w, 0.0)) for w in mu.support]
-
-
 def reweight(mu: DiscreteMeasure, rho) -> DiscreteMeasure:
     """The reweighted measure with density proportional to ``rho``.
 
-    ``rho`` may be a callable on words or a mapping; values must be
-    nonnegative on the support and have positive integral.  Conditioning on a
-    set is the special case where ``rho`` is its indicator.
+    ``rho`` may be a callable on words or a mapping (0 off its keys); values
+    must be nonnegative on the support and have positive integral.
+    Conditioning on a set is the special case where ``rho`` is its indicator.
     """
-    vals = _density_values(mu, rho)
+    vals = [float(rho(w) if callable(rho) else rho.get(w, 0.0)) for w in mu.support]
     if min(vals) < 0:
         raise MeasureError(f"negative density {min(vals)}")
     return DiscreteMeasure._of_support(mu.space, *_pruned(
@@ -339,8 +337,7 @@ def reweight(mu: DiscreteMeasure, rho) -> DiscreteMeasure:
 
 def condition(mu: DiscreteMeasure, subset: Iterable[Word]) -> DiscreteMeasure:
     """``mu`` conditioned on a set of words with positive mass."""
-    cell = frozenset(tuple(w) for w in subset)
-    return reweight(mu, lambda w: 1.0 if w in cell else 0.0)
+    return reweight(mu, dict.fromkeys(map(tuple, subset), 1.0))
 
 
 def mix(rep: MixtureRepresentation) -> DiscreteMeasure:
@@ -360,22 +357,26 @@ def fuzzy_split(mu: DiscreteMeasure, fp: FuzzyPartition) -> MixtureRepresentatio
     """Split ``mu`` along a fuzzy partition into weights and reweighted components.
 
     Weight ``p_j`` is the integral of the j-th density; the j-th component is
-    ``mu`` reweighted by it.  Zero-weight terms are dropped.  The weights must
-    sum to 1 within ``FUZZY_TOL``: a partition whose densities miss part of
-    the support of ``mu`` would drop that mass silently.
+    ``mu`` reweighted by it.  Zero-weight terms are dropped, and words of ``mu``
+    outside ``fp.support`` have density 0.  The weights must sum to 1 within
+    ``FUZZY_TOL``: a partition whose densities miss part of the support of
+    ``mu`` would drop that mass silently.
     """
-    masses = tuple(mu.atoms.values())
+    support, dens = mu.support, fp.densities
+    if fp.support != support:   # column -1 of the padded rows is 0
+        index = {w: i for i, w in enumerate(fp.support)}
+        dens = np.pad(dens, ((0, 0), (0, 1)))[:, [index.get(w, -1) for w in support]]
+    masses = np.array(tuple(mu.atoms.values()))
     weights, comps = [], []
-    for rho in fp.densities:
-        dens = _density_values(mu, rho)
-        raw = [v * m for v, m in zip(dens, masses)]
+    for row in dens:
+        raw = (row * masses).tolist()
         p = _sum(raw)
         if p <= PRUNE_TOL:
             continue
-        if min(dens) < 0:
-            raise MeasureError(f"negative density {min(dens)}")
+        if row.min() < 0:
+            raise MeasureError(f"negative density {row.min()}")
         weights.append(p)
-        comps.append(DiscreteMeasure._of_support(mu.space, *_pruned(mu.support, raw, p)))
+        comps.append(DiscreteMeasure._of_support(mu.space, *_pruned(support, raw, p)))
     total = _sum(weights)
     if not abs(total - 1.0) <= FUZZY_TOL:
         raise MeasureError(f"fuzzy partition covers mass {total!r} of the "

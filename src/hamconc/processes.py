@@ -24,7 +24,7 @@ conditional law there is arbitrary, and uniform is the deterministic choice.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -496,20 +496,12 @@ def conditional_partition(lam: JointSpec, n: int, cfg: PipelineConfig,
 
     partitions: dict[Word, DecompositionResult] = {}
     labels: dict[Word, dict[Word, str]] = {}
-    for j, b in enumerate(good):
-        sub_cfg = replace(cfg, seed=int(
-            np.random.SeedSequence(cfg.seed, spawn_key=(9, j))
-            .generate_state(1)[0]))
-        res = partition_decomposition(conds[b], sub_cfg, tc=tc_by_string[b])
-        partitions[b] = res
+    for b in good:
+        partitions[b] = res = partition_decomposition(conds[b], cfg, tc=tc_by_string[b])
         # n bits, widened when the partition has more than 2^n cells
         width = max(n, 1, (len(res.sets) - 1).bit_length())
-        lab: dict[Word, str] = {}
-        for cell_idx, cell in enumerate(res.sets):
-            code = format(cell_idx, "b").zfill(width)
-            for word in cell:
-                lab[word] = code
-        labels[b] = lab
+        labels[b] = {word: format(cell_idx, "b").zfill(width)
+                     for cell_idx, cell in enumerate(res.sets) for word in cell}
     return ConditionalPartitionReport(
         n=n, block_size=block_size, good_mass=good_mass, good_strings=good,
         partitions=partitions, labels=labels, tc_by_string=tc_by_string,

@@ -10,9 +10,11 @@ on mass tuples, so that the two can be compared to the bit.  Likewise the
 tilt-search oracle is the search as one gradient ascent per (seed, t) pair,
 as it ran before its ascents were batched, and the window-law, block-kernel
 and product oracles build their measures word by word in dicts, as the
-library did before it built them as arrays.  ``decrement_checks`` is no
-oracle: it runs the library's own slate scorer on one partition, for tests
-that read a single split's gate numbers.
+library did before it built them as arrays; the fuzzy-split oracle reads
+densities from word dicts, as the library did before a fuzzy partition
+became one array.  ``decrement_checks`` is no oracle: it runs the library's
+own slate scorer on one partition, for tests that read a single split's gate
+numbers.
 
 The oracles compared to the library in ``float.hex`` add with ``left_sum``,
 the library's order, whatever the interpreter's builtin ``sum`` does.
@@ -155,6 +157,38 @@ def random_sparse_measure(rng, alphabet, n, max_support):
     return {words[i]: float(m) for i, m in zip(chosen, masses)}
 
 
+def density_dicts(fp):
+    """The densities of the fuzzy partition ``fp`` as word -> value dicts,
+    the form the library kept them in before they became one array."""
+    return [dict(zip(fp.support, row.tolist())) for row in fp.densities]
+
+
+def fuzzy_split_dict(mu, densities):
+    """``fuzzy_split`` of ``mu`` by density dicts (0 off their keys), as the
+    library computed it before fuzzy partitions became arrays: each density
+    read word by word on the support of ``mu``."""
+    from hamconc import MeasureError, MixtureRepresentation
+    from hamconc.measures import FUZZY_TOL, PRUNE_TOL, DiscreteMeasure, _pruned
+
+    masses = tuple(mu.atoms.values())
+    weights, comps = [], []
+    for rho in densities:
+        dens = [float(rho.get(w, 0.0)) for w in mu.support]
+        raw = [v * m for v, m in zip(dens, masses)]
+        p = left_sum(raw)
+        if p <= PRUNE_TOL:
+            continue
+        if min(dens) < 0:
+            raise MeasureError(f"negative density {min(dens)}")
+        weights.append(p)
+        comps.append(DiscreteMeasure._of_support(mu.space, *_pruned(mu.support, raw, p)))
+    total = left_sum(weights)
+    if not abs(total - 1.0) <= FUZZY_TOL:
+        raise MeasureError(f"fuzzy partition covers mass {total!r} of the "
+                           f"measure, not 1 within {FUZZY_TOL}")
+    return MixtureRepresentation(tuple(p / total for p in weights), tuple(comps))
+
+
 def decrement_gate(mu, fp, r, i_floor=None):
     """(ok, information, decrement) of the decrement gate on ``mu`` split by
     the fuzzy partition ``fp``, by building the split's measures as the gate
@@ -168,7 +202,7 @@ def decrement_gate(mu, fp, r, i_floor=None):
     from hamconc.measures import PRUNE_TOL
 
     weights, comps = [], []
-    for dens in fp.densities:
+    for dens in density_dicts(fp):
         raw = {w: dens.get(w, 0.0) * m for w, m in mu.atoms.items()}
         p = left_sum(raw.values())
         if p <= PRUNE_TOL:
@@ -200,12 +234,11 @@ def decrement_checks(mu, fp, r, i_floor=0.0):
     (ok, information, decrement), None for NaN."""
     from hamconc import decompose, fuzzy_split
     from hamconc.information import dual_total_correlation
-    from hamconc.measures import _density_values
 
     fuzzy_split(mu, fp)
     ok, info, drop = (a[0] for a in decompose._score_slate(
         mu.support, np.array([tuple(mu.atoms.values())]),
-        np.array([[_density_values(mu, d) for d in fp.densities]]), r,
+        np.array([[[d.get(w, 0.0) for w in mu.support] for d in density_dicts(fp)]]), r,
         np.array([i_floor]), np.array([dual_total_correlation(mu)])))
     return bool(ok), *(None if math.isnan(v) else float(v) for v in (info, drop))
 
@@ -219,8 +252,8 @@ def unpruned_step(mu, r, i_floor, slate):
     candidate passes."""
     from hamconc import FuzzyPartition, decompose
 
-    results = [decrement_gate(mu, FuzzyPartition(mu.space, tuple(
-        dict(zip(mu.support, d)) for d in dens)), r, i_floor) for dens in slate]
+    results = [decrement_gate(mu, FuzzyPartition(mu.space, mu.support, dens), r, i_floor)
+               for dens in slate]
     passing = [drop for ok, _, drop in results if ok]
     if not passing:
         return results, None

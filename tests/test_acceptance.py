@@ -281,8 +281,7 @@ def _random_rep(rng, mu, k=2):
     from hamconc import FuzzyPartition, fuzzy_split
     raw = rng.random((k, len(mu.support))) + 0.05
     raw /= raw.sum(axis=0)
-    return fuzzy_split(mu, FuzzyPartition(
-        mu.space, tuple(dict(zip(mu.support, row)) for row in raw)))
+    return fuzzy_split(mu, FuzzyPartition(mu.space, mu.support, raw))
 
 
 def test_criterion_09_extremality_calculus():

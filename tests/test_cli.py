@@ -445,6 +445,7 @@ def test_block_support_cap_exits_3(capsys, tmp_path, monkeypatch, spec):
     ("block", "--theta", "SPEC"),
     ("gap", "--epsilon", "0.2"),
     ("tc-profile", "--seed", "4"),
+    ("partition", "--max-iters", "5"),
 ])
 def test_process_flag_its_op_ignores_exits_2(capsys, joint_spec_file, op, flag,
                                              value):
@@ -487,6 +488,18 @@ def test_exact_transport_rejects_reg(capsys, diag_file):
     code, payload = run_json(capsys, ["transport", diag_file, diag_file,
                                       "--reg", "5e-3"])
     assert code == 0 and payload["result"]["exact"]
+
+
+def test_partition_rejects_max_iters(capsys, diag_file):
+    # only the mixture recursion reads --max-iters, so a partition run may
+    # not move it; --seed is accepted though the partition reads none
+    code, payload = run_json(capsys, ["partition-c", diag_file, "--max-iters", "5"])
+    assert code == 2
+    assert payload["error"] == {"type": "validation",
+                                "message": "partition-c does not read --max-iters"}
+    code, payload = run_json(capsys, ["partition-c", diag_file, "--max-iters", "64",
+                                      "--seed", "7"])
+    assert code == 0 and payload["result"]["kind"] == "partition"
 
 
 def test_empirical_block_law_reads_its_seed(capsys, joint_spec_file):

@@ -607,8 +607,7 @@ def _random_representation(rng, mu, k=3):
     from hamconc import FuzzyPartition, fuzzy_split
     raw = rng.random((k, len(mu.support))) + 0.05
     raw /= raw.sum(axis=0)
-    dens = [dict(zip(mu.support, row)) for row in raw]
-    return fuzzy_split(mu, FuzzyPartition(mu.space, tuple(dens)))
+    return fuzzy_split(mu, FuzzyPartition(mu.space, mu.support, raw))
 
 
 def test_extremality_perturbation_stability(rng):

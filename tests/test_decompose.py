@@ -22,7 +22,7 @@ from hamconc import (
     transport_distance,
     tv_distance,
 )
-from hamconc import decompose, transport
+from hamconc import concentration, decompose, transport
 from hamconc.concentration import TILT_ANCHOR_STARTS, TParams
 from hamconc.measures import product_measure, variation_norm
 from hamconc.decompose import (
@@ -131,8 +131,8 @@ def test_decrement_step_pins_split_densities():
         if split is not None:
             fp = split.partition
             _, info, drop = oracles.decrement_checks(mu, fp, 0.3)
-            pinned = ([[(w, v.hex()) for w, v in sorted(d.items())]
-                       for d in fp.densities],
+            pinned = ([[(w, v.hex()) for w, v in zip(fp.support, row.tolist())]
+                       for row in fp.densities],
                       info.hex(), drop.hex())
         h.update(repr((name, pinned)).encode())
     assert h.hexdigest() == DECREMENT_STEP_DIGEST
@@ -179,8 +179,7 @@ def test_gate_matches_measure_building_oracle(monkeypatch):
                                                  _candidates(got)):
                 assert tuple(row.tolist()) == tuple(mu.atoms.values())
                 assert float(d).hex() == dual_total_correlation(mu).hex()
-                fp = FuzzyPartition(mu.space, tuple(dict(zip(mu.support, d.tolist()))
-                                                    for d in dens))
+                fp = FuzzyPartition(mu.space, mu.support, dens)
                 assert cand == _hexed(oracles.decrement_gate(mu, fp, r, float(floor)))
                 seen["pass" if cand[0] else
                      "below floor" if cand[2] is None else "fail"] += 1
@@ -208,8 +207,9 @@ def test_step_matches_unpruned_oracle(monkeypatch):
         if win is None:
             assert split is None
         else:
-            assert [[v.hex() for v in (d[w] for w in mu.support)]
-                    for d in split.partition.densities] == \
+            assert split.partition.support == mu.support
+            assert [[v.hex() for v in row.tolist()]
+                    for row in split.partition.densities] == \
                 [[v.hex() for v in d] for d in slate[win]]
             assert split.information.hex() == want[win][1].hex()
             assert split.decrement.hex() == want[win][2].hex()
@@ -304,7 +304,7 @@ def test_decrement_gate_dtc_evaluations(monkeypatch):
 def test_partition_missing_support_fails_the_gate():
     mu = DiscreteMeasure.uniform_on(ProductSpace(2, 2),
                                     [(0, 0), (0, 1), (1, 0), (1, 1)])
-    half = FuzzyPartition(mu.space, ({(0, 0): 1.0}, {(1, 1): 1.0}))
+    half = FuzzyPartition(mu.space, [(0, 0), (1, 1)], np.eye(2))
     with pytest.raises(MeasureError, match="covers mass 0.5"):
         oracles.decrement_checks(mu, half, 0.3)
 
@@ -360,16 +360,17 @@ def test_decrement_recursion_pins_audit_and_densities():
             fp, audit, _ = decrement_recursion(mu, cfg)
             h.update(repr((name, cfg.max_iters)).encode())
             h.update(json.dumps(audit, sort_keys=True).encode())
-            h.update(repr([[(w, v.hex()) for w, v in sorted(d.items())]
-                           for d in fp.densities]).encode())
+            h.update(repr([[(w, v.hex()) for w, v in zip(fp.support, row.tolist())]
+                           for row in fp.densities]).encode())
     assert h.hexdigest() == RECURSION_DIGEST
 
 
 def test_recursion_checks_each_split_once(monkeypatch):
     # each round scores every untried component exactly once, in one batch
     # per support, and the recursion reads an executed split's numbers from
-    # that batch instead of running the gate on it again
-    events, in_step, outside = [], [], []
+    # that batch instead of running the gate on it again; every batch slices
+    # one mismatch matrix of supp(mu), which a product measure never builds
+    events, in_step, outside, matrices = [], [], [], []
     score, steps, total = decompose._score_slate, decompose._decrement_steps, decompose._sum
 
     def recording_steps(space, support, masses, *args):
@@ -394,10 +395,21 @@ def test_recursion_checks_each_split_once(monkeypatch):
         events.append(None)
         return total(xs)
 
+    def counting_matrix(*args):
+        matrices.append(args)
+        return mismatch(*args)
+
+    mismatch = transport.mismatch_matrix
+    for module in (decompose, concentration, transport):
+        monkeypatch.setattr(module, "mismatch_matrix", counting_matrix)
+    decrement_recursion(biased_product(5, 0.3), CFG)
+    assert matrices == []
     monkeypatch.setattr(decompose, "_decrement_steps", recording_steps)
     monkeypatch.setattr(decompose, "_score_slate", recording_score)
     monkeypatch.setattr(decompose, "_sum", recording_sum)
-    _, audit, _ = decrement_recursion(product_mix(6, 0.1, 0.9), CFG)
+    mu = product_mix(6, 0.1, 0.9)
+    _, audit, _ = decrement_recursion(mu, CFG)
+    assert matrices == [(mu.support, mu.support)]
     splits = [len(rnd["splits"]) for rnd in audit["rounds"]]
     assert sum(splits) > 0 and outside == []
     rounds, current = [], []
@@ -420,6 +432,45 @@ def test_recursion_checks_each_split_once(monkeypatch):
     assert max(b["count"] for rnd in rounds for b in rnd) >= 2
 
 
+#: sha256 of decrement_recursion's audit (JSON, sorted keys) and final
+#: densities (float.hex) on ``_pruned_split_measure()`` at r = 0.1, recorded
+#: with RECURSION_DIGEST; five of its executed splits are over part of the
+#: support, so it pins how a split's densities are put back on supp(mu)
+PRUNED_RECURSION_DIGEST = "96aef74acd32123b20796f9bbdb7b07f379127debdf350d8051aac0cf9a08fc0"
+
+
+def _pruned_split_measure():
+    """Three heavy atoms and four of mass 7e-10 on {0,1}^6: strong tilts prune
+    light atoms, and components over part of the support split again."""
+    atoms = {(0, 0, 1, 0, 0, 0): 0.32, (0, 1, 1, 1, 0, 0): 0.54, (1, 0, 1, 0, 1, 0): 0.14}
+    for w in [(0, 0, 1, 0, 1, 1), (0, 1, 0, 0, 0, 0), (0, 1, 1, 1, 1, 0), (1, 0, 1, 0, 1, 1)]:
+        atoms[w] = 7e-10
+    return DiscreteMeasure.from_unnormalized(ProductSpace(2, 6), atoms)
+
+
+def test_recursion_slices_the_distance_matrix_of_each_batch(monkeypatch):
+    # batches over part of supp(mu) get their own support's mismatch matrix,
+    # sliced from the one of supp(mu); the splits executed on them are put
+    # back on the atoms they cover
+    batches = []
+    steps = decompose._decrement_steps
+
+    def recording_steps(space, support, masses, r, mismatches):
+        want = transport.mismatch_matrix(support, support)
+        batches.append((len(support), np.array_equal(mismatches(), want)))
+        return steps(space, support, masses, r, mismatches)
+
+    monkeypatch.setattr(decompose, "_decrement_steps", recording_steps)
+    mu = _pruned_split_measure()
+    fp, audit, _ = decrement_recursion(mu, replace(CFG, r=0.1))
+    assert all(same for _, same in batches)
+    assert min(size for size, _ in batches) < len(mu) == 7
+    h = hashlib.sha256((json.dumps(audit, sort_keys=True) + repr(
+        [[(w, v.hex()) for w, v in zip(fp.support, row.tolist())]
+         for row in fp.densities])).encode())
+    assert h.hexdigest() == PRUNED_RECURSION_DIGEST
+
+
 @st.composite
 def reweighted_batches(draw):
     """Two to four reweightings of one another on 2-8 atoms of a small cube
@@ -435,7 +486,8 @@ def reweighted_batches(draw):
 
 def _hexed_split(split):
     return None if split is None else (
-        [[(w, v.hex()) for w, v in sorted(d.items())] for d in split.partition.densities],
+        [[(w, v.hex()) for w, v in zip(split.partition.support, row.tolist())]
+         for row in split.partition.densities],
         split.information.hex(), split.decrement.hex())
 
 
@@ -445,8 +497,10 @@ def test_split_does_not_depend_on_its_batch(instance):
     # a measure's split, scored in one batch with other reweightings on its
     # support, is bit for bit the one decrement_step gives it alone
     mus, r = instance
+    support = mus[0].support
     batched = decompose._decrement_steps(
-        mus[0].space, mus[0].support, np.array([tuple(mu.atoms.values()) for mu in mus]), r)
+        mus[0].space, support, np.array([tuple(mu.atoms.values()) for mu in mus]), r,
+        lambda: transport.mismatch_matrix(support, support))
     assert len(batched) == len(mus)
     for mu, split in zip(mus, batched):
         assert _hexed_split(split) == _hexed_split(decrement_step(mu, r))

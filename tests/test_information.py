@@ -313,8 +313,7 @@ def test_info_report_consistency(rng):
 # -----------------------------------------------------------------------------
 def test_fuzzy_mi_constant_partition_zero():
     mu = two_cluster(3)
-    fp = FuzzyPartition(mu.space, ({w: 0.4 for w in mu.support},
-                                   {w: 0.6 for w in mu.support}))
+    fp = FuzzyPartition(mu.space, mu.support, [[0.4] * len(mu), [0.6] * len(mu)])
     assert abs(fuzzy_mutual_information(mu, fp)) < 1e-12
 
 
@@ -340,9 +339,8 @@ def test_fuzzy_mi_matches_hookup_joint(rng):
     # I from the reweighting formula equals I of the (index, word) joint law
     for _ in range(20):
         mu = random_measure(rng, 2, 3, 8)
-        dens = {w: float(rng.random()) for w in mu.support}
-        fp = FuzzyPartition(mu.space,
-                            (dens, {w: 1 - v for w, v in dens.items()}))
+        dens = rng.random(len(mu))
+        fp = FuzzyPartition(mu.space, mu.support, [dens, 1 - dens])
         rep = fuzzy_split(mu, fp)
         joint = hookup(rep.weights, rep.components)
         oracle = mutual_information_from_joint(
@@ -352,8 +350,7 @@ def test_fuzzy_mi_matches_hookup_joint(rng):
 
 def test_dtc_decrement_constant_densities_zero():
     mu = two_cluster(3)
-    fp = FuzzyPartition(mu.space, ({w: 0.5 for w in mu.support},
-                                   {w: 0.5 for w in mu.support}))
+    fp = FuzzyPartition(mu.space, mu.support, np.full((2, len(mu)), 0.5))
     lhs, rhs = dtc_decrement(mu, fp)
     assert abs(lhs) < 1e-12 and abs(rhs) < 1e-12
 
@@ -362,9 +359,8 @@ def test_dtc_decrement_identity_random(rng):
     # both sides computed by independent entropy summations agree
     for _ in range(20):
         mu = random_measure(rng, 2, 3, 8)
-        dens = {w: 0.05 + 0.9 * float(rng.random()) for w in mu.support}
-        fp = FuzzyPartition(mu.space,
-                            (dens, {w: 1 - v for w, v in dens.items()}))
+        dens = 0.05 + 0.9 * rng.random(len(mu))
+        fp = FuzzyPartition(mu.space, mu.support, [dens, 1 - dens])
         lhs, rhs = dtc_decrement(mu, fp)
         assert abs(lhs - rhs) < 1e-8
 
@@ -420,13 +416,10 @@ def test_fuzzy_chain_rule(rng):
     # refining a two-cell fuzzy partition: I adds up along the chain
     for _ in range(10):
         mu = random_measure(rng, 2, 3, 8)
-        a = {w: 0.2 + 0.6 * float(rng.random()) for w in mu.support}
-        s = {w: float(rng.random()) for w in mu.support}
-        fine = FuzzyPartition(mu.space, (
-            {w: a[w] * s[w] for w in mu.support},
-            {w: a[w] * (1 - s[w]) for w in mu.support},
-            {w: 1 - a[w] for w in mu.support}))
-        coarse = FuzzyPartition(mu.space, (a, {w: 1 - a[w] for w in mu.support}))
+        a = 0.2 + 0.6 * rng.random(len(mu))
+        s = rng.random(len(mu))
+        fine = FuzzyPartition(mu.space, mu.support, [a * s, a * (1 - s), 1 - a])
+        coarse = FuzzyPartition(mu.space, mu.support, [a, 1 - a])
         i_fine = fuzzy_mutual_information(mu, fine)
         i_coarse = fuzzy_mutual_information(mu, coarse)
         # monotone under refinement
@@ -434,7 +427,7 @@ def test_fuzzy_chain_rule(rng):
         # chain rule: the conditional term is the split of mu|a by the ratios
         mu_a = mix(MixtureRepresentation((1.0,), (fuzzy_split(
             mu, coarse).components[0],)))
-        ratios = FuzzyPartition(mu.space, (s, {w: 1 - s[w] for w in mu.support}))
+        ratios = FuzzyPartition(mu.space, mu.support, [s, 1 - s])
         p_a = fuzzy_split(mu, coarse).weights[0]
         inner = fuzzy_mutual_information(mu_a, ratios)
         assert abs(i_fine - (i_coarse + p_a * inner)) < 1e-8

@@ -1,4 +1,5 @@
 """Measure algebra: marginals, reweighting, mixtures, fuzzy splits, hookups."""
+import itertools
 import json
 import math
 
@@ -169,7 +170,7 @@ def test_mix_of_biased_products_has_average_marginals():
 
 def test_fuzzy_split_trivial_partition():
     mu = two_cluster(3)
-    fp = FuzzyPartition(mu.space, ({w: 1.0 for w in mu.support},))
+    fp = FuzzyPartition(mu.space, mu.support, [np.ones(len(mu))])
     rep = fuzzy_split(mu, fp)
     assert rep.weights == (1.0,)
     assert rep.components[0] == mu
@@ -188,9 +189,9 @@ def test_fuzzy_split_exponential_weights_bounds():
     # densities e^{-t f}/2 and its complement: first weight in (0, 1/2]
     mu = two_cluster(4)
     t = 0.7
-    f = {w: sum(w) / 4 for w in mu.support}
-    rho1 = {w: 0.5 * math.exp(-t * f[w]) for w in mu.support}
-    fp = FuzzyPartition(mu.space, (rho1, {w: 1 - rho1[w] for w in rho1}))
+    f = np.array([sum(w) / 4 for w in mu.support])
+    rho1 = 0.5 * np.exp(-t * f)
+    fp = FuzzyPartition(mu.space, mu.support, [rho1, 1 - rho1])
     rep = fuzzy_split(mu, fp)
     assert 0.0 < rep.weights[0] <= 0.5 + 1e-12
 
@@ -199,8 +200,8 @@ def test_fuzzy_split_reconstructs(rng):
     for _ in range(25):
         mu = random_measure(rng, 3, 3, 12)
         cut = rng.random()
-        dens = {w: min(1.0, cut * rng.random()) for w in mu.support}
-        fp = FuzzyPartition(mu.space, (dens, {w: 1 - v for w, v in dens.items()}))
+        dens = np.minimum(1.0, cut * rng.random(len(mu)))
+        fp = FuzzyPartition(mu.space, mu.support, [dens, 1 - dens])
         rep = fuzzy_split(mu, fp)
         assert tv_distance(mix(rep), mu) < 1e-9
 
@@ -209,16 +210,68 @@ def test_refinement_weights_aggregate(rng):
     # splitting each cell of a fuzzy partition again leaves block sums intact
     for _ in range(10):
         mu = random_measure(rng, 2, 4, 12)
-        a = {w: float(rng.random()) for w in mu.support}
-        coarse = FuzzyPartition(mu.space, (a, {w: 1 - v for w, v in a.items()}))
-        u = {w: a[w] * 0.3 for w in mu.support}
-        v = {w: a[w] * 0.7 for w in mu.support}
-        fine = FuzzyPartition(
-            mu.space, (u, v, {w: 1 - a[w] for w in mu.support}))
+        a = rng.random(len(mu))
+        coarse = FuzzyPartition(mu.space, mu.support, [a, 1 - a])
+        fine = FuzzyPartition(mu.space, mu.support, [a * 0.3, a * 0.7, 1 - a])
         pc = fuzzy_split(mu, coarse).weights
         pf = fuzzy_split(mu, fine).weights
         assert abs((pf[0] + pf[1]) - pc[0]) < 1e-10
         assert abs(pf[2] - pc[1]) < 1e-10
+
+
+def _split_outcome(split, mu, partition):
+    """The split's weights and component atoms in ``float.hex``, or the
+    message of the error it raises."""
+    try:
+        rep = split(mu, partition)
+    except MeasureError as exc:
+        return str(exc)
+    return ([p.hex() for p in rep.weights],
+            [[(w, m.hex()) for w, m in c.atoms.items()] for c in rep.components])
+
+
+def _random_densities(rng, cells, k):
+    """A random ``(cells, k)`` fuzzy partition with some densities 0 or
+    below ``PRUNE_TOL``."""
+    dens = rng.random((cells, k))
+    dens[rng.random((cells, k)) < 0.2] = 0.0
+    dens[rng.random((cells, k)) < 0.1] = 1e-17
+    dens[0, dens.sum(axis=0) == 0.0] = 1.0
+    return dens / dens.sum(axis=0)
+
+
+def test_fuzzy_split_matches_dict_reference(rng):
+    # the array split gives, to the bit, what reading each density word by
+    # word from a dict gives, on random, indicator and other-support partitions
+    kinds = {"random": 0, "indicator": 0, "other support": 0}
+    for trial in range(90):
+        kind = list(kinds)[trial % 3]
+        mu = random_measure(rng, 3, 3, 12)
+        cells, k = int(rng.integers(1, 4)), len(mu)
+        if kind == "random":
+            fp = FuzzyPartition(mu.space, mu.support, _random_densities(rng, cells, k))
+        elif kind == "indicator":
+            label = rng.integers(0, cells, k)
+            fp = FuzzyPartition.indicator(mu.space, mu.support, [
+                [w for w, c in zip(mu.support, label) if c == cell]
+                for cell in range(cells)])
+        else:
+            # light words missing from the partition have density 0, and
+            # words outside the support of mu are ignored
+            light = rng.random(k) < 0.3
+            masses = np.where(light, 1e-13, rng.random(k) + 0.05)
+            mu = DiscreteMeasure.from_unnormalized(mu.space, dict(zip(mu.support, masses)))
+            extra = [w for w in itertools.product(range(3), repeat=3)
+                     if w not in mu.atoms and rng.random() < 0.2]
+            support = [w for w, x in zip(mu.support, light) if not x] + extra
+            support = [support[i] for i in rng.permutation(len(support))]
+            fp = FuzzyPartition(mu.space, support,
+                                _random_densities(rng, cells, len(support)))
+        got = _split_outcome(fuzzy_split, mu, fp)
+        want = _split_outcome(oracles.fuzzy_split_dict, mu, oracles.density_dicts(fp))
+        assert got == want
+        kinds[kind] += not isinstance(got, str)
+    assert min(kinds.values()) > 20, kinds
 
 
 def test_hookup_single_component():
@@ -239,19 +292,19 @@ def test_hookup_two_point_masses():
 def test_hookup_matches_fuzzy_split_density(rng):
     # hookup mass of (j, x) equals rho_j(x) mu(x)
     mu = random_measure(rng, 2, 3, 8)
-    dens = {w: float(rng.random()) for w in mu.support}
-    fp = FuzzyPartition(mu.space, (dens, {w: 1 - v for w, v in dens.items()}))
+    dens = rng.random(len(mu))
+    fp = FuzzyPartition(mu.space, mu.support, [dens, 1 - dens])
     rep = fuzzy_split(mu, fp)
     joint = hookup(rep.weights, rep.components)
-    for w in mu.support:
-        assert abs(joint.mass((0,) + w) - dens[w] * mu.mass(w)) < 1e-12
-        assert abs(joint.mass((1,) + w) - (1 - dens[w]) * mu.mass(w)) < 1e-12
+    for w, d in zip(mu.support, dens):
+        assert abs(joint.mass((0,) + w) - d * mu.mass(w)) < 1e-12
+        assert abs(joint.mass((1,) + w) - (1 - d) * mu.mass(w)) < 1e-12
 
 
 def test_hookup_marginals_exact(rng):
     mu = random_measure(rng, 3, 2, 6)
-    dens = {w: float(rng.random()) for w in mu.support}
-    fp = FuzzyPartition(mu.space, (dens, {w: 1 - v for w, v in dens.items()}))
+    dens = rng.random(len(mu))
+    fp = FuzzyPartition(mu.space, mu.support, [dens, 1 - dens])
     rep = fuzzy_split(mu, fp)
     joint = hookup(rep.weights, rep.components)
     n = mu.space.dimension
@@ -359,15 +412,21 @@ def test_public_constructors_reject_bad_input():
 
     support = [(0, 0), (1, 1)]
     with pytest.raises(MeasureError, match="at least one density"):
-        FuzzyPartition(sp, ())
+        FuzzyPartition(sp, support, ())
+    with pytest.raises(MeasureError, match=r"outside \[0,1\] at \(1, 1\)"):
+        FuzzyPartition(sp, support, [[0.5, 1.5], [0.5, -0.5]])
     with pytest.raises(MeasureError, match="outside"):
-        FuzzyPartition(sp, ({(0, 0): 1.5}, {(0, 0): -0.5}))
-    with pytest.raises(MeasureError, match="outside"):
-        FuzzyPartition(sp, ({(0, 0): math.nan}, {(0, 0): math.nan}))
-    with pytest.raises(MeasureError, match="sum to"):
-        FuzzyPartition(sp, ({(0, 0): 0.5}, {(0, 0): 0.4}))
+        FuzzyPartition(sp, support, [[0.5, math.nan], [0.5, math.nan]])
+    with pytest.raises(MeasureError, match=r"sum to 0.9 at \(1, 1\)"):
+        FuzzyPartition(sp, support, [[0.5, 0.5], [0.5, 0.4]])
     with pytest.raises(MeasureError, match="sum to"):
         FuzzyPartition.indicator(sp, support, [support, [(1, 1)]])
+    with pytest.raises(MeasureError, match=r"a row of 2 values; got shape \(1, 3\)"):
+        FuzzyPartition(sp, support, [[1.0, 0.0, 0.0]])
+    with pytest.raises(MeasureError, match=r"a row of 2 values; got shape \(2,\)"):
+        FuzzyPartition(sp, support, [1.0, 1.0])
+    with pytest.raises(MeasureError, match="support repeats a word"):
+        FuzzyPartition(sp, [(0, 0), (0, 0)], [[1.0, 0.0], [0.0, 1.0]])
 
     mu = two_cluster(2)
     with pytest.raises(MeasureError, match="negative density"):
@@ -399,7 +458,7 @@ def test_partition_missing_part_of_the_support_fails_loudly():
     mu = DiscreteMeasure.uniform_on(sp, [(0, 0), (0, 1), (1, 0), (1, 1)])
     with pytest.raises(MeasureError, match=r"\(0, 1\) lies in no cell"):
         FuzzyPartition.indicator(sp, mu.support, [[(0, 0)], [(1, 1)]])
-    half = FuzzyPartition(sp, ({(0, 0): 1.0}, {(1, 1): 1.0}))
+    half = FuzzyPartition(sp, [(0, 0), (1, 1)], np.eye(2))
     with pytest.raises(MeasureError, match="covers mass 0.5"):
         fuzzy_split(mu, half)
     # a word outside the support in some cell is harmless
