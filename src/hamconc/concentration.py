@@ -318,6 +318,11 @@ def _primal_subsets(support: Sequence[Word], masses: np.ndarray,
     return out[:limit]
 
 
+#: element cap of one row block of the mismatch matrix that ``refute_T``
+#: takes its diameter from (the whole matrix is built only for a search)
+DIAMETER_BLOCK_ELEMENTS = 1 << 16
+
+
 def refute_T(mu: DiscreteMeasure, params: TParams,
              budget: RefutationBudget | None = None) -> RefutationResult:
     """Try to refute T(kappa, r) for ``mu``; soundness over completeness.
@@ -325,7 +330,8 @@ def refute_T(mu: DiscreteMeasure, params: TParams,
     Two a-priori bounds on the support diameter diam prove the inequality
     before any search: r >= diam (``bound="diameter"``) and, by Hoeffding's
     lemma, kappa diam^2 / 8 <= r (``bound="hoeffding"``); either returns
-    "holds" with zero budget counts.  Otherwise a "refuted" result carries a
+    "holds" with zero budget counts, and neither builds the whole k x k
+    mismatch matrix that a search needs.  Otherwise a "refuted" result carries a
     witness whose violation is re-verified with exact transport cost and
     divergence, and "not_refuted_within_budget" only reports that the search
     failed.
@@ -333,14 +339,22 @@ def refute_T(mu: DiscreteMeasure, params: TParams,
     budget = budget or RefutationBudget()
     support = list(mu.support)
     n = mu.space.dimension
-    dist_int = mismatch_matrix(support, support)
     used = {"subsets_checked": 0, "restarts_run": 0, "gradient_steps": 0}
 
-    diam = int(dist_int.max()) / n
+    # the diameter from row blocks of the mismatch matrix, stopping at n
+    words = np.asarray(support, dtype=np.int64)
+    step, far = max(1, DIAMETER_BLOCK_ELEMENTS // len(support)), 0
+    for lo in range(0, len(support), step):
+        block = mismatch_matrix(words[lo:lo + step], words)
+        far = max(far, int(block.max()))
+        if far == n:
+            break
+    diam = far / n
     if params.r >= diam:
         return RefutationResult("holds", budget_used=used, bound="diameter")
     if params.kappa * diam ** 2 / 8 <= params.r:
         return RefutationResult("holds", budget_used=used, bound="hoeffding")
+    dist_int = block if len(block) == len(support) else mismatch_matrix(words, words)
     masses = np.array([mu.atoms[w] for w in support])
     dist = dist_int / n
 
@@ -578,27 +592,35 @@ def concentrate_subset(plan: TransportPlan, params: TParams, delta: float,
     resulting density at 1/2 + 2 delta.  Returns U with nu(U) >= 1-4 delta
     and the propagated parameters (kappa, (8 delta + 2 log 4)/kappa + 4r + 4 delta).
     """
+    nu = plan.target
+    column = {w: j for j, w in enumerate(nu.support)}
+    ends = np.array(list(plan.plan), dtype=np.int64).reshape(len(plan.plan), 2, -1)
+    cell, new_params = _concentrated_set(
+        np.array([column[y] for _, y in plan.plan], dtype=np.intp),
+        np.array(list(plan.plan.values()), dtype=float),
+        np.count_nonzero(ends[:, 0] != ends[:, 1], axis=1),
+        np.fromiter(nu.atoms.values(), float, len(nu)), nu.space.dimension, params, delta)
+    return tuple(nu.support[j] for j in cell.tolist()), new_params
+
+
+def _concentrated_set(cols: np.ndarray, mass: np.ndarray, counts: np.ndarray,
+                      target: np.ndarray, n: int, params: TParams, delta: float
+                      ) -> tuple[np.ndarray, TParams]:
+    """``concentrate_subset`` on a coupling given as arrays: pair p carries
+    ``mass[p]`` to target atom ``cols[p]`` (of mass ``target[cols[p]]``) at
+    ``counts[p]`` mismatches out of n.  The kept masses add left to right in
+    pair order.  Returns the sorted target indices of U and the parameters."""
     if not (0.0 <= delta < 0.125):
         raise MeasureError(f"delta must lie in [0, 1/8), got {delta}")
-    nu = plan.target
     # nu1 = second marginal of the coupling restricted to pairs within delta
-    pairs = list(plan.plan)
-    n = nu.space.dimension
-    ends = np.array(pairs, dtype=np.int64).reshape(len(pairs), 2, n)
-    near = (np.count_nonzero(ends[:, 0] != ends[:, 1], axis=1) / n
-            <= delta + 1e-12).tolist()
-    kept: dict[Word, float] = {}
-    kept_mass = 0.0
-    for (_, y), m, close in zip(pairs, plan.plan.values(), near):
-        if close:
-            kept[y] = kept.get(y, 0.0) + m
-            kept_mass += m
+    near = counts / n <= delta + 1e-12
+    kept = np.zeros(len(target))
+    np.add.at(kept, cols[near], mass[near])   # in pair order, from 0.0
+    kept_mass = _sum(mass[near].tolist())
     if kept_mass <= 0.0:
         raise MeasureError("coupling kept no mass within delta")
-    threshold = 0.5 + 2.0 * delta
-    cell = tuple(sorted(
-        y for y, m in kept.items()
-        if (m / kept_mass) / nu.mass(y) >= threshold - 1e-12))
+    threshold = 0.5 + 2.0 * delta   # > 0, so an atom no near pair reaches fails it
+    cell = np.flatnonzero((kept / kept_mass) / target >= threshold - 1e-12)
     new_params = TParams(
         params.kappa,
         (8 * delta + 2 * math.log(4)) / params.kappa + 4 * params.r + 4 * delta)

@@ -10,7 +10,9 @@ into a mixture whose non-bad components carry concentration certificates;
 ``carve_concentrated_set`` extracts one concentrated set (a heavy atom, or
 the well-coupled part of a law of small total correlation, with the heaviest
 atom as the audited fallback), and ``partition_decomposition`` repeats it
-into a partition of the support.
+into a partition of the support; both are one-row cases of ``_carve_rows``
+and ``_partition_rows``, which carve the laws on one support (rows of one
+mass array) in shared rounds, each round's open rows as one batch.
 ``refute_T`` proves every pipeline certificate by its diameter or Hoeffding
 bound before any search.
 
@@ -33,6 +35,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .measures import (
+    DEFAULT_SUPPORT_CAP,
     DiscreteMeasure,
     FuzzyPartition,
     MeasureError,
@@ -40,34 +43,35 @@ from .measures import (
     PRUNE_TOL,
     ProductSpace,
     Word,
+    _left_sums,
+    _product_rows,
+    _pruned,
     _sum,
-    condition,
-    coordinate_marginals,
     fuzzy_split,
     marginal,
     mix,
-    product_measure,
     reweight,
     variation_norm,
 )
 from .information import (
+    ROW_BLOCK_ELEMENTS,
     _dtc_rows,
     _kl_rows,
-    _left_sums,
+    _tc_rows,
     dual_total_correlation,
     mixture_mutual_information,
     total_correlation,
     trim_coordinates,
 )
-from .transport import mismatch_matrix, transport_distance
+from .transport import _exact_coupling, mismatch_matrix
 from .concentration import (
     DensityBound,
     Lift,
     RefutationBudget,
     RefutationResult,
     TParams,
+    _concentrated_set,
     _l_search_candidates,
-    concentrate_subset,
     propagate_t_params,
     refute_T,
 )
@@ -207,10 +211,10 @@ class DecompositionResult:
         return out
 
 
-def _check_envelope(mu: DiscreteMeasure) -> None:
-    if (mu.space.alphabet_size > MAX_ALPHABET
-            or mu.space.dimension > MAX_DIMENSION
-            or len(mu) > MAX_PIPELINE_SUPPORT):
+def _check_envelope(space: ProductSpace, size: int) -> None:
+    if (space.alphabet_size > MAX_ALPHABET
+            or space.dimension > MAX_DIMENSION
+            or size > MAX_PIPELINE_SUPPORT):
         raise MeasureError(
             "input exceeds the exact pipeline envelope "
             f"(|A|<={MAX_ALPHABET}, n<={MAX_DIMENSION}, "
@@ -537,7 +541,7 @@ def mixture_decomposition(mu: DiscreteMeasure, cfg: PipelineConfig
     coordinates, then certify each component at the exactly propagated
     parameters (density bound, then lift).
     """
-    _check_envelope(mu)
+    _check_envelope(mu.space, len(mu))
     n = mu.space.dimension
     tc = total_correlation(mu)
 
@@ -684,8 +688,7 @@ class CarveError(MeasureError):
     with diagnostics."""
 
 
-def carve_concentrated_set(mu: DiscreteMeasure, cfg: PipelineConfig
-                           ) -> CarveResult:
+def carve_concentrated_set(mu: DiscreteMeasure, cfg: PipelineConfig) -> CarveResult:
     """Extract one subset V with positive mass whose conditioned measure
     carries a concentration certificate that ``refute_T`` does not refute.
 
@@ -698,114 +701,126 @@ def carve_concentrated_set(mu: DiscreteMeasure, cfg: PipelineConfig
     one-to-one and leave no high-probability word.  The fallback keeps case
     "atom"; it and every other desk-scale failure of the sufficient-n
     inequalities are recorded in ``info['paper_inequality_failures']``.
+    This is the one-row ``_carve_rows``.
     """
-    _check_envelope(mu)
-    n = mu.space.dimension
-    e_val = total_correlation(mu)
-    delta = cfg.delta
-    r = cfg.r
-    kappa_n = r * n / FINAL_DENOMINATOR
-    failures: list[str] = []
-    info: dict = {"tc": e_val, "delta": delta,
-                  "paper_inequality_failures": failures}
+    _check_envelope(mu.space, len(mu))
+    return _carve_rows(mu.space, mu.support, np.array([tuple(mu.atoms.values())]), cfg)[0][1]
 
-    # a heavy atom (lexicographically first among the heaviest), or the
-    # fallback when the small-tc route does not apply either
-    threshold = math.exp(-min(cfg.atom_threshold_exponent() * e_val, 700.0))
-    top_mass = max(mu.atoms.values())
-    top_word = min(w for w, m in mu.atoms.items() if m == top_mass)
-    if top_mass >= threshold or e_val > (r ** 4) * n:
-        if top_mass < threshold:
-            failures.append("heavy atom mass >= e^{-161 c_B TC / delta^2}")
-        cell = (top_word,)
-        params = TParams(kappa_n, r)
-        cert = refute_T(condition(mu, cell), params)
+
+def _conditioned(space: ProductSpace, support: Sequence[Word], row: np.ndarray,
+                 idx: np.ndarray) -> DiscreteMeasure:
+    """``condition`` of the measure with atoms ``row`` on ``support`` on its
+    atoms ``idx`` (sorted), bit for bit."""
+    return DiscreteMeasure._of_support(space, *_pruned(
+        tuple(support[j] for j in idx.tolist()), row[idx].tolist()))
+
+
+def _carve_rows(space: ProductSpace, support: tuple[Word, ...], rows: np.ndarray,
+                cfg: PipelineConfig) -> list[tuple[np.ndarray, CarveResult]]:
+    """``carve_concentrated_set`` of each measure on ``support`` with atoms a
+    row of ``rows`` (zero at a missing atom), each carve with the sorted
+    indices of its cell: one ``_tc_rows`` call, and the small-tc rows'
+    products of marginals built in row blocks under ``ROW_BLOCK_ELEMENTS``.
+    Every float is the one the row's measure gets alone."""
+    n, q, r = space.dimension, space.alphabet_size, cfg.r
+    tcs, marginals = _tc_rows(support, rows, q)
+    cuts: list = [None] * len(rows)    # (cell, case, params, info) of each row
+    small: list[tuple[int, dict]] = []
+    for i, (row, tc) in enumerate(zip(rows, tcs.tolist())):
+        info: dict = {"tc": tc, "delta": cfg.delta, "paper_inequality_failures": []}
+        threshold = math.exp(-min(cfg.atom_threshold_exponent() * tc, 700.0))
+        top = row.argmax(keepdims=True)
+        if row[top[0]] < threshold and tc <= (r ** 4) * n:
+            small.append((i, info))
+            continue
+        # a heavy atom (the first heaviest), or the fallback when the small-tc
+        # route does not apply either
+        if row[top[0]] < threshold:
+            info["paper_inequality_failures"].append(
+                "heavy atom mass >= e^{-161 c_B TC / delta^2}")
         info["atom_threshold"] = threshold
-        return CarveResult(cell, "atom", params, cert, info)
+        cuts[i] = top, "atom", TParams(r * n / FINAL_DENOMINATOR, r), info
 
-    # small total correlation
-    prod = product_measure(mu.space, coordinate_marginals(mu))
-    dbar, plan = transport_distance(prod, mu)
-    info["dbar_to_product"] = dbar
-    if dbar > r * r:
-        failures.append("marton distance dbar <= r^2")
-    delta_cs = min(math.sqrt(max(dbar, 0.0)) if dbar > r * r else r, 0.124)
-    cell, params = concentrate_subset(plan, TParams(8 * r * n, r), delta_cs)
-    mass = _sum(map(mu.mass, cell))
-    if mass < 1.0 - 4.0 * delta_cs - 1e-9 or mass <= 0.0:
-        raise CarveError(f"small-tc subset kept mass {mass}; diagnostics {info}")
-    params = TParams(params.kappa, min(params.r, 1.0))
-    cert = refute_T(condition(mu, cell), params)
-    return CarveResult(tuple(sorted(cell)), "small-tc", params, cert, info)
+    # small total correlation: compare with the product of marginals, a block
+    # of rows at a time, and keep the well-coupled part
+    words = np.asarray(support, dtype=np.int64)
+    step = max(1, ROW_BLOCK_ELEMENTS // min(q ** n, DEFAULT_SUPPORT_CAP))
+    for lo in range(0, len(small), step):
+        block = small[lo:lo + step]
+        digits, products = _product_rows(marginals[[i for i, _ in block]])
+        for (i, info), product in zip(block, products):
+            src, tgt = np.flatnonzero(product > 0.0), np.flatnonzero(rows[i] > 0.0)
+            _, cols, mass, counts, dbar, _, _ = _exact_coupling(
+                digits[src], product[src], words[tgt], rows[i, tgt], q)
+            info["dbar_to_product"] = dbar
+            if dbar > r * r:
+                info["paper_inequality_failures"].append("marton distance dbar <= r^2")
+            delta_cs = min(math.sqrt(max(dbar, 0.0)) if dbar > r * r else r, 0.124)
+            cell, params = _concentrated_set(cols, mass, counts, rows[i, tgt], n,
+                                             TParams(8 * r * n, r), delta_cs)
+            mass = _sum(rows[i, tgt[cell]].tolist())
+            if mass < 1.0 - 4.0 * delta_cs - 1e-9 or mass <= 0.0:
+                raise CarveError(f"small-tc subset kept mass {mass}; diagnostics {info}")
+            cuts[i] = tgt[cell], "small-tc", TParams(params.kappa, min(params.r, 1.0)), info
+    return [(cell, CarveResult(tuple(support[j] for j in cell.tolist()), case, params,
+                               refute_T(_conditioned(space, support, row, cell), params), info))
+            for row, (cell, case, params, info) in zip(rows, cuts)]
 
 
-def partition_decomposition(mu: DiscreteMeasure, cfg: PipelineConfig,
-                            *, tc: float | None = None) -> DecompositionResult:
+def partition_decomposition(mu: DiscreteMeasure, cfg: PipelineConfig) -> DecompositionResult:
     """Partition the support of ``mu`` into cells whose conditioned measures
-    carry concentration certificates, plus one residual cell of mass
-    below epsilon.
+    carry concentration certificates, plus one residual cell of mass below
+    epsilon, by carving concentrated sets out of the conditioned remainder.
+    The residual cell is index 0, then the cells in carving order.  This is
+    the one-row ``_partition_rows``."""
+    return _partition_rows(mu.space, mu.support, np.array([tuple(mu.atoms.values())]),
+                           cfg, [total_correlation(mu)])[0]
 
-    Repeatedly carves a concentrated set out of the conditioned remainder.
-    The residual cell is index 0; cells are otherwise in carving order.
-    ``tc`` is the audit's TC(mu) when the caller has computed it.
-    """
-    _check_envelope(mu)
-    tc = total_correlation(mu) if tc is None else tc
-    remaining = set(mu.support)
-    cells: list[tuple[Word, ...]] = []
-    carve_infos: list[dict] = []
-    params_list: list[TParams] = []
-    certs: list[RefutationResult] = []
-    truncated = False
-    step = 0
+
+def _partition_rows(space: ProductSpace, support: tuple[Word, ...], masses: np.ndarray,
+                    cfg: PipelineConfig, tcs: Sequence[float]) -> list[DecompositionResult]:
+    """``partition_decomposition`` of each measure on ``support`` with atoms
+    a row of ``masses`` (zero at a missing atom) and audit TC in ``tcs``.
+    Each round conditions the rows still open on their remaining atoms
+    (``condition``'s bits, in support order) and carves them as one
+    ``_carve_rows`` batch; a row stays open while its remaining mass, added
+    in support order, is at least epsilon, up to ``MAX_CELLS`` cells."""
+    masses = np.asarray(masses, dtype=float).reshape(-1, len(support))
+    _check_envelope(space, int(np.count_nonzero(masses > 0.0, axis=1).max(initial=0)))
+    remaining = masses > 0.0
+    carves: list[list[tuple[np.ndarray, CarveResult]]] = [[] for _ in masses]
+    live = list(range(len(masses)))
     while True:
-        mass_w = _sum(map(mu.mass, remaining))
-        if mass_w < cfg.epsilon or not remaining:
+        left = _left_sums(np.where(remaining[live], masses[live], 0.0)).tolist()
+        live = [i for i, mass_w in zip(live, left)
+                if mass_w >= cfg.epsilon and len(carves[i]) < MAX_CELLS]
+        if not live:
             break
-        if step >= MAX_CELLS:
-            truncated = True
-            break
-        cond_w = condition(mu, remaining)
-        carve = carve_concentrated_set(cond_w, cfg)
-        cell = tuple(sorted(set(carve.cell) & remaining))
-        if not cell:
-            raise CarveError("carved cell does not intersect the remainder")
-        cells.append(cell)
-        carve_infos.append({"case": carve.case, **carve.info})
-        params_list.append(carve.params)
-        certs.append(carve.certificate)
-        remaining -= set(cell)
-        step += 1
+        raw = np.where(remaining[live] & (masses[live] > PRUNE_TOL), masses[live], 0.0)
+        totals = _left_sums(raw)
+        if not (totals > 0.0).all():
+            raise MeasureError("null reweighting")
+        # a carved cell lies in the remainder: its atoms have conditioned mass
+        for i, (cell, carve) in zip(live, _carve_rows(space, support, raw / totals[:, None], cfg)):
+            remaining[i, cell] = False
+            carves[i].append((cell, carve))
 
-    residual = tuple(sorted(remaining))
-    weights = [_sum(map(mu.mass, residual))]
-    components: list[DiscreteMeasure | None] = [
-        condition(mu, residual) if weights[0] > 0.0 else None]
-    sets: list[tuple[Word, ...]] = [residual]
-    out_params: list[TParams | None] = [None]
-    out_certs: list[RefutationResult | None] = [None]
-    for cell, params, cert in zip(cells, params_list, certs):
-        weights.append(_sum(map(mu.mass, cell)))
-        components.append(condition(mu, cell))
-        sets.append(cell)
-        out_params.append(params)
-        out_certs.append(cert)
-
-    audit = {
-        "tc": tc,
-        "achieved_m": len(sets),
-        "m_bound_reported": cfg.c * math.exp(min(cfg.c * tc, 700.0)),
-        "carves": carve_infos,
-        "residual_mass": weights[0],
-    }
-    return DecompositionResult(
-        kind="partition",
-        weights=tuple(weights),
-        components=tuple(components),
-        sets=tuple(sets),
-        bad_index=0,
-        certificates=tuple(out_certs),
-        certificate_params=tuple(out_params),
-        truncated=truncated,
-        audit=audit,
-    )
+    out = []
+    for row, left, row_carves, tc in zip(masses, remaining, carves, tcs):
+        # the residual (index 0) and then the cells in carving order
+        parts = [np.flatnonzero(left)] + [cell for cell, _ in row_carves]
+        weights = [_sum(row[cell].tolist()) for cell in parts]
+        out.append(DecompositionResult(
+            kind="partition", weights=tuple(weights),
+            components=tuple(_conditioned(space, support, row, cell) if w > 0.0 else None
+                             for w, cell in zip(weights, parts)),
+            sets=tuple(tuple(support[j] for j in cell.tolist()) for cell in parts),
+            bad_index=0,
+            certificates=(None,) + tuple(c.certificate for _, c in row_carves),
+            certificate_params=(None,) + tuple(c.params for _, c in row_carves),
+            truncated=len(row_carves) >= MAX_CELLS and weights[0] >= cfg.epsilon,
+            audit={"tc": tc, "achieved_m": len(parts),
+                   "m_bound_reported": cfg.c * math.exp(min(cfg.c * tc, 700.0)),
+                   "carves": [{"case": c.case, **c.info} for _, c in row_carves],
+                   "residual_mass": weights[0]}))
+    return out

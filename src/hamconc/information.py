@@ -7,8 +7,9 @@ only over conditioning strings realized in the support, via the chain-rule
 identity H(coord | rest) = H(joint) - H(rest).
 
 Log policy: DTC and KL use ``np.log`` on ``(rows, k)`` mass arrays on one
-support (``_dtc_rows``, ``_kl_rows``); H and TC use ``math.log``.  Rows add left
-to right, so a row's bits do not depend on the other rows or on zero masses.
+support (``_dtc_rows``, ``_kl_rows``); H and TC use ``math.log``, TC on such
+rows too (``_tc_rows``).  Rows add left to right, so a row's bits do not
+depend on the other rows or on zero masses.
 ``np.log``, like the tilt search's ``np.exp``, follows numpy's SIMD dispatch:
 the pinned digests name the CPU flags they were recorded with.
 """
@@ -27,23 +28,18 @@ from .measures import (
     MeasureError,
     MixtureRepresentation,
     Word,
+    _left_sums,
     _sum,
-    coordinate_marginals,
     fuzzy_split,
     hookup,
     marginal,
 )
 
 
-def _clip_roundoff(x: float) -> float:
-    """Round a quantity that is nonnegative in exact arithmetic up to 0 when
-    float error alone made it negative; a clearly negative value is kept, so
-    that a real fault still shows."""
-    return max(x, 0.0) if x > -1e-12 else x
-
-
 def _clip_rows(v: np.ndarray) -> np.ndarray:
-    """``_clip_roundoff`` of each entry."""
+    """Round each entry, a quantity that is nonnegative in exact arithmetic,
+    up to 0 when float error alone made it negative; a clearly negative value
+    is kept, so that a real fault still shows."""
     return np.where((v < 0.0) & (v > -1e-12), 0.0, v)
 
 
@@ -70,7 +66,8 @@ def kl_divergence(nu: DiscreteMeasure, mu: DiscreteMeasure) -> float:
 
 
 def per_coordinate_entropies(mu: DiscreteMeasure) -> tuple[float, ...]:
-    return tuple(entropy_of_vector(row) for row in coordinate_marginals(mu))
+    _, marginals = _tc_rows(mu.support, (tuple(mu.atoms.values()),), mu.space.alphabet_size)
+    return tuple(map(entropy_of_vector, marginals[0].tolist()))
 
 
 #: supports whose leave-one-out index arrays are kept (one for 65,536 atoms
@@ -78,11 +75,6 @@ def per_coordinate_entropies(mu: DiscreteMeasure) -> tuple[float, ...]:
 #: (larger blocks of a batched recursion round raise the peak memory)
 LOO_GROUP_CACHE_SIZE = 8
 ROW_BLOCK_ELEMENTS = 1 << 14
-
-
-def _left_sums(a: np.ndarray) -> np.ndarray:
-    """Last-axis sums added left to right, so a zero term changes no bit."""
-    return a.cumsum(axis=-1)[..., -1] if a.shape[-1] else np.zeros(a.shape[:-1])
 
 
 def _xlogx(x: np.ndarray) -> np.ndarray:
@@ -116,6 +108,30 @@ def _loo_index(support: tuple[Word, ...]) -> np.ndarray:
     return np.array([[g + [k] * (width - len(g)) for g in gs]
                      + [[k] * width] * (size - len(gs)) for gs in layers],
                     dtype=np.intp).reshape(n, size, width)
+
+
+def _xlogx_exact(x: np.ndarray) -> np.ndarray:
+    """x log x with ``math.log`` of each positive entry, and 0 elsewhere."""
+    out = np.zeros(x.shape)
+    out[x > 0.0] = [m * math.log(m) for m in x[x > 0.0].tolist()]
+    return out
+
+
+def _tc_rows(support: tuple[Word, ...], masses, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """TC of each row of ``masses`` (a measure on ``support`` over ``q``
+    symbols, zero at a missing atom), and its coordinate marginals
+    ``(rows, n, q)``, as if alone: a marginal adds its atoms left to right in
+    support order, an entropy its terms in symbol or support order (the bits
+    of ``entropy_of_vector`` and ``shannon_entropy``), and TC the coordinates
+    in order."""
+    digits = np.array(support, dtype=np.intp).reshape(len(support), -1)
+    onehot = digits.T[:, None, :] == np.arange(q)[:, None]    # (n, q, k)
+    rows = np.asarray(masses, dtype=float).reshape(-1, len(support))
+    marg = _row_blocks(lambda r: _left_sums(np.where(onehot, r[:, None, None, :], 0.0)),
+                       onehot.size, rows)
+    h_coords = -_left_sums(_xlogx_exact(marg))
+    h_joint = -_left_sums(_xlogx_exact(rows))
+    return _clip_rows(_left_sums(h_coords) - h_joint), marg
 
 
 def _loo_entropies(support: tuple[Word, ...], masses) -> np.ndarray:
@@ -163,8 +179,9 @@ def conditional_coordinate_entropy(mu: DiscreteMeasure, i: int) -> float:
 
 def total_correlation(mu: DiscreteMeasure) -> float:
     """Sum of marginal entropies minus joint entropy; equals the KL divergence
-    from ``mu`` to the product of its marginals."""
-    return _clip_roundoff(_sum(per_coordinate_entropies(mu)) - shannon_entropy(mu))
+    from ``mu`` to the product of its marginals.  The one-row ``_tc_rows``."""
+    tc, _ = _tc_rows(mu.support, (tuple(mu.atoms.values()),), mu.space.alphabet_size)
+    return float(tc[0])
 
 
 def dual_total_correlation(mu: DiscreteMeasure) -> float:
@@ -191,10 +208,8 @@ class InfoReport:
 
 
 def info_report(mu: DiscreteMeasure) -> InfoReport:
-    h = shannon_entropy(mu)
-    coords = per_coordinate_entropies(mu)
-    return InfoReport(h, coords, _clip_roundoff(_sum(coords) - h),
-                      dual_total_correlation(mu))
+    return InfoReport(shannon_entropy(mu), per_coordinate_entropies(mu),
+                      total_correlation(mu), dual_total_correlation(mu))
 
 
 # -----------------------------------------------------------------------------

@@ -57,6 +57,12 @@ def _sum(xs: Iterable[float]) -> float:
     return total
 
 
+def _left_sums(a: np.ndarray) -> np.ndarray:
+    """Last-axis sums added left to right, so a zero term changes no bit (a
+    copy: a view would hold the whole running sum)."""
+    return a.cumsum(axis=-1)[..., -1].copy() if a.shape[-1] else np.zeros(a.shape[:-1])
+
+
 def _check_support_cap(bound: int, count) -> None:
     """Raise ``SupportCapExceeded`` when a layer of at most ``bound`` words has
     more than ``DEFAULT_SUPPORT_CAP``, counted by ``count()`` when ``bound`` has."""
@@ -309,18 +315,6 @@ def marginal(mu: DiscreteMeasure, coords: Iterable[int]) -> DiscreteMeasure:
     return DiscreteMeasure(space, out)
 
 
-def coordinate_marginals(mu: DiscreteMeasure) -> list[list[float]]:
-    """The one-coordinate marginals of ``mu``: for each coordinate, the |A|
-    symbol masses, summed in atom order in one pass over the atoms.  Each
-    value is bit-identical to ``marginal(mu, [i]).mass((s,))``."""
-    size = mu.space.alphabet_size
-    out = [[0.0] * size for _ in range(mu.space.dimension)]
-    for word, mass in mu.atoms.items():
-        for row, s in zip(out, word):
-            row[s] += mass
-    return out
-
-
 def reweight(mu: DiscreteMeasure, rho) -> DiscreteMeasure:
     """The reweighted measure with density proportional to ``rho``.
 
@@ -447,33 +441,39 @@ def product_measure(space: ProductSpace, dists: Sequence[Sequence[float]]
         dists = [dists[0]] * n
     if len(dists) != n:
         raise MeasureError(f"need {n} coordinate distributions, got {len(dists)}")
-    digits, masses = _product_rows(dists)
+    probs = np.zeros((1, n, max(map(len, dists))))   # a missing letter has mass 0
+    for row, dist in zip(probs[0], dists):
+        row[:len(dist)] = dist
+    digits, masses = _product_rows(probs)
     bad = np.flatnonzero(digits.max(axis=1, initial=0) >= space.alphabet_size)
     if bad.size:
         raise MeasureError(f"word {tuple(digits[bad[0]].tolist())!r} not in "
                            f"A^{n} with |A|={space.alphabet_size}")
-    return DiscreteMeasure._of_rows(space, digits, masses)
+    return DiscreteMeasure._of_rows(space, digits, masses[0])
 
 
-def _product_rows(dists: Sequence[Sequence[float]]) -> tuple[np.ndarray, np.ndarray]:
-    """The atoms of the product of ``dists`` as lexicographically sorted digit
-    rows and their masses.  Each layer is the outer product of the masses so
-    far with the next distribution (mass times letter probability, as one
-    multiplication each), pruned at ``PRUNE_TOL``; the masses are divided by
-    their total, added left to right."""
-    digits, masses = np.zeros((1, 0), dtype=np.int64), np.ones(1)
-    for dist in dists:
-        probs = np.asarray(dist, dtype=float)
-        _check_support_cap(len(masses) * len(probs), lambda: _sum(
-            np.count_nonzero(masses * p > PRUNE_TOL) for p in probs))
-        outer = masses[:, None] * probs
-        row, letter = np.nonzero(outer > PRUNE_TOL)
-        digits = np.concatenate((digits[row], letter[:, None]), axis=1)
-        masses = outer[row, letter]
-    total = _sum(masses.tolist())
-    if total <= 0.0:
+def _product_rows(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The product of each row's n distributions in ``probs`` ``(rows, n, q)``,
+    as sorted digit rows ``(W, n)`` and masses ``(rows, W)``.  Each layer is
+    the outer product of the masses so far with the next distribution (one
+    multiplication each), pruned at ``PRUNE_TOL``: a word some row keeps has
+    mass 0 in the others.  Each row is divided by its total, added left to
+    right, so it has the bits it has alone.  A row of more than
+    ``DEFAULT_SUPPORT_CAP`` words raises before its layer is built."""
+    digits, masses = np.zeros((1, 0), dtype=np.int64), np.ones((len(probs), 1))
+    for dist in np.moveaxis(np.asarray(probs, dtype=float), 1, 0):    # (rows, q)
+        _check_support_cap(masses.shape[1] * dist.shape[1], lambda: int(_sum(
+            np.count_nonzero(masses * p[:, None] > PRUNE_TOL, axis=1)
+            for p in dist.T).max()))
+        outer = masses[:, :, None] * dist[:, None, :]
+        kept = outer > PRUNE_TOL
+        prefix, letter = np.nonzero(kept.any(axis=0))
+        digits = np.concatenate((digits[prefix], letter[:, None]), axis=1)
+        masses = np.where(kept, outer, 0.0)[:, prefix, letter]
+    total = _left_sums(masses)
+    if not (total > 0.0).all():
         raise MeasureError("null reweighting")
-    return digits, masses / total
+    return digits, masses / total[:, None]
 
 
 # -----------------------------------------------------------------------------

@@ -8,7 +8,9 @@ of digit rows at a time; empirical laws from seeded path simulation with
 sliding windows.  On top of these sit the conditional block statistics:
 block kernels, total-correlation profiles, relative transportation estimates
 between joints sharing a base marginal, block-independence gaps, and
-per-conditioning-string partitions.
+per-conditioning-string partitions.  The profiles and partitions take the
+conditionals of a kernel that share a support as the rows of one mass
+array, scored and partitioned as one batch.
 
 Summation order of the exact laws (every float is fixed by it): a next-layer
 state mass adds ``mass[s1] * transition[s1][s2]`` left to right over s1; a
@@ -36,15 +38,16 @@ from .measures import (
     ProductSpace,
     Word,
     _check_support_cap,
+    _left_sums,
     _product_rows,
     _sum,
     product_measure,
     regroup,
     variation_norm,
 )
-from .information import _left_sums, total_correlation
+from .information import _tc_rows, total_correlation
 from .transport import transport_distance
-from .decompose import DecompositionResult, PipelineConfig, partition_decomposition
+from .decompose import DecompositionResult, PipelineConfig, _partition_rows
 
 STATIONARY_TOL = 1e-10
 ROW_TOL = 1e-12
@@ -246,7 +249,8 @@ def _window_rows(spec: ProcessSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(spec, JointSpec):
         return _window_rows(spec.base, n)
     if isinstance(spec, IIDSpec):
-        return _product_rows([spec.dist] * n)
+        digits, masses = _product_rows(np.array([[spec.dist] * n]))
+        return digits, masses[0]
     if isinstance(spec, MarkovSpec):
         return _dp_block(spec, range(spec.alphabet_size), n)
     if isinstance(spec, HiddenSpec):
@@ -412,12 +416,33 @@ def tc_profile(spec: ProcessSpec, n_max: int, block_size: int | None = None
     for k in range(1, n_max + 1):
         if isinstance(spec, JointSpec):
             bk = block_kernel(spec, k * ell)
-            laws = [(mass, bk.conditional(b)) for b, mass in bk.base.atoms.items()]
+            tc_of = {b: tc for strings, _, _, tcs in _conditional_rows(bk, ell)[1]
+                     for b, tc in zip(strings, tcs)}
+            out.append(_sum(p * tc_of[b] for b, p in bk.base.atoms.items()))
         else:
-            laws = [(1.0, exact_block_measure(spec, k * ell))]
-        out.append(_sum(p * total_correlation(regroup(mu, ell) if ell > 1 else mu)
-                        for p, mu in laws))
+            law = exact_block_measure(spec, k * ell)
+            out.append(total_correlation(regroup(law, ell) if ell > 1 else law))
     return out
+
+
+def _conditional_rows(bk: BlockKernel, block_size: int) -> tuple[ProductSpace, list]:
+    """The conditional laws of ``bk``, regrouped into blocks of ``block_size``,
+    with their space, as one batch per support: its base strings, the
+    support, their ``(strings, |support|)`` mass array and TCs (one
+    ``_tc_rows`` call).  A batch on the union of all supports would spend
+    its work on zeros when the conditionals are sparse in a large union."""
+    laws = {b: bk.conditional(b) for b in bk.base.support}
+    if block_size > 1:
+        laws = {b: regroup(mu, block_size) for b, mu in laws.items()}
+    space, batches = next(iter(laws.values())).space, {}
+    for b, mu in laws.items():
+        batches.setdefault(mu.support, []).append(b)
+    out = []
+    for support, strings in batches.items():
+        masses = np.array([tuple(laws[b].atoms.values()) for b in strings])
+        out.append((strings, support, masses,
+                    _tc_rows(support, masses, space.alphabet_size)[0].tolist()))
+    return space, out
 
 
 def relative_dbar_estimate(lam: JointSpec, theta: JointSpec, n: int) -> float:
@@ -477,31 +502,30 @@ def conditional_partition(lam: JointSpec, n: int, cfg: PipelineConfig,
     The per-string partition is encoded as a labeling of A-words by binary
     cell codes of length n (longer when a partition has more than 2^n cells,
     so codes never collide), the combinatorial core of writing the partitions
-    as an auxiliary process.
+    as an auxiliary process.  The conditionals sharing a support are the
+    rows of one mass array (``_conditional_rows``): one ``_tc_rows`` call
+    gates them, and one ``_partition_rows`` call partitions the good ones in
+    shared rounds.
     """
     if block_size < 1:
         raise MeasureError("block size must be >= 1")
     bk = block_kernel(lam, n)
     delta = cfg.delta
-    tc_by_string: dict[Word, float] = {}
-    conds: dict[Word, DiscreteMeasure] = {}
-    for b in bk.base.support:
-        cond = bk.conditional(b)
-        grouped = regroup(cond, block_size) if block_size > 1 else cond
-        conds[b] = grouped
-        tc_by_string[b] = total_correlation(grouped)
-    good = tuple(b for b in bk.base.support
-                 if tc_by_string[b] <= delta * n + 1e-12)
+    space, batches = _conditional_rows(bk, block_size)
+    tc_by_string, partitions = {}, {}
+    for strings, support, masses, tcs in batches:
+        tc_by_string.update(zip(strings, tcs))
+        rows = [i for i, tc in enumerate(tcs) if tc <= delta * n + 1e-12]
+        partitions.update(zip([strings[i] for i in rows], _partition_rows(
+            space, support, masses[rows], cfg, [tcs[i] for i in rows])))
+    tc_by_string = {b: tc_by_string[b] for b in bk.base.support}
+    good = tuple(b for b in bk.base.support if b in partitions)
     good_mass = _sum(map(bk.base.mass, good))
-
-    partitions: dict[Word, DecompositionResult] = {}
-    labels: dict[Word, dict[Word, str]] = {}
-    for b in good:
-        partitions[b] = res = partition_decomposition(conds[b], cfg, tc=tc_by_string[b])
-        # n bits, widened when the partition has more than 2^n cells
-        width = max(n, 1, (len(res.sets) - 1).bit_length())
-        labels[b] = {word: format(cell_idx, "b").zfill(width)
-                     for cell_idx, cell in enumerate(res.sets) for word in cell}
+    partitions = {b: partitions[b] for b in good}
+    # n bits, widened when a partition has more than 2^n cells
+    labels = {b: {word: format(cell_idx, "b").zfill(max(n, 1, (len(res.sets) - 1).bit_length()))
+                  for cell_idx, cell in enumerate(res.sets) for word in cell}
+              for b, res in partitions.items()}
     return ConditionalPartitionReport(
         n=n, block_size=block_size, good_mass=good_mass, good_strings=good,
         partitions=partitions, labels=labels, tc_by_string=tc_by_string,

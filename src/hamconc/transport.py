@@ -611,45 +611,47 @@ def transport_distance(mu: DiscreteMeasure, nu: DiscreteMeasure, *,
     if method != "exact":
         raise MeasureError(
             f"unknown transport method {method!r}; use 'exact' or 'sinkhorn'")
-    n = mu.space.dimension
-    src = list(mu.support)
-    tgt = list(nu.support)
-    cap = exact_support_cap() if cap is None else cap
-    if len(src) + len(tgt) > cap or len(src) * len(tgt) > MATRIX_CELL_CAP:
-        raise SupportCapExceeded(
-            f"combined support {len(src)}+{len(tgt)} exceeds exact cap {cap}; "
-            f"use method='sinkhorn' or raise {ENV_CAP_VAR}")
-
-    if mu._atoms == nu._atoms:
-        # identical measures: the diagonal coupling and zero potentials are an
-        # exact primal-dual optimal pair
-        plan = {(w, w): m for w, m in mu.atoms.items()}
-        tp = TransportPlan(mu, nu, plan, 0.0, exact=True,
-                           row_potentials=(0,) * len(src),
-                           col_potentials=(0,) * len(tgt))
-        return 0.0, tp
-
-    a = np.fromiter(mu.atoms.values(), float, len(src))
-    b = np.fromiter(nu.atoms.values(), float, len(tgt))
-    src_digits = np.asarray(src, dtype=np.int64)
-    tgt_digits = np.asarray(tgt, dtype=np.int64)
-    q = mu.space.alphabet_size
-    if _graph_is_smaller(q, n, len(src), len(tgt)):
-        pairs, u, v = _graph_coupling(src_digits, tgt_digits, a, b, q)
-    else:
-        cost = mismatch_matrix(src_digits, tgt_digits)
-        pairs, u, v, _, _ = _solve_transport(a, b, cost)
-    keys = sorted(pairs)
-    rows, cols = np.array(keys).T
-    counts = np.count_nonzero(src_digits[rows] != tgt_digits[cols], axis=1)
-    kept = [(i, j, pairs[(i, j)], c) for (i, j), c in zip(keys, counts.tolist())
-            if pairs[(i, j)] > 0.0]
-    plan = {(src[i], tgt[j]): m for i, j, m, _ in kept}
-    cost_value = _sum(m * c for _, _, m, c in kept) / n
-    tp = TransportPlan(mu, nu, plan, cost_value, exact=True,
+    src, tgt = mu.support, nu.support
+    rows, cols, mass, _, cost, u, v = _exact_coupling(
+        np.asarray(src, dtype=np.int64), np.fromiter(mu.atoms.values(), float, len(src)),
+        np.asarray(tgt, dtype=np.int64), np.fromiter(nu.atoms.values(), float, len(tgt)),
+        mu.space.alphabet_size, cap)
+    plan = {(src[i], tgt[j]): m for i, j, m in zip(rows.tolist(), cols.tolist(), mass.tolist())}
+    tp = TransportPlan(mu, nu, plan, cost, exact=True,
                        row_potentials=tuple(u.tolist()),
                        col_potentials=tuple(v.tolist()))
-    return cost_value, tp
+    return cost, tp
+
+
+def _exact_coupling(src: np.ndarray, a: np.ndarray, tgt: np.ndarray,
+                    b: np.ndarray, q: int, cap: int | None = None):
+    """An optimal coupling of the atoms ``(src, a)`` and ``(tgt, b)`` (sorted
+    digit rows over ``range(q)``, positive masses): the positive pairs as
+    index arrays ``rows`` and ``cols`` sorted by (row, col), their masses and
+    mismatch counts, the cost (masses times counts, added left to right, over
+    n) and the integer potentials u and v.  Identical measures get the
+    diagonal and zero potentials, an exact primal-dual optimal pair; others
+    the solver ``_graph_is_smaller`` picks.  Supports above ``cap``
+    (``exact_support_cap()`` by default) raise ``SupportCapExceeded``."""
+    cap = exact_support_cap() if cap is None else cap
+    if len(a) + len(b) > cap or len(a) * len(b) > MATRIX_CELL_CAP:
+        raise SupportCapExceeded(
+            f"combined support {len(a)}+{len(b)} exceeds exact cap {cap}; "
+            f"use method='sinkhorn' or raise {ENV_CAP_VAR}")
+    n = src.shape[1]
+    if np.array_equal(src, tgt) and np.array_equal(a, b):
+        diagonal, zeros = np.arange(len(a)), np.zeros(len(a), dtype=np.int64)
+        return diagonal, diagonal, a, zeros, 0.0, zeros, zeros
+    if _graph_is_smaller(q, n, len(src), len(tgt)):
+        pairs, u, v = _graph_coupling(src, tgt, a, b, q)
+    else:
+        pairs, u, v, _, _ = _solve_transport(a, b, mismatch_matrix(src, tgt))
+    keys = sorted(pairs)
+    mass = np.array([pairs[key] for key in keys])
+    rows, cols = np.array(keys).T[:, mass > 0.0]
+    mass = mass[mass > 0.0]
+    counts = np.count_nonzero(src[rows] != tgt[cols], axis=1)
+    return rows, cols, mass, counts, _sum((mass * counts).tolist()) / n, u, v
 
 
 def _graph_coupling(src: np.ndarray, tgt: np.ndarray, a: np.ndarray,

@@ -137,6 +137,29 @@ def mutual_information_from_joint(joint: dict, left, right) -> float:
     return h_l + h_r - h_lr
 
 
+def coordinate_marginals(mu):
+    """The one-coordinate marginals of ``mu``, each a list of the |A| symbol
+    masses, added in atom order in one pass over the atoms, as the library
+    took them before they became rows of ``information._tc_rows``."""
+    out = [[0.0] * mu.space.alphabet_size for _ in range(mu.space.dimension)]
+    for word, mass in mu.atoms.items():
+        for row, s in zip(out, word):
+            row[s] += mass
+    return out
+
+
+def total_correlation_scalar(mu) -> float:
+    """TC of one measure as ``information.total_correlation`` computed it
+    before its rows were batched: the sum of the coordinate entropies, each
+    over ``coordinate_marginals`` in symbol order, minus the joint entropy,
+    every log ``math.log`` and every sum left to right, clipped at round-off."""
+    def entropy(probs):
+        return -left_sum(p * math.log(p) for p in probs if p > 0.0)
+
+    x = left_sum(map(entropy, coordinate_marginals(mu))) - entropy(mu.atoms.values())
+    return max(x, 0.0) if x > -1e-12 else x
+
+
 def dtc_direct(atoms: dict, n: int) -> float:
     """Dual total correlation via the leave-one-out marginal identity."""
     h = joint_entropy(atoms)

@@ -462,7 +462,6 @@ def test_criterion_11_conditional_partition():
         res = report_obj.partitions[b]
         words = [w for cell in res.sets for w in cell]
         assert len(words) == len(set(words)), b
-        grouped_support = set(res.components[-1].support) if False else None
         assert res.weights[0] < cfg.epsilon, b
         bound = cfg.c * math.exp(
             min(cfg.c * report_obj.tc_by_string[b], 700.0))

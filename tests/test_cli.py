@@ -603,17 +603,18 @@ def test_consecutive_runs_share_no_parse_state(capsys, diag_file, joint_spec_fil
     assert code == 0 and payload["manifest"]["command"] == ["info", diag_file]
 
 
-def _memory_chain():
+def _memory_chain(memory=0.1):
     """A 2x2 joint chain whose next a-letter also depends on the last one,
-    so the conditional laws are not products; its stationary law comes from
-    ``MarkovSpec.from_matrix``."""
+    so the conditional laws are not products: it matches the next b-letter
+    with probability 0.6, plus ``memory`` when the last a-letter equals that
+    b-letter; its stationary law comes from ``MarkovSpec.from_matrix``."""
     rows = []
     for state in range(4):
         b, a = divmod(state, 2)
         row = []
         for b2 in range(2):
             for a2 in range(2):
-                p_match = 0.7 if a == b2 else 0.6
+                p_match = 0.6 + memory if a == b2 else 0.6
                 row.append((0.75 if b2 == b else 0.25)
                            * (p_match if a2 == b2 else 1 - p_match))
         rows.append(row)
@@ -621,15 +622,18 @@ def _memory_chain():
 
 
 #: joint specs for the pinned ``process --op partition`` results: the bench
-#: chain (product conditionals), a chain with memory in a, and a hidden chain
-#: with zero transitions and a decreasing emit map (no good strings at this r,
-#: so it pins the window law through ``tc_by_string`` alone)
+#: chain (product conditionals), a chain with memory in a, one with weak
+#: memory (9 or 10 cells per string, so carving rounds run on many strings
+#: at once), and a hidden chain with zero transitions and a decreasing emit
+#: map (no good strings at this r, so it pins the window law through
+#: ``tc_by_string`` alone)
 PARTITION_SPECS = {
     "sticky": {"kind": "markov",
                "transition": [[0.42, 0.28, 0.12, 0.18]] * 2
                + [[0.18, 0.12, 0.28, 0.42]] * 2,
                "stationary": [0.3, 0.2, 0.2, 0.3]},
     "memory": _memory_chain(),
+    "weak-memory": _memory_chain(0.05),
     "hidden": {"kind": "hidden", "emit": [2, 0, 3, 1, 0],
                "base": {"kind": "markov", "transition": [
                    [0.25, 0.2, 0.0, 0.3, 0.25], [0.2, 0.25, 0.3, 0.0, 0.25],
@@ -638,10 +642,12 @@ PARTITION_SPECS = {
 }
 #: sha256 of each whole partition result (JSON, sorted keys): partitions,
 #: labels, ``tc_by_string`` and ``good_mass``, recorded while the window laws
-#: and block kernels were still built word by word in dicts
+#: and block kernels were still built word by word in dicts (weak-memory: while
+#: each string was still partitioned on its own)
 PARTITION_RESULT_DIGESTS = {
     "sticky": "b8dc3af2e599e9a9a5da75e2f8771e2541d7e97c8656517ed4e8aa0fcb9a861e",
     "memory": "f77809aff01294d767f1e5ab4b6de33186902b815ff969b69aa7bd59b727d1d9",
+    "weak-memory": "87d3ebb2e4b3134e8db8787aad030e730e44d8f8076c1e7754f9c1619b74ad7e",
     "hidden": "7454d7c5a5e8271536b154b74cc6bdaad505a82c3e11891dc1d3094d84a1ed43",
 }
 

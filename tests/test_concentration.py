@@ -22,6 +22,7 @@ from hamconc import (
     transport_distance,
 )
 from hamconc.concentration import (
+    DIAMETER_BLOCK_ELEMENTS,
     DensityBound,
     Lift,
     LParams,
@@ -195,6 +196,28 @@ def test_hoeffding_bound_decides_before_search():
         max_subsets=4, restarts=1, max_grad_steps=2))
     assert res.bound is None and "bound" not in res.to_dict()
     assert res.budget_used["restarts_run"] == 1
+
+
+def test_a_priori_bounds_read_the_diameter_from_row_blocks(monkeypatch):
+    # the 4096-atom product on {0,1}^12: Hoeffding decides, and the diameter
+    # comes from row blocks under the element cap, not from 4096 x 4096
+    mu = biased_product(12, 0.3)
+    sizes = []
+
+    def counting(src, tgt):
+        sizes.append(len(src) * len(tgt))
+        return mismatch_matrix(src, tgt)
+
+    monkeypatch.setattr(concentration_module, "mismatch_matrix", counting)
+    res = refute_T(mu, TParams(2.4, 0.3))
+    assert (res.status, res.bound) == ("holds", "hoeffding")
+    # the first block holds the antipodal pair, so the scan stops there
+    assert sizes == [DIAMETER_BLOCK_ELEMENTS // 4096 * 4096]
+    # a search builds the whole matrix once; a small support is one block
+    sizes.clear()
+    res = refute_T(biased_product(6, 0.3), TParams(2.5, 0.3), RefutationBudget(
+        max_subsets=0, restarts=1, max_grad_steps=2))
+    assert res.bound is None and sizes == [64 * 64]
 
 
 @pytest.mark.parametrize("kappa, r", [(math.nan, 0.1), (math.inf, 0.1),

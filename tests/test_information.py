@@ -33,6 +33,7 @@ from hamconc.information import (
     _dtc_rows,
     _kl_rows,
     _loo_index,
+    _tc_rows,
     binary_entropy,
     conditional_coordinate_entropy,
     entropy_of_vector,
@@ -54,11 +55,13 @@ from conftest import (
     two_cluster,
 )
 from oracles import (
+    coordinate_marginals,
     dtc_direct,
     entropy_direct,
     left_sum,
     mutual_information_from_joint,
     project_joint,
+    total_correlation_scalar,
 )
 
 
@@ -150,6 +153,26 @@ def test_tc_two_forms_agree(rng):
             mu.space,
             [[marginal(mu, [i]).mass((a,)) for a in range(3)] for i in range(3)])
         assert abs(total_correlation(mu) - kl_divergence(mu, prod)) < 1e-9
+
+
+def test_tc_rows_match_scalar_reference(rng):
+    # each row of a batch on the union of the supports, zero where its measure
+    # has no atom, has the bits of the scalar TC and marginals of its measure,
+    # at n = 1, at q = 3, and on point masses, whose TC is +0.0
+    for q, n in ((2, 1), (3, 1), (2, 5), (3, 3), (4, 2)):
+        cube = list(itertools.product(range(q), repeat=n))
+        group = [random_measure(rng, q, n, 12) for _ in range(20)]
+        group += [DiscreteMeasure.point_mass(ProductSpace(q, n), w)
+                  for w in (cube[0], cube[-1])]
+        support = tuple(sorted(set().union(*(mu.atoms for mu in group))))
+        rows = np.array([[mu.mass(w) for w in support] for mu in group])
+        assert (rows == 0.0).any()
+        tcs, marginals = _tc_rows(support, rows, q)
+        for tc, marginal_rows, mu in zip(tcs.tolist(), marginals.tolist(), group):
+            assert tc.hex() == total_correlation_scalar(mu).hex()
+            assert tc.hex() == total_correlation(mu).hex()
+            assert marginal_rows == coordinate_marginals(mu)
+        assert [v.hex() for v in tcs[-2:].tolist()] == ["0x0.0p+0"] * 2
 
 
 def test_dtc_matches_leave_one_out_oracle(rng):
@@ -270,16 +293,29 @@ def test_batched_rows_match_one_row_calls(instance):
             assert kl.hex() == float(_kl_rows(row[nonzero], reference[nonzero])[0]).hex()
 
 
+@given(mass_rows())
+@settings(max_examples=60, deadline=None)
+def test_tc_rows_match_scalar_reference_on_random_rows(instance):
+    support, rows = instance
+    rows = np.array([row / left_sum(row.tolist()) for row in rows if row.any()])
+    for tc, row in zip(_tc_rows(support, rows, 3)[0].tolist(), rows):
+        mu = make_measure(3, len(support[0]), {
+            w: m for w, m in zip(support, row.tolist()) if m > 0})
+        assert tc.hex() == total_correlation_scalar(mu).hex()
+
+
 def test_blocked_rows_match_one_row_calls(monkeypatch):
     # rows split into blocks under the element cap keep their bits
     mu = product_mix(7, 0.1, 0.9)
     rows = np.random.default_rng(5).dirichlet(np.ones(len(mu)), size=9)
-    whole = (_dtc_rows(mu.support, rows), _kl_rows(rows, rows[0]))
+    whole = (_dtc_rows(mu.support, rows), _kl_rows(rows, rows[0]),
+             *_tc_rows(mu.support, rows, 2))
     monkeypatch.setattr("hamconc.information.ROW_BLOCK_ELEMENTS", 1)
-    blocked = (_dtc_rows(mu.support, rows), _kl_rows(rows, rows[0]))
+    blocked = (_dtc_rows(mu.support, rows), _kl_rows(rows, rows[0]),
+               *_tc_rows(mu.support, rows, 2))
     assert ROW_BLOCK_ELEMENTS > 1
     for a, b in zip(whole, blocked):
-        assert [v.hex() for v in a.tolist()] == [v.hex() for v in b.tolist()]
+        assert [v.hex() for v in a.ravel().tolist()] == [v.hex() for v in b.ravel().tolist()]
 
 
 def test_batched_dtc_matches_oracle_on_corpus():

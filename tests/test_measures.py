@@ -23,8 +23,9 @@ from hamconc import (
     tv_distance,
     variation_norm,
 )
+from hamconc.information import _tc_rows
 from hamconc.measures import (
-    coordinate_marginals,
+    _product_rows,
     dump_measure,
     load_measure,
     measure_from_dict,
@@ -46,11 +47,14 @@ from conftest import (
 # marginal
 # -----------------------------------------------------------------------------
 def test_coordinate_marginals_match_marginal(rng):
-    # bit for bit, including the zero mass of a symbol no atom uses
+    # the marginals of ``_tc_rows``, bit for bit, including the zero mass of a
+    # symbol no atom uses
     suite = [mu for _, mu in criterion_suite()]
     suite += [random_measure(rng, 3, 4, 5) for _ in range(20)]
     for mu in suite:
-        rows = coordinate_marginals(mu)
+        _, (rows,) = _tc_rows(mu.support, [tuple(mu.atoms.values())],
+                              mu.space.alphabet_size)
+        rows = rows.tolist()
         assert len(rows) == mu.space.dimension
         for i, row in enumerate(rows):
             m = marginal(mu, [i])
@@ -60,20 +64,28 @@ def test_coordinate_marginals_match_marginal(rng):
 
 def test_product_measure_matches_dict_oracle(rng):
     # per-coordinate laws with zero letters and products under PRUNE_TOL,
-    # which prune whole branches
+    # which prune whole branches; three such products as the rows of one
+    # batch, where each row keeps the words and bits it has alone
     for alphabet in range(1, 5):
         for n in range(1, 7):
-            dists = []
-            for _ in range(n):
-                d = rng.random(alphabet) * (rng.random(alphabet) > 0.25)
-                d[rng.integers(alphabet)] += 0.5
-                d[rng.integers(alphabet)] = 1e-9 if alphabet > 1 else 1.0
-                dists.append((d / d.sum()).tolist())
-            space = ProductSpace(alphabet, n)
-            for coords in (dists, dists[:1]):
-                got = product_measure(space, coords)
-                want = oracles.product_measure_dict(space, coords)
-                assert oracles.hexed_atoms(got) == oracles.hexed_atoms(want)
+            space, batch = ProductSpace(alphabet, n), []
+            for _ in range(3):
+                dists = []
+                for _ in range(n):
+                    d = rng.random(alphabet) * (rng.random(alphabet) > 0.25)
+                    d[rng.integers(alphabet)] += 0.5
+                    d[rng.integers(alphabet)] = 1e-9 if alphabet > 1 else 1.0
+                    dists.append((d / d.sum()).tolist())
+                batch.append(dists)
+                for coords in (dists, dists[:1]):
+                    got = product_measure(space, coords)
+                    want = oracles.product_measure_dict(space, coords)
+                    assert oracles.hexed_atoms(got) == oracles.hexed_atoms(want)
+            digits, rows = _product_rows(np.array(batch))
+            for dists, row in zip(batch, rows.tolist()):
+                assert [(w, m.hex()) for w, m in zip(map(tuple, digits.tolist()), row)
+                        if m > 0.0] == oracles.hexed_atoms(
+                            oracles.product_measure_dict(space, dists))
 
 
 def test_marginal_of_product_is_factor():

@@ -1,4 +1,5 @@
 """Process generators, block kernels, and the conditional block statistics."""
+import json
 import math
 import tracemalloc
 from types import SimpleNamespace
@@ -18,9 +19,9 @@ from hamconc import (
     total_correlation,
     tv_distance,
 )
-from hamconc import measures, processes
+from hamconc import decompose, information, measures, processes
 from hamconc.measures import SupportCapExceeded, product_measure, variation_norm
-from hamconc.decompose import PipelineConfig
+from hamconc.decompose import PipelineConfig, partition_decomposition
 from hamconc.processes import (
     BlockCodeSpec,
     BlockKernel,
@@ -388,17 +389,91 @@ def test_conditional_partition_labels_cover():
         assert all(len(c) == 4 for c in codes)
 
 
+def sticky_joint():
+    """The bench chain: the a-letter depends only on the current b-letter, so
+    every conditional is a product law."""
+    return JointSpec(MarkovSpec(((0.42, 0.28, 0.12, 0.18),) * 2
+                                + ((0.18, 0.12, 0.28, 0.42),) * 2,
+                                (0.3, 0.2, 0.2, 0.3)), 2, 2)
+
+
+def weak_memory_joint():
+    """A chain whose next a-letter matches the next b-letter with probability
+    0.6, plus 0.05 when the last a-letter equals it: at n = 4 and r = 0.6
+    every string needs 9 or 10 cells."""
+    rows = []
+    for state in range(4):
+        b, a = divmod(state, 2)
+        row = []
+        for b2 in range(2):
+            p_match = 0.6 + 0.05 if a == b2 else 0.6
+            row += [(0.75 if b2 == b else 0.25) * (p_match if a2 == b2 else 1 - p_match)
+                    for a2 in range(2)]
+        rows.append(row)
+    return JointSpec(MarkovSpec.from_matrix(rows), 2, 2)
+
+
+def sparse_joint():
+    """An i.i.d. joint on 4 x 4 letters whose a-letter is b or b + 1 (mod 4):
+    every string's conditional has its own support of 16 words in 4^4."""
+    return JointSpec(IIDSpec(tuple(0.15 if a == b else 0.1 if a == (b + 1) % 4 else 0.0
+                                   for b in range(4) for a in range(4))), 4, 4)
+
+
+@pytest.mark.parametrize("joint, cells", [(sticky_joint, {2}),
+                                          (weak_memory_joint, {9, 10}),
+                                          (sparse_joint, {2})])
+def test_conditional_partition_matches_each_string_alone(monkeypatch, joint, cells):
+    # the strings sharing a support are partitioned as the rows of one array,
+    # in shared carving rounds, with no per-string TC, partition or carve
+    # call; each result is the one its conditional gets alone
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for module in (information, decompose, processes):
+        for name in ("total_correlation", "partition_decomposition",
+                     "carve_concentrated_set"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    cfg = PipelineConfig(epsilon=0.3, r=0.6)
+    report = conditional_partition(joint(), 4, cfg)
+    assert calls == []
+    # one string per row block: the products of marginals, too
+    monkeypatch.setattr(decompose, "ROW_BLOCK_ELEMENTS", 1)
+    blocked = conditional_partition(joint(), 4, cfg)
+    monkeypatch.undo()
+    bk = block_kernel(joint(), 4)
+    assert report.good_strings == bk.base.support
+    sizes = set()
+    for b in report.good_strings:
+        cond = bk.conditional(b)
+        assert report.tc_by_string[b].hex() == total_correlation(cond).hex()
+        alone = json.dumps(partition_decomposition(cond, cfg).to_dict(), sort_keys=True)
+        for rep in (report, blocked):
+            assert json.dumps(rep.partitions[b].to_dict(), sort_keys=True) == alone, b
+        sizes.add(len(report.partitions[b].sets))
+    assert sizes == cells
+
+
 def test_conditional_partition_labels_widen_past_2n_cells(monkeypatch):
     # a partition of 2^n + 1 cells: n-bit codes would give the first and the
     # last cell the same label
     n = 2
 
-    def many_cells(mu, cfg, tc=None):
-        words = list(mu.support)
-        sets = ((words[0],),) + ((),) * (2 ** n - 1) + (tuple(words[1:]),)
-        return SimpleNamespace(sets=sets)
+    def many_cells(space, support, masses, cfg, tcs):
+        out = []
+        for row in masses:
+            words = [w for w, m in zip(support, row) if m > 0.0]
+            sets = ((words[0],),) + ((),) * (2 ** n - 1) + (tuple(words[1:]),)
+            out.append(SimpleNamespace(sets=sets))
+        return out
 
-    monkeypatch.setattr(processes, "partition_decomposition", many_cells)
+    monkeypatch.setattr(processes, "_partition_rows", many_cells)
     cfg = PipelineConfig(epsilon=0.3, r=0.3, seed=1, delta_override=0.05)
     report = conditional_partition(independent_joint(), n, cfg)
     assert report.good_strings
