@@ -26,9 +26,26 @@ Two refutation channels are implemented, either sufficient:
   (exhaustive when 2^|support| fits the budget); a set whose bound
   dbar(mu|U, mu) <= (1 - mu(U)) diam already meets the inequality is
   counted but not solved.
+
+``lipschitz_project``, which the dual channel, the primal witness and the
+tilt search of the mixture pipeline all call, takes one of two routes on a
+support of k words of A^n, |A| = q, chosen from (q, n, k) and the rows per
+call by ``_cube_is_cheaper``:
+
+* pairwise - both extensions from the k x k distance matrix, k^2 element
+  operations per row;
+* cube - a min-plus distance transform on the Hamming graph of A^n: at most
+  n dilation steps, each a gather of n (q-1) q^n neighbour values per row,
+  stopping once the step's distance passes the block's value range.  The
+  support's k x k matrix is never built.
+
+The routes give the same bits: float min is exact and float addition is
+monotone, so each extension is the float f(y*) +/- d(x, y*) of the same
+extremal word on either route.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -48,6 +65,8 @@ from .measures import (
 from .information import kl_divergence
 from .transport import (
     TransportPlan,
+    _codes,
+    _hamming_graph,
     dual_gap,
     lipschitz_slack,
     mismatch_matrix,
@@ -226,25 +245,120 @@ def tilted_divergence(mu: DiscreteMeasure, f, t: float) -> float:
 # -----------------------------------------------------------------------------
 # Lipschitz projection
 # -----------------------------------------------------------------------------
-#: largest (rows, k, k) temporary, in floats, of one projection block
+#: largest temporary, in floats, of one projection block: ``(rows, k, k)`` on
+#: the pairwise route, ``(2 rows, n (q-1), q^n)`` on the cube route
 PROJECT_BLOCK_ELEMENTS = 1 << 15
+#: the fixed cost of one dilation step of one block on the cube route, in the
+#: element operations of the pairwise route that take as long (about 8 us
+#: against 2.8 ns per element, for either route, on a 2-vCPU x86 VM)
+CUBE_STEP_ELEMENTS = 3000
 
 
-def lipschitz_project(values: np.ndarray, dist: np.ndarray) -> np.ndarray:
+def _cube_is_cheaper(q: int, n: int, k: int, rows: int) -> bool:
+    """The projection route for ``rows`` rows on k words of ``range(q)^n``: the
+    cube when its at most n dilation steps, each gathering n (q-1) q^n
+    neighbour values per row and paying ``CUBE_STEP_ELEMENTS`` per block, cost
+    fewer element operations than the k^2 per row of the pairwise route."""
+    per_row = n * (q - 1) * q ** n
+    blocks = -(-rows // max(1, PROJECT_BLOCK_ELEMENTS // (2 * per_row)))
+    return n * (blocks * CUBE_STEP_ELEMENTS + rows * per_row) < rows * k * k
+
+
+class SupportMetric:
+    """The normalized Hamming metric on k words of ``range(q)^n``, given in
+    any order as a sequence of words or as rows of digits.
+
+    The k x k distance matrix ``dist`` is built on first need, as
+    ``mismatches() / n`` when ``mismatches`` is given (a caller holding a
+    larger support's mismatch matrix passes a slice of it) and from the words
+    otherwise.  Only the pairwise route of ``lipschitz_project`` reads it; the
+    cube route reads the cube's neighbour table and the words' codes, and
+    ``rows`` builds just the rows asked for."""
+
+    def __init__(self, words, q: int, mismatches=None):
+        self.words, self.q = words, q
+        self.k, self.n = len(words), len(words[0])
+        self._mismatches = mismatches
+
+    @functools.cached_property
+    def digits(self) -> np.ndarray:
+        return np.asarray(self.words, dtype=np.int64)
+
+    @functools.cached_property
+    def dist(self) -> np.ndarray:
+        counts = (mismatch_matrix(self.digits, self.digits) if self._mismatches is None
+                  else self._mismatches())
+        return counts / self.n
+
+    def rows(self, idx: np.ndarray, cube: bool = True) -> np.ndarray:
+        """``dist[idx]`` for an integer index array: a slice of ``dist`` off
+        the cube route or once it is built, else those rows alone (the same
+        counts over the same n)."""
+        if not cube or "dist" in self.__dict__:
+            return self.dist[idx]
+        counts = mismatch_matrix(self.digits[idx.ravel()], self.digits)
+        return (counts / self.n).reshape(idx.shape + (self.k,))
+
+    def cube_route(self, rows: int) -> bool:
+        return _cube_is_cheaper(self.q, self.n, self.k, rows)
+
+    @functools.cached_property
+    def _cube(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """The ``(n (q-1), q^n)`` neighbour table of the cube (a view of the
+        cached Hamming graph's heads) and the words' codes, None when the
+        words are the whole cube in code order."""
+        size = self.q ** self.n
+        nbr = _hamming_graph(self.q, self.n)[2].reshape(size, -1).T
+        codes = _codes(self.digits, self.q)
+        return nbr, None if np.array_equal(codes, np.arange(size)) else codes
+
+
+def lipschitz_project(values: np.ndarray, metric: SupportMetric,
+                      cube: bool | None = None) -> np.ndarray:
     """Project support values onto the 1-Lipschitz cone: one vector, or each
-    row of a 2-D array on its own.
+    row of a 2-D array on its own, under the normalized Hamming ``metric`` of
+    the support.  Non-finite values raise ``MeasureError``.
 
     Returns the midpoint of the upper tight extension min_y f(y) + d(x, y)
     (McShane, Bull. AMS 1934) and the lower one max_y f(y) - d(x, y)
-    (Whitney, Trans. AMS 1934).  Each is 1-Lipschitz because ``dist`` is a
-    metric, so their average is too, and one pass suffices; both equal f when
-    f is already 1-Lipschitz, so the projection is idempotent.  Rows go
-    through in blocks whose ``(rows, k, k)`` extension temporaries hold at
-    most ``PROJECT_BLOCK_ELEMENTS`` floats, and each row comes out bit for bit
-    as it would alone.
+    (Whitney, Trans. AMS 1934).  Each is 1-Lipschitz because d is a metric,
+    so their average is too, and one pass suffices; both equal f when f is
+    already 1-Lipschitz, so the projection is idempotent.  Rows go through in
+    blocks whose temporaries hold at most ``PROJECT_BLOCK_ELEMENTS`` floats
+    (or one row), by one of two routes.  Unless ``cube`` fixes it (the tilt
+    search fixes one route for all its steps), the rule is
+    ``_cube_is_cheaper(q, n, k, rows)``: the cube when
+    n (blocks ``CUBE_STEP_ELEMENTS`` + rows n (q-1) q^n) < rows k^2, so a
+    call of few rows on a small cube, where the steps' fixed cost dominates,
+    stays pairwise.
+
+    * pairwise - every f(y) +/- d(x, y) of the ``(rows, k, k)`` block, from
+      the support's distance matrix;
+    * cube - a min-plus distance transform on the Hamming graph of A^n, whose
+      path metric is d (Felzenszwalb and Huttenlocher, Theory of Computing 8,
+      2012).  f is spread over the q^n words, +inf off the support, and the
+      lower extension is minus the upper one of -f, so both run as one
+      stacked array.  Dilation step j takes B_j, the minimum of B_{j-1} over
+      each word and its neighbours, which is the minimum of f over the
+      Hamming ball of radius j, and the upper extension at x is the least
+      B_j(x) + j/n.  Steps stop once j/n passes the block's value range, as
+      no farther word can then come below f(x).
+
+    Both routes give the same bits, and each row the bits it gets alone:
+    float min is exact and float addition is monotone, so a word at distance
+    d < j, which step j adds j/n to, never undercuts its own f(y) + d/n, and
+    each extension is the float f(y*) +/- d(x, y*) of its extremal word.
     """
     f = np.array(values, dtype=float)
+    if not np.isfinite(f).all():
+        raise MeasureError("Lipschitz projection needs finite values")
     rows = f.reshape(-1, f.shape[-1])
+    if cube is None:
+        cube = metric.cube_route(len(rows))
+    if cube:
+        _dilate(rows, metric)
+        return f
+    dist = metric.dist
     block = max(1, PROJECT_BLOCK_ELEMENTS // dist.size)
     for start in range(0, len(rows), block):
         cur = rows[start:start + block]
@@ -255,6 +369,31 @@ def lipschitz_project(values: np.ndarray, dist: np.ndarray) -> np.ndarray:
         lower = (col - dist).max(axis=1)
         cur[:] = 0.5 * (upper + lower)
     return f
+
+
+def _dilate(rows: np.ndarray, metric: SupportMetric) -> None:
+    """The cube route of ``lipschitz_project``, in place on ``rows``."""
+    nbr, codes = metric._cube
+    n = metric.n
+    block = max(1, PROJECT_BLOCK_ELEMENTS // (2 * nbr.size))
+    for start in range(0, len(rows), block):
+        cur = rows[start:start + block]
+        g = np.concatenate((cur, -cur))     # upper extensions of f and of -f
+        lo, hi = g.min(axis=1), g.max(axis=1)
+        # a word reached at step j > steps adds at least lo + j/n >= hi >= g(x)
+        done = (lo + np.arange(1, n + 1)[:, None] / n >= hi).all(axis=1)
+        steps = int(done.argmax()) if done.any() else n
+        best = g + 0.0          # the word itself, at d = 0/n
+        if codes is None:
+            ball = g
+        else:
+            ball = np.full((len(g), nbr.shape[1]), np.inf)
+            ball[:, codes] = g
+        for j in range(1, steps + 1):
+            ball = np.minimum(ball, np.take(ball, nbr, axis=1).min(axis=1))
+            np.minimum(best, (ball if codes is None else ball[:, codes]) + j / n, out=best)
+        # lower = -(upper of -f), and a + (-b) is a - b
+        cur[:] = 0.5 * (best[:len(cur)] - best[len(cur):])
 
 
 # -----------------------------------------------------------------------------
@@ -356,10 +495,10 @@ def refute_T(mu: DiscreteMeasure, params: TParams,
         return RefutationResult("holds", budget_used=used, bound="hoeffding")
     dist_int = block if len(block) == len(support) else mismatch_matrix(words, words)
     masses = np.array([mu.atoms[w] for w in support])
-    dist = dist_int / n
+    metric = SupportMetric(words, mu.space.alphabet_size, lambda: dist_int)
 
     # --- dual channel (cheap: no transport solves) ------------------------------
-    dual_result = _dual_channel(mu, params, budget, support, masses, dist, used)
+    dual_result = _dual_channel(mu, params, budget, support, masses, metric, used)
     if dual_result is not None:
         return dual_result
 
@@ -382,7 +521,7 @@ def refute_T(mu: DiscreteMeasure, params: TParams,
             # also expose the dual-side witness from the optimal potential
             cert, _ = dual_gap(plan)
             fvals = np.array([cert.potential[w] for w in support])
-            fvals = lipschitz_project(fvals, dist)
+            fvals = lipschitz_project(fvals, metric)
             witness = LipschitzWitness(
                 {w: float(v) for w, v in zip(support, fvals)},
                 t=params.kappa, violation_margin=float(margin))
@@ -392,8 +531,8 @@ def refute_T(mu: DiscreteMeasure, params: TParams,
     return RefutationResult("not_refuted_within_budget", budget_used=used)
 
 
-def _dual_channel(mu, params, budget, support, masses, dist, used):
-    logm = np.log(masses)
+def _dual_channel(mu, params, budget, support, masses, metric, used):
+    logm, dist = np.log(masses), metric.dist
     anchors = list(np.argsort(-masses, kind="stable")[: budget.restarts])
     kappa = params.kappa
     for restart in range(budget.restarts):
@@ -403,7 +542,7 @@ def _dual_channel(mu, params, budget, support, masses, dist, used):
         if restart < len(anchors):
             f = dist[int(anchors[restart])].astype(float)
         else:
-            f = lipschitz_project(restart_rng.normal(size=len(support)), dist)
+            f = lipschitz_project(restart_rng.normal(size=len(support)), metric)
         step = 0.5 / max(kappa, 1.0)
         prev = -math.inf
         for _ in range(budget.max_grad_steps):
@@ -423,7 +562,7 @@ def _dual_channel(mu, params, budget, support, masses, dist, used):
                 break
             prev = val
             grad = kappa * (w - masses)
-            f = lipschitz_project(f + step * grad, dist)
+            f = lipschitz_project(f + step * grad, metric)
     return None
 
 
@@ -442,7 +581,7 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 TILT_ANCHOR_STARTS = 2
 
 
-def _l_search_candidates(masses: np.ndarray, dist: np.ndarray, r: float,
+def _l_search_candidates(masses: np.ndarray, metric: SupportMetric, r: float,
                          kappa: float, budget: RefutationBudget,
                          t_hi: Sequence[float] | None = None, t_points: int = 24):
     """Ranked (score, f-values, t, divergence, threshold) candidates for the
@@ -451,14 +590,16 @@ def _l_search_candidates(masses: np.ndarray, dist: np.ndarray, r: float,
     into [0,1], t over a ``t_points``-point logarithmic grid spanning
     [r/2, kappa] (in either order; measure m's upper end can be raised to
     ``t_hi[m]`` for decisive splitting tilts), and score = D(mu tilted by
-    exp(-t f) || mu) - alpha t^2 with alpha = (r/2)/kappa.  ``dist`` is the
-    normalized Hamming distance matrix of the support.
+    exp(-t f) || mu) - alpha t^2 with alpha = (r/2)/kappa.  ``metric`` is the
+    normalized Hamming metric of the support.
 
     The ascents of all (measure, seed, t) triples run in lock step as one
     ``(rows, k)`` batch, one row each; seeds past the anchors are drawn once
     for all measures.  A row leaves the batch when its divergence stops
     rising, and its best iterate is the candidate's f-values, an array row in
-    support order.  Every float is the one a separate ascent per triple gives."""
+    support order.  Every float is the one a separate ascent per triple gives.
+    The projection route is fixed for the whole search by the batch's first
+    size, so a search on the cube route never builds the k x k matrix."""
     count, k = masses.shape
     logm = np.log(masses)
     alpha = (r / 2.0) / kappa
@@ -466,16 +607,18 @@ def _l_search_candidates(masses: np.ndarray, dist: np.ndarray, r: float,
     t_grid = np.exp(np.linspace(math.log(lo), [math.log(max(hi, h)) for h in (
         [hi] * count if t_hi is None else t_hi)], t_points, axis=1))
 
-    def project01(f):
-        return np.clip(lipschitz_project(f, dist), 0.0, 1.0)
-
     anchors = np.argsort(-masses, axis=1, kind="stable")[
         :, :max(TILT_ANCHOR_STARTS, budget.restarts // 2)]
+    cube = metric.cube_route(count * max(anchors.shape[1], budget.restarts) * t_points)
+
+    def project01(f):
+        return np.clip(lipschitz_project(f, metric, cube), 0.0, 1.0)
+
     if anchors.shape[1] < budget.restarts:   # the generator is made only when drawn from
         rng = np.random.default_rng(np.random.SeedSequence(budget.seed))
     drawn = np.reshape([project01(rng.uniform(0.0, 1.0, size=k))
                         for _ in range(budget.restarts - anchors.shape[1])], (-1, k))
-    seeds = np.concatenate((np.clip(dist[anchors], 0.0, 1.0),
+    seeds = np.concatenate((np.clip(metric.rows(anchors, cube), 0.0, 1.0),
                             np.broadcast_to(drawn, (count,) + drawn.shape)), axis=1)
     # row (m * seeds + s) * t_points + j: measure m from seed s at t_grid[m, j]
     per = seeds.shape[1] * t_points
@@ -525,9 +668,9 @@ def find_L_violation(mu: DiscreteMeasure, r: float, kappa: float | None = None,
     support = mu.support
     if len(support) == 1:
         return None
-    dist = mismatch_matrix(support, support) / n
     for score, f, t, div, threshold in _l_search_candidates(
-            np.array([tuple(mu.atoms.values())]), dist, r, kappa, budget)[0]:
+            np.array([tuple(mu.atoms.values())]), SupportMetric(support, mu.space.alphabet_size),
+            r, kappa, budget)[0]:
         if score <= 1e-12:
             break
         fm = dict(zip(support, f.tolist()))

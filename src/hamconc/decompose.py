@@ -69,6 +69,7 @@ from .concentration import (
     Lift,
     RefutationBudget,
     RefutationResult,
+    SupportMetric,
     TParams,
     _concentrated_set,
     _l_search_candidates,
@@ -286,9 +287,11 @@ def _decrement_steps(space: ProductSpace, support: tuple[Word, ...],
                      masses: np.ndarray, r: float, mismatches) -> list[Split | None]:
     """``decrement_step`` of each measure on ``support`` with atoms a row of
     ``masses``, as one batch: one ``_dtc_rows`` call for their DTCs, one tilt
-    search on the mismatch matrix ``mismatches()`` of ``support`` (asked for
-    only when some measure can split) and one slate.  Every quantity is taken
-    row by row, so each split is, bit for bit, the one its measure gets alone."""
+    search and one slate.  The search and the anchor separators read the
+    support's ``SupportMetric``: off the cube route its distance matrix is
+    ``mismatches() / n`` (asked for only when some measure can split), and on
+    it only the anchors' rows are built.  Every quantity is taken row by row,
+    so each split is, bit for bit, the one its measure gets alone."""
     if not (0.0 < r < 1.0):
         raise MeasureError(f"r must lie in (0,1), got {r}")
     out: list[Split | None] = [None] * len(masses)
@@ -303,12 +306,13 @@ def _decrement_steps(space: ProductSpace, support: tuple[Word, ...],
     # allow tilts strong enough to cleanly separate the lightest atom
     t_hi = [min(max(kappa, r / 2.0, math.log(1.0 / masses[m].min()) + 6.0), 50.0)
             for m in live]
-    dist = mismatches() / n
-    ranked = _l_search_candidates(masses[live], dist, r, kappa, SPLIT_BUDGET,
+    metric = SupportMetric(support, space.alphabet_size, mismatches)
+    ranked = _l_search_candidates(masses[live], metric, r, kappa, SPLIT_BUDGET,
                                   t_hi=t_hi, t_points=10)
     # plus the plain anchor separators, which divergence ascent tends to
     # sharpen past the point of a balanced split
-    seps = np.minimum(dist[np.argsort(-masses[live], axis=1, kind="stable")[:, :2]], 1.0)
+    seps = np.minimum(metric.rows(np.argsort(-masses[live], axis=1, kind="stable")[:, :2]),
+                      1.0)
     t_coarse = np.exp(np.linspace(math.log(max(r / 2.0, 0.25)),
                                   [math.log(max(h, 1.0)) for h in t_hi], 6, axis=1))
     fs, ts = [], []
@@ -357,6 +361,15 @@ def decrement_recursion(mu: DiscreteMeasure, cfg: PipelineConfig,
     DTC(mu) when the caller has computed it.  Each round scores its untried
     components together, one ``_decrement_steps`` batch per support; a split
     does not depend on the other measures of its batch.
+
+    A batch whose tilt search takes the pairwise route of
+    ``lipschitz_project`` slices the k x k mismatch matrix of supp(mu), built
+    once on first need.  One on the cube route (many atoms of a small cube,
+    ``_cube_is_cheaper``) reads only its anchor rows, the seeds and
+    separators at its measures' two heaviest atoms, from
+    ``mismatch_matrix(support[anchors], support)``; a recursion whose
+    batches all take the cube route builds no k x k matrix.  Either route
+    gives the same bits.
 
     A component joins the bad cell when it still admits a split at the
     natural stop.  At the round cap, or when the splittable mass stalls, every
@@ -616,12 +629,13 @@ def mixture_decomposition(mu: DiscreteMeasure, cfg: PipelineConfig
     def lift(raw: Mapping[Word, float]) -> DiscreteMeasure:
         total = _sum(raw.values())
         scaled = {z: v / total for z, v in raw.items()}
-        if len(retained) == n:
-            return DiscreteMeasure.from_unnormalized(mu.space, scaled)
-        dens = {z: v / mu_s.mass(z) for z, v in scaled.items()}
-        lifted = {w: mu.mass(w) * dens.get(tuple(w[c] for c in sel), 0.0)
-                  for w in mu.support}
-        return DiscreteMeasure.from_unnormalized(mu.space, lifted)
+        if len(retained) < n:
+            dens = {z: v / mu_s.mass(z) for z, v in scaled.items()}
+            scaled = {w: mu.mass(w) * dens.get(tuple(w[c] for c in sel), 0.0)
+                      for w in mu.support}
+        # every word is one of mu's or mu_s's, so none is checked again
+        return DiscreteMeasure._of_words(mu.space, *_pruned(tuple(scaled),
+                                                            list(scaled.values())))
 
     weights: list[float] = []
     components: list[DiscreteMeasure | None] = []

@@ -168,6 +168,14 @@ class DiscreteMeasure:
         return out
 
     @classmethod
+    def _of_words(cls, space: ProductSpace, words: Sequence[Word],
+                  masses: Sequence[float]) -> "DiscreteMeasure":
+        """``_of_support`` for words in any order, taken from measures on
+        ``space`` or projected from them: sorted here, not checked again."""
+        pairs = sorted(zip(words, masses))
+        return cls._of_support(space, [w for w, _ in pairs], [m for _, m in pairs])
+
+    @classmethod
     def _of_rows(cls, space: ProductSpace, digits: np.ndarray,
                  masses: np.ndarray) -> "DiscreteMeasure":
         """``_of_support`` for words given as the rows of an integer array."""
@@ -310,9 +318,9 @@ def marginal(mu: DiscreteMeasure, coords: Iterable[int]) -> DiscreteMeasure:
     for word, mass in mu.atoms.items():
         proj = tuple(word[c] for c in coords)
         out[proj] = out.get(proj, 0.0) + mass
-    space = mu.space.restrict(len(coords))
-    # projection preserves mass exactly; constructor validates
-    return DiscreteMeasure(space, out)
+    # projection preserves mass exactly; projected words lie in the space
+    return DiscreteMeasure._of_words(mu.space.restrict(len(coords)), tuple(out),
+                                     list(out.values()))
 
 
 def reweight(mu: DiscreteMeasure, rho) -> DiscreteMeasure:
@@ -344,7 +352,7 @@ def mix(rep: MixtureRepresentation) -> DiscreteMeasure:
             continue
         for w, m in comp.atoms.items():
             raw[w] = raw.get(w, 0.0) + weight * m
-    return DiscreteMeasure.from_unnormalized(rep.space, raw)
+    return DiscreteMeasure._of_words(rep.space, *_pruned(tuple(raw), list(raw.values())))
 
 
 def fuzzy_split(mu: DiscreteMeasure, fp: FuzzyPartition) -> MixtureRepresentation:

@@ -473,6 +473,11 @@ def _hamming_graph(q: int, n: int):
     return out
 
 
+def _codes(words: np.ndarray, q: int) -> np.ndarray:
+    """The cube codes (as in ``_hamming_graph``) of words given as rows of digits."""
+    return words @ q ** np.arange(words.shape[1] - 1, -1, -1)
+
+
 def _greedy_tree(supply: list[float], words: Sequence[Sequence[int]], q: int):
     """Initial basis on the Hamming graph (``words``: the digits of each word,
     in code order): a spanning tree rooted at word 0 in which each word
@@ -665,8 +670,7 @@ def _graph_coupling(src: np.ndarray, tgt: np.ndarray, a: np.ndarray,
     u_i = y(x_i) and v_j = -y(y_j).  Returns ({(i, j): mass}, u, v).
     """
     n = src.shape[1]
-    powers = q ** np.arange(n - 1, -1, -1)
-    src_codes, tgt_codes = src @ powers, tgt @ powers
+    src_codes, tgt_codes = _codes(src, q), _codes(tgt, q)
     supply = np.zeros(q ** n)
     supply[src_codes] += a
     supply[tgt_codes] -= b

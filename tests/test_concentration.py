@@ -28,7 +28,9 @@ from hamconc.concentration import (
     LParams,
     RefutationBudget,
     SupCoupling,
+    SupportMetric,
     TParams,
+    _cube_is_cheaper,
     _dual_channel,
     _l_search_candidates,
     _row_dots,
@@ -46,7 +48,7 @@ from hamconc.concentration import (
 )
 from hamconc import concentration as concentration_module
 from hamconc.transport import mismatch_matrix
-from hamconc.measures import product_measure
+from hamconc.measures import MeasureError, product_measure
 
 from conftest import biased_product, make_measure, random_measure, two_cluster
 from oracles import hexed_candidates, lipschitz_project_1d, tilt_ascent
@@ -95,60 +97,118 @@ def test_cumulant_values(rng):
 # -----------------------------------------------------------------------------
 def test_projection_idempotent_on_lipschitz(rng):
     words = list(itertools.product(range(2), repeat=4))
-    dist = mismatch_matrix(words, words) / 4
+    metric = SupportMetric(words, 2)
     anchor = words[3]
     f = np.array([sum(a != b for a, b in zip(w, anchor)) / 4 for w in words])
-    out = lipschitz_project(f, dist)
-    assert np.abs(out - f).max() < 1e-12
+    for cube in (False, True):
+        out = lipschitz_project(f, metric, cube)
+        assert np.abs(out - f).max() < 1e-12
 
 
 def test_projection_produces_lipschitz(rng):
     words = list(itertools.product(range(2), repeat=4))
-    dist = mismatch_matrix(words, words) / 4
+    metric = SupportMetric(words, 2)
     for _ in range(10):
         f = rng.normal(size=len(words)) * 3
-        out = lipschitz_project(f, dist)
-        assert lipschitz_slack(out, dist) <= 1e-10
+        for cube in (False, True):
+            out = lipschitz_project(f, metric, cube)
+            assert lipschitz_slack(out, metric.dist) <= 1e-10
+
+
+#: the alphabets of the projection tests, each with its largest dimension
+_PROJECTION_CUBES = {2: 7, 3: 4, 4: 4, 8: 3}
 
 
 @st.composite
 def projection_batches(draw):
-    """A support, a block cap small enough to split the batch, and rows at
-    several distances from the cone: a 1-Lipschitz row moved by noise at
-    several scales, from none (a row the projection must leave in place) to
-    far beyond the support's diameter."""
-    n = draw(st.integers(1, 5))
-    cube = list(itertools.product(range(2), repeat=n))
-    words = draw(st.lists(st.sampled_from(cube), min_size=1, max_size=len(cube),
-                          unique=True))
-    dist = mismatch_matrix(words, words) / n
+    """A support of range(q)^n, the whole cube or part of it in any order, a
+    block cap small enough to split the batch on either route, and rows at
+    several distances from the cone: a 1-Lipschitz row, shifted out of
+    [0, 1] or not, moved by noise at several scales, from none (a row the
+    projection must leave in place) to far beyond the support's diameter,
+    with some entries set to +0.0 or -0.0."""
+    q = draw(st.sampled_from(sorted(_PROJECTION_CUBES)))
+    n = draw(st.integers(1, _PROJECTION_CUBES[q]))
+    cube = list(itertools.product(range(q), repeat=n))
+    if draw(st.booleans()):
+        words = cube
+    else:
+        words = draw(st.lists(st.sampled_from(cube), min_size=1,
+                              max_size=min(len(cube), 64), unique=True))
+    metric = SupportMetric(words, q)
     k = len(words)
     scales = draw(st.lists(st.sampled_from([0.0, 3e-11, 0.01, 1.0, 5.0]),
                            min_size=1, max_size=12))
+    shift = draw(st.sampled_from([0.0, -3.5, 7.25]))
     seed = draw(st.integers(0, 2 ** 32 - 1))
     rng = np.random.default_rng(seed)
-    rows = np.array([dist[0] + s * rng.normal(size=k) for s in scales])
-    cap = draw(st.integers(1, 3 * k * k))
-    return rows, dist, cap
+    rows = np.array([metric.dist[0] + shift + s * rng.normal(size=k) for s in scales])
+    zeros = rng.random(rows.shape) < draw(st.sampled_from([0.0, 0.3]))
+    rows[zeros] = np.where(rng.random(rows.shape) < 0.5, 0.0, -0.0)[zeros]
+    biggest = max(k * k, 2 * n * (q - 1) * q ** n)
+    cap = draw(st.integers(1, 3 * biggest))
+    return rows, metric, cap
 
 
 @given(projection_batches())
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=120, deadline=None)
 def test_projection_of_rows_matches_each_row_alone(batch):
-    rows, dist, cap = batch
-    with mock.patch.object(concentration_module, "PROJECT_BLOCK_ELEMENTS", cap):
-        out = lipschitz_project(rows, dist)
-    assert out.shape == rows.shape
-    for row, got in zip(rows, out):
-        for want in (lipschitz_project(row, dist), lipschitz_project_1d(row, dist)):
-            assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
-        # the midpoint of the two tight extensions is 1-Lipschitz after one
-        # pass, so a second pass, what an iterated projection would run next,
-        # moves nothing beyond round-off (the bound scales with rows above 1,
-        # whose last bit is worth more than 1e-15)
-        assert lipschitz_slack(got, dist) <= 1e-12
-        assert (np.abs(lipschitz_project(got, dist) - got).max()
-                <= 1e-15 * max(1.0, np.abs(got).max()))
+    # both routes give every row, bit for bit, the loop oracle's projection
+    # and the one the row gets alone, whatever the blocks
+    rows, metric, cap = batch
+    for cube in (False, True):
+        with mock.patch.object(concentration_module, "PROJECT_BLOCK_ELEMENTS", cap):
+            out = lipschitz_project(rows, metric, cube)
+        assert out.shape == rows.shape
+        for row, got in zip(rows, out):
+            for want in (lipschitz_project(row, metric),
+                         lipschitz_project_1d(row, metric.dist)):
+                assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
+            # the midpoint of the two tight extensions is 1-Lipschitz after one
+            # pass, so a second pass, what an iterated projection would run next,
+            # moves nothing beyond round-off (the bound scales with rows above 1,
+            # whose last bit is worth more than 1e-15)
+            assert lipschitz_slack(got, metric.dist) <= 1e-12
+            assert (np.abs(lipschitz_project(got, metric, cube) - got).max()
+                    <= 1e-15 * max(1.0, np.abs(got).max()))
+
+
+def test_projection_route_rule():
+    # the cube route when its dilation costs fewer element operations than
+    # the pairwise route's k^2 per row, with the fixed cost of each step
+    # counted: a small batch on a small cube stays pairwise
+    assert not _cube_is_cheaper(2, 6, 64, 1)
+    assert not _cube_is_cheaper(2, 6, 64, 4)
+    assert _cube_is_cheaper(2, 6, 64, 20)
+    assert _cube_is_cheaper(2, 7, 128, 4)
+    assert not _cube_is_cheaper(2, 7, 128, 1)
+    # one row of a large dense support, and any sparse support in high dimension
+    assert _cube_is_cheaper(2, 11, 2048, 1)
+    assert _cube_is_cheaper(8, 4, 4096, 1)
+    assert not _cube_is_cheaper(2, 10, 40, 200)
+    assert not _cube_is_cheaper(2, 7, 64, 40)
+    # a call takes the rule's route unless told, and the pairwise route
+    # neither computes codes nor reads the cube
+    words = list(itertools.product(range(2), repeat=6))
+    metric = SupportMetric(words, 2)
+    lipschitz_project(np.zeros((4, 64)), metric)
+    assert "dist" in vars(metric) and "_cube" not in vars(metric)
+    metric = SupportMetric(words, 2)
+    lipschitz_project(np.zeros((20, 64)), metric)
+    assert "dist" not in vars(metric) and vars(metric)["_cube"][1] is None
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_projection_rejects_non_finite_values(bad):
+    words = list(itertools.product(range(3), repeat=2))
+    metric = SupportMetric(words[1:], 3)
+    f = np.zeros((3, len(words) - 1))
+    f[1, 4] = bad
+    for cube in (False, True):
+        with pytest.raises(MeasureError):
+            lipschitz_project(f, metric, cube)
+        with pytest.raises(MeasureError):
+            lipschitz_project(f[1], metric, cube)
 
 
 def test_row_reductions_match_one_dimensional_ones():
@@ -181,6 +241,10 @@ def test_point_mass_never_refuted():
 def _distances(mu):
     support = list(mu.support)
     return mismatch_matrix(support, support) / mu.space.dimension
+
+
+def _metric(mu):
+    return SupportMetric(mu.support, mu.space.alphabet_size)
 
 
 def _diameter(mu):
@@ -379,7 +443,7 @@ def test_tilt_corpus_pins_refutation_and_search():
         refuted += res.refuted
         h.update(json.dumps(res.to_dict(), sort_keys=True).encode())
         ranked, = _l_search_candidates(
-            _mass_rows(mu), _distances(mu), params.r, params.kappa,
+            _mass_rows(mu), _metric(mu), params.r, params.kappa,
             RefutationBudget(restarts=4, max_grad_steps=30, seed=idx))
         h.update(repr([(float(score).hex(), float(t).hex(), float(div).hex())
                        for score, _, t, div, _ in ranked]).encode())
@@ -427,7 +491,7 @@ def _search_against_oracle(mu, r, kappa, budget, t_hi=None, t_points=24):
     """Assert that the batched search ranks the candidates of the per-pair
     oracle, bit for bit; returns the oracle's stop steps."""
     dist, masses = _distances(mu), _mass_rows(mu)
-    got, = _l_search_candidates(masses, dist, r, kappa, budget, t_points=t_points,
+    got, = _l_search_candidates(masses, _metric(mu), r, kappa, budget, t_points=t_points,
                                 t_hi=None if t_hi is None else [t_hi])
     want, stops = tilt_ascent(masses[0], dist, r, kappa, budget, t_hi=t_hi,
                               t_points=t_points)
@@ -491,10 +555,9 @@ def test_hoeffding_bound_is_sound(instance):
     mu, params = instance
     support = list(mu.support)
     masses = np.array([mu.atoms[w] for w in support])
-    dist = mismatch_matrix(support, support) / mu.space.dimension
     used = {"subsets_checked": 0, "restarts_run": 0, "gradient_steps": 0}
     assert _dual_channel(mu, params, RefutationBudget(restarts=8), support,
-                         masses, dist, used) is None
+                         masses, _metric(mu), used) is None
     # exhaustively, no conditioning set violates the inequality
     for size in range(1, len(support)):
         for cell in itertools.combinations(support, size):

@@ -230,9 +230,9 @@ def test_step_search_matches_per_pair_oracle(monkeypatch):
     calls = []
     search = decompose._l_search_candidates
 
-    def recording(masses, dist, r, kappa, budget, **kwargs):
-        calls.append((masses, dist, r, kappa, budget, kwargs,
-                      search(masses, dist, r, kappa, budget, **kwargs)))
+    def recording(masses, metric, r, kappa, budget, **kwargs):
+        calls.append((masses, metric, r, kappa, budget, kwargs,
+                      search(masses, metric, r, kappa, budget, **kwargs)))
         return calls[-1][-1]
 
     monkeypatch.setattr(decompose, "_l_search_candidates", recording)
@@ -241,10 +241,10 @@ def test_step_search_matches_per_pair_oracle(monkeypatch):
     assert len(calls) >= 40
     decrement_recursion(product_mix(5, 0.15, 0.85), CFG)
     assert max(len(call[0]) for call in calls) >= 2
-    for masses, dist, r, kappa, budget, kwargs, got in calls:
+    for masses, metric, r, kappa, budget, kwargs, got in calls:
         assert len(got) == len(masses) == len(kwargs["t_hi"])
         for row, t_hi, ranked in zip(masses, kwargs["t_hi"], got):
-            want, _ = oracles.tilt_ascent(row, dist, r, kappa, budget, t_hi=t_hi,
+            want, _ = oracles.tilt_ascent(row, metric.dist, r, kappa, budget, t_hi=t_hi,
                                           t_points=kwargs["t_points"])
             assert (oracles.hexed_candidates(ranked, None)
                     == oracles.hexed_candidates(want, None))
@@ -368,8 +368,11 @@ def test_decrement_recursion_pins_audit_and_densities():
 def test_recursion_checks_each_split_once(monkeypatch):
     # each round scores every untried component exactly once, in one batch
     # per support, and the recursion reads an executed split's numbers from
-    # that batch instead of running the gate on it again; every batch slices
-    # one mismatch matrix of supp(mu), which a product measure never builds
+    # that batch instead of running the gate on it again.  A product measure
+    # builds no mismatch matrix; on the whole cube, where the projections take
+    # the cube route, only the anchors' rows are built (two per measure of a
+    # batch), and on a sparse support every batch slices one mismatch matrix
+    # of supp(mu)
     events, in_step, outside, matrices = [], [], [], []
     score, steps, total = decompose._score_slate, decompose._decrement_steps, decompose._sum
 
@@ -404,12 +407,17 @@ def test_recursion_checks_each_split_once(monkeypatch):
         monkeypatch.setattr(module, "mismatch_matrix", counting_matrix)
     decrement_recursion(biased_product(5, 0.3), CFG)
     assert matrices == []
+    sparse = _pruned_split_measure()
+    decrement_recursion(sparse, replace(CFG, r=0.1))
+    assert matrices == [(sparse.support, sparse.support)]
+    matrices.clear()
     monkeypatch.setattr(decompose, "_decrement_steps", recording_steps)
     monkeypatch.setattr(decompose, "_score_slate", recording_score)
     monkeypatch.setattr(decompose, "_sum", recording_sum)
     mu = product_mix(6, 0.1, 0.9)
     _, audit, _ = decrement_recursion(mu, CFG)
-    assert matrices == [(mu.support, mu.support)]
+    assert matrices and all(len(src) < len(tgt) for src, tgt in matrices)
+    assert sum(len(src) for src, _ in matrices) <= 4 * sum(b["count"] for b in events if b)
     splits = [len(rnd["splits"]) for rnd in audit["rounds"]]
     assert sum(splits) > 0 and outside == []
     rounds, current = [], []
@@ -511,9 +519,9 @@ def test_split_budget_spawns_no_seed():
     # of every decrement step never reads its seed
     assert decompose.SPLIT_BUDGET.restarts <= TILT_ANCHOR_STARTS
     mu = product_mix(5, 0.2, 0.8)
-    dist = transport.mismatch_matrix(mu.support, mu.support) / 5
+    metric = concentration.SupportMetric(mu.support, 2)
     ranked = [oracles.hexed_candidates(decompose._l_search_candidates(
-        np.array([tuple(mu.atoms.values())]), dist, 0.3, 0.3 * 5 / DEC_DENOMINATOR,
+        np.array([tuple(mu.atoms.values())]), metric, 0.3, 0.3 * 5 / DEC_DENOMINATOR,
         replace(decompose.SPLIT_BUDGET, seed=seed), t_points=10)[0], mu.support)
         for seed in (0, 12345)]
     assert ranked[0] == ranked[1]
@@ -533,6 +541,25 @@ def test_mixture_computes_the_trimmed_dtc_once(monkeypatch):
     assert res.audit["retained_coordinates"] == list(range(5))
     assert len([m for m in seen if m is mu]) == 1
     assert res.audit["decrement_recursion"]["dtc"] == res.audit["dtc_trimmed"]
+
+
+def test_mixture_checks_no_word_again(monkeypatch):
+    # every word the pipeline puts in a measure is one of its checked input's,
+    # or a projection of one: mix, lift and marginal sort them unchecked, on
+    # a full run and on one that trims a coordinate
+    calls = []
+    contains = ProductSpace.contains
+
+    def counting(space, word):
+        calls.append(word)
+        return contains(space, word)
+
+    mus = [product_mix(6, 0.1, 0.9), subgroup_measure(3, 4)]
+    monkeypatch.setattr(ProductSpace, "contains", counting)
+    results = [mixture_decomposition(mu, CFG) for mu in mus]
+    assert calls == []
+    assert [len(res.audit["retained_coordinates"]) for res in results] == [6, 3]
+    assert len(results[0].weights) > 1
 
 
 @given(n=st.integers(1, 12),
