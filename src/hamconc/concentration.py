@@ -246,7 +246,7 @@ def tilted_divergence(mu: DiscreteMeasure, f, t: float) -> float:
 # Lipschitz projection
 # -----------------------------------------------------------------------------
 #: largest temporary, in floats, of one projection block: ``(rows, k, k)`` on
-#: the pairwise route, ``(2 rows, n (q-1), q^n)`` on the cube route
+#: the pairwise route, ``(n (q-1), q^n, 2 rows)`` on the cube route
 PROJECT_BLOCK_ELEMENTS = 1 << 15
 #: the fixed cost of one dilation step of one block on the cube route, in the
 #: element operations of the pairwise route that take as long (about 4 us
