@@ -58,7 +58,11 @@ from .measures import (
     MeasureError,
     MixtureRepresentation,
     Word,
+    _find,
+    _pruned,
     _sum,
+    _values_on,
+    _words,
     condition,
     mix,
 )
@@ -66,6 +70,7 @@ from .information import kl_divergence
 from .transport import (
     TransportPlan,
     _codes,
+    _farthest,
     _hamming_graph,
     dual_gap,
     lipschitz_slack,
@@ -186,12 +191,6 @@ class ExtremalityReport:
 # -----------------------------------------------------------------------------
 # Gibbs tilting
 # -----------------------------------------------------------------------------
-def _as_values(mu: DiscreteMeasure, f) -> np.ndarray:
-    if callable(f):
-        return np.array([float(f(w)) for w in mu.support])
-    return np.array([float(f[w]) for w in mu.support])
-
-
 def _log_partition(z: np.ndarray) -> float | np.ndarray:
     """log sum exp over the last axis of a 1-D or 2-D array (a number, or one
     per row), shifted by the peak.  The log is ``math.log``: ``np.log``
@@ -214,30 +213,22 @@ def _tilted_weights(logm: np.ndarray, f: np.ndarray, t: float
 
 def cumulant(mu: DiscreteMeasure, f) -> float:
     """log of the exponential moment of f under mu, via log-sum-exp."""
-    vals = _as_values(mu, f)
-    logm = np.log(np.array([mu.atoms[w] for w in mu.support]))
-    return float(_log_partition(vals + logm))
+    return float(_log_partition(_values_on(mu, f) + np.log(mu.masses)))
 
 
 def gibbs_tilt(mu: DiscreteMeasure, f, t: float) -> DiscreteMeasure:
     """The measure reweighted by exp(t f), normalized by its exponential moment."""
-    vals = _as_values(mu, f)
+    vals = _values_on(mu, f)
     if not np.all(np.isfinite(vals)):
         raise MeasureError("tilting function must be finite on the support")
-    logm = np.log(np.array([mu.atoms[w] for w in mu.support]))
-    z = t * vals + logm
-    z -= z.max()
-    weights = np.exp(z)
-    weights /= weights.sum()
-    return DiscreteMeasure.from_unnormalized(
-        mu.space, {w: float(m) for w, m in zip(mu.support, weights)})
+    weights, _ = _tilted_weights(np.log(mu.masses), vals, t)
+    return DiscreteMeasure._of_arrays(mu.space, mu.digits, _pruned(weights))
 
 
 def tilted_divergence(mu: DiscreteMeasure, f, t: float) -> float:
     """D(mu tilted by exp(t f) || mu), evaluated stably on log-masses."""
-    vals = _as_values(mu, f)
-    logm = np.log(np.array([mu.atoms[w] for w in mu.support]))
-    w, logz = _tilted_weights(logm, vals, t)
+    vals = _values_on(mu, f)
+    w, logz = _tilted_weights(np.log(mu.masses), vals, t)
     # D = sum w * (log w - log m) = sum w * (t f - logZ)
     return float((w * (t * vals - logz)).sum())
 
@@ -266,7 +257,7 @@ def _cube_is_cheaper(q: int, n: int, k: int, rows: int) -> bool:
 
 class SupportMetric:
     """The normalized Hamming metric on k words of ``range(q)^n``, given in
-    any order as a sequence of words or as rows of digits.
+    any order as rows of digits (or a sequence of word tuples).
 
     The k x k distance matrix ``dist`` is built on first need, as
     ``mismatches() / n`` when ``mismatches`` is given (a caller holding a
@@ -275,14 +266,10 @@ class SupportMetric:
     cube route reads the cube's neighbour table and the words' codes, and
     ``rows`` builds just the rows asked for."""
 
-    def __init__(self, words, q: int, mismatches=None):
-        self.words, self.q = words, q
-        self.k, self.n = len(words), len(words[0])
+    def __init__(self, digits, q: int, mismatches=None):
+        self.digits, self.q = np.asarray(digits, dtype=np.int64), q
+        self.k, self.n = self.digits.shape
         self._mismatches = mismatches
-
-    @functools.cached_property
-    def digits(self) -> np.ndarray:
-        return np.asarray(self.words, dtype=np.int64)
 
     @functools.cached_property
     def dist(self) -> np.ndarray:
@@ -407,11 +394,9 @@ def _dilate(rows: np.ndarray, metric: SupportMetric) -> None:
 # -----------------------------------------------------------------------------
 def bobkov_gotze_objective(mu: DiscreteMeasure, f, params: TParams) -> float:
     """C(kappa f) - kappa <f> - kappa r; positive iff f refutes T(kappa, r)."""
-    vals = _as_values(mu, f)
-    masses = np.array([mu.atoms[w] for w in mu.support])
-    scaled = {w: params.kappa * v for w, v in zip(mu.support, vals)}
-    return (cumulant(mu, scaled)
-            - params.kappa * float((masses * vals).sum())
+    vals = _values_on(mu, f)
+    return (float(_log_partition(params.kappa * vals + np.log(mu.masses)))
+            - params.kappa * float((mu.masses * vals).sum())
             - params.kappa * params.r)
 
 
@@ -463,11 +448,6 @@ def _primal_subsets(support: Sequence[Word], masses: np.ndarray,
     return out[:limit]
 
 
-#: element cap of one row block of the mismatch matrix that ``refute_T``
-#: takes its diameter from (the whole matrix is built only for a search)
-DIAMETER_BLOCK_ELEMENTS = 1 << 16
-
-
 def refute_T(mu: DiscreteMeasure, params: TParams,
              budget: RefutationBudget | None = None) -> RefutationResult:
     """Try to refute T(kappa, r) for ``mu``; soundness over completeness.
@@ -482,26 +462,17 @@ def refute_T(mu: DiscreteMeasure, params: TParams,
     failed.
     """
     budget = budget or RefutationBudget()
-    support = list(mu.support)
-    n = mu.space.dimension
     used = {"subsets_checked": 0, "restarts_run": 0, "gradient_steps": 0}
-
-    # the diameter from row blocks of the mismatch matrix, stopping at n
-    words = np.asarray(support, dtype=np.int64)
-    step, far = max(1, DIAMETER_BLOCK_ELEMENTS // len(support)), 0
-    for lo in range(0, len(support), step):
-        block = mismatch_matrix(words[lo:lo + step], words)
-        far = max(far, int(block.max()))
-        if far == n:
-            break
-    diam = far / n
+    words, masses = mu.digits, mu.masses
+    far, block = _farthest(words)
+    diam = far / mu.space.dimension
     if params.r >= diam:
         return RefutationResult("holds", budget_used=used, bound="diameter")
     if params.kappa * diam ** 2 / 8 <= params.r:
         return RefutationResult("holds", budget_used=used, bound="hoeffding")
-    dist_int = block if len(block) == len(support) else mismatch_matrix(words, words)
-    masses = np.array([mu.atoms[w] for w in support])
+    dist_int = block if len(block) == len(words) else mismatch_matrix(words, words)
     metric = SupportMetric(words, mu.space.alphabet_size, lambda: dist_int)
+    support = mu.support
 
     # --- dual channel (cheap: no transport solves) ------------------------------
     dual_result = _dual_channel(mu, params, budget, support, masses, metric, used)
@@ -671,15 +642,14 @@ def find_L_violation(mu: DiscreteMeasure, r: float, kappa: float | None = None,
     n = mu.space.dimension
     kappa = r * n / 200.0 if kappa is None else kappa
     budget = budget or RefutationBudget(restarts=8, max_grad_steps=60)
-    support = mu.support
-    if len(support) == 1:
+    if len(mu) == 1:
         return None
     for score, f, t, div, threshold in _l_search_candidates(
-            np.array([tuple(mu.atoms.values())]), SupportMetric(support, mu.space.alphabet_size),
+            mu.masses[None], SupportMetric(mu.digits, mu.space.alphabet_size),
             r, kappa, budget)[0]:
         if score <= 1e-12:
             break
-        fm = dict(zip(support, f.tolist()))
+        fm = dict(zip(mu.support, f.tolist()))
         # exact re-verification on log-masses
         div_exact = tilted_divergence(mu, fm, -t)
         if div_exact > threshold + 1e-12:
@@ -742,14 +712,12 @@ def concentrate_subset(plan: TransportPlan, params: TParams, delta: float,
     and the propagated parameters (kappa, (8 delta + 2 log 4)/kappa + 4r + 4 delta).
     """
     nu = plan.target
-    column = {w: j for j, w in enumerate(nu.support)}
     ends = np.array(list(plan.plan), dtype=np.int64).reshape(len(plan.plan), 2, -1)
     cell, new_params = _concentrated_set(
-        np.array([column[y] for _, y in plan.plan], dtype=np.intp),
-        np.array(list(plan.plan.values()), dtype=float),
+        _find(ends[:, 1], nu.digits), np.array(list(plan.plan.values()), dtype=float),
         np.count_nonzero(ends[:, 0] != ends[:, 1], axis=1),
-        np.fromiter(nu.atoms.values(), float, len(nu)), nu.space.dimension, params, delta)
-    return tuple(nu.support[j] for j in cell.tolist()), new_params
+        nu.masses, nu.space.dimension, params, delta)
+    return _words(nu.digits[cell]), new_params
 
 
 def _concentrated_set(cols: np.ndarray, mass: np.ndarray, counts: np.ndarray,

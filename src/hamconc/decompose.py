@@ -30,7 +30,7 @@ import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -43,14 +43,16 @@ from .measures import (
     PRUNE_TOL,
     ProductSpace,
     Word,
+    _find,
     _left_sums,
+    _mass_rows,
     _product_rows,
     _pruned,
     _sum,
+    _words,
     fuzzy_split,
     marginal,
     mix,
-    reweight,
     variation_norm,
 )
 from .information import (
@@ -197,7 +199,8 @@ class DecompositionResult:
             "weights": list(self.weights),
             "bad_index": self.bad_index,
             "truncated": self.truncated,
-            "components": [None if c is None else [[list(w), m] for w, m in c.atoms.items()]
+            "components": [None if c is None else
+                           [[w, m] for w, m in zip(c.digits.tolist(), c.masses.tolist())]
                            for c in self.components],
             "certificates": [None if c is None else c.to_dict()
                              for c in self.certificates],
@@ -225,18 +228,18 @@ def _check_envelope(space: ProductSpace, size: int) -> None:
 # -----------------------------------------------------------------------------
 # Decrement machinery
 # -----------------------------------------------------------------------------
-def _score_slate(support: tuple[Word, ...], masses: np.ndarray,
+def _score_slate(digits, masses: np.ndarray,
                  densities: np.ndarray, r: float, i_floor: np.ndarray,
                  dtc: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The decrement gate, arrays (ok, information, decrement), on a slate of
     splits: split c has density values ``densities[c, j]`` (a ``(C, J, k)``
-    array) on ``support`` for the measure with atoms ``masses[c]``, DTC
-    ``dtc[c]`` and floor ``i_floor[c]``.  ok when the average-DTC drop is
+    array) on the digit rows ``digits`` for the measure with atoms
+    ``masses[c]``, DTC ``dtc[c]`` and floor ``i_floor[c]``.  ok when the average-DTC drop is
     >= I/2 and I (NaN for fewer than two parts) is above the max of
     r^2 n^{-1} e^{-n} and the floor; only then are component DTCs taken, else
     the drop is NaN.  Every float, a row on its own, is the one
     ``fuzzy_split`` and the public functionals give."""
-    n, (count, parts, k) = len(support[0]), densities.shape
+    n, (count, parts, k) = np.shape(digits)[1], densities.shape
     raw = densities * masses[:, None]
     p = _left_sums(raw)
     kept = p > PRUNE_TOL
@@ -249,7 +252,7 @@ def _score_slate(support: tuple[Word, ...], masses: np.ndarray,
     drop = np.full(count, np.nan)
     above = info >= np.maximum(r * r * math.exp(-n) / n, i_floor) - GATE_FLOOR_SLACK
     if above.any():
-        dtcs = _dtc_rows(support, comps[above].reshape(-1, k)).reshape(-1, parts)
+        dtcs = _dtc_rows(digits, comps[above].reshape(-1, k)).reshape(-1, parts)
         drop[above] = dtc[above] - _left_sums(weights[above] * dtcs)
     return above & (drop >= 0.5 * info - GATE_DROP_SLACK), info, drop
 
@@ -279,15 +282,15 @@ def decrement_step(mu: DiscreteMeasure, r: float) -> Split | None:
     one-measure batch of ``_decrement_steps``: the recursion scores a round's
     components together, one batch per support, and a split does not depend
     on the other measures of its batch."""
-    return _decrement_steps(mu.space, mu.support, np.array([tuple(mu.atoms.values())]), r,
-                            lambda: mismatch_matrix(mu.support, mu.support))[0]
+    return _decrement_steps(mu.space, mu.digits, mu.masses[None], r,
+                            lambda: mismatch_matrix(mu.digits, mu.digits))[0]
 
 
-def _decrement_steps(space: ProductSpace, support: tuple[Word, ...],
-                     masses: np.ndarray, r: float, mismatches) -> list[Split | None]:
-    """``decrement_step`` of each measure on ``support`` with atoms a row of
-    ``masses``, as one batch: one ``_dtc_rows`` call for their DTCs, one tilt
-    search and one slate.  The search and the anchor separators read the
+def _decrement_steps(space: ProductSpace, digits, masses: np.ndarray, r: float,
+                     mismatches) -> list[Split | None]:
+    """``decrement_step`` of each measure on the digit rows ``digits`` with
+    atoms a row of ``masses``, as one batch: one ``_dtc_rows`` call for their
+    DTCs, one tilt search and one slate.  The search and the anchor separators read the
     support's ``SupportMetric``: off the cube route its distance matrix is
     ``mismatches() / n`` (asked for only when some measure can split), and on
     it only the anchors' rows are built.  Every quantity is taken row by row,
@@ -295,18 +298,18 @@ def _decrement_steps(space: ProductSpace, support: tuple[Word, ...],
     if not (0.0 < r < 1.0):
         raise MeasureError(f"r must lie in (0,1), got {r}")
     out: list[Split | None] = [None] * len(masses)
-    n = space.dimension
-    dtc = _dtc_rows(support, masses)
+    n, digits = space.dimension, np.asarray(digits, dtype=np.int64)
+    dtc = _dtc_rows(digits, masses)
     i_floor = np.maximum(r * r / (4.0 * n), 0.1 * dtc)
     # the drop inequality caps any split's information at 2 DTC
     live = np.flatnonzero(2.0 * dtc >= i_floor - GATE_FLOOR_SLACK)
-    if len(support) == 1 or not live.size:
+    if len(digits) == 1 or not live.size:
         return out
     kappa = r * n / DEC_DENOMINATOR
     # allow tilts strong enough to cleanly separate the lightest atom
     t_hi = [min(max(kappa, r / 2.0, math.log(1.0 / masses[m].min()) + 6.0), 50.0)
             for m in live]
-    metric = SupportMetric(support, space.alphabet_size, mismatches)
+    metric = SupportMetric(digits, space.alphabet_size, mismatches)
     ranked = _l_search_candidates(masses[live], metric, r, kappa, SPLIT_BUDGET,
                                   t_hi=t_hi, t_points=10)
     # plus the plain anchor separators, which divergence ascent tends to
@@ -326,11 +329,11 @@ def _decrement_steps(space: ProductSpace, support: tuple[Word, ...],
     rho = 0.5 * np.exp(-np.array(ts)[:, None] * np.array(fs))
     dens, size = np.stack([rho, 1.0 - rho], axis=1), len(ts) // len(live)
     masses, i_floor, dtc = (np.repeat(a[live], size, axis=0) for a in (masses, i_floor, dtc))
-    ok, info, drop = _score_slate(support, masses, dens, r, i_floor, dtc)
+    ok, info, drop = _score_slate(digits, masses, dens, r, i_floor, dtc)
     gain = np.where(ok, drop, -np.inf).reshape(-1, size)
     wins = ok.reshape(-1, size) & (gain >= gain.max(axis=1)[:, None] - GATE_TIE_SLACK)
     for c in (i * size + int(row.argmax()) for i, row in enumerate(wins) if row.any()):
-        out[live[c // size]] = Split(FuzzyPartition(space, support, dens[c]),
+        out[live[c // size]] = Split(FuzzyPartition(space, _words(digits), dens[c]),
                                      float(info[c]), float(drop[c]))
     return out
 
@@ -381,15 +384,15 @@ def decrement_recursion(mu: DiscreteMeasure, cfg: PipelineConfig,
     """
     r = cfg.r if r is None else r
     epsilon = cfg.epsilon if epsilon is None else epsilon
-    support, masses = mu.support, np.array(tuple(mu.atoms.values()))
-    mismatches = functools.cache(lambda: mismatch_matrix(support, support))  # on first need
+    digits, masses = mu.digits, mu.masses
+    mismatches = functools.cache(lambda: mismatch_matrix(digits, digits))  # on first need
 
     def component(dens: np.ndarray) -> _Component:
         return _Component(dens, float(_left_sums(dens * masses)))
 
     # a component is tried once, and exactly one (the heaviest firing one) is
     # split per round
-    comps = [component(np.ones(len(support)))]
+    comps = [component(np.ones(len(mu)))]
     audit: dict = {"rounds": [], "truncated": False}
     total_decrement = 0.0
 
@@ -409,8 +412,8 @@ def decrement_recursion(mu: DiscreteMeasure, cfg: PipelineConfig,
             kept = np.frombuffer(kept, dtype=bool)
             raw = np.array([comps[i].density[kept] for i in batch]) * masses[kept]
             for idx, split in zip(batch, _decrement_steps(
-                    mu.space, tuple(w for w, x in zip(support, kept) if x),
-                    raw / _left_sums(raw)[:, None], r, lambda: mismatches()[np.ix_(kept, kept)])):
+                    mu.space, digits[kept], raw / _left_sums(raw)[:, None], r,
+                    lambda: mismatches()[np.ix_(kept, kept)])):
                 comps[idx].split = split
                 comps[idx].status = "concentrated" if split is None else "firing"
         firing = [i for i, comp in enumerate(comps) if comp.status == "firing"]
@@ -434,7 +437,7 @@ def decrement_recursion(mu: DiscreteMeasure, cfg: PipelineConfig,
         round_entry["splits"].append(
             {"component": idx, "weight": weight,
              "information": split.information, "decrement": split.decrement})
-        halves = np.full((2, len(support)), 0.5)   # on atoms the split does not cover
+        halves = np.full((2, len(mu)), 0.5)   # on atoms the split does not cover
         halves[:, dens * masses > PRUNE_TOL] = split.partition.densities
         first, second = dens * halves
         comps[idx] = component(first)
@@ -451,7 +454,7 @@ def decrement_recursion(mu: DiscreteMeasure, cfg: PipelineConfig,
     bad = [comp.density for comp in comps if comp.status == "bad"]
     final = [_sum(bad)] if bad else []
     final.extend(comp.density for comp in comps if comp.status != "bad")
-    fp_final = FuzzyPartition(mu.space, support, np.array(final))
+    fp_final = FuzzyPartition(mu.space, mu.support, np.array(final))
     audit["bad_present"] = bool(bad)
     audit["total_decrement"] = total_decrement
     audit["final_cells"] = len(final)
@@ -483,11 +486,9 @@ def _sample_coarsen_detail(mu: DiscreteMeasure, rep: MixtureRepresentation,
     info = mixture_mutual_information(rep, mu)
     # truncation of the density kernel: analysis device, recorded as diagnostics
     f_cap = math.exp(min(8.0 * (info + 1.0) / epsilon, 700.0))
-    trunc_mass = 0.0
-    for p, comp in zip(rep.weights, rep.components):
-        for w, m in comp.atoms.items():
-            if m / mu.mass(w) > f_cap:
-                trunc_mass += p * (m - f_cap * mu.mass(w))
+    rows, _ = _mass_rows(rep.components, mu)
+    trunc_mass = float(_left_sums(
+        (weights[:, None] * (rows - f_cap * mu.masses))[rows / mu.masses > f_cap]))
     exponent = 16.0 * (info + 1.0) / epsilon
     m_star = math.inf if exponent > 700 else math.ceil(
         16.0 / (epsilon * epsilon) * math.exp(exponent))
@@ -600,59 +601,46 @@ def mixture_decomposition(mu: DiscreteMeasure, cfg: PipelineConfig
         mu_s, rep, good, eps_samp, seed_samp)
     audit["sampling"] = samp_diag
 
-    # reconstruction residual: gamma = mu_s ^ emp atomwise, f = d gamma / d emp
-    emp_mix = mix(emp)
-    gamma = {w: min(mu_s.mass(w), emp_mix.mass(w)) for w in mu_s.support}
-    f_dens = {w: (gamma[w] / emp_mix.mass(w) if emp_mix.mass(w) > 0 else 0.0)
-              for w in mu_s.support}
-    resid = {w: mu_s.mass(w) - gamma[w] for w in mu_s.support}
-
-    keep_threshold = 1.0 - 1.5 * eps_b
-    bad_raw: dict[Word, float] = {w: v for w, v in resid.items() if v > 0.0}
-    kept: list[tuple[float, DiscreteMeasure, float]] = []  # weight, comp, M
-    for q, comp in zip(emp.weights, emp.components):
-        mass_f = _sum(f_dens.get(w, 0.0) * m for w, m in comp.atoms.items())
-        if mass_f > keep_threshold:
-            tilted = reweight(comp, f_dens)
-            density_bound = max(
-                tilted.mass(w) / comp.mass(w) for w in tilted.support)
-            kept.append((q * mass_f, tilted, max(density_bound, 1.0)))
-        else:
-            for w, m in comp.atoms.items():
-                val = q * f_dens.get(w, 0.0) * m
-                if val > 0.0:
-                    bad_raw[w] = bad_raw.get(w, 0.0) + val
+    # reconstruction residual: gamma = mu_s ^ emp atomwise, f = d gamma / d emp,
+    # each measure a row on supp(mu_s), which holds every component's support
+    # (a zero term changes no left-to-right sum)
+    ref, q = mu_s.masses, np.array(emp.weights)
+    rows, _ = _mass_rows((mix(emp),) + emp.components, mu_s)
+    emp_mass, rows = rows[0], rows[1:]
+    gamma = np.minimum(ref, emp_mass)
+    f_dens = gamma / np.where(emp_mass > 0.0, emp_mass, 1.0)    # 0 where emp has no atom
+    mass_f = _left_sums(f_dens * rows)
+    kept = mass_f > 1.0 - 1.5 * eps_b
+    # a kept component is ``reweight(comp, f)``, with its density bound M;
+    # the residual and the other components' f-masses, added in component
+    # order, make the bad cell, whose total adds its atoms as they are met
+    tilted = _pruned(f_dens * rows[kept])
+    bounds = np.divide(tilted, rows[kept], out=np.zeros(tilted.shape),
+                       where=tilted > 0.0).max(axis=1, initial=1.0)
+    bad = np.concatenate(((ref - gamma)[None], q[~kept, None] * f_dens * rows[~kept]))
+    met = bad > 0.0
+    bad_raw = _left_sums(np.where(met, bad, 0.0).T)
+    order = np.lexsort((np.arange(len(ref)), met.argmax(axis=0)))
+    order = order[met.any(axis=0)[order]]
+    bad_mass = float(_left_sums(bad_raw[order]))
+    bad_index = 0 if bad_mass > 1e-12 else None
+    weights = (q[kept] * mass_f[kept]).tolist()
+    raw = np.array(weights)[:, None] * tilted
+    scaled = raw / _left_sums(raw)[:, None]
+    params_list = [_certificate_params(r_dec, m_dim, a_frac, b) for b in bounds.tolist()]
+    if bad_index == 0:
+        weights, params_list = [bad_mass] + weights, [None] + params_list
+        scaled = np.concatenate(((bad_raw / bad_mass)[None], scaled))
 
     # lift everything back to A^n through densities w.r.t. the projection
-    sel = list(retained)
-
-    def lift(raw: Mapping[Word, float]) -> DiscreteMeasure:
-        total = _sum(raw.values())
-        scaled = {z: v / total for z, v in raw.items()}
-        if len(retained) < n:
-            dens = {z: v / mu_s.mass(z) for z, v in scaled.items()}
-            scaled = {w: mu.mass(w) * dens.get(tuple(w[c] for c in sel), 0.0)
-                      for w in mu.support}
-        # every word is one of mu's or mu_s's, so none is checked again
-        return DiscreteMeasure._of_words(mu.space, *_pruned(tuple(scaled),
-                                                            list(scaled.values())))
-
-    weights: list[float] = []
-    components: list[DiscreteMeasure | None] = []
-    params_list: list[TParams | None] = []
-    bad_mass = _sum(bad_raw.values())
-    bad_index = None
-    if bad_mass > 1e-12:
-        bad_index = 0
-        weights.append(bad_mass)
-        components.append(lift(bad_raw))
-        params_list.append(None)
-    for weight, comp, density_bound in kept:
-        weights.append(weight)
-        raw = {w: weight * m for w, m in comp.atoms.items()}
-        components.append(lift(raw))
-        params_list.append(
-            _certificate_params(r_dec, m_dim, a_frac, density_bound))
+    if len(retained) < n:
+        lifted = _pruned(mu.masses * (scaled / ref)[
+            :, _find(mu.digits[:, list(retained)], mu_s.digits)])
+    else:
+        lifted = _pruned(scaled)
+        if bad_index == 0:    # the bad cell's total adds in its own order
+            lifted[0, order] = _pruned(scaled[0, order])
+    components = [DiscreteMeasure._of_arrays(mu.space, mu.digits, row) for row in lifted]
 
     # normalize float drift in the weights
     total_w = _sum(weights)
@@ -660,9 +648,7 @@ def mixture_decomposition(mu: DiscreteMeasure, cfg: PipelineConfig
 
     # certify every non-bad component; at these parameters each one holds by
     # the diameter or the Hoeffding bound, so none is routed to the bad cell
-    certs = [None if idx == bad_index else
-             refute_T(components[idx], params_list[idx])
-             for idx in range(len(weights))]
+    certs = [None if p is None else refute_T(c, p) for c, p in zip(components, params_list)]
 
     audit["achieved_m"] = len(weights)
     audit["m_bound_reported"] = cfg.c * math.exp(
@@ -718,26 +704,26 @@ def carve_concentrated_set(mu: DiscreteMeasure, cfg: PipelineConfig) -> CarveRes
     This is the one-row ``_carve_rows``.
     """
     _check_envelope(mu.space, len(mu))
-    return _carve_rows(mu.space, mu.support, np.array([tuple(mu.atoms.values())]), cfg)[0][1]
+    return _carve_rows(mu.space, mu.digits, mu.masses[None], cfg)[0][1]
 
 
-def _conditioned(space: ProductSpace, support: Sequence[Word], row: np.ndarray,
+def _conditioned(space: ProductSpace, digits: np.ndarray, row: np.ndarray,
                  idx: np.ndarray) -> DiscreteMeasure:
-    """``condition`` of the measure with atoms ``row`` on ``support`` on its
-    atoms ``idx`` (sorted), bit for bit."""
-    return DiscreteMeasure._of_support(space, *_pruned(
-        tuple(support[j] for j in idx.tolist()), row[idx].tolist()))
+    """``condition`` of the measure with atoms ``row`` on the digit rows
+    ``digits`` on its atoms ``idx`` (sorted), bit for bit."""
+    return DiscreteMeasure._of_arrays(space, digits[idx], _pruned(row[idx]))
 
 
-def _carve_rows(space: ProductSpace, support: tuple[Word, ...], rows: np.ndarray,
+def _carve_rows(space: ProductSpace, digits: np.ndarray, rows: np.ndarray,
                 cfg: PipelineConfig) -> list[tuple[np.ndarray, CarveResult]]:
-    """``carve_concentrated_set`` of each measure on ``support`` with atoms a
-    row of ``rows`` (zero at a missing atom), each carve with the sorted
-    indices of its cell: one ``_tc_rows`` call, and the small-tc rows'
-    products of marginals built in row blocks under ``ROW_BLOCK_ELEMENTS``.
-    Every float is the one the row's measure gets alone."""
+    """``carve_concentrated_set`` of each measure on the digit rows
+    ``digits`` with atoms a row of ``rows`` (zero at a missing atom), each
+    carve with the sorted indices of its cell: one ``_tc_rows`` call, and the
+    small-tc rows' products of marginals built in row blocks under
+    ``ROW_BLOCK_ELEMENTS``.  Every float is the one the row's measure gets
+    alone."""
     n, q, r = space.dimension, space.alphabet_size, cfg.r
-    tcs, marginals = _tc_rows(support, rows, q)
+    tcs, marginals = _tc_rows(digits, rows, q)
     cuts: list = [None] * len(rows)    # (cell, case, params, info) of each row
     small: list[tuple[int, dict]] = []
     for i, (row, tc) in enumerate(zip(rows, tcs.tolist())):
@@ -757,15 +743,14 @@ def _carve_rows(space: ProductSpace, support: tuple[Word, ...], rows: np.ndarray
 
     # small total correlation: compare with the product of marginals, a block
     # of rows at a time, and keep the well-coupled part
-    words = np.asarray(support, dtype=np.int64)
     step = max(1, ROW_BLOCK_ELEMENTS // min(q ** n, DEFAULT_SUPPORT_CAP))
     for lo in range(0, len(small), step):
         block = small[lo:lo + step]
-        digits, products = _product_rows(marginals[[i for i, _ in block]])
+        product_digits, products = _product_rows(marginals[[i for i, _ in block]])
         for (i, info), product in zip(block, products):
             src, tgt = np.flatnonzero(product > 0.0), np.flatnonzero(rows[i] > 0.0)
             _, cols, mass, counts, dbar, _, _ = _exact_coupling(
-                digits[src], product[src], words[tgt], rows[i, tgt], q)
+                product_digits[src], product[src], digits[tgt], rows[i, tgt], q)
             info["dbar_to_product"] = dbar
             if dbar > r * r:
                 info["paper_inequality_failures"].append("marton distance dbar <= r^2")
@@ -776,8 +761,8 @@ def _carve_rows(space: ProductSpace, support: tuple[Word, ...], rows: np.ndarray
             if mass < 1.0 - 4.0 * delta_cs - 1e-9 or mass <= 0.0:
                 raise CarveError(f"small-tc subset kept mass {mass}; diagnostics {info}")
             cuts[i] = tgt[cell], "small-tc", TParams(params.kappa, min(params.r, 1.0)), info
-    return [(cell, CarveResult(tuple(support[j] for j in cell.tolist()), case, params,
-                               refute_T(_conditioned(space, support, row, cell), params), info))
+    return [(cell, CarveResult(_words(digits[cell]), case, params,
+                               refute_T(_conditioned(space, digits, row, cell), params), info))
             for row, (cell, case, params, info) in zip(rows, cuts)]
 
 
@@ -787,19 +772,20 @@ def partition_decomposition(mu: DiscreteMeasure, cfg: PipelineConfig) -> Decompo
     epsilon, by carving concentrated sets out of the conditioned remainder.
     The residual cell is index 0, then the cells in carving order.  This is
     the one-row ``_partition_rows``."""
-    return _partition_rows(mu.space, mu.support, np.array([tuple(mu.atoms.values())]),
-                           cfg, [total_correlation(mu)])[0]
+    return _partition_rows(mu.space, mu.digits, mu.masses[None], cfg,
+                           [total_correlation(mu)])[0]
 
 
-def _partition_rows(space: ProductSpace, support: tuple[Word, ...], masses: np.ndarray,
+def _partition_rows(space: ProductSpace, digits: np.ndarray, masses: np.ndarray,
                     cfg: PipelineConfig, tcs: Sequence[float]) -> list[DecompositionResult]:
-    """``partition_decomposition`` of each measure on ``support`` with atoms
-    a row of ``masses`` (zero at a missing atom) and audit TC in ``tcs``.
+    """``partition_decomposition`` of each measure on the digit rows
+    ``digits`` with atoms a row of ``masses`` (zero at a missing atom) and
+    audit TC in ``tcs``.
     Each round conditions the rows still open on their remaining atoms
     (``condition``'s bits, in support order) and carves them as one
     ``_carve_rows`` batch; a row stays open while its remaining mass, added
     in support order, is at least epsilon, up to ``MAX_CELLS`` cells."""
-    masses = np.asarray(masses, dtype=float).reshape(-1, len(support))
+    masses = np.asarray(masses, dtype=float).reshape(-1, len(digits))
     _check_envelope(space, int(np.count_nonzero(masses > 0.0, axis=1).max(initial=0)))
     remaining = masses > 0.0
     carves: list[list[tuple[np.ndarray, CarveResult]]] = [[] for _ in masses]
@@ -815,7 +801,7 @@ def _partition_rows(space: ProductSpace, support: tuple[Word, ...], masses: np.n
         if not (totals > 0.0).all():
             raise MeasureError("null reweighting")
         # a carved cell lies in the remainder: its atoms have conditioned mass
-        for i, (cell, carve) in zip(live, _carve_rows(space, support, raw / totals[:, None], cfg)):
+        for i, (cell, carve) in zip(live, _carve_rows(space, digits, raw / totals[:, None], cfg)):
             remaining[i, cell] = False
             carves[i].append((cell, carve))
 
@@ -826,9 +812,9 @@ def _partition_rows(space: ProductSpace, support: tuple[Word, ...], masses: np.n
         weights = [_sum(row[cell].tolist()) for cell in parts]
         out.append(DecompositionResult(
             kind="partition", weights=tuple(weights),
-            components=tuple(_conditioned(space, support, row, cell) if w > 0.0 else None
+            components=tuple(_conditioned(space, digits, row, cell) if w > 0.0 else None
                              for w, cell in zip(weights, parts)),
-            sets=tuple(tuple(support[j] for j in cell.tolist()) for cell in parts),
+            sets=tuple(_words(digits[cell]) for cell in parts),
             bad_index=0,
             certificates=(None,) + tuple(c.certificate for _, c in row_carves),
             certificate_params=(None,) + tuple(c.params for _, c in row_carves),

@@ -29,6 +29,7 @@ from .measures import (
     MixtureRepresentation,
     Word,
     _left_sums,
+    _mass_rows,
     _sum,
     fuzzy_split,
     hookup,
@@ -45,7 +46,7 @@ def _clip_rows(v: np.ndarray) -> np.ndarray:
 
 def shannon_entropy(mu: DiscreteMeasure) -> float:
     """-sum p log p over the atoms of ``mu``."""
-    return -_sum(m * math.log(m) for m in mu.atoms.values() if m > 0.0)
+    return -_sum(m * math.log(m) for m in mu.masses.tolist())
 
 
 def entropy_of_vector(probs: Sequence[float]) -> float:
@@ -61,12 +62,12 @@ def kl_divergence(nu: DiscreteMeasure, mu: DiscreteMeasure) -> float:
     """KL divergence D(nu || mu); +inf unless supp(nu) is inside supp(mu)."""
     if nu.space != mu.space:
         raise MeasureError("kl_divergence needs measures on the same space")
-    ps = list(map(mu.mass, nu.atoms))
-    return math.inf if 0.0 in ps else float(_kl_rows([tuple(nu.atoms.values())], ps)[0])
+    rows, inside = _mass_rows([nu], mu)
+    return float(_kl_rows(rows, mu.masses)[0]) if inside[0] else math.inf
 
 
 def per_coordinate_entropies(mu: DiscreteMeasure) -> tuple[float, ...]:
-    _, marginals = _tc_rows(mu.support, (tuple(mu.atoms.values()),), mu.space.alphabet_size)
+    _, marginals = _tc_rows(mu.digits, mu.masses, mu.space.alphabet_size)
     return tuple(map(entropy_of_vector, marginals[0].tolist()))
 
 
@@ -91,17 +92,18 @@ def _row_blocks(fn, per_row: int, *arrays: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=LOO_GROUP_CACHE_SIZE)
-def _loo_index(support: tuple[Word, ...]) -> np.ndarray:
-    """``(n, G, L)`` atom indices: row i holds the groups of two or more atoms
+def _loo_index(key: bytes, shape: tuple[int, int]) -> np.ndarray:
+    """``(n, G, L)`` atom indices of the support whose int64 digit rows have
+    bytes ``key`` and ``shape``: row i holds the groups of two or more atoms
     agreeing off coordinate i, in the order of that common word (so a
     sub-support meets its groups in the same order), each in support order,
-    padded with ``len(support)``.  A group of one atom adds m log(m/m) = 0."""
-    k, n = len(support), len(support[0])
+    padded with the support size.  A group of one atom adds m log(m/m) = 0."""
+    (k, n), support = shape, np.frombuffer(key, dtype=np.int64).reshape(shape).tolist()
     layers = []
     for i in range(n):
         groups: dict[Word, list[int]] = {}
         for atom, w in enumerate(support):
-            groups.setdefault(w[:i] + w[i + 1:], []).append(atom)
+            groups.setdefault(tuple(w[:i] + w[i + 1:]), []).append(atom)
         layers.append([g for _, g in sorted(groups.items()) if len(g) > 1])
     size = max(map(len, layers))
     width = max((len(g) for gs in layers for g in gs), default=0)
@@ -117,27 +119,30 @@ def _xlogx_exact(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _tc_rows(support: tuple[Word, ...], masses, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """TC of each row of ``masses`` (a measure on ``support`` over ``q``
-    symbols, zero at a missing atom), and its coordinate marginals
+def _tc_rows(digits, masses, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """TC of each row of ``masses`` (a measure on the digit rows ``digits``
+    over ``q`` symbols, zero at a missing atom), and its coordinate marginals
     ``(rows, n, q)``, as if alone: a marginal adds its atoms left to right in
-    support order, an entropy its terms in symbol or support order (the bits
-    of ``entropy_of_vector`` and ``shannon_entropy``), and TC the coordinates
-    in order."""
-    digits = np.array(support, dtype=np.intp).reshape(len(support), -1)
-    onehot = digits.T[:, None, :] == np.arange(q)[:, None]    # (n, q, k)
-    rows = np.asarray(masses, dtype=float).reshape(-1, len(support))
-    marg = _row_blocks(lambda r: _left_sums(np.where(onehot, r[:, None, None, :], 0.0)),
-                       onehot.size, rows)
+    support order (by ``np.bincount``), an entropy its terms in symbol or
+    support order (the bits of ``entropy_of_vector`` and ``shannon_entropy``),
+    and TC the coordinates in order."""
+    digits = np.asarray(digits, dtype=np.intp).reshape(len(digits), -1)
+    (k, n), rows = digits.shape, np.asarray(masses, dtype=float).reshape(-1, len(digits))
+    # bin row n q + c q + s for symbol s at coordinate c, in (row, c, atom) order
+    bins = (digits + np.arange(n) * q).T.ravel()
+    marg = _row_blocks(lambda r: np.bincount(
+        (np.arange(len(r))[:, None] * (n * q) + bins).ravel(), np.tile(r, n).ravel(),
+        len(r) * n * q).reshape(len(r), n, q), n * k, rows)
     h_coords = -_left_sums(_xlogx_exact(marg))
     h_joint = -_left_sums(_xlogx_exact(rows))
     return _clip_rows(_left_sums(h_coords) - h_joint), marg
 
 
-def _loo_entropies(support: tuple[Word, ...], masses) -> np.ndarray:
+def _loo_entropies(digits, masses) -> np.ndarray:
     """H(joint), then each H(coordinate i | the others), for each row of
-    ``masses`` (a measure on ``support``, zero at a missing atom)."""
-    index = _loo_index(support)
+    ``masses`` (a measure on the digit rows ``digits``, zero at a missing atom)."""
+    digits = np.ascontiguousarray(digits, dtype=np.int64)
+    index = _loo_index(digits.tobytes(), digits.shape)
 
     def block(rows: np.ndarray) -> np.ndarray:
         joint = -_left_sums(_xlogx(rows))[:, None]
@@ -149,15 +154,15 @@ def _loo_entropies(support: tuple[Word, ...], masses) -> np.ndarray:
         h = _left_sums(_xlogx(grouped / np.maximum(q, 5e-324)[..., None]))
         return np.concatenate((joint, -_left_sums(q * h)), axis=1)
 
-    rows = np.asarray(masses, dtype=float).reshape(-1, len(support))
-    return _row_blocks(block, index.size + len(support), rows)
+    rows = np.asarray(masses, dtype=float).reshape(-1, len(digits))
+    return _row_blocks(block, index.size + len(digits), rows)
 
 
-def _dtc_rows(support: tuple[Word, ...], masses) -> np.ndarray:
+def _dtc_rows(digits, masses) -> np.ndarray:
     """DTC of each row of ``masses`` (as in ``_loo_entropies``), as if alone."""
-    if len(support[0]) == 1:
-        return np.zeros(np.size(masses) // len(support))
-    h = _loo_entropies(support, masses)
+    if np.shape(digits)[1] == 1:
+        return np.zeros(np.size(masses) // len(digits))
+    h = _loo_entropies(digits, masses)
     return _clip_rows(h[:, 0] - _left_sums(h[:, 1:]))
 
 
@@ -174,19 +179,19 @@ def conditional_coordinate_entropy(mu: DiscreteMeasure, i: int) -> float:
     """H(coordinate i | all other coordinates), grouping atoms by their projection."""
     if mu.space.dimension == 1:
         return shannon_entropy(mu)
-    return float(_loo_entropies(mu.support, tuple(mu.atoms.values()))[0, i + 1])
+    return float(_loo_entropies(mu.digits, mu.masses)[0, i + 1])
 
 
 def total_correlation(mu: DiscreteMeasure) -> float:
     """Sum of marginal entropies minus joint entropy; equals the KL divergence
     from ``mu`` to the product of its marginals.  The one-row ``_tc_rows``."""
-    tc, _ = _tc_rows(mu.support, (tuple(mu.atoms.values()),), mu.space.alphabet_size)
+    tc, _ = _tc_rows(mu.digits, mu.masses, mu.space.alphabet_size)
     return float(tc[0])
 
 
 def dual_total_correlation(mu: DiscreteMeasure) -> float:
     """Joint entropy minus the sum of each coordinate's entropy given the rest."""
-    return float(_dtc_rows(mu.support, tuple(mu.atoms.values()))[0])
+    return float(_dtc_rows(mu.digits, mu.masses)[0])
 
 
 @dataclass(frozen=True)
@@ -227,11 +232,9 @@ def fuzzy_mutual_information(mu: DiscreteMeasure, fp: FuzzyPartition) -> float:
 def mixture_mutual_information(rep: MixtureRepresentation, mu: DiscreteMeasure) -> float:
     """sum_j p_j D(mu_j || mu) for a mixture representation of ``mu``, the
     divergences one batch of rows on its support (the bits of ``kl_divergence``)."""
-    atoms = mu.atoms
-    kls = _kl_rows([[comp.mass(w) for w in atoms] for comp in rep.components],
-                   list(atoms.values())).tolist()
-    return _sum(p * (kl if all(w in atoms for w in comp.atoms) else math.inf)
-                for p, kl, comp in zip(rep.weights, kls, rep.components))
+    rows, inside = _mass_rows(rep.components, mu)
+    return _sum(p * (kl if ok else math.inf) for p, kl, ok in zip(
+        rep.weights, _kl_rows(rows, mu.masses).tolist(), inside.tolist()))
 
 
 def dtc_decrement(mu: DiscreteMeasure, fp: FuzzyPartition) -> tuple[float, float]:
@@ -292,7 +295,7 @@ def trim_coordinates(mu: DiscreteMeasure, r: float) -> tuple[int, ...]:
         if len(retained) <= 1:
             break
         sub = marginal(mu, retained)
-        conds = _loo_entropies(sub.support, tuple(sub.atoms.values()))[0, 1:]
+        conds = _loo_entropies(sub.digits, sub.masses)[0, 1:]
         gaps = [(h - c, coord, pos) for pos, (coord, h, c) in enumerate(
             zip(retained, per_coordinate_entropies(sub), conds.tolist()))]
         excess, coord, pos = max(gaps, key=lambda g: (g[0], -g[1]))

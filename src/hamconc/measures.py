@@ -1,27 +1,28 @@
 """Sparse probability measures on finite product spaces and their mixture algebra.
 
-A measure on ``A^n`` is stored as a map from words (length-``n`` tuples of
-symbols in ``range(alphabet_size)``) to positive masses.  The full cube is
-never materialised: every operation touches supports only, and supports are
-kept in lexicographic order so that all downstream output is deterministic.
-A fuzzy partition is one array of densities over a tuple of support words.
+A measure on ``A^n`` is two read-only arrays, its atoms' digit rows in
+lexicographic order and their masses (:class:`DiscreteMeasure`).  The full
+cube is never materialised: every operation touches supports only, and the
+sorted rows make all downstream output deterministic.  A fuzzy partition is
+one array of densities over a tuple of support words.
 
 Mixing variables are always finite index sets here; kernels are finite lists
 of measures.  Measures with genuinely continuous mixing variables can only be
 represented through finite samples of their kernels.
 
 Summation policy: sums of Python floats add left to right from 0 on every
-supported interpreter, through ``_sum`` or an explicit loop.  The builtin
-``sum`` is never called (a test enforces this): from Python 3.12 on it
-compensates float sums, and the decrement gate and the pinned results turn
-on last bits.  numpy reductions keep numpy's own order.
+supported interpreter, through ``_sum`` or an explicit loop, and sums over
+mass arrays do the same through ``_left_sums`` or ``np.bincount``.  The
+builtin ``sum`` is never called (a test enforces this): from Python 3.12 on
+it compensates float sums, and the decrement gate and the pinned results
+turn on last bits.  Other numpy reductions keep numpy's own order.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
-from itertools import compress
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -85,6 +86,9 @@ class ProductSpace:
             raise MeasureError(f"alphabet_size must be >= 1, got {self.alphabet_size}")
         if self.dimension < 1:
             raise MeasureError(f"dimension must be >= 1, got {self.dimension}")
+        if self.alphabet_size > 1 << 63:
+            raise MeasureError(f"alphabet_size must be <= 2**63 (symbols are "
+                               f"int64), got {self.alphabet_size}")
 
     def contains(self, word: Word) -> bool:
         return len(word) == self.dimension and all(
@@ -96,57 +100,121 @@ class ProductSpace:
         return ProductSpace(self.alphabet_size, dimension)
 
 
-def _pruned(words: tuple[Word, ...], raw: list[float],
-            total: float | None = None) -> tuple[tuple[Word, ...], list[float]]:
-    """``words`` and their masses ``raw`` without those at or below
-    ``PRUNE_TOL``, divided by their total (``total`` if given and none pruned)."""
-    keep = [x > PRUNE_TOL for x in raw]
-    if not all(keep):
-        words, raw, total = tuple(compress(words, keep)), list(compress(raw, keep)), None
-    total = _sum(raw) if total is None else total
-    if total <= 0.0:
+def _pruned(raw: np.ndarray) -> np.ndarray:
+    """``raw``, one row or each row of a 2-D array, with the values at or
+    below ``PRUNE_TOL`` set to 0 and the others divided by their total, added
+    left to right (a pruned value adds 0.0 there, which changes no bit)."""
+    kept = np.where(raw > PRUNE_TOL, raw, 0.0)
+    totals = kept.cumsum(axis=-1)[..., -1:]
+    if not (totals > 0.0).all():
         raise MeasureError("null reweighting")
-    return words, [x / total for x in raw]
+    return kept / totals
+
+
+def _keys(digits: np.ndarray) -> np.ndarray:
+    """One bytes key per digit row, big-endian, so that the keys of rows of
+    nonnegative symbols sort as the rows do lexicographically."""
+    rows = np.ascontiguousarray(digits, dtype=">i8")
+    return rows.view(f"V{8 * rows.shape[1]}").ravel()
+
+
+def _find(digits: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """The index of each row of ``digits`` among the rows of ``table``
+    (distinct, in lexicographic order), or -1 where it is not one."""
+    keys, probe = _keys(table), _keys(digits)
+    at = keys.searchsorted(probe)
+    at[keys[at % len(keys)] != probe] = -1
+    return at
+
+
+def _merged(digits: np.ndarray, masses: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct rows of ``digits`` in lexicographic order, the ``masses``
+    of each added in row order from 0.0 (the bits of a dict accumulating
+    them), and the index of each one's first row."""
+    keys = _keys(digits)
+    order = keys.argsort(kind="stable")
+    keys = keys[order]
+    head = np.ones(len(keys), dtype=bool)
+    head[1:] = keys[1:] != keys[:-1]
+    group = np.empty(len(keys), dtype=np.intp)
+    group[order] = head.cumsum() - 1
+    first = order[head]
+    return digits[first], np.bincount(group, masses, len(first)), first
+
+
+def _mass_rows(measures: Sequence["DiscreteMeasure"], mu: "DiscreteMeasure"
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """The masses of each of ``measures`` at the atoms of ``mu``, one row
+    each (0 where it has no atom), and whether each one's support lies in
+    mu's."""
+    at = _find(np.concatenate([m.digits for m in measures]), mu.digits)
+    owner = np.repeat(np.arange(len(measures)), [len(m) for m in measures])
+    hit = at >= 0
+    rows = np.zeros((len(measures), len(mu)))
+    rows[owner[hit], at[hit]] = np.concatenate([m.masses for m in measures])[hit]
+    return rows, np.bincount(owner[~hit], minlength=len(measures)) == 0
+
+
+def _words(digits: np.ndarray) -> tuple[Word, ...]:
+    return tuple(map(tuple, digits.tolist()))
+
+
+def _values_on(mu: "DiscreteMeasure", f, default: float | None = None) -> np.ndarray:
+    """``f`` at each atom of ``mu`` as floats, in the order of ``mu.masses``:
+    a callable on words, or a mapping read as ``default`` off its keys (a
+    missing word raises ``KeyError`` when ``default`` is None)."""
+    get = f if callable(f) else (f.__getitem__ if default is None
+                                 else lambda w: f.get(w, default))
+    return np.array([float(get(w)) for w in mu.support])
 
 
 class DiscreteMeasure:
-    """A probability measure on a :class:`ProductSpace`, stored sparsely.
+    """A probability measure on a :class:`ProductSpace`, stored as two
+    read-only arrays: ``digits``, ``(k, n)`` int64, one row of symbols per
+    atom, distinct and in lexicographic order, and ``masses``, ``(k,)``
+    float64, positive, in the same order.  ``support`` (the rows as word
+    tuples), ``atoms`` (a read-only word to mass mapping) and ``mass(word)``
+    are views built on first use, for I/O and the public API.
 
-    Parameters
-    ----------
-    space : ProductSpace
-    atoms : mapping from word to mass
-        Masses must be nonnegative and sum to 1 within ``MASS_TOL``.  Zero-mass
-        entries are dropped; the stored masses are otherwise kept exactly as
-        given, so that file round trips are byte-faithful.
-
+    The constructor checks every word of the mapping ``atoms`` against
+    ``space``; masses must be nonnegative and sum to 1 within ``MASS_TOL``.
+    Zero masses are dropped and the others kept exactly as given, so that
+    file round trips are byte-faithful.  Arithmetic builds through
+    ``_of_arrays``, which checks the masses only.  ``mix`` adds a word's
+    terms in component order and the mixture pipeline's lift its bad cell's
+    terms likewise; both divide by ``_pruned``'s total added in the order the
+    words first appear (a word-keyed dict's insertion order), then sort.
     Instances are immutable; all arithmetic returns new measures.
     """
 
-    __slots__ = ("space", "_atoms")
-
     def __init__(self, space: ProductSpace, atoms: Mapping[Word, float]):
-        cleaned: dict[Word, float] = {}
-        for word in sorted(atoms):
-            mass = float(atoms[word])
+        words = sorted(atoms)
+        masses = [float(atoms[word]) for word in words]
+        for word, mass in zip(words, masses):
             if not space.contains(tuple(word)):
                 raise MeasureError(f"word {word!r} not in A^{space.dimension} "
                                    f"with |A|={space.alphabet_size}")
             if not mass >= 0.0:
                 kind = "NaN" if math.isnan(mass) else "negative"
                 raise MeasureError(f"{kind} mass {mass} at word {word!r}")
-            if mass > 0.0:
-                cleaned[tuple(word)] = mass
-        self._store(space, cleaned)
+        self._store(space, np.array(words, dtype=np.int64).reshape(len(words), space.dimension),
+                    np.array(masses, dtype=float))
 
-    def _store(self, space: ProductSpace, cleaned: dict[Word, float]) -> None:
-        if not cleaned:
+    def _store(self, space: ProductSpace, digits: np.ndarray, masses: np.ndarray) -> None:
+        if np.count_nonzero(masses) < len(masses):    # masses are not negative here
+            keep = masses > 0.0
+            digits, masses = digits[keep], masses[keep]
+        if not len(masses):
             raise MeasureError("measure has empty support")
-        total = _sum(cleaned.values())
+        total = float(masses.cumsum()[-1])    # added left to right
         if abs(total - 1.0) > MASS_TOL:
             raise MeasureError(f"masses sum to {total!r}, not 1 within {MASS_TOL}")
+        digits, masses = digits.view(), masses.view()
+        digits.flags.writeable = masses.flags.writeable = False
         object.__setattr__(self, "space", space)
-        object.__setattr__(self, "_atoms", cleaned)
+        object.__setattr__(self, "digits", digits)
+        object.__setattr__(self, "masses", masses)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard rail
         raise AttributeError("DiscreteMeasure is immutable")
@@ -155,32 +223,19 @@ class DiscreteMeasure:
     @classmethod
     def from_unnormalized(cls, space: ProductSpace, raw: Mapping[Word, float]) -> "DiscreteMeasure":
         """Prune masses below ``PRUNE_TOL`` and renormalize; the words are checked."""
-        return cls(space, dict(zip(*_pruned(tuple(raw), list(raw.values())))))
+        masses = _pruned(np.array([float(x) for x in raw.values()])).tolist()
+        return cls(space, {w: m for w, m in zip(raw, masses) if m > 0.0})
 
     @classmethod
-    def _of_support(cls, space: ProductSpace, words: Sequence[Word],
-                    masses: Sequence[float]) -> "DiscreteMeasure":
-        """The measure with these atoms, for words taken in order from the
-        support of a measure on ``space``: they are valid and sorted already,
-        so only the masses are checked."""
+    def _of_arrays(cls, space: ProductSpace, digits: np.ndarray,
+                   masses: np.ndarray) -> "DiscreteMeasure":
+        """The measure with atoms the rows of ``digits`` and their ``masses``,
+        for rows that are words of ``space``, distinct and in lexicographic
+        order (taken from measures on ``space``, or built so): zero masses are
+        dropped and the total is checked, the rows are not."""
         out = object.__new__(cls)
-        out._store(space, {w: m for w, m in zip(words, masses) if m > 0.0})
+        out._store(space, np.asarray(digits, dtype=np.int64), np.asarray(masses, dtype=float))
         return out
-
-    @classmethod
-    def _of_words(cls, space: ProductSpace, words: Sequence[Word],
-                  masses: Sequence[float]) -> "DiscreteMeasure":
-        """``_of_support`` for words in any order, taken from measures on
-        ``space`` or projected from them: sorted here, not checked again."""
-        pairs = sorted(zip(words, masses))
-        return cls._of_support(space, [w for w, _ in pairs], [m for _, m in pairs])
-
-    @classmethod
-    def _of_rows(cls, space: ProductSpace, digits: np.ndarray,
-                 masses: np.ndarray) -> "DiscreteMeasure":
-        """``_of_support`` for words given as the rows of an integer array."""
-        return cls._of_support(space, list(map(tuple, digits.tolist())),
-                               masses.tolist())
 
     @classmethod
     def point_mass(cls, space: ProductSpace, word: Word) -> "DiscreteMeasure":
@@ -193,32 +248,33 @@ class DiscreteMeasure:
             raise MeasureError("measure has empty support")
         return cls(space, {w: 1.0 / len(words) for w in words})
 
-    # -- access ------------------------------------------------------------------
-    @property
-    def atoms(self) -> Mapping[Word, float]:
-        return MappingProxyType(self._atoms)
-
-    @property
+    # -- views -------------------------------------------------------------------
+    @functools.cached_property
     def support(self) -> tuple[Word, ...]:
-        return tuple(self._atoms)
+        return _words(self.digits)
+
+    @functools.cached_property
+    def atoms(self) -> Mapping[Word, float]:
+        return MappingProxyType(dict(zip(self.support, self.masses.tolist())))
 
     def mass(self, word: Word) -> float:
-        return self._atoms.get(tuple(word), 0.0)
+        return self.atoms.get(tuple(word), 0.0)
 
     def __len__(self) -> int:
-        return len(self._atoms)
+        return len(self.masses)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, DiscreteMeasure)
                 and self.space == other.space
-                and self._atoms == other._atoms)
+                and np.array_equal(self.digits, other.digits)
+                and np.array_equal(self.masses, other.masses))
 
     def __hash__(self):
-        return hash((self.space, tuple(self._atoms.items())))
+        return hash((self.space, self.digits.tobytes(), self.masses.tobytes()))
 
     def __repr__(self) -> str:
         return (f"DiscreteMeasure(|A|={self.space.alphabet_size}, "
-                f"n={self.space.dimension}, atoms={len(self._atoms)})")
+                f"n={self.space.dimension}, atoms={len(self)})")
 
 
 @dataclass(frozen=True, eq=False)
@@ -314,13 +370,9 @@ def marginal(mu: DiscreteMeasure, coords: Iterable[int]) -> DiscreteMeasure:
     n = mu.space.dimension
     if coords[0] < 0 or coords[-1] >= n:
         raise MeasureError(f"coords {coords} outside [0,{n})")
-    out: dict[Word, float] = {}
-    for word, mass in mu.atoms.items():
-        proj = tuple(word[c] for c in coords)
-        out[proj] = out.get(proj, 0.0) + mass
+    digits, masses, _ = _merged(mu.digits[:, coords], mu.masses)
     # projection preserves mass exactly; projected words lie in the space
-    return DiscreteMeasure._of_words(mu.space.restrict(len(coords)), tuple(out),
-                                     list(out.values()))
+    return DiscreteMeasure._of_arrays(mu.space.restrict(len(coords)), digits, masses)
 
 
 def reweight(mu: DiscreteMeasure, rho) -> DiscreteMeasure:
@@ -330,11 +382,10 @@ def reweight(mu: DiscreteMeasure, rho) -> DiscreteMeasure:
     must be nonnegative on the support and have positive integral.
     Conditioning on a set is the special case where ``rho`` is its indicator.
     """
-    vals = [float(rho(w) if callable(rho) else rho.get(w, 0.0)) for w in mu.support]
-    if min(vals) < 0:
-        raise MeasureError(f"negative density {min(vals)}")
-    return DiscreteMeasure._of_support(mu.space, *_pruned(
-        mu.support, [v * m for v, m in zip(vals, mu.atoms.values())]))
+    vals = _values_on(mu, rho, 0.0)
+    if vals.min() < 0:
+        raise MeasureError(f"negative density {vals.min()}")
+    return DiscreteMeasure._of_arrays(mu.space, mu.digits, _pruned(vals * mu.masses))
 
 
 def condition(mu: DiscreteMeasure, subset: Iterable[Word]) -> DiscreteMeasure:
@@ -342,17 +393,27 @@ def condition(mu: DiscreteMeasure, subset: Iterable[Word]) -> DiscreteMeasure:
     return reweight(mu, dict.fromkeys(map(tuple, subset), 1.0))
 
 
+def _summed(space: ProductSpace, digits: np.ndarray, raw: np.ndarray) -> DiscreteMeasure:
+    """The measure on ``space`` (whose words the rows of ``digits`` are, in
+    any order) with mass at each distinct row proportional to the sum of its
+    ``raw`` values, added in row order from 0.0, after ``_pruned`` with the
+    total added in the order the rows first appear: the bits of a word-keyed
+    dict that accumulates them and is then normalised."""
+    digits, sums, first = _merged(digits, raw)
+    order = np.argsort(first)
+    masses = np.empty(len(sums))
+    masses[order] = _pruned(sums[order])
+    return DiscreteMeasure._of_arrays(space, digits, masses)
+
+
 def mix(rep: MixtureRepresentation) -> DiscreteMeasure:
     """Atomwise weighted sum of the components."""
     if len(rep) == 1:
         return rep.components[0]
-    raw: dict[Word, float] = {}
-    for weight, comp in zip(rep.weights, rep.components):
-        if weight == 0.0:
-            continue
-        for w, m in comp.atoms.items():
-            raw[w] = raw.get(w, 0.0) + weight * m
-    return DiscreteMeasure._of_words(rep.space, *_pruned(tuple(raw), list(raw.values())))
+    terms = [(w, c) for w, c in zip(rep.weights, rep.components) if w != 0.0]
+    return _summed(rep.space, np.concatenate([c.digits for _, c in terms]),
+                   np.repeat([w for w, _ in terms], [len(c) for _, c in terms])
+                   * np.concatenate([c.masses for _, c in terms]))
 
 
 def fuzzy_split(mu: DiscreteMeasure, fp: FuzzyPartition) -> MixtureRepresentation:
@@ -368,17 +429,15 @@ def fuzzy_split(mu: DiscreteMeasure, fp: FuzzyPartition) -> MixtureRepresentatio
     if fp.support != support:   # column -1 of the padded rows is 0
         index = {w: i for i, w in enumerate(fp.support)}
         dens = np.pad(dens, ((0, 0), (0, 1)))[:, [index.get(w, -1) for w in support]]
-    masses = np.array(tuple(mu.atoms.values()))
-    weights, comps = [], []
-    for row in dens:
-        raw = (row * masses).tolist()
-        p = _sum(raw)
-        if p <= PRUNE_TOL:
-            continue
-        if row.min() < 0:
-            raise MeasureError(f"negative density {row.min()}")
-        weights.append(p)
-        comps.append(DiscreteMeasure._of_support(mu.space, *_pruned(support, raw, p)))
+    raw = dens * mu.masses
+    p = _left_sums(raw)
+    live = p > PRUNE_TOL
+    dens, raw = dens[live], raw[live]
+    low = dens.min(axis=1, initial=0.0)
+    if (low < 0).any():
+        raise MeasureError(f"negative density {low[(low < 0).argmax()]}")
+    comps = [DiscreteMeasure._of_arrays(mu.space, mu.digits, row) for row in _pruned(raw)]
+    weights = p[live].tolist()
     total = _sum(weights)
     if not abs(total - 1.0) <= FUZZY_TOL:
         raise MeasureError(f"fuzzy partition covers mass {total!r} of the "
@@ -396,44 +455,36 @@ def hookup(weights: Sequence[float], kernel: Sequence[DiscreteMeasure]) -> Discr
     rep = MixtureRepresentation(tuple(weights), tuple(kernel))
     n = rep.space.dimension
     alpha = max(rep.space.alphabet_size, len(rep))
-    joint_space = ProductSpace(alpha, n + 1)
-    raw: dict[Word, float] = {}
-    for j, (weight, comp) in enumerate(zip(rep.weights, rep.components)):
-        if weight == 0.0:
-            continue
-        for w, m in comp.atoms.items():
-            raw[(j,) + w] = weight * m
-    return DiscreteMeasure(joint_space, raw)
+    terms = [(j, w, c) for j, (w, c) in enumerate(zip(rep.weights, rep.components))
+             if w != 0.0]
+    # index-major rows of sorted components are sorted
+    return DiscreteMeasure._of_arrays(
+        ProductSpace(alpha, n + 1),
+        np.concatenate([np.insert(c.digits, 0, j, axis=1) for j, _, c in terms]),
+        np.concatenate([w * c.masses for _, w, c in terms]))
 
 
 def regroup(mu: DiscreteMeasure, block: int) -> DiscreteMeasure:
     """View a measure on ``A^(k*block)`` as one on ``(A^block)^k``.
 
     Consecutive blocks of ``block`` symbols are encoded as single symbols in
-    ``range(|A|**block)``, most-significant-first.
+    ``range(|A|**block)``, most-significant-first, which keeps the words'
+    lexicographic order.
     """
     n = mu.space.dimension
     if block < 1 or n % block != 0:
         raise MeasureError(f"dimension {n} is not a multiple of block {block}")
     a = mu.space.alphabet_size
-    k = n // block
-    space = ProductSpace(a ** block, k)
-    out: dict[Word, float] = {}
-    for word, mass in mu.atoms.items():
-        enc = []
-        for i in range(k):
-            code = 0
-            for s in word[i * block:(i + 1) * block]:
-                code = code * a + s
-            enc.append(code)
-        out[tuple(enc)] = mass
-    return DiscreteMeasure(space, out)
+    space = ProductSpace(a ** block, n // block)
+    codes = mu.digits.reshape(len(mu), n // block, block) @ a ** np.arange(block - 1, -1, -1)
+    return DiscreteMeasure._of_arrays(space, codes, mu.masses)
 
 
 def variation_norm(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     """The total mass of |mu - nu| (lies in [0, 2])."""
-    words = set(mu.atoms) | set(nu.atoms)
-    return _sum(abs(mu.mass(w) - nu.mass(w)) for w in sorted(words))
+    _, diff, _ = _merged(np.concatenate((mu.digits, nu.digits)),
+                         np.concatenate((mu.masses, -nu.masses)))
+    return float(_left_sums(np.abs(diff)))
 
 
 def tv_distance(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
@@ -457,7 +508,7 @@ def product_measure(space: ProductSpace, dists: Sequence[Sequence[float]]
     if bad.size:
         raise MeasureError(f"word {tuple(digits[bad[0]].tolist())!r} not in "
                            f"A^{n} with |A|={space.alphabet_size}")
-    return DiscreteMeasure._of_rows(space, digits, masses[0])
+    return DiscreteMeasure._of_arrays(space, digits, masses[0])
 
 
 def _product_rows(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -491,7 +542,8 @@ def measure_to_dict(mu: DiscreteMeasure) -> dict:
     return {
         "alphabet_size": mu.space.alphabet_size,
         "dimension": mu.space.dimension,
-        "atoms": [{"word": list(w), "mass": m} for w, m in mu.atoms.items()],
+        "atoms": [{"word": w, "mass": m}
+                  for w, m in zip(mu.digits.tolist(), mu.masses.tolist())],
     }
 
 
@@ -524,8 +576,12 @@ def measure_from_dict(data: dict) -> DiscreteMeasure:
         if word in atoms:
             raise MeasureError(f"atoms[{i}].word: duplicate word {list(word)}")
         atoms[word] = float(mass)
+    # each word is checked once, above
+    words = sorted(atoms)
     try:
-        return DiscreteMeasure(space, atoms)
+        return DiscreteMeasure._of_arrays(
+            space, np.array(words, dtype=np.int64).reshape(len(words), space.dimension),
+            np.array([atoms[w] for w in words], dtype=float))
     except MeasureError as exc:
         raise MeasureError(f"atoms: {exc}") from exc
 

@@ -41,6 +41,7 @@ from .measures import (
     _left_sums,
     _product_rows,
     _sum,
+    _summed,
     product_measure,
     regroup,
     variation_norm,
@@ -220,22 +221,18 @@ def exact_block_measure(spec: ProcessSpec, n: int) -> DiscreteMeasure:
     """Exact law of a length-``n`` output window."""
     if isinstance(spec, (IIDSpec, MarkovSpec, HiddenSpec)):
         digits, masses = _window_rows(spec, n)    # checks n >= 1
-        return DiscreteMeasure._of_rows(ProductSpace(spec.alphabet_size, n), digits, masses)
+        return DiscreteMeasure._of_arrays(ProductSpace(spec.alphabet_size, n), digits, masses)
     if isinstance(spec, BlockCodeSpec):
         k = -(-n // spec.out_len)  # windows needed to cover n letters
         base_law = exact_block_measure(spec.base, k * spec.window)
-        space = ProductSpace(spec.out_alphabet, n)
-        out: dict[Word, float] = {}
-        for word, mass in base_law.atoms.items():
-            enc: list[int] = []
-            for i in range(k):
-                chunk = word[i * spec.window:(i + 1) * spec.window]
-                if chunk not in spec.code:
-                    raise MeasureError(f"code table missing input {chunk}")
-                enc.extend(spec.code[chunk])
-            key = tuple(enc[:n])
-            out[key] = out.get(key, 0.0) + mass
-        return DiscreteMeasure.from_unnormalized(space, out)
+        encoded = []
+        for word in base_law.digits.reshape(len(base_law), k, spec.window).tolist():
+            chunks = list(map(tuple, word))
+            missing = [chunk for chunk in chunks if chunk not in spec.code]
+            if missing:
+                raise MeasureError(f"code table missing input {missing[0]}")
+            encoded.append([s for chunk in chunks for s in spec.code[chunk]][:n])
+        return _summed(ProductSpace(spec.out_alphabet, n), np.array(encoded), base_law.masses)
     if isinstance(spec, JointSpec):
         return exact_block_measure(spec.base, n)
     raise MeasureError(f"unknown spec {spec!r}")
@@ -256,8 +253,7 @@ def _window_rows(spec: ProcessSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(spec, HiddenSpec):
         return _dp_block(spec.base, spec.emit, n)
     law = exact_block_measure(spec, n)
-    return (np.array(law.support, dtype=np.int64).reshape(len(law), n),
-            np.array(list(law.atoms.values())))
+    return law.digits, law.masses
 
 
 def _dp_block(chain: MarkovSpec, emit: Sequence[int], n: int
@@ -342,13 +338,8 @@ def empirical_block_measure(spec: ProcessSpec, n: int, length: int,
     """Sliding-window frequencies along one simulated path."""
     if length < n:
         raise MeasureError("path length must be at least the window length")
-    path = simulate_path(spec, length, seed)
-    counts: dict[Word, float] = {}
-    for i in range(length - n + 1):
-        w = tuple(path[i:i + n])
-        counts[w] = counts.get(w, 0.0) + 1.0
-    space = ProductSpace(spec.alphabet_size, n)
-    return DiscreteMeasure.from_unnormalized(space, counts)
+    windows = np.lib.stride_tricks.sliding_window_view(simulate_path(spec, length, seed), n)
+    return _summed(ProductSpace(spec.alphabet_size, n), windows, np.ones(len(windows)))
 
 
 # -----------------------------------------------------------------------------
@@ -375,16 +366,16 @@ def block_kernel(spec: JointSpec, n: int) -> BlockKernel:
     totals = _left_sums(np.where(grid > PRUNE_TOL, grid, 0.0))
     if not (totals > 0.0).all():
         raise MeasureError("null reweighting")
-    # a pruned atom gets mass 0, which ``_of_support`` drops
-    cond = np.where(masses > PRUNE_TOL, masses / totals[group], 0.0).tolist()
-    a_words = list(map(tuple, a_digits[order].tolist()))
-    a_space = ProductSpace(spec.a_size, n)
+    # a pruned atom gets mass 0, which ``_of_arrays`` drops; within one b the
+    # a rows keep the joint rows' lexicographic order
+    cond = np.where(masses > PRUNE_TOL, masses / totals[group], 0.0)
+    a_digits, a_space = a_digits[order], ProductSpace(spec.a_size, n)
     bounds = np.append(starts, len(order)).tolist()
-    kernel = {b: DiscreteMeasure._of_support(a_space, a_words[lo:hi], cond[lo:hi])
+    kernel = {b: DiscreteMeasure._of_arrays(a_space, a_digits[lo:hi], cond[lo:hi])
               for b, lo, hi in zip(map(tuple, b_digits[starts].tolist()),
                                    bounds, bounds[1:])}
-    base = DiscreteMeasure._of_rows(ProductSpace(spec.b_size, n),
-                                    b_digits[starts], _left_sums(grid))
+    base = DiscreteMeasure._of_arrays(ProductSpace(spec.b_size, n),
+                                      b_digits[starts], _left_sums(grid))
     return BlockKernel(n, base, kernel)
 
 
@@ -427,21 +418,21 @@ def tc_profile(spec: ProcessSpec, n_max: int, block_size: int | None = None
 
 def _conditional_rows(bk: BlockKernel, block_size: int) -> tuple[ProductSpace, list]:
     """The conditional laws of ``bk``, regrouped into blocks of ``block_size``,
-    with their space, as one batch per support: its base strings, the
-    support, their ``(strings, |support|)`` mass array and TCs (one
+    with their space, as one batch per support: its base strings, its digit
+    rows, their ``(strings, |support|)`` mass array and TCs (one
     ``_tc_rows`` call).  A batch on the union of all supports would spend
     its work on zeros when the conditionals are sparse in a large union."""
     laws = {b: bk.conditional(b) for b in bk.base.support}
     if block_size > 1:
         laws = {b: regroup(mu, block_size) for b, mu in laws.items()}
     space, batches = next(iter(laws.values())).space, {}
-    for b, mu in laws.items():
-        batches.setdefault(mu.support, []).append(b)
+    for b, mu in laws.items():   # one space, so equal bytes are equal rows
+        batches.setdefault(mu.digits.tobytes(), []).append(b)
     out = []
-    for support, strings in batches.items():
-        masses = np.array([tuple(laws[b].atoms.values()) for b in strings])
-        out.append((strings, support, masses,
-                    _tc_rows(support, masses, space.alphabet_size)[0].tolist()))
+    for strings in batches.values():
+        digits, masses = laws[strings[0]].digits, np.array([laws[b].masses for b in strings])
+        out.append((strings, digits, masses,
+                    _tc_rows(digits, masses, space.alphabet_size)[0].tolist()))
     return space, out
 
 

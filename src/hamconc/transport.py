@@ -59,8 +59,9 @@ from .measures import (DiscreteMeasure, MeasureError, SupportCapExceeded, Word,
 DEFAULT_EXACT_CAP = 1 << 16
 #: guard on the dense cost-matrix size (cells)
 MATRIX_CELL_CAP = 1 << 24
-#: exact pairwise diameter is used up to this many pairs
-DIAMETER_PAIR_CAP = 10_000
+#: element cap of one row block of the mismatch matrix a diameter is read
+#: from (a search in ``refute_T`` builds the whole matrix only when it needs it)
+DIAMETER_BLOCK_ELEMENTS = 1 << 16
 
 ENV_CAP_VAR = "HC_MAX_SUPPORT"
 
@@ -109,22 +110,25 @@ def lipschitz_slack(values: np.ndarray, dist: np.ndarray) -> float:
     return float(diff.max())
 
 
-def diameter(words: Sequence[Word]) -> float:
-    """Diameter of a word set under the normalized Hamming metric.
+def _farthest(words: np.ndarray) -> tuple[int, np.ndarray]:
+    """The largest mismatch count between two rows of ``words`` (digit rows,
+    at least one), read from row blocks of the mismatch matrix under
+    ``DIAMETER_BLOCK_ELEMENTS`` and stopping once it reaches n, with the last
+    block (the whole matrix when one block holds it)."""
+    n = words.shape[1]
+    step, far = max(1, DIAMETER_BLOCK_ELEMENTS // len(words)), 0
+    for lo in range(0, len(words), step):
+        block = mismatch_matrix(words[lo:lo + step], words)
+        far = max(far, int(block.max()))
+        if far == n:
+            break
+    return far, block
 
-    Exact pairwise computation up to ``DIAMETER_PAIR_CAP`` pairs; beyond that,
-    the upper bound from per-coordinate mismatch ranges is returned.
-    """
-    words = list(words)
-    if not words:
-        return 0.0
-    n = len(words[0])
-    if len(words) * len(words) <= DIAMETER_PAIR_CAP:
-        dm = mismatch_matrix(words, words)
-        return float(dm.max()) / n
-    arr = np.asarray(words)
-    varying = int((arr.max(axis=0) != arr.min(axis=0)).sum())
-    return varying / n
+
+def diameter(words: Sequence[Word]) -> float:
+    """Diameter of a word set under the normalized Hamming metric, exactly."""
+    words = np.asarray(words, dtype=np.int64)
+    return _farthest(words)[0] / words.shape[1] if len(words) else 0.0
 
 
 # -----------------------------------------------------------------------------
@@ -618,9 +622,7 @@ def transport_distance(mu: DiscreteMeasure, nu: DiscreteMeasure, *,
             f"unknown transport method {method!r}; use 'exact' or 'sinkhorn'")
     src, tgt = mu.support, nu.support
     rows, cols, mass, _, cost, u, v = _exact_coupling(
-        np.asarray(src, dtype=np.int64), np.fromiter(mu.atoms.values(), float, len(src)),
-        np.asarray(tgt, dtype=np.int64), np.fromiter(nu.atoms.values(), float, len(tgt)),
-        mu.space.alphabet_size, cap)
+        mu.digits, mu.masses, nu.digits, nu.masses, mu.space.alphabet_size, cap)
     plan = {(src[i], tgt[j]): m for i, j, m in zip(rows.tolist(), cols.tolist(), mass.tolist())}
     tp = TransportPlan(mu, nu, plan, cost, exact=True,
                        row_potentials=tuple(u.tolist()),
@@ -698,14 +700,11 @@ def dual_gap(plan: TransportPlan) -> tuple[DualCertificate, float]:
         raise MeasureError("dual_gap needs an exact plan with solver potentials")
     mu, nu = plan.source, plan.target
     n = mu.space.dimension
-    src = list(mu.support)
-    tgt = list(nu.support)
     v = np.array(plan.col_potentials, dtype=np.int64)
-    cost_st = mismatch_matrix(src, tgt)
     # g_i = max_j (v_j - c_ij): the conjugate source potential
-    g = (v[None, :] - cost_st).max(axis=1)
-    union = sorted(set(src) | set(tgt))
-    cost_su = mismatch_matrix(src, union)
+    g = (v[None, :] - mismatch_matrix(mu.digits, nu.digits)).max(axis=1)
+    union = sorted(set(mu.support) | set(nu.support))
+    cost_su = mismatch_matrix(mu.digits, union)
     phi = _mcshane_potential(cost_su, g) / n
     cert = DualCertificate({w: float(p) for w, p in zip(union, phi)})
     gap = plan.cost - cert.objective(mu, nu)
@@ -720,12 +719,8 @@ def dual_gap(plan: TransportPlan) -> tuple[DualCertificate, float]:
 def _sinkhorn_distance(mu: DiscreteMeasure, nu: DiscreteMeasure, *,
                        reg: float, max_iters: int = 2000,
                        tol: float = 1e-12) -> tuple[float, TransportPlan]:
-    src = list(mu.support)
-    tgt = list(nu.support)
-    a = np.array([mu.atoms[w] for w in src])
-    b = np.array([nu.atoms[w] for w in tgt])
-    n = mu.space.dimension
-    cost = mismatch_matrix(src, tgt) / n
+    src, tgt, a, b = mu.support, nu.support, mu.masses, nu.masses
+    cost = mismatch_matrix(mu.digits, nu.digits) / mu.space.dimension
     log_a = np.log(a)
     log_b = np.log(b)
     f = np.zeros(len(src))

@@ -191,7 +191,7 @@ def fuzzy_split_dict(mu, densities):
     library computed it before fuzzy partitions became arrays: each density
     read word by word on the support of ``mu``."""
     from hamconc import MeasureError, MixtureRepresentation
-    from hamconc.measures import FUZZY_TOL, PRUNE_TOL, DiscreteMeasure, _pruned
+    from hamconc.measures import FUZZY_TOL, PRUNE_TOL, DiscreteMeasure
 
     masses = tuple(mu.atoms.values())
     weights, comps = [], []
@@ -204,7 +204,11 @@ def fuzzy_split_dict(mu, densities):
         if min(dens) < 0:
             raise MeasureError(f"negative density {min(dens)}")
         weights.append(p)
-        comps.append(DiscreteMeasure._of_support(mu.space, *_pruned(mu.support, raw, p)))
+        # atoms at or below PRUNE_TOL are dropped, and the rest divided by
+        # their total (p when none is dropped)
+        kept = [(w, x) for w, x in zip(mu.support, raw) if x > PRUNE_TOL]
+        total = p if len(kept) == len(raw) else left_sum([x for _, x in kept])
+        comps.append(DiscreteMeasure(mu.space, {w: x / total for w, x in kept}))
     total = left_sum(weights)
     if not abs(total - 1.0) <= FUZZY_TOL:
         raise MeasureError(f"fuzzy partition covers mass {total!r} of the "

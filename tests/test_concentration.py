@@ -22,7 +22,6 @@ from hamconc import (
     transport_distance,
 )
 from hamconc.concentration import (
-    DIAMETER_BLOCK_ELEMENTS,
     DensityBound,
     Lift,
     LParams,
@@ -47,7 +46,8 @@ from hamconc.concentration import (
     tilted_divergence,
 )
 from hamconc import concentration as concentration_module
-from hamconc.transport import mismatch_matrix
+from hamconc import transport as transport_module
+from hamconc.transport import DIAMETER_BLOCK_ELEMENTS, mismatch_matrix
 from hamconc.measures import MeasureError, product_measure
 
 from conftest import biased_product, make_measure, random_measure, two_cluster
@@ -272,7 +272,9 @@ def test_a_priori_bounds_read_the_diameter_from_row_blocks(monkeypatch):
         sizes.append(len(src) * len(tgt))
         return mismatch_matrix(src, tgt)
 
-    monkeypatch.setattr(concentration_module, "mismatch_matrix", counting)
+    # the scan lives in transport, the search's whole matrix in concentration
+    for module in (transport_module, concentration_module):
+        monkeypatch.setattr(module, "mismatch_matrix", counting)
     res = refute_T(mu, TParams(2.4, 0.3))
     assert (res.status, res.bound) == ("holds", "hoeffding")
     # the first block holds the antipodal pair, so the scan stops there

@@ -174,7 +174,7 @@ def test_gate_matches_measure_building_oracle(monkeypatch):
         calls.clear()
         decrement_step(mu, 0.3)
         for (support, masses, densities, r, i_floor, dtc), got in calls:
-            assert support == mu.support
+            assert tuple(map(tuple, support.tolist())) == mu.support
             for row, floor, d, dens, cand in zip(masses, i_floor, dtc, densities,
                                                  _candidates(got)):
                 assert tuple(row.tolist()) == tuple(mu.atoms.values())
@@ -409,7 +409,9 @@ def test_recursion_checks_each_split_once(monkeypatch):
     assert matrices == []
     sparse = _pruned_split_measure()
     decrement_recursion(sparse, replace(CFG, r=0.1))
-    assert matrices == [(sparse.support, sparse.support)]
+    words = [list(w) for w in sparse.support]
+    assert [(np.asarray(src).tolist(), np.asarray(tgt).tolist())
+            for src, tgt in matrices] == [(words, words)]
     matrices.clear()
     monkeypatch.setattr(decompose, "_decrement_steps", recording_steps)
     monkeypatch.setattr(decompose, "_score_slate", recording_score)
@@ -433,7 +435,7 @@ def test_recursion_checks_each_split_once(monkeypatch):
     assert [sum(b["count"] for b in rnd) for rnd in rounds] == \
         [1] + [2 * s for s in splits[:-1]]
     for rnd in rounds:
-        assert len({b["support"] for b in rnd}) == len(rnd)
+        assert len({np.asarray(b["support"]).tobytes() for b in rnd}) == len(rnd)
         for b in rnd:
             # one slate per batch, holding only the batch's own measures
             assert len(b["slates"]) <= 1 and all(sl <= b["rows"] for sl in b["slates"])

@@ -1,6 +1,7 @@
 """Every name a library module imports is used in that module, every
 private module-level function of the library is referenced from the library
-itself, and the library never calls the builtin ``sum``."""
+itself, the library never calls the builtin ``sum``, and no layer rebuilds a
+measure's arrays from its views."""
 import ast
 from pathlib import Path
 
@@ -105,3 +106,40 @@ def test_checker_sees_builtin_sum_calls():
               "    return _sum(xs) + a.sum() + np.sum(a) + sum(\n"
               "        x for x in xs)\n")
     assert _builtin_sum_calls(source) == [3, 4, 5]
+
+
+def _array_rebuilds(source: str) -> list[int]:
+    """Lines that pass an expression reading ``.atoms`` or ``.support`` to
+    ``np.array``, ``np.asarray`` or ``np.fromiter``: a measure is its
+    ``digits`` and ``masses`` arrays, and its word views are for I/O and the
+    public API, so an array rebuilt from them is a second representation."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("array", "asarray", "fromiter")
+                and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"):
+            args = node.args + [keyword.value for keyword in node.keywords]
+            if any(isinstance(sub, ast.Attribute) and sub.attr in ("atoms", "support")
+                   for arg in args for sub in ast.walk(arg)):
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "measures.py"],
+                         ids=lambda p: p.name)
+def test_no_array_rebuilt_from_measure_views(path):
+    # ``measures.py`` owns the representation and builds the views
+    assert _array_rebuilds(path.read_text()) == []
+
+
+def test_checker_sees_array_rebuilds():
+    source = ("import numpy as np\n"
+              "def f(mu, words):\n"
+              "    a = np.array(tuple(mu.atoms.values()))\n"
+              "    b = np.asarray(mu.support, dtype=np.int64)\n"
+              "    c = np.fromiter(mu.atoms.values(), float, len(mu))\n"
+              "    d = np.array([mu.atoms[w]\n"
+              "                  for w in words])\n"
+              "    e = np.array(object=mu.support)\n"
+              "    return np.asarray(mu.digits), np.array(mu.masses), np.array(words), mu.support\n")
+    assert _array_rebuilds(source) == [3, 4, 5, 6, 8]

@@ -338,6 +338,16 @@ def test_regroup_diagonal():
     assert math.isclose(g.mass((3, 0)), 0.5)
 
 
+def test_symbols_past_int64_are_refused():
+    # symbols are stored as int64: a block alphabet past 2**63 raises, where
+    # its codes would wrap around; one of 2**62 symbols still regroups
+    mu = make_measure(2 ** 32, 2, {(0, 1): 0.5, (2 ** 32 - 1, 0): 0.5})
+    with pytest.raises(MeasureError, match=r"2\*\*63"):
+        regroup(mu, 2)
+    big = regroup(make_measure(2 ** 31, 2, {(1, 2 ** 31 - 1): 1.0}), 2)
+    assert big.support == ((2 ** 32 - 1,),)
+
+
 @given(st.integers(2, 4), st.integers(1, 3))
 @settings(max_examples=30, deadline=None)
 def test_point_mass_valid(alphabet, n):
@@ -367,6 +377,23 @@ def test_measure_file_roundtrip(tmp_path):
     path2 = tmp_path / "m2.json"
     dump_measure(again, str(path2))
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_loader_checks_each_word_once(monkeypatch):
+    # the loader checks every word with ``ProductSpace.contains`` and builds
+    # through the unchecked array constructor: one call per atom of the file
+    mu = make_measure(2, 3, {w: 1 / 8 for w in itertools.product(range(2), repeat=3)})
+    data = json.loads(json.dumps(measure_to_dict(mu)))
+    calls = []
+    contains = ProductSpace.contains
+
+    def counting(space, word):
+        calls.append(word)
+        return contains(space, word)
+
+    monkeypatch.setattr(ProductSpace, "contains", counting)
+    assert measure_from_dict(data) == mu
+    assert len(calls) == len(mu) == 8
 
 
 def test_loader_errors_carry_field_paths(tmp_path):

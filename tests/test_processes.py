@@ -468,7 +468,7 @@ def test_conditional_partition_labels_widen_past_2n_cells(monkeypatch):
     def many_cells(space, support, masses, cfg, tcs):
         out = []
         for row in masses:
-            words = [w for w, m in zip(support, row) if m > 0.0]
+            words = [tuple(w) for w, m in zip(np.asarray(support).tolist(), row) if m > 0.0]
             sets = ((words[0],),) + ((),) * (2 ** n - 1) + (tuple(words[1:]),)
             out.append(SimpleNamespace(sets=sets))
         return out

@@ -62,6 +62,10 @@ def test_diameter_exact_and_bounded():
     words = [(0, 0, 0), (1, 1, 0), (1, 0, 0)]
     assert math.isclose(diameter(words), 2 / 3)
     assert diameter([(0, 0)]) == 0.0
+    # exact past 10,000 pairs too: the 100 unit vectors of {0,1}^100 and zero
+    # lie 2/100 apart at most, where the per-coordinate ranges would give 1
+    units = [tuple(int(i == j) for j in range(100)) for i in range(100)]
+    assert diameter(units + [(0,) * 100]) == 0.02
 
 
 # -----------------------------------------------------------------------------
