@@ -59,13 +59,14 @@ from .information import (
     ROW_BLOCK_ELEMENTS,
     _dtc_rows,
     _kl_rows,
+    _mixture_information,
     _tc_rows,
     dual_total_correlation,
     mixture_mutual_information,
     total_correlation,
     trim_coordinates,
 )
-from .transport import _exact_coupling, mismatch_matrix
+from .transport import _exact_couplings, mismatch_matrix
 from .concentration import (
     DensityBound,
     Lift,
@@ -483,10 +484,11 @@ def _sample_coarsen_detail(mu: DiscreteMeasure, rep: MixtureRepresentation,
         raise MeasureError(
             f"good-set mass {good_mass} does not exceed 1 - epsilon/2")
 
-    info = mixture_mutual_information(rep, mu)
+    # the components laid out once on supp(mu)
+    rows, inside = _mass_rows(rep.components, mu)
+    info = _mixture_information(rep.weights, rows, inside, mu.masses)
     # truncation of the density kernel: analysis device, recorded as diagnostics
     f_cap = math.exp(min(8.0 * (info + 1.0) / epsilon, 700.0))
-    rows, _ = _mass_rows(rep.components, mu)
     trunc_mass = float(_left_sums(
         (weights[:, None] * (rows - f_cap * mu.masses))[rows / mu.masses > f_cap]))
     exponent = 16.0 * (info + 1.0) / epsilon
@@ -509,7 +511,11 @@ def _sample_coarsen_detail(mu: DiscreteMeasure, rep: MixtureRepresentation,
         emp = MixtureRepresentation(
             tuple(counts[i] / m_eff for i in idx),
             tuple(rep.components[i] for i in idx))
-        err = variation_norm(mix(emp), mu)
+        if inside[idx].all():
+            err = float(_left_sums(np.abs(_mixed_rows(np.array(emp.weights), rows[idx])
+                                          - mu.masses)))
+        else:    # a component off supp(mu) has atoms the rows do not hold
+            err = variation_norm(mix(emp), mu)
         best_tv = min(best_tv, err)
         if err < 3.0 * epsilon:
             diag.update({"m": m_eff, "unique": len(idx), "variation": err})
@@ -518,6 +524,23 @@ def _sample_coarsen_detail(mu: DiscreteMeasure, rep: MixtureRepresentation,
             raise BudgetExhausted(
                 f"sampling cap {m_eff} exhausted; best variation {best_tv}")
         m *= 2
+
+
+def _mixed_rows(weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The masses of ``mix`` of components given as rows on one support that
+    holds all their atoms (zero at a missing atom), with the bits of ``mix``:
+    one component is itself; otherwise each atom adds its terms in
+    component order, and the pruned total adds the atoms in the order they
+    first appear (component, then support order)."""
+    if len(rows) == 1:
+        return rows[0]
+    sums = _left_sums((weights[:, None] * rows).T)
+    atoms = rows > 0.0
+    order = np.lexsort((np.arange(rows.shape[1]), atoms.argmax(axis=0)))
+    order = order[atoms.any(axis=0)[order]]
+    out = np.zeros(rows.shape[1])
+    out[order] = _pruned(sums[order])
+    return out
 
 
 def sample_coarsen(mu: DiscreteMeasure, rep: MixtureRepresentation,
@@ -719,9 +742,10 @@ def _carve_rows(space: ProductSpace, digits: np.ndarray, rows: np.ndarray,
     """``carve_concentrated_set`` of each measure on the digit rows
     ``digits`` with atoms a row of ``rows`` (zero at a missing atom), each
     carve with the sorted indices of its cell: one ``_tc_rows`` call, and the
-    small-tc rows' products of marginals built in row blocks under
-    ``ROW_BLOCK_ELEMENTS``.  Every float is the one the row's measure gets
-    alone."""
+    small-tc rows in row blocks under ``ROW_BLOCK_ELEMENTS``, each block's
+    products of marginals built and coupled to its rows by one
+    ``_exact_couplings`` call (one solve per row).  Every float is the one
+    the row's measure gets alone."""
     n, q, r = space.dimension, space.alphabet_size, cfg.r
     tcs, marginals = _tc_rows(digits, rows, q)
     cuts: list = [None] * len(rows)    # (cell, case, params, info) of each row
@@ -746,11 +770,11 @@ def _carve_rows(space: ProductSpace, digits: np.ndarray, rows: np.ndarray,
     step = max(1, ROW_BLOCK_ELEMENTS // min(q ** n, DEFAULT_SUPPORT_CAP))
     for lo in range(0, len(small), step):
         block = small[lo:lo + step]
-        product_digits, products = _product_rows(marginals[[i for i, _ in block]])
-        for (i, info), product in zip(block, products):
-            src, tgt = np.flatnonzero(product > 0.0), np.flatnonzero(rows[i] > 0.0)
-            _, cols, mass, counts, dbar, _, _ = _exact_coupling(
-                product_digits[src], product[src], digits[tgt], rows[i, tgt], q)
+        ids = [i for i, _ in block]
+        product_digits, products = _product_rows(marginals[ids])
+        couplings = _exact_couplings(product_digits, products, digits, rows[ids], q)
+        for (i, info), (_, cols, mass, counts, dbar, _, _) in zip(block, couplings):
+            tgt = np.flatnonzero(rows[i] > 0.0)
             info["dbar_to_product"] = dbar
             if dbar > r * r:
                 info["paper_inequality_failures"].append("marton distance dbar <= r^2")

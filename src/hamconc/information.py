@@ -232,9 +232,15 @@ def fuzzy_mutual_information(mu: DiscreteMeasure, fp: FuzzyPartition) -> float:
 def mixture_mutual_information(rep: MixtureRepresentation, mu: DiscreteMeasure) -> float:
     """sum_j p_j D(mu_j || mu) for a mixture representation of ``mu``, the
     divergences one batch of rows on its support (the bits of ``kl_divergence``)."""
-    rows, inside = _mass_rows(rep.components, mu)
+    return _mixture_information(rep.weights, *_mass_rows(rep.components, mu), mu.masses)
+
+
+def _mixture_information(weights: Sequence[float], rows: np.ndarray,
+                         inside: np.ndarray, reference: np.ndarray) -> float:
+    """``mixture_mutual_information`` of components laid out as ``_mass_rows``
+    does on the atoms ``reference`` of the mixture."""
     return _sum(p * (kl if ok else math.inf) for p, kl, ok in zip(
-        rep.weights, _kl_rows(rows, mu.masses).tolist(), inside.tolist()))
+        weights, _kl_rows(rows, reference).tolist(), inside.tolist()))
 
 
 def dtc_decrement(mu: DiscreteMeasure, fp: FuzzyPartition) -> tuple[float, float]:

@@ -59,9 +59,21 @@ def _sum(xs: Iterable[float]) -> float:
 
 
 def _left_sums(a: np.ndarray) -> np.ndarray:
-    """Last-axis sums added left to right, so a zero term changes no bit (a
-    copy: a view would hold the whole running sum)."""
-    return a.cumsum(axis=-1)[..., -1].copy() if a.shape[-1] else np.zeros(a.shape[:-1])
+    """Last-axis sums of a float array added left to right, so a zero term
+    changes no bit: the bits of ``a.cumsum(axis=-1)[..., -1]``, in a new
+    array.  Two terms are added directly.  Many rows of a longer axis are
+    one reduction over the first axis of a contiguous transposed copy, which
+    numpy adds a row at a time; few rows keep ``cumsum`` (a reduction along
+    a single row's own axis may add pairwise)."""
+    width = a.shape[-1]
+    if width == 2:
+        return np.add(a[..., 0], a[..., 1], out=np.empty(a.shape[:-1]))
+    if width < 2:
+        return a[..., 0].copy() if width else np.zeros(a.shape[:-1])
+    if a.size >= max(16 * width, 2048):    # where the copy pays for itself
+        return np.add.reduce(np.ascontiguousarray(np.moveaxis(a, -1, 0)), axis=0,
+                             initial=-0.0)    # -0.0 + x is x, for either zero too
+    return a.cumsum(axis=-1)[..., -1].copy()
 
 
 def _check_support_cap(bound: int, count) -> None:
@@ -105,8 +117,8 @@ def _pruned(raw: np.ndarray) -> np.ndarray:
     below ``PRUNE_TOL`` set to 0 and the others divided by their total, added
     left to right (a pruned value adds 0.0 there, which changes no bit)."""
     kept = np.where(raw > PRUNE_TOL, raw, 0.0)
-    totals = kept.cumsum(axis=-1)[..., -1:]
-    if not (totals > 0.0).all():
+    totals = _left_sums(kept)[..., None]
+    if kept.shape[-1] and not (totals > 0.0).all():
         raise MeasureError("null reweighting")
     return kept / totals
 
@@ -207,7 +219,7 @@ class DiscreteMeasure:
             digits, masses = digits[keep], masses[keep]
         if not len(masses):
             raise MeasureError("measure has empty support")
-        total = float(masses.cumsum()[-1])    # added left to right
+        total = float(_left_sums(masses))
         if abs(total - 1.0) > MASS_TOL:
             raise MeasureError(f"masses sum to {total!r}, not 1 within {MASS_TOL}")
         digits, masses = digits.view(), masses.view()
@@ -298,7 +310,7 @@ class FuzzyPartition:
         outside = ~((dens >= -FUZZY_TOL) & (dens <= 1.0 + FUZZY_TOL)).all(axis=0)  # or NaN
         if outside.any():
             raise MeasureError(f"density value outside [0,1] at {support[outside.argmax()]!r}")
-        totals = dens.cumsum(axis=0)[-1]
+        totals = _left_sums(dens.T)
         off = np.flatnonzero(~(np.abs(totals - 1.0) <= FUZZY_TOL))
         if off.size:
             raise MeasureError(f"densities sum to {float(totals[off[0]])!r} at "

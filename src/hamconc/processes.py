@@ -40,6 +40,7 @@ from .measures import (
     _check_support_cap,
     _left_sums,
     _product_rows,
+    _pruned,
     _sum,
     _summed,
     product_measure,
@@ -380,15 +381,16 @@ def block_kernel(spec: JointSpec, n: int) -> BlockKernel:
 
 
 def hookup_block_kernel(bk: BlockKernel, spec: JointSpec) -> DiscreteMeasure:
-    """Rebuild the joint window law from the kernel and its base."""
-    out: dict[Word, float] = {}
-    for b, mass in bk.base.atoms.items():
-        cond = bk.conditional(b)
-        for a, p in cond.atoms.items():
-            word = tuple(bb * spec.a_size + aa for bb, aa in zip(b, a))
-            out[word] = mass * p
-    space = ProductSpace(spec.alphabet_size, bk.n)
-    return DiscreteMeasure(space, out)
+    """Rebuild the joint window law from the kernel and its base: the joint
+    word of (b, a) has symbols b_i * a_size + a_i and mass base(b) cond_b(a)."""
+    conds = [bk.conditional(b) for b in bk.base.support]
+    digits = np.concatenate([b * spec.a_size + cond.digits
+                             for b, cond in zip(bk.base.digits, conds)])
+    masses = np.concatenate([mass * cond.masses
+                             for mass, cond in zip(bk.base.masses.tolist(), conds)])
+    order = np.lexsort(digits.T[::-1])
+    return DiscreteMeasure._of_arrays(ProductSpace(spec.alphabet_size, bk.n),
+                                      digits[order], masses[order])
 
 
 def tc_profile(spec: ProcessSpec, n_max: int, block_size: int | None = None
@@ -459,12 +461,16 @@ def block_independence_gap(lam: JointSpec, n: int, k: int) -> float:
     space = ProductSpace(lam.a_size, k * n)
 
     def product_of_pieces(b: Word) -> DiscreteMeasure:
-        prod: dict[Word, float] = {(): 1.0}
+        # prefix-major rows stay sorted; each layer drops products at or
+        # below PRUNE_TOL, and the total adds the rest in word order
+        digits, masses = np.zeros((1, 0), dtype=np.int64), np.ones(1)
         for j in range(k):
             piece = bk_short.conditional(b[j * n:(j + 1) * n])
-            prod = {prefix + w: pm * m for prefix, pm in prod.items()
-                    for w, m in piece.atoms.items() if pm * m > PRUNE_TOL}
-        return DiscreteMeasure.from_unnormalized(space, prod)
+            outer = masses[:, None] * piece.masses
+            prefix, word = np.nonzero(outer > PRUNE_TOL)
+            digits = np.concatenate((digits[prefix], piece.digits[word]), axis=1)
+            masses = outer[prefix, word]
+        return DiscreteMeasure._of_arrays(space, digits, _pruned(masses))
 
     return _sum(mass * transport_distance(bk_long.conditional(b),
                                           product_of_pieces(b))[0]

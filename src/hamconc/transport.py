@@ -35,6 +35,16 @@ decomposition of the optimal tree flow (``_split_tree_flow``), and its
 potentials restricted to the two supports are the transportation potentials,
 so ``dual_gap`` treats both solvers alike.
 
+Exact couplings come in batches (``_exact_couplings``): rows of masses on two
+shared word tables, such as a carve block's products of marginals against
+its conditional laws.  The rows on the Hamming graph share one supply array
+over the cube, each row is still solved once, and the pairs of all rows are
+sorted, counted and costed as arrays, so each row gets the bits it gets
+alone; ``_exact_coupling`` and ``transport_distance`` are the one-row case.
+The cube tables are built once per (q, n) and cached: the digits and arcs
+(``_hamming_graph``) and each word's candidate parents in the greedy tree
+(``_cube_parents``).
+
 The approximate backend is entropically regularized iteration.  It runs only
 on request (``method='sinkhorn'``, or ``transport --approx`` on the command
 line), never in place of an exact solve, and its plans are always labeled
@@ -53,7 +63,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .measures import (DiscreteMeasure, MeasureError, SupportCapExceeded, Word,
-                       _sum, condition, marginal)
+                       _left_sums, _sum, condition, marginal)
 
 #: default cap on combined support size for the exact backend
 DEFAULT_EXACT_CAP = 1 << 16
@@ -408,7 +418,7 @@ def _network_simplex(reduced, ends, parent, depth, flow, children, up, y):
                 break
             index = int(np.argmax(negative))
         else:
-            index = int(np.argmin(red))
+            index = int(red.argmin())
             if red[index] >= 0:
                 break
         tail, head = ends(index)
@@ -482,11 +492,21 @@ def _codes(words: np.ndarray, q: int) -> np.ndarray:
     return words @ q ** np.arange(words.shape[1] - 1, -1, -1)
 
 
-def _greedy_tree(supply: list[float], words: Sequence[Sequence[int]], q: int):
-    """Initial basis on the Hamming graph (``words``: the digits of each word,
-    in code order): a spanning tree rooted at word 0 in which each word
-    hangs from a word with one of its non-zero coordinates set to 0, so
-    parents have smaller codes.
+@functools.lru_cache(maxsize=8)
+def _cube_parents(q: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """Each word's candidate parents in ``_greedy_tree`` (words numbered as in
+    ``_hamming_graph``): the codes of the word with one of its non-zero
+    coordinates set to 0, in coordinate order."""
+    digits = _hamming_graph(q, n)[0]
+    moved = np.arange(q ** n)[:, None] - digits * q ** np.arange(n - 1, -1, -1)
+    return tuple(tuple(p for p, d in zip(row, word) if d)
+                 for row, word in zip(moved.tolist(), digits.tolist()))
+
+
+def _greedy_tree(supply: list[float], q: int, n: int):
+    """Initial basis on the Hamming graph of ``range(q)^n``: a spanning tree
+    rooted at word 0 in which each word hangs from one of its
+    ``_cube_parents``, so parents have smaller codes.
 
     Words are hung from the last code down, so a word's subtree, and with it
     its net supply S (own supply plus what hangs below it), is complete when
@@ -497,18 +517,20 @@ def _greedy_tree(supply: list[float], words: Sequence[Sequence[int]], q: int):
     ``parent``, ``depth``, ``flow``, ``children``, ``up`` and the potentials
     ``y`` (c - y[t] + y[h] = 0 on the tree).
     """
-    size, n = len(words), len(words[0])
-    strides = [q ** (n - 1 - c) for c in range(n)]
+    parents = _cube_parents(q, n)
+    size = len(parents)
     below = list(supply)
     parent = [-1] * size
     for w in range(size - 1, 0, -1):
         net = below[w]
-        sign = 1.0 if net > 0.0 else (-1.0 if net < 0.0 else 0.0)
-        best = None
-        for d, stride in zip(words[w], strides):
-            if d:
-                p = w - d * stride
-                if best is None or sign * below[p] < sign * below[best]:
+        best = parents[w][0]
+        if net > 0.0:
+            for p in parents[w]:
+                if below[p] < below[best]:
+                    best = p
+        elif net < 0.0:
+            for p in parents[w]:
+                if below[p] > below[best]:
                     best = p
         parent[w] = best
         below[best] += net
@@ -540,8 +562,8 @@ def _solve_graph(supply: list[float], q: int, n: int):
     y[0] = 0, the pivot count and the degenerate pivot count.  On every arc
     y[t] - y[h] <= 1, so y is 1-Lipschitz in mismatch counts.
     """
-    digits, tails, heads = _hamming_graph(q, n)
-    parent, depth, flow, children, up, y = _greedy_tree(supply, digits.tolist(), q)
+    _, tails, heads = _hamming_graph(q, n)
+    parent, depth, flow, children, up, y = _greedy_tree(supply, q, n)
     pivots, degenerate = _network_simplex(
         lambda y: 1 - y[tails] + y[heads],
         lambda index: (int(tails[index]), int(heads[index])),
@@ -551,8 +573,10 @@ def _solve_graph(supply: list[float], q: int, n: int):
 
 
 def _split_tree_flow(children: Sequence[Sequence[int]], supply: Sequence[float]
-                     ) -> dict[tuple[int, int], float]:
-    """Split the flow of a spanning-tree basis into (origin, sink) amounts.
+                     ) -> tuple[list[int], list[int], list[float]]:
+    """Split the flow of a spanning-tree basis into (origin, sink) amounts,
+    returned as parallel lists of origins, sinks and amounts; no (origin,
+    sink) pair repeats.
 
     On a tree the flow across each arc is the net supply below it, so a
     subtree's surplus can meet its own deficits first.  Children come before
@@ -567,25 +591,42 @@ def _split_tree_flow(children: Sequence[Sequence[int]], supply: Sequence[float]
     for k in order:  # breadth first from the root
         order.extend(children[k])
     left: list = [None] * len(order)
-    pairs: dict[tuple[int, int], float] = {}
+    origins: list[int] = []
+    sinks: list[int] = []
+    amounts: list[float] = []
     for w in reversed(order):
         m = supply[w]
-        give = [[w, m]] if m > 0.0 else []
-        take = [[w, -m]] if m < 0.0 else []
+        if m > 0.0:
+            give, take = [[w, m]], []
+        elif m < 0.0:
+            give, take = [], [[w, -m]]
+        else:
+            give, take = [], []
         for child in children[w]:
             kind, packets = left[child]
-            (give if kind else take).extend(packets)
+            if kind:
+                give += packets
+            else:
+                take += packets
+        if not (give and take):
+            left[w] = (True, give) if give else (False, take)
+            continue
         i = j = 0
         while i < len(give) and j < len(take):
             g, t = give[i], take[j]
-            m = min(g[1], t[1])
-            pairs[(g[0], t[0])] = m  # the two never meet again
-            g[1] -= m
-            t[1] -= m
-            i += g[1] <= 0.0
-            j += t[1] <= 0.0
+            origins.append(g[0])    # the two never meet again
+            sinks.append(t[0])
+            if t[1] < g[1]:    # min(g, t) is t: t is used up
+                amounts.append(t[1])
+                g[1] -= t[1]
+                j += 1
+            else:
+                amounts.append(g[1])
+                t[1] -= g[1]
+                i += 1
+                j += t[1] == 0.0
         left[w] = (True, give[i:]) if i < len(give) else (False, take[j:])
-    return pairs
+    return origins, sinks, amounts
 
 
 def _mcshane_potential(cost_src_union: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -636,56 +677,115 @@ def _exact_coupling(src: np.ndarray, a: np.ndarray, tgt: np.ndarray,
     digit rows over ``range(q)``, positive masses): the positive pairs as
     index arrays ``rows`` and ``cols`` sorted by (row, col), their masses and
     mismatch counts, the cost (masses times counts, added left to right, over
-    n) and the integer potentials u and v.  Identical measures get the
-    diagonal and zero potentials, an exact primal-dual optimal pair; others
-    the solver ``_graph_is_smaller`` picks.  Supports above ``cap``
-    (``exact_support_cap()`` by default) raise ``SupportCapExceeded``."""
+    n) and the integer potentials u and v.  This is the one-row
+    ``_exact_couplings``."""
+    return _exact_couplings(src, a[None], tgt, b[None], q, cap)[0]
+
+
+def _exact_couplings(src: np.ndarray, a: np.ndarray, tgt: np.ndarray,
+                     b: np.ndarray, q: int, cap: int | None = None) -> list[tuple]:
+    """``_exact_coupling`` of each row pair: the atoms ``(src, a[r])`` against
+    ``(tgt, b[r])``, where ``src`` and ``tgt`` are distinct sorted digit rows
+    over ``range(q)`` and the rows of ``a`` and ``b`` nonnegative masses,
+    zero at a missing atom.  One tuple per row, indices into the row's own
+    supports, each with the bits the row gets alone.
+
+    Identical measures get the diagonal and zero potentials, an exact
+    primal-dual optimal pair; others the solver ``_graph_is_smaller`` picks.
+    On the Hamming graph the plan is min(a_w, b_w) on the diagonal of every
+    shared word plus the path decomposition of the flow
+    (``_split_tree_flow``), and the potentials are u_i = y(x_i) and
+    v_j = -y(y_j).  The graph rows share one supply array, one row per word
+    of the cube, and each is solved once by ``_solve_graph``; the pairs of
+    all rows are then sorted, counted and costed as arrays.  A support above
+    ``cap`` (``exact_support_cap()`` by default) raises
+    ``SupportCapExceeded``."""
     cap = exact_support_cap() if cap is None else cap
-    if len(a) + len(b) > cap or len(a) * len(b) > MATRIX_CELL_CAP:
-        raise SupportCapExceeded(
-            f"combined support {len(a)}+{len(b)} exceeds exact cap {cap}; "
-            f"use method='sinkhorn' or raise {ENV_CAP_VAR}")
     n = src.shape[1]
-    if np.array_equal(src, tgt) and np.array_equal(a, b):
-        diagonal, zeros = np.arange(len(a)), np.zeros(len(a), dtype=np.int64)
-        return diagonal, diagonal, a, zeros, 0.0, zeros, zeros
-    if _graph_is_smaller(q, n, len(src), len(tgt)):
-        pairs, u, v = _graph_coupling(src, tgt, a, b, q)
-    else:
-        pairs, u, v, _, _ = _solve_transport(a, b, mismatch_matrix(src, tgt))
-    keys = sorted(pairs)
-    mass = np.array([pairs[key] for key in keys])
-    rows, cols = np.array(keys).T[:, mass > 0.0]
-    mass = mass[mass > 0.0]
-    counts = np.count_nonzero(src[rows] != tgt[cols], axis=1)
-    return rows, cols, mass, counts, _sum((mass * counts).tolist()) / n, u, v
+    a_on, b_on = a > 0.0, b > 0.0
+    sizes = list(zip(np.count_nonzero(a_on, axis=1).tolist(),
+                     np.count_nonzero(b_on, axis=1).tolist()))
+    for k_src, k_tgt in sizes:
+        if k_src + k_tgt > cap or k_src * k_tgt > MATRIX_CELL_CAP:
+            raise SupportCapExceeded(
+                f"combined support {k_src}+{k_tgt} exceeds exact cap {cap}; "
+                f"use method='sinkhorn' or raise {ENV_CAP_VAR}")
+    u = [np.zeros(k, dtype=np.int64) for k, _ in sizes]
+    v = [np.zeros(k, dtype=np.int64) for _, k in sizes]
+    # (row, src index, tgt index, mass) of every pair, in pieces
+    pieces: list[tuple] = []
+    graph: list[int] = []
+    for r, (k_src, k_tgt) in enumerate(sizes):
+        if _graph_is_smaller(q, n, k_src, k_tgt):
+            graph.append(r)
+            continue
+        s, t = np.flatnonzero(a_on[r]), np.flatnonzero(b_on[r])
+        if np.array_equal(src[s], tgt[t]) and np.array_equal(a[r, s], b[r, t]):
+            pieces.append((np.full(len(s), r), s, t, a[r, s]))
+            continue
+        basis, u[r], v[r], _, _ = _solve_transport(a[r, s], b[r, t],
+                                                   mismatch_matrix(src[s], tgt[t]))
+        i, j = np.array(list(basis), dtype=np.intp).reshape(-1, 2).T
+        pieces.append((np.full(len(i), r), s[i], t[j], np.array(list(basis.values()))))
+    if graph:
+        pieces.append(_graph_pairs(src, a[graph], tgt, b[graph], q, graph, u, v))
+    row, i, j, mass = (np.concatenate(x) for x in zip(*pieces))
+    order = np.lexsort((j, i, row))
+    order = order[mass[order] > 0.0]
+    row, i, j, mass = row[order], i[order], j[order], mass[order]
+    counts = np.count_nonzero(src[i] != tgt[j], axis=1)
+    # the cost of each row adds its own pairs in order; the zero padding
+    # after them adds no bit to a nonnegative sum
+    bounds = np.searchsorted(row, np.arange(len(sizes) + 1))
+    spread = np.zeros((len(sizes), int(np.diff(bounds).max(initial=0))))
+    spread[row, np.arange(len(row)) - bounds[row]] = mass * counts
+    costs = (_left_sums(spread) / n).tolist()
+    i = (np.cumsum(a_on, axis=1) - 1)[row, i]    # indices into the row's own supports
+    j = (np.cumsum(b_on, axis=1) - 1)[row, j]
+    return [(i[lo:hi], j[lo:hi], mass[lo:hi], counts[lo:hi], cost, u[r], v[r])
+            for r, (lo, hi, cost) in enumerate(zip(bounds[:-1].tolist(),
+                                                   bounds[1:].tolist(), costs))]
 
 
-def _graph_coupling(src: np.ndarray, tgt: np.ndarray, a: np.ndarray,
-                    b: np.ndarray, q: int):
-    """Optimal coupling of the atoms ``(src, a)`` and ``(tgt, b)``, words as
-    rows of digits, from a min-cost flow on the Hamming graph
-    (``_solve_graph``).
-
-    The plan is min(a_w, b_w) on the diagonal of every shared word plus the
-    path decomposition of the flow (``_split_tree_flow``); the potentials are
-    u_i = y(x_i) and v_j = -y(y_j).  Returns ({(i, j): mass}, u, v).
-    """
+def _graph_pairs(src: np.ndarray, a: np.ndarray, tgt: np.ndarray,
+                 b: np.ndarray, q: int, rows: list[int], u: list, v: list):
+    """The (row, src index, tgt index, mass) pairs of the Hamming-graph
+    couplings of ``_exact_couplings``, for the rows ``rows`` (the masses
+    ``a`` and ``b``, one row each), unsorted; fills in their potentials
+    ``u`` and ``v``.  A row whose supply is zero at every word is an
+    identical pair: the diagonal alone, with no solve."""
     n = src.shape[1]
     src_codes, tgt_codes = _codes(src, q), _codes(tgt, q)
-    supply = np.zeros(q ** n)
-    supply[src_codes] += a
-    supply[tgt_codes] -= b
-    supply = supply.tolist()
-    _, children, _, _, y, _, _ = _solve_graph(supply, q, n)
-    row = {w: i for i, w in enumerate(src_codes.tolist())}
-    col = {w: j for j, w in enumerate(tgt_codes.tolist())}
-    pairs = {(row[x], col[z]): m
-             for (x, z), m in _split_tree_flow(children, supply).items()}
-    for w, j in col.items():
-        if w in row:
-            pairs[(row[w], j)] = min(a[row[w]], b[j])
-    return pairs, y[src_codes], -y[tgt_codes]
+    supply = np.zeros((len(rows), q ** n))
+    supply[:, src_codes] += a
+    a_at = supply[:, tgt_codes]    # a_w at each word of tgt
+    supply[:, tgt_codes] -= b
+    shared = (a_at > 0.0) & (b > 0.0)
+    diag_row, diag_j = np.nonzero(shared)
+    src_at = np.full(q ** n, -1)
+    src_at[src_codes] = np.arange(len(src_codes))
+    tgt_at = np.full(q ** n, -1)
+    tgt_at[tgt_codes] = np.arange(len(tgt_codes))
+    owner: list[int] = []
+    origins: list[int] = []
+    sinks: list[int] = []
+    amounts: list[float] = []
+    for k, (r, live) in enumerate(zip(rows, supply.any(axis=1).tolist())):
+        if not live:
+            continue
+        row_supply = supply[k].tolist()
+        _, children, _, _, y, _, _ = _solve_graph(row_supply, q, n)
+        o, t, m = _split_tree_flow(children, row_supply)
+        owner += [r] * len(m)
+        origins += o
+        sinks += t
+        amounts += m
+        u[r], v[r] = y[src_codes[a[k] > 0.0]], -y[tgt_codes[b[k] > 0.0]]
+    rows = np.array(rows)
+    return (np.concatenate((rows[diag_row], np.array(owner, dtype=np.intp))),
+            np.concatenate((src_at[tgt_codes[diag_j]], src_at[origins])),
+            np.concatenate((diag_j, tgt_at[sinks])),
+            np.concatenate((np.minimum(a_at, b)[shared], amounts)))
 
 
 def dual_gap(plan: TransportPlan) -> tuple[DualCertificate, float]:

@@ -627,6 +627,20 @@ def test_sampling_far_point_masses():
                                                          for w in c.support}
 
 
+def test_sampling_variation_has_the_bits_of_mix(rng):
+    # a round's variation, taken from the components laid out on supp(mu),
+    # is the one ``mix`` and ``variation_norm`` give, bit for bit; a
+    # component with atoms off supp(mu) goes through ``mix`` itself
+    for k in range(24):
+        comps = tuple(random_measure(rng, 2, 4, 6) for _ in range(1 + k % 4))
+        rep = MixtureRepresentation(tuple(rng.dirichlet(np.ones(len(comps))).tolist()), comps)
+        mu = mix(rep)
+        if k % 3 == 0 and len(mu) > 1:
+            mu = DiscreteMeasure.from_unnormalized(mu.space, dict(list(mu.atoms.items())[1:]))
+        out, _, diag = _sample_coarsen_detail(mu, rep, range(len(comps)), 0.45, seed=k)
+        assert diag["variation"].hex() == variation_norm(mix(out), mu).hex()
+
+
 def test_sampling_cap_formula_is_astronomical():
     # the closed-form sample bound at epsilon=0.4, I=0 is ceil(100 e^40):
     # adaptive doubling is the only workable mechanism

@@ -353,6 +353,55 @@ def test_block_independence_gap_cases():
     assert cost <= gap / bk4.base.mass(b) + 1e-9
 
 
+def _hookup_oracle(bk, spec):
+    """The joint law rebuilt through a word-keyed dict and the checked
+    constructor."""
+    out = {}
+    for b, mass in bk.base.atoms.items():
+        for a, p in bk.conditional(b).atoms.items():
+            out[tuple(bb * spec.a_size + aa for bb, aa in zip(b, a))] = mass * p
+    return DiscreteMeasure(ProductSpace(spec.alphabet_size, bk.n), out)
+
+
+def _gap_oracle(spec, n, k):
+    """``block_independence_gap`` with each product of pieces built through
+    a word-keyed dict, pruned per layer, and ``from_unnormalized``."""
+    from hamconc import transport_distance
+    bk_long, bk_short = block_kernel(spec, k * n), block_kernel(spec, n)
+    total = 0.0
+    for b, mass in bk_long.base.atoms.items():
+        prod = {(): 1.0}
+        for j in range(k):
+            piece = bk_short.conditional(b[j * n:(j + 1) * n])
+            prod = {prefix + w: pm * m for prefix, pm in prod.items()
+                    for w, m in piece.atoms.items() if pm * m > measures.PRUNE_TOL}
+        ref = DiscreteMeasure.from_unnormalized(ProductSpace(spec.a_size, k * n), prod)
+        total += mass * transport_distance(bk_long.conditional(b), ref)[0]
+    return total
+
+
+def test_block_statistics_check_no_word_again(monkeypatch):
+    # the kernels hold words of their spaces already: rebuilding the joint
+    # law and the products of pieces checks none of them again, and every
+    # bit is the one the dict-built measures give
+    calls = []
+    contains = ProductSpace.contains
+    monkeypatch.setattr(ProductSpace, "contains",
+                        lambda self, word: calls.append(word) or contains(self, word))
+    assert block_independence_gap(independent_joint(), 3, 2) == 0.0
+    joint = independent_joint()
+    hookup_block_kernel(block_kernel(joint, 4), joint)
+    assert calls == []
+    monkeypatch.undo()
+    for spec in (coupled_markov_joint(), copy_joint(),
+                 JointSpec(_sparse_chain(6, 12), 2, 3),
+                 JointSpec(HiddenSpec(_sparse_chain(5, 14), (3, 1, 2, 0, 1)), 2, 2)):
+        for n, k in ((1, 3), (2, 2), (3, 2)):
+            assert block_independence_gap(spec, n, k) == _gap_oracle(spec, n, k)
+            bk = block_kernel(spec, n * k)
+            assert hookup_block_kernel(bk, spec) == _hookup_oracle(bk, spec)
+
+
 # -----------------------------------------------------------------------------
 # conditional partitions
 # -----------------------------------------------------------------------------

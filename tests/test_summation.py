@@ -11,7 +11,7 @@ import random
 
 import numpy as np
 
-from hamconc.measures import _sum
+from hamconc.measures import _left_sums, _sum
 
 import test_cli
 import test_concentration
@@ -52,3 +52,27 @@ def test_pinned_results_hold_under_compensated_sum(monkeypatch, capsys, tmp_path
     test_concentration.test_tilt_corpus_pins_refutation_and_search()
     test_concentration.test_tilt_corpus_undecided_results_unchanged()
     test_cli.test_certify_antipodal_clusters_still_refuted(capsys, tmp_path)
+
+
+def test_left_sums_have_the_bits_of_cumsum():
+    # every route of the helper (two terms, one row, a transposed reduction)
+    # against the running sum's last entry, on views as well as copies
+    rng = np.random.default_rng(1705)
+    shapes = [(0,), (1,), (2,), (3,), (5000,), (4, 0), (0, 3), (3, 1), (7, 2),
+              (36, 7, 64, 2), (24, 32), (16, 128), (2048, 3), (17, 200),
+              (3, 5, 40), (64, 64), (1, 4096), (2, 3000)]
+    for shape in shapes:
+        for _ in range(3):
+            a = rng.uniform(-1.0, 1.0, shape) * 10.0 ** rng.integers(-20, 20, shape)
+            a[rng.random(shape) < 0.2] = 0.0
+            a[rng.random(shape) < 0.2] = -0.0
+            for view in (a, np.swapaxes(a, 0, -1), a[..., ::-1]):
+                want = view.cumsum(axis=-1)[..., -1] if view.shape[-1] else \
+                    np.zeros(view.shape[:-1])
+                got = _left_sums(view)
+                assert np.shape(got) == want.shape
+                assert np.asarray(got).tobytes() == want.tobytes(), shape
+    # zeros of either sign: -0.0 + -0.0 stays -0.0, and a lone -0.0 is kept
+    assert np.signbit(_left_sums(np.array([[-0.0, -0.0], [-0.0, 0.0]]))).tolist() == [True, False]
+    assert np.signbit(_left_sums(np.full((20, 300), -0.0))).all()
+    assert np.signbit(_left_sums(np.array([-0.0])))

@@ -306,6 +306,105 @@ def test_near_identical_corpus_entries_take_few_graph_pivots():
     assert tuple(counts) == GRAPH_PIVOTS
 
 
+def _graph_coupling_corpus():
+    """Seeded ``_exact_coupling`` inputs ``(src, a, tgt, b, q)`` on which the
+    Hamming graph is the smaller graph: laws on {0,1}^5 against the products
+    of their marginals, either way round (a small-tc carve's solve; on a
+    product law the two differ by round-off), and dense pairs on {0,1,2}^3
+    and {0,..,3}^3, random or one-ulp neighbours."""
+    rng = np.random.default_rng(2306)
+    space = ProductSpace(2, 5)
+    cube = list(itertools.product((0, 1), repeat=5))
+    for k in range(12):
+        if k % 3 == 0:
+            mu = product_measure(space, [rng.dirichlet(np.ones(2)).tolist()
+                                         for _ in range(5)])
+        else:
+            mu = DiscreteMeasure(space, dict(zip(cube, rng.dirichlet(np.ones(32)).tolist())))
+        prod = product_measure(space, [[marginal(mu, [i]).mass((s,)) for s in (0, 1)]
+                                       for i in range(5)])
+        yield prod.digits, prod.masses, mu.digits, mu.masses, 2
+        if k % 2:
+            yield mu.digits, mu.masses, prod.digits, prod.masses, 2
+    for q, low in ((3, 14), (4, 25)):
+        cube = np.array(list(itertools.product(range(q), repeat=3)))
+        for k in range(6):
+            sizes = rng.integers(low, len(cube) + 1, size=2)
+            src, tgt = (np.sort(rng.choice(len(cube), size=s, replace=False)) for s in sizes)
+            a, b = rng.dirichlet(np.ones(len(src))), rng.dirichlet(np.ones(len(tgt)))
+            if k % 2:
+                tgt, b = src, a.copy()
+                hit = rng.choice(len(b), size=len(b) // 3, replace=False)
+                b[hit] = np.nextafter(b[hit], np.where(rng.random(len(hit)) < 0.5,
+                                                        -np.inf, np.inf))
+            yield cube[src], a, cube[tgt], b, q
+
+
+#: sha256 of ``_exact_coupling`` on the graph coupling corpus (index pairs,
+#: masses, mismatch counts, cost, u, v), recorded from the solver that built
+#: one coupling per call; the second with Bland's rule taking over at the
+#: first degenerate pivot
+GRAPH_COUPLING_DIGEST = "be08e01c3303ab45bee6d5c4759544ba0681fb686c6fbf73ab298cbbb38a5982"
+GRAPH_COUPLING_BLAND_DIGEST = "5886ebcc0d8174833cc2f552a8b68e102281bf902a619cd6379deea48b8878f8"
+
+
+def _graph_coupling_digest():
+    h = hashlib.sha256()
+    for src, a, tgt, b, q in _graph_coupling_corpus():
+        assert transport_module._graph_is_smaller(q, src.shape[1], len(a), len(b))
+        rows, cols, mass, counts, cost, u, v = transport_module._exact_coupling(
+            src, a, tgt, b, q)
+        h.update(repr((rows.tolist(), cols.tolist(), [m.hex() for m in mass.tolist()],
+                       counts.tolist(), float(cost).hex(), u.tolist(), v.tolist())).encode())
+    return h.hexdigest()
+
+
+def test_graph_coupling_corpus_pinned():
+    assert _graph_coupling_digest() == GRAPH_COUPLING_DIGEST
+
+
+def test_graph_coupling_corpus_pins_bland_fallback(monkeypatch):
+    monkeypatch.setattr(transport_module, "BLAND_STREAK_PER_NODE", 0)
+    assert _graph_coupling_digest() == GRAPH_COUPLING_BLAND_DIGEST
+
+
+def _same_coupling(got, want):
+    for x, y in zip(got[:4] + got[5:], want[:4] + want[5:]):
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+    assert float(got[4]).hex() == float(want[4]).hex()
+
+
+def test_coupling_batch_matches_one_row_calls(monkeypatch):
+    # rows of masses on two shared tables of words, zero at a missing atom,
+    # through every route: the Hamming graph, the transportation simplex,
+    # identical pairs on either side of the selection rule
+    rng = np.random.default_rng(23)
+    cube = np.array(list(itertools.product((0, 1), repeat=5)))
+    src, tgt = cube[3:], cube
+    a, b = np.zeros((8, len(src))), np.zeros((8, len(tgt)))
+    for r, (k_src, k_tgt) in enumerate(((29, 32), (20, 25), (29, 32), (5, 6),
+                                        (1, 3), (20, 20), (4, 4), (29, 30))):
+        a[r, rng.choice(len(src), size=k_src, replace=False)] = rng.dirichlet(np.ones(k_src))
+        b[r, rng.choice(len(tgt), size=k_tgt, replace=False)] = rng.dirichlet(np.ones(k_tgt))
+    for r in (2, 7):    # near products: their supplies are round-off
+        b[r] = 0.0
+        b[r, 3:][a[r] > 0.0] = np.nextafter(a[r][a[r] > 0.0], 1.0)
+    for r in (5, 6):    # identical, on the graph (20 x 20 > 160) and off it
+        b[r] = 0.0
+        b[r, 3:] = a[r]
+    solves = []
+    real = transport_module._solve_graph
+    monkeypatch.setattr(transport_module, "_solve_graph",
+                        lambda *args: solves.append(args) or real(*args))
+    batch = transport_module._exact_couplings(src, a, tgt, b, 2)
+    assert len(batch) == len(a) and len(solves) == 4    # rows 0, 1, 2 and 7
+    for got, ar, br in zip(batch, a, b):
+        _same_coupling(got, transport_module._exact_coupling(
+            src[ar > 0.0], ar[ar > 0.0], tgt[br > 0.0], br[br > 0.0], 2))
+    assert batch[5][4] == batch[6][4] == 0.0
+    assert not transport_module._graph_is_smaller(2, 5, 5, 6)
+
+
 @st.composite
 def graph_instances(draw):
     """Two measures on {0,..,q-1}^n, q in {2, 3}: random pairs, one-ulp
