@@ -46,6 +46,8 @@ from .measures import (
     _find,
     _left_sums,
     _mass_rows,
+    _merged,
+    _mixed_rows,
     _product_rows,
     _pruned,
     _sum,
@@ -53,7 +55,6 @@ from .measures import (
     fuzzy_split,
     marginal,
     mix,
-    variation_norm,
 )
 from .information import (
     ROW_BLOCK_ELEMENTS,
@@ -484,13 +485,18 @@ def _sample_coarsen_detail(mu: DiscreteMeasure, rep: MixtureRepresentation,
         raise MeasureError(
             f"good-set mass {good_mass} does not exceed 1 - epsilon/2")
 
-    # the components laid out once on supp(mu)
-    rows, inside = _mass_rows(rep.components, mu)
-    info = _mixture_information(rep.weights, rows, inside, mu.masses)
+    # the components laid out once, on supp(mu) and any other atom of theirs
+    every = np.concatenate([mu.digits, *(c.digits for c in rep.components)])
+    table = _merged(every, np.zeros(len(every)))[0]
+    rows, _ = _mass_rows(rep.components, table)
+    (ref,), _ = _mass_rows([mu], table)
+    on = ref > 0.0
+    inner = rows[:, on]    # on supp(mu)
+    info = _mixture_information(rep.weights, inner, ~rows[:, ~on].any(axis=1), mu.masses)
     # truncation of the density kernel: analysis device, recorded as diagnostics
     f_cap = math.exp(min(8.0 * (info + 1.0) / epsilon, 700.0))
     trunc_mass = float(_left_sums(
-        (weights[:, None] * (rows - f_cap * mu.masses))[rows / mu.masses > f_cap]))
+        (weights[:, None] * (inner - f_cap * mu.masses))[inner / mu.masses > f_cap]))
     exponent = 16.0 * (info + 1.0) / epsilon
     m_star = math.inf if exponent > 700 else math.ceil(
         16.0 / (epsilon * epsilon) * math.exp(exponent))
@@ -511,11 +517,8 @@ def _sample_coarsen_detail(mu: DiscreteMeasure, rep: MixtureRepresentation,
         emp = MixtureRepresentation(
             tuple(counts[i] / m_eff for i in idx),
             tuple(rep.components[i] for i in idx))
-        if inside[idx].all():
-            err = float(_left_sums(np.abs(_mixed_rows(np.array(emp.weights), rows[idx])
-                                          - mu.masses)))
-        else:    # a component off supp(mu) has atoms the rows do not hold
-            err = variation_norm(mix(emp), mu)
+        # variation_norm(mix(emp), mu), bit for bit
+        err = float(_left_sums(np.abs(_mixed_rows(np.array(emp.weights), rows[idx]) - ref)))
         best_tv = min(best_tv, err)
         if err < 3.0 * epsilon:
             diag.update({"m": m_eff, "unique": len(idx), "variation": err})
@@ -524,23 +527,6 @@ def _sample_coarsen_detail(mu: DiscreteMeasure, rep: MixtureRepresentation,
             raise BudgetExhausted(
                 f"sampling cap {m_eff} exhausted; best variation {best_tv}")
         m *= 2
-
-
-def _mixed_rows(weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The masses of ``mix`` of components given as rows on one support that
-    holds all their atoms (zero at a missing atom), with the bits of ``mix``:
-    one component is itself; otherwise each atom adds its terms in
-    component order, and the pruned total adds the atoms in the order they
-    first appear (component, then support order)."""
-    if len(rows) == 1:
-        return rows[0]
-    sums = _left_sums((weights[:, None] * rows).T)
-    atoms = rows > 0.0
-    order = np.lexsort((np.arange(rows.shape[1]), atoms.argmax(axis=0)))
-    order = order[atoms.any(axis=0)[order]]
-    out = np.zeros(rows.shape[1])
-    out[order] = _pruned(sums[order])
-    return out
 
 
 def sample_coarsen(mu: DiscreteMeasure, rep: MixtureRepresentation,
@@ -628,7 +614,7 @@ def mixture_decomposition(mu: DiscreteMeasure, cfg: PipelineConfig
     # each measure a row on supp(mu_s), which holds every component's support
     # (a zero term changes no left-to-right sum)
     ref, q = mu_s.masses, np.array(emp.weights)
-    rows, _ = _mass_rows((mix(emp),) + emp.components, mu_s)
+    rows, _ = _mass_rows((mix(emp),) + emp.components, mu_s.digits)
     emp_mass, rows = rows[0], rows[1:]
     gamma = np.minimum(ref, emp_mass)
     f_dens = gamma / np.where(emp_mass > 0.0, emp_mass, 1.0)    # 0 where emp has no atom

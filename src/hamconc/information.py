@@ -62,7 +62,7 @@ def kl_divergence(nu: DiscreteMeasure, mu: DiscreteMeasure) -> float:
     """KL divergence D(nu || mu); +inf unless supp(nu) is inside supp(mu)."""
     if nu.space != mu.space:
         raise MeasureError("kl_divergence needs measures on the same space")
-    rows, inside = _mass_rows([nu], mu)
+    rows, inside = _mass_rows([nu], mu.digits)
     return float(_kl_rows(rows, mu.masses)[0]) if inside[0] else math.inf
 
 
@@ -232,7 +232,8 @@ def fuzzy_mutual_information(mu: DiscreteMeasure, fp: FuzzyPartition) -> float:
 def mixture_mutual_information(rep: MixtureRepresentation, mu: DiscreteMeasure) -> float:
     """sum_j p_j D(mu_j || mu) for a mixture representation of ``mu``, the
     divergences one batch of rows on its support (the bits of ``kl_divergence``)."""
-    return _mixture_information(rep.weights, *_mass_rows(rep.components, mu), mu.masses)
+    return _mixture_information(rep.weights, *_mass_rows(rep.components, mu.digits),
+                                mu.masses)
 
 
 def _mixture_information(weights: Sequence[float], rows: np.ndarray,

@@ -61,19 +61,12 @@ def _sum(xs: Iterable[float]) -> float:
 def _left_sums(a: np.ndarray) -> np.ndarray:
     """Last-axis sums of a float array added left to right, so a zero term
     changes no bit: the bits of ``a.cumsum(axis=-1)[..., -1]``, in a new
-    array.  Two terms are added directly.  Many rows of a longer axis are
-    one reduction over the first axis of a contiguous transposed copy, which
-    numpy adds a row at a time; few rows keep ``cumsum`` (a reduction along
-    a single row's own axis may add pairwise)."""
+    array (a view would hold the whole running sum).  Two terms are added
+    directly, without the running sum."""
     width = a.shape[-1]
     if width == 2:
         return np.add(a[..., 0], a[..., 1], out=np.empty(a.shape[:-1]))
-    if width < 2:
-        return a[..., 0].copy() if width else np.zeros(a.shape[:-1])
-    if a.size >= max(16 * width, 2048):    # where the copy pays for itself
-        return np.add.reduce(np.ascontiguousarray(np.moveaxis(a, -1, 0)), axis=0,
-                             initial=-0.0)    # -0.0 + x is x, for either zero too
-    return a.cumsum(axis=-1)[..., -1].copy()
+    return a.cumsum(axis=-1)[..., -1].copy() if width else np.zeros(a.shape[:-1])
 
 
 def _check_support_cap(bound: int, count) -> None:
@@ -155,15 +148,16 @@ def _merged(digits: np.ndarray, masses: np.ndarray
     return digits[first], np.bincount(group, masses, len(first)), first
 
 
-def _mass_rows(measures: Sequence["DiscreteMeasure"], mu: "DiscreteMeasure"
+def _mass_rows(measures: Sequence["DiscreteMeasure"], table: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray]:
-    """The masses of each of ``measures`` at the atoms of ``mu``, one row
+    """The masses of each of ``measures`` at the words of ``table`` (distinct
+    digit rows in lexicographic order, such as a measure's atoms), one row
     each (0 where it has no atom), and whether each one's support lies in
-    mu's."""
-    at = _find(np.concatenate([m.digits for m in measures]), mu.digits)
+    the table."""
+    at = _find(np.concatenate([m.digits for m in measures]), table)
     owner = np.repeat(np.arange(len(measures)), [len(m) for m in measures])
     hit = at >= 0
-    rows = np.zeros((len(measures), len(mu)))
+    rows = np.zeros((len(measures), len(table)))
     rows[owner[hit], at[hit]] = np.concatenate([m.masses for m in measures])[hit]
     return rows, np.bincount(owner[~hit], minlength=len(measures)) == 0
 
@@ -405,6 +399,16 @@ def condition(mu: DiscreteMeasure, subset: Iterable[Word]) -> DiscreteMeasure:
     return reweight(mu, dict.fromkeys(map(tuple, subset), 1.0))
 
 
+def _pruned_in_order(sums: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """``_pruned(sums)`` with the total added in the order of the distinct
+    keys ``first``: where each word first appears among a mixture's terms,
+    the order a word-keyed dict meets them in."""
+    order = np.argsort(first)
+    masses = np.empty(len(sums))
+    masses[order] = _pruned(sums[order])
+    return masses
+
+
 def _summed(space: ProductSpace, digits: np.ndarray, raw: np.ndarray) -> DiscreteMeasure:
     """The measure on ``space`` (whose words the rows of ``digits`` are, in
     any order) with mass at each distinct row proportional to the sum of its
@@ -412,10 +416,7 @@ def _summed(space: ProductSpace, digits: np.ndarray, raw: np.ndarray) -> Discret
     total added in the order the rows first appear: the bits of a word-keyed
     dict that accumulates them and is then normalised."""
     digits, sums, first = _merged(digits, raw)
-    order = np.argsort(first)
-    masses = np.empty(len(sums))
-    masses[order] = _pruned(sums[order])
-    return DiscreteMeasure._of_arrays(space, digits, masses)
+    return DiscreteMeasure._of_arrays(space, digits, _pruned_in_order(sums, first))
 
 
 def mix(rep: MixtureRepresentation) -> DiscreteMeasure:
@@ -426,6 +427,22 @@ def mix(rep: MixtureRepresentation) -> DiscreteMeasure:
     return _summed(rep.space, np.concatenate([c.digits for _, c in terms]),
                    np.repeat([w for w, _ in terms], [len(c) for _, c in terms])
                    * np.concatenate([c.masses for _, c in terms]))
+
+
+def _mixed_rows(weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The masses of ``mix`` of components with positive ``weights``, given
+    as rows on one word table that holds all their atoms (zero at a missing
+    atom), with the bits of ``mix``: one component is itself; otherwise each
+    atom adds its terms in component order (a missing atom's 0.0 changes no
+    bit) and ``_pruned_in_order`` takes the words as ``mix`` meets them."""
+    if len(rows) == 1:
+        return rows[0]
+    held = rows > 0.0
+    cols = np.flatnonzero(held.any(axis=0))
+    out = np.zeros(rows.shape[1])
+    out[cols] = _pruned_in_order(_left_sums((weights[:, None] * rows[:, cols]).T),
+                                 held.argmax(axis=0)[cols] * rows.shape[1] + cols)
+    return out
 
 
 def fuzzy_split(mu: DiscreteMeasure, fp: FuzzyPartition) -> MixtureRepresentation:

@@ -628,9 +628,9 @@ def test_sampling_far_point_masses():
 
 
 def test_sampling_variation_has_the_bits_of_mix(rng):
-    # a round's variation, taken from the components laid out on supp(mu),
-    # is the one ``mix`` and ``variation_norm`` give, bit for bit; a
-    # component with atoms off supp(mu) goes through ``mix`` itself
+    # a round's variation, taken from the components laid out on supp(mu)
+    # and their other atoms, is the one ``mix`` and ``variation_norm`` give,
+    # bit for bit; every third mu drops an atom, so components lie off it
     for k in range(24):
         comps = tuple(random_measure(rng, 2, 4, 6) for _ in range(1 + k % 4))
         rep = MixtureRepresentation(tuple(rng.dirichlet(np.ones(len(comps))).tolist()), comps)

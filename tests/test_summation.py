@@ -55,8 +55,8 @@ def test_pinned_results_hold_under_compensated_sum(monkeypatch, capsys, tmp_path
 
 
 def test_left_sums_have_the_bits_of_cumsum():
-    # every route of the helper (two terms, one row, a transposed reduction)
-    # against the running sum's last entry, on views as well as copies
+    # both routes of the helper (two terms, a running sum) against the
+    # running sum's last entry, on many shapes, views as well as copies
     rng = np.random.default_rng(1705)
     shapes = [(0,), (1,), (2,), (3,), (5000,), (4, 0), (0, 3), (3, 1), (7, 2),
               (36, 7, 64, 2), (24, 32), (16, 128), (2048, 3), (17, 200),
