@@ -5,7 +5,8 @@ Every run prints one JSON object to stdout of the form
 The manifest records the command, input digests, configuration, seed, library
 version and wall time; the result object is a pure function of the manifest
 minus the wall time, so re-runs with the same inputs and seed are
-byte-identical on the result.
+byte-identical on the result.  A partition prints its cells' sets, not their
+measures, which are the input conditioned on the sets.
 
 Exit codes: 0 success, 2 input validation failure, 3 budget or cap exhaustion
 (with partial diagnostics in the JSON error payload).
@@ -43,8 +44,9 @@ def _digest(path: str) -> str:
 
 def _emit(manifest: dict, result: dict, summary: str, started: float) -> int:
     manifest["wall_time_s"] = round(time.monotonic() - started, 6)
-    print(json.dumps({"manifest": manifest, "result": result},
-                     sort_keys=True, separators=(",", ":")))
+    # a fresh tree of dicts and lists: no cycle to check for
+    print(json.dumps({"manifest": manifest, "result": result}, sort_keys=True,
+                     separators=(",", ":"), check_circular=False))
     print(summary, file=sys.stderr)
     return 0
 
@@ -124,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
 
     for name, helptext in (("decompose-b", "mixture decomposition"),
-                           ("partition-c", "support partition")):
+                           ("partition-c", "support partition, printed as sets")):
         p = sub.add_parser(name, help=helptext)
         p.add_argument("measure")
         p.add_argument("--epsilon", type=float, default=0.3)
@@ -136,7 +138,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("process", help="block statistics of a process spec")
     p.add_argument("spec")
     p.add_argument("--op", required=True,
-                   choices=["block", "tc-profile", "rel-dbar", "gap", "partition"])
+                   choices=["block", "tc-profile", "rel-dbar", "gap", "partition"],
+                   help="partition prints its cells as sets, not measures")
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)

@@ -463,6 +463,8 @@ def refute_T(mu: DiscreteMeasure, params: TParams,
     """
     budget = budget or RefutationBudget()
     used = {"subsets_checked": 0, "restarts_run": 0, "gradient_steps": 0}
+    if params.r >= 1.0:   # the normalized Hamming diameter is at most 1
+        return RefutationResult("holds", budget_used=used, bound="diameter")
     words, masses = mu.digits, mu.masses
     far, block = _farthest(words)
     diam = far / mu.space.dimension

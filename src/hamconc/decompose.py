@@ -173,7 +173,7 @@ class DecompositionResult:
 
     kind: str  # "mixture" | "partition"
     weights: tuple[float, ...]
-    components: tuple[DiscreteMeasure | None, ...]
+    components: tuple[DiscreteMeasure | None, ...] | None  # a partition's: None
     sets: tuple[tuple[Word, ...], ...] | None
     bad_index: int | None
     certificates: tuple[RefutationResult | None, ...]
@@ -189,6 +189,8 @@ class DecompositionResult:
         return tuple(i for i in range(len(self.weights)) if i != self.bad_index)
 
     def reconstruct(self) -> DiscreteMeasure:
+        if self.components is None:
+            raise MeasureError("reconstruct needs a mixture, not a partition")
         pairs = [(w, c) for w, c in zip(self.weights, self.components)
                  if c is not None and w > 0.0]
         total = _sum(w for w, _ in pairs)
@@ -201,9 +203,6 @@ class DecompositionResult:
             "weights": list(self.weights),
             "bad_index": self.bad_index,
             "truncated": self.truncated,
-            "components": [None if c is None else
-                           [[w, m] for w, m in zip(c.digits.tolist(), c.masses.tolist())]
-                           for c in self.components],
             "certificates": [None if c is None else c.to_dict()
                              for c in self.certificates],
             "certificate_params": [
@@ -212,6 +211,10 @@ class DecompositionResult:
             ],
             "audit": self.audit,
         }
+        if self.components is not None:
+            out["components"] = [None if c is None else
+                                 [[w, m] for w, m in zip(c.digits.tolist(), c.masses.tolist())]
+                                 for c in self.components]
         if self.sets is not None:
             out["sets"] = [[list(w) for w in cell] for cell in self.sets]
         return out
@@ -716,13 +719,6 @@ def carve_concentrated_set(mu: DiscreteMeasure, cfg: PipelineConfig) -> CarveRes
     return _carve_rows(mu.space, mu.digits, mu.masses[None], cfg)[0][1]
 
 
-def _conditioned(space: ProductSpace, digits: np.ndarray, row: np.ndarray,
-                 idx: np.ndarray) -> DiscreteMeasure:
-    """``condition`` of the measure with atoms ``row`` on the digit rows
-    ``digits`` on its atoms ``idx`` (sorted), bit for bit."""
-    return DiscreteMeasure._of_arrays(space, digits[idx], _pruned(row[idx]))
-
-
 def _carve_rows(space: ProductSpace, digits: np.ndarray, rows: np.ndarray,
                 cfg: PipelineConfig) -> list[tuple[np.ndarray, CarveResult]]:
     """``carve_concentrated_set`` of each measure on the digit rows
@@ -771,9 +767,12 @@ def _carve_rows(space: ProductSpace, digits: np.ndarray, rows: np.ndarray,
             if mass < 1.0 - 4.0 * delta_cs - 1e-9 or mass <= 0.0:
                 raise CarveError(f"small-tc subset kept mass {mass}; diagnostics {info}")
             cuts[i] = tgt[cell], "small-tc", TParams(params.kappa, min(params.r, 1.0)), info
+    # each certificate is for its row conditioned on the cell, with ``condition``'s bits
+    conds = [DiscreteMeasure._of_arrays(space, digits[cell], _pruned(row[cell]))
+             for row, (cell, *_) in zip(rows, cuts)]
     return [(cell, CarveResult(_words(digits[cell]), case, params,
-                               refute_T(_conditioned(space, digits, row, cell), params), info))
-            for row, (cell, case, params, info) in zip(rows, cuts)]
+                               refute_T(cond, params), info))
+            for cond, (cell, case, params, info) in zip(conds, cuts)]
 
 
 def partition_decomposition(mu: DiscreteMeasure, cfg: PipelineConfig) -> DecompositionResult:
@@ -821,9 +820,7 @@ def _partition_rows(space: ProductSpace, digits: np.ndarray, masses: np.ndarray,
         parts = [np.flatnonzero(left)] + [cell for cell, _ in row_carves]
         weights = [_sum(row[cell].tolist()) for cell in parts]
         out.append(DecompositionResult(
-            kind="partition", weights=tuple(weights),
-            components=tuple(_conditioned(space, digits, row, cell) if w > 0.0 else None
-                             for w, cell in zip(weights, parts)),
+            kind="partition", weights=tuple(weights), components=None,
             sets=tuple(_words(digits[cell]) for cell in parts),
             bad_index=0,
             certificates=(None,) + tuple(c.certificate for _, c in row_carves),

@@ -207,12 +207,7 @@ class BlockKernel:
             return self.kernel[b]
         # zero-probability conditioning string: deterministic uniform choice
         space = next(iter(self.kernel.values())).space
-        return _uniform_cube(space)
-
-
-def _uniform_cube(space: ProductSpace) -> DiscreteMeasure:
-    return product_measure(
-        space, [[1.0 / space.alphabet_size] * space.alphabet_size])
+        return product_measure(space, [[1.0 / space.alphabet_size] * space.alphabet_size])
 
 
 # -----------------------------------------------------------------------------
@@ -520,9 +515,11 @@ def conditional_partition(lam: JointSpec, n: int, cfg: PipelineConfig,
     good_mass = _sum(map(bk.base.mass, good))
     partitions = {b: partitions[b] for b in good}
     # n bits, widened when a partition has more than 2^n cells
-    labels = {b: {word: format(cell_idx, "b").zfill(max(n, 1, (len(res.sets) - 1).bit_length()))
-                  for cell_idx, cell in enumerate(res.sets) for word in cell}
-              for b, res in partitions.items()}
+    labels = {}
+    for b, res in partitions.items():
+        width = max(n, 1, (len(res.sets) - 1).bit_length())
+        codes = [format(i, "b").zfill(width) for i in range(len(res.sets))]
+        labels[b] = {word: code for code, cell in zip(codes, res.sets) for word in cell}
     return ConditionalPartitionReport(
         n=n, block_size=block_size, good_mass=good_mass, good_strings=good,
         partitions=partitions, labels=labels, tc_by_string=tc_by_string,

@@ -12,9 +12,11 @@ import pytest
 
 from hamconc import decompose, measures
 from hamconc.cli import run
+from hamconc.processes import block_kernel, spec_from_dict
 from hamconc.measures import (
     DiscreteMeasure,
     ProductSpace,
+    condition,
     dump_measure,
     load_measure,
     measure_from_dict,
@@ -641,13 +643,14 @@ PARTITION_SPECS = {
                    [0.3, 0.2, 0.25, 0.0, 0.25]]}},
 }
 #: sha256 of each whole partition result (JSON, sorted keys): partitions,
-#: labels, ``tc_by_string`` and ``good_mass``, recorded while the window laws
-#: and block kernels were still built word by word in dicts (weak-memory: while
-#: each string was still partitioned on its own)
+#: labels, ``tc_by_string`` and ``good_mass``.  Each is the sha256 of the
+#: result pinned while the window laws and block kernels were still built word
+#: by word in dicts (weak-memory: while each string was still partitioned on
+#: its own), with only the cells' ``components`` keys deleted
 PARTITION_RESULT_DIGESTS = {
-    "sticky": "b8dc3af2e599e9a9a5da75e2f8771e2541d7e97c8656517ed4e8aa0fcb9a861e",
-    "memory": "f77809aff01294d767f1e5ab4b6de33186902b815ff969b69aa7bd59b727d1d9",
-    "weak-memory": "87d3ebb2e4b3134e8db8787aad030e730e44d8f8076c1e7754f9c1619b74ad7e",
+    "sticky": "6a7b63e604d9705cb59727cd0ee9fccb983d9433048521c76f30cc518538cbba",
+    "memory": "5164a3c02b4cc1431df0144c47c372e9e560f00f646e29b692a34c48c93cae19",
+    "weak-memory": "c108f8345d91e2438e79c3d9d600576dc4ae593e9934cecf9f1defd100176dcd",
     "hidden": "7454d7c5a5e8271536b154b74cc6bdaad505a82c3e11891dc1d3094d84a1ed43",
 }
 
@@ -666,3 +669,35 @@ def test_process_partition_result_is_pinned(capsys, tmp_path, name):
     assert bool(result["good_strings"]) == (name != "hidden")
     blob = json.dumps(result, sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == PARTITION_RESULT_DIGESTS[name]
+
+
+#: sha256 of the cells' measures that ``process --op partition`` printed as
+#: each partition's ``components`` (JSON of {string: components}, sorted
+#: keys), recorded before the output dropped them for the sets alone
+PARTITION_COMPONENTS_DIGESTS = {
+    "sticky": "4fae866df3ac59622b36232f2d6de5e7b16e5efc6181a93c1b927ee0cfd81842",
+    "weak-memory": "1dbc29cf2296dd15db31941781ae58cd87e9f5c21932d32f04859a778e74b0b2",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARTITION_COMPONENTS_DIGESTS))
+def test_process_partition_sets_determine_the_cells_measures(capsys, tmp_path, name):
+    spec = {"kind": "joint", "b_size": 2, "a_size": 2, "base": PARTITION_SPECS[name]}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, payload = run_json(capsys, [
+        "process", str(path), "--op", "partition", "--n", "4",
+        "--epsilon", "0.3", "--r", "0.6", "--seed", "5"])
+    assert code == 0
+    kernel = block_kernel(spec_from_dict(spec), 4)
+    rebuilt = {}
+    for key, part in payload["result"]["partitions"].items():
+        assert "components" not in part
+        law = kernel.conditional(tuple(map(int, key.split(","))))
+        cells = [condition(law, map(tuple, cell)) if w > 0.0 else None
+                 for w, cell in zip(part["weights"], part["sets"])]
+        rebuilt[key] = [None if c is None else
+                        [[w, m] for w, m in zip(c.digits.tolist(), c.masses.tolist())]
+                        for c in cells]
+    blob = json.dumps(rebuilt, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == PARTITION_COMPONENTS_DIGESTS[name]

@@ -166,11 +166,12 @@ def test_projection_of_rows_matches_each_row_alone(batch):
                 assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
             # the midpoint of the two tight extensions is 1-Lipschitz after one
             # pass, so a second pass, what an iterated projection would run next,
-            # moves nothing beyond round-off (the bound scales with rows above 1,
-            # whose last bit is worth more than 1e-15)
+            # moves nothing beyond round-off (the bound scales with input rows
+            # above 1, whose last bit is worth more than 1e-15: the round-off
+            # follows the input, and the output may be far smaller)
             assert lipschitz_slack(got, metric.dist) <= 1e-12
             assert (np.abs(lipschitz_project(got, metric, cube) - got).max()
-                    <= 1e-15 * max(1.0, np.abs(got).max()))
+                    <= 1e-15 * max(1.0, np.abs(row).max()))
 
 
 def test_projection_route_rule():

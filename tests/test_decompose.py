@@ -874,3 +874,18 @@ def test_partition_determinism_bytes():
         sort_keys=True)
     # no carve route draws random numbers, so the seed does not move a partition
     assert other == blob1
+
+
+def test_partition_result_carries_sets_not_measures():
+    # a cell's measure is the input conditioned on its set, so a partition
+    # keeps only the sets; a mixture keeps its components and ``truncated``
+    mu = product_mix(5, 0.15, 0.85)
+    part = partition_decomposition(mu, CFG)
+    assert part.components is None and part.sets is not None
+    assert "components" not in part.to_dict() and "sets" in part.to_dict()
+    with pytest.raises(MeasureError, match="needs a mixture"):
+        part.reconstruct()
+    mixture = mixture_decomposition(mu, CFG)
+    assert {"components", "truncated"} <= mixture.to_dict().keys()
+    assert "sets" not in mixture.to_dict()
+    assert tv_distance(mixture.reconstruct(), mu) < 1e-9
