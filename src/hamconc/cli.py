@@ -298,8 +298,7 @@ def run(argv: list[str]) -> int:
                         ",".join(map(str, b)): res.to_dict()
                         for b, res in sorted(report.partitions.items())},
                     "labels": {
-                        ",".join(map(str, b)): [[list(w), code]
-                                                for w, code in sorted(lab.items())]
+                        ",".join(map(str, b)): [[list(w), code] for w, code in lab.items()]
                         for b, lab in sorted(report.labels.items())},
                 }
                 return _emit(manifest, result,

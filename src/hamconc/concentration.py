@@ -558,33 +558,65 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 #: restarts of the tilt search that start at the heaviest atoms' distance rows
 #: (this many, or half of a larger budget); only the others read the seed
 TILT_ANCHOR_STARTS = 2
+#: the denominator of kappa = r n / ``DEC_DENOMINATOR``, the tilt strength of a
+#: split search and the concentration the mixture recursion certifies
+DEC_DENOMINATOR = 200.0
+
+
+def _spaced_rows(lo: float, his, points: int) -> np.ndarray:
+    """``np.linspace(lo, his, points, axis=1)`` for a number ``lo``, a 1-D
+    ``his`` and ``points >= 2``, with its bits: row m is
+    ``arange(points) * ((his[m] - lo) / (points - 1)) + lo``, then ``his[m]``
+    last.  When some step is 0 (a zero or subnormal span) every row is
+    ``arange(points) / (points - 1) * span + lo``, as numpy does.  numpy's
+    array-endpoint path costs about 25 us a call in broadcasting and
+    ``moveaxis``."""
+    his = np.asarray(his, dtype=float)
+    span = his - lo
+    step = span / (points - 1)
+    ramp = np.arange(points, dtype=float)
+    if (step == 0).any():
+        grid = (ramp / (points - 1)) * span[:, None]
+    else:
+        grid = ramp * step[:, None]
+    grid += lo
+    grid[:, -1] = his
+    return grid
 
 
 def _l_search_candidates(masses: np.ndarray, metric: SupportMetric, r: float,
                          kappa: float, budget: RefutationBudget,
                          t_hi: Sequence[float] | None = None, t_points: int = 24):
-    """Ranked (score, f-values, t, divergence, threshold) candidates for the
-    tilted-divergence search, one list per row of ``masses``, an ``(M, k)``
-    array of measures on one support.  f ranges over 1-Lipschitz functions
+    """The tilted-divergence search on each row of ``masses``, an ``(M, k)``
+    array of measures on one support: f ranges over 1-Lipschitz functions
     into [0,1], t over a ``t_points``-point logarithmic grid spanning
     [r/2, kappa] (in either order; measure m's upper end can be raised to
     ``t_hi[m]`` for decisive splitting tilts), and score = D(mu tilted by
     exp(-t f) || mu) - alpha t^2 with alpha = (r/2)/kappa.  ``metric`` is the
     normalized Hamming metric of the support.
 
+    Returns ``(score, f, t, div, anchor_rows)``, arrays of shapes
+    ``(M, per)``, ``(M, per, k)``, ``(M, per)``, ``(M, per)`` and
+    ``(M, A, k)``, unranked: candidate ``s * t_points + j`` of measure m is the
+    ascent from seed s at ``t_grid[m, j]``, ``per`` = seeds * ``t_points``,
+    with its f-values in support order and its divergence.  The first A
+    seeds are ``anchor_rows``, the distance rows (clipped to [0, 1]) of each
+    measure's A heaviest atoms in stable order, A = max(``TILT_ANCHOR_STARTS``,
+    restarts / 2); callers read them again rather than building them twice.
+
     The ascents of all (measure, seed, t) triples run in lock step as one
     ``(rows, k)`` batch, one row each; seeds past the anchors are drawn once
     for all measures.  A row leaves the batch when its divergence stops
-    rising, and its best iterate is the candidate's f-values, an array row in
-    support order.  Every float is the one a separate ascent per triple gives.
-    The projection route is fixed for the whole search by the batch's first
-    size, so a search on the cube route never builds the k x k matrix."""
+    rising, and its best iterate is the candidate's f-values.  Every float is
+    the one a separate ascent per triple gives.  The projection route is
+    fixed for the whole search by the batch's first size, so a search on the
+    cube route never builds the k x k matrix."""
     count, k = masses.shape
     logm = np.log(masses)
     alpha = (r / 2.0) / kappa
     lo, hi = sorted((r / 2.0, kappa))
-    t_grid = np.exp(np.linspace(math.log(lo), [math.log(max(hi, h)) for h in (
-        [hi] * count if t_hi is None else t_hi)], t_points, axis=1))
+    t_grid = np.exp(_spaced_rows(math.log(lo), [math.log(max(hi, h)) for h in (
+        [hi] * count if t_hi is None else t_hi)], t_points))
 
     anchors = np.argsort(-masses, axis=1, kind="stable")[
         :, :max(TILT_ANCHOR_STARTS, budget.restarts // 2)]
@@ -597,8 +629,9 @@ def _l_search_candidates(masses: np.ndarray, metric: SupportMetric, r: float,
         rng = np.random.default_rng(np.random.SeedSequence(budget.seed))
     drawn = np.reshape([project01(rng.uniform(0.0, 1.0, size=k))
                         for _ in range(budget.restarts - anchors.shape[1])], (-1, k))
-    seeds = np.concatenate((np.clip(metric.rows(anchors, cube), 0.0, 1.0),
-                            np.broadcast_to(drawn, (count,) + drawn.shape)), axis=1)
+    anchor_rows = np.clip(metric.rows(anchors, cube), 0.0, 1.0)
+    seeds = np.concatenate((anchor_rows, np.broadcast_to(drawn, (count,) + drawn.shape)),
+                           axis=1)
     # row (m * seeds + s) * t_points + j: measure m from seed s at t_grid[m, j]
     per = seeds.shape[1] * t_points
     t_rows = np.repeat(t_grid, seeds.shape[1], axis=0).ravel()
@@ -622,40 +655,40 @@ def _l_search_candidates(masses: np.ndarray, metric: SupportMetric, r: float,
         t2 = t * t
         grad = t2[:, None] * w * (f - _row_dots(w, f)[:, None])
         f = project01(f + (0.5 / np.maximum(t2, 1.0))[:, None] * grad)
-    thresholds = alpha * t_rows * t_rows
-    candidates = list(zip((best_div - thresholds).tolist(), best_f,
-                          t_rows.tolist(), best_div.tolist(),
-                          thresholds.tolist()))
-    return [sorted(candidates[i:i + per], key=lambda c: -c[0])
-            for i in range(0, len(candidates), per)]
+    score = best_div - alpha * t_rows * t_rows
+    return (score.reshape(count, per), best_f.reshape(count, per, k),
+            t_rows.reshape(count, per), best_div.reshape(count, per), anchor_rows)
 
 
 def find_L_violation(mu: DiscreteMeasure, r: float, kappa: float | None = None,
                      budget: RefutationBudget | None = None
                      ) -> LipschitzWitness | None:
     """Search for a 1-Lipschitz f into [0,1] and tilt t with
-    D(mu tilted by exp(-t f) || mu) > alpha t^2, alpha = (r/2)/kappa.
+    D(mu tilted by exp(-t f) || mu) > alpha t^2, alpha = (r/2)/kappa, trying
+    the search's candidates by decreasing score (ties in search order).
 
-    ``kappa`` defaults to r n / 200.  Absence of a witness is budget-relative
-    and never certified.
+    ``kappa`` defaults to r n / ``DEC_DENOMINATOR``.  Absence of a witness is
+    budget-relative and never certified.
     """
     if r >= 1.0:
         return None
     n = mu.space.dimension
-    kappa = r * n / 200.0 if kappa is None else kappa
+    kappa = r * n / DEC_DENOMINATOR if kappa is None else kappa
     budget = budget or RefutationBudget(restarts=8, max_grad_steps=60)
     if len(mu) == 1:
         return None
-    for score, f, t, div, threshold in _l_search_candidates(
-            mu.masses[None], SupportMetric(mu.digits, mu.space.alphabet_size),
-            r, kappa, budget)[0]:
-        if score <= 1e-12:
+    alpha = (r / 2.0) / kappa
+    score, f, t, _, _ = _l_search_candidates(
+        mu.masses[None], SupportMetric(mu.digits, mu.space.alphabet_size), r, kappa, budget)
+    for i in np.argsort(-score[0], kind="stable").tolist():
+        if score[0, i] <= 1e-12:
             break
-        fm = dict(zip(mu.support, f.tolist()))
+        fm, ti = dict(zip(mu.support, f[0, i].tolist())), float(t[0, i])
+        threshold = alpha * ti * ti
         # exact re-verification on log-masses
-        div_exact = tilted_divergence(mu, fm, -t)
+        div_exact = tilted_divergence(mu, fm, -ti)
         if div_exact > threshold + 1e-12:
-            return LipschitzWitness(fm, t=t, violation_margin=div_exact - threshold)
+            return LipschitzWitness(fm, t=ti, violation_margin=div_exact - threshold)
     return None
 
 

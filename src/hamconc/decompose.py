@@ -69,6 +69,7 @@ from .information import (
 )
 from .transport import _exact_couplings, mismatch_matrix
 from .concentration import (
+    DEC_DENOMINATOR,
     DensityBound,
     Lift,
     RefutationBudget,
@@ -77,6 +78,7 @@ from .concentration import (
     TParams,
     _concentrated_set,
     _l_search_candidates,
+    _spaced_rows,
     propagate_t_params,
     refute_T,
 )
@@ -86,12 +88,11 @@ MAX_ALPHABET = 8
 MAX_DIMENSION = 12
 MAX_PIPELINE_SUPPORT = 1 << 16
 
-#: inequality denominators of the radius arithmetic (r n / 200 for splits and
-#: the recursion, r n / 1200 for the final radius), the cell cap of a
-#: partition, the tilt-search budget of one decrement step (both restarts
-#: start at anchor atoms, so it reads no seed), and the first and largest
-#: sampling sizes
-DEC_DENOMINATOR = 200.0
+#: inequality denominator of the final radius (r n / 1200; splits and the
+#: recursion take r n / ``DEC_DENOMINATOR``, 200, from ``concentration``), the
+#: cell cap of a partition, the tilt-search budget of one decrement step (both
+#: restarts start at anchor atoms, so it reads no seed), and the first and
+#: largest sampling sizes
 FINAL_DENOMINATOR = 1200.0
 MAX_CELLS = 4096
 SPLIT_BUDGET = RefutationBudget(restarts=2, max_grad_steps=15)
@@ -265,11 +266,21 @@ def _score_slate(digits, masses: np.ndarray,
 @dataclass(frozen=True)
 class Split:
     """A binary fuzzy partition that passed the decrement gate, with the
-    mutual information and the average-DTC drop the gate measured for it."""
+    mutual information and the average-DTC drop the gate measured for it:
+    ``densities`` is its ``(2, k)`` array on the digit rows ``digits`` of
+    ``space``.  ``partition``, the validated ``FuzzyPartition``, is built on
+    first read; the recursion reads only ``densities``, and its final
+    partition, whose every cell is a product of such rows, is validated."""
 
-    partition: FuzzyPartition
+    space: ProductSpace
+    digits: np.ndarray
+    densities: np.ndarray
     information: float
     decrement: float
+
+    @functools.cached_property
+    def partition(self) -> FuzzyPartition:
+        return FuzzyPartition(self.space, _words(self.digits), self.densities)
 
 
 def decrement_step(mu: DiscreteMeasure, r: float) -> Split | None:
@@ -283,7 +294,8 @@ def decrement_step(mu: DiscreteMeasure, r: float) -> Split | None:
     r^2/(4n) and a tenth of the measure's DTC (below, a split is noise at
     small n).  The 18 candidate tilts are scored as one ``(C, 2, k)`` slate;
     the winner, the first passing candidate whose drop is within
-    ``GATE_TIE_SLACK`` of the largest passing drop, is built.  This is the
+    ``GATE_TIE_SLACK`` of the largest passing drop, is returned as its
+    density rows, its ``partition`` built when read.  This is the
     one-measure batch of ``_decrement_steps``: the recursion scores a round's
     components together, one batch per support, and a split does not depend
     on the other measures of its batch."""
@@ -295,11 +307,15 @@ def _decrement_steps(space: ProductSpace, digits, masses: np.ndarray, r: float,
                      mismatches) -> list[Split | None]:
     """``decrement_step`` of each measure on the digit rows ``digits`` with
     atoms a row of ``masses``, as one batch: one ``_dtc_rows`` call for their
-    DTCs, one tilt search and one slate.  The search and the anchor separators read the
-    support's ``SupportMetric``: off the cube route its distance matrix is
-    ``mismatches() / n`` (asked for only when some measure can split), and on
-    it only the anchors' rows are built.  Every quantity is taken row by row,
-    so each split is, bit for bit, the one its measure gets alone."""
+    DTCs, one tilt search and one slate, held as arrays from the search to
+    the split.  The search reads the support's ``SupportMetric``: off the
+    cube route its distance matrix is ``mismatches() / n`` (asked for only
+    when some measure can split), and on it only the anchors' rows are
+    built.  The anchor separators are the search's own anchor seed rows.
+    Each measure's slate is its search's 6 most divergent candidates (ties
+    by score, then by search order, from one stable ``np.lexsort``) and each
+    separator at 6 coarse tilts.  Every quantity is taken row by row, so
+    each split is, bit for bit, the one its measure gets alone."""
     if not (0.0 < r < 1.0):
         raise MeasureError(f"r must lie in (0,1), got {r}")
     out: list[Split | None] = [None] * len(masses)
@@ -315,30 +331,29 @@ def _decrement_steps(space: ProductSpace, digits, masses: np.ndarray, r: float,
     t_hi = [min(max(kappa, r / 2.0, math.log(1.0 / masses[m].min()) + 6.0), 50.0)
             for m in live]
     metric = SupportMetric(digits, space.alphabet_size, mismatches)
-    ranked = _l_search_candidates(masses[live], metric, r, kappa, SPLIT_BUDGET,
-                                  t_hi=t_hi, t_points=10)
-    # plus the plain anchor separators, which divergence ascent tends to
-    # sharpen past the point of a balanced split
-    seps = np.minimum(metric.rows(np.argsort(-masses[live], axis=1, kind="stable")[:, :2]),
-                      1.0)
-    t_coarse = np.exp(np.linspace(math.log(max(r / 2.0, 0.25)),
-                                  [math.log(max(h, 1.0)) for h in t_hi], 6, axis=1))
-    fs, ts = [], []
-    for cands, sep, coarse in zip(ranked, seps, t_coarse.tolist()):
-        # the decrement gate favours informative tilts, not the raw score margin
-        cands = sorted(cands, key=lambda c: -c[3])[:6]
-        fs += [c[1] for c in cands] + [row for row in sep for _ in coarse]
-        ts += [c[2] for c in cands] + coarse * len(sep)
+    score, f, t, div, anchor_rows = _l_search_candidates(
+        masses[live], metric, r, kappa, SPLIT_BUDGET, t_hi=t_hi, t_points=10)
+    # the decrement gate favours informative tilts, not the raw score margin
+    top = np.lexsort((-score, -div))[:, :6]
+    pick = np.arange(len(live))[:, None]
+    # plus the plain anchor separators at the two heaviest atoms, which
+    # divergence ascent tends to sharpen past the point of a balanced split
+    seps = anchor_rows[:, :2]
+    t_coarse = np.exp(_spaced_rows(math.log(max(r / 2.0, 0.25)),
+                                   [math.log(max(h, 1.0)) for h in t_hi], 6))
     # every measure's slate has one size; a tilt met twice (a search candidate
     # can equal an anchor separator) scores the same twice, the first winning
-    rho = 0.5 * np.exp(-np.array(ts)[:, None] * np.array(fs))
-    dens, size = np.stack([rho, 1.0 - rho], axis=1), len(ts) // len(live)
+    rho = np.concatenate((
+        0.5 * np.exp(-t[pick, top][..., None] * f[pick, top]),
+        0.5 * np.exp(-t_coarse[:, None, :, None] * seps[:, :, None, :]).reshape(
+            len(live), -1, len(digits))), axis=1).reshape(-1, len(digits))
+    dens, size = np.stack([rho, 1.0 - rho], axis=1), len(rho) // len(live)
     masses, i_floor, dtc = (np.repeat(a[live], size, axis=0) for a in (masses, i_floor, dtc))
     ok, info, drop = _score_slate(digits, masses, dens, r, i_floor, dtc)
     gain = np.where(ok, drop, -np.inf).reshape(-1, size)
     wins = ok.reshape(-1, size) & (gain >= gain.max(axis=1)[:, None] - GATE_TIE_SLACK)
     for c in (i * size + int(row.argmax()) for i, row in enumerate(wins) if row.any()):
-        out[live[c // size]] = Split(FuzzyPartition(space, _words(digits), dens[c]),
+        out[live[c // size]] = Split(space, digits, dens[c].copy(),
                                      float(info[c]), float(drop[c]))
     return out
 
@@ -443,7 +458,7 @@ def decrement_recursion(mu: DiscreteMeasure, cfg: PipelineConfig,
             {"component": idx, "weight": weight,
              "information": split.information, "decrement": split.decrement})
         halves = np.full((2, len(mu)), 0.5)   # on atoms the split does not cover
-        halves[:, dens * masses > PRUNE_TOL] = split.partition.densities
+        halves[:, dens * masses > PRUNE_TOL] = split.densities
         first, second = dens * halves
         comps[idx] = component(first)
         comps.append(component(second))

@@ -25,6 +25,7 @@ conditional law there is arbitrary, and uniform is the deterministic choice.
 """
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -43,6 +44,7 @@ from .measures import (
     _pruned,
     _sum,
     _summed,
+    _words,
     product_measure,
     regroup,
     variation_norm,
@@ -504,22 +506,27 @@ def conditional_partition(lam: JointSpec, n: int, cfg: PipelineConfig,
     bk = block_kernel(lam, n)
     delta = cfg.delta
     space, batches = _conditional_rows(bk, block_size)
-    tc_by_string, partitions = {}, {}
+    tc_by_string, partitions, labels = {}, {}, {}
     for strings, support, masses, tcs in batches:
         tc_by_string.update(zip(strings, tcs))
         rows = [i for i, tc in enumerate(tcs) if tc <= delta * n + 1e-12]
-        partitions.update(zip([strings[i] for i in rows], _partition_rows(
-            space, support, masses[rows], cfg, [tcs[i] for i in rows])))
+        # each law is positive on every word of its batch's support, so its
+        # cells cover them all, and its labels keep the support's
+        # lexicographic order
+        blank = dict.fromkeys(_words(support))
+        for i, res in zip(rows, _partition_rows(space, support, masses[rows], cfg,
+                                                [tcs[i] for i in rows])):
+            partitions[strings[i]] = res
+            # n bits, widened when a partition has more than 2^n cells
+            width = max(n, 1, (len(res.sets) - 1).bit_length())
+            labels[strings[i]] = lab = blank.copy()
+            for code, cell in enumerate(res.sets):
+                lab.update(zip(cell, itertools.repeat(format(code, "b").zfill(width))))
     tc_by_string = {b: tc_by_string[b] for b in bk.base.support}
     good = tuple(b for b in bk.base.support if b in partitions)
     good_mass = _sum(map(bk.base.mass, good))
     partitions = {b: partitions[b] for b in good}
-    # n bits, widened when a partition has more than 2^n cells
-    labels = {}
-    for b, res in partitions.items():
-        width = max(n, 1, (len(res.sets) - 1).bit_length())
-        codes = [format(i, "b").zfill(width) for i in range(len(res.sets))]
-        labels[b] = {word: code for code, cell in zip(codes, res.sets) for word in cell}
+    labels = {b: labels[b] for b in good}
     return ConditionalPartitionReport(
         n=n, block_size=block_size, good_mass=good_mass, good_strings=good,
         partitions=partitions, labels=labels, tc_by_string=tc_by_string,

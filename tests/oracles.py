@@ -307,9 +307,9 @@ def tilt_ascent(masses, dist, r, kappa, budget, t_hi=None, t_points=24):
     """The tilted-divergence search of one measure (its atom masses in
     support order) run one (seed, t) gradient ascent at a time, as the
     library ran it before its ascents were batched.  Returns its ranked
-    (score, f-values, t, divergence, threshold) candidates, f as an array in
-    support order, and for each the step at which its ascent stopped (None
-    when it ran all ``budget.max_grad_steps``)."""
+    (score, f-values, t, divergence) candidates, f as an array in support
+    order, and for each the step at which its ascent stopped (None when it
+    ran all ``budget.max_grad_steps``)."""
     masses = np.asarray(masses, dtype=float)
     logm = np.log(masses)
     alpha = (r / 2.0) / kappa
@@ -345,23 +345,27 @@ def tilt_ascent(masses, dist, r, kappa, budget, t_hi=None, t_points=24):
                 best_f, best_div = f, div
                 grad = t * t * w * (f - float(w @ f))
                 f = project01(f + (0.5 / max(t * t, 1.0)) * grad)
-            ranked.append((best_div - alpha * t * t, best_f, float(t),
-                           best_div, alpha * t * t))
+            ranked.append((best_div - alpha * t * t, best_f, float(t), best_div))
             stops.append(stop)
     order = sorted(range(len(ranked)), key=lambda i: -ranked[i][0])
     return [ranked[i] for i in order], [stops[i] for i in order]
 
 
-def hexed_candidates(ranked, support):
-    """Ranked search candidates as (score, t, divergence, threshold,
-    f-values) in ``float.hex``, f taken in support order from an array row or
-    a word map."""
-    out = []
-    for score, f, t, div, threshold in ranked:
-        vals = [f[w] for w in support] if isinstance(f, dict) else f.tolist()
-        out.append((float(score).hex(), float(t).hex(), float(div).hex(),
-                    float(threshold).hex(), [float(v).hex() for v in vals]))
-    return out
+def ranked_candidates(found, row=0):
+    """Measure ``row``'s candidates from the ``(score, f, t, div, ...)``
+    arrays of ``concentration._l_search_candidates``, as (score, f-values,
+    t, divergence) tuples ranked by decreasing score, ties in search order:
+    the order of the per-pair search."""
+    score, f, t, div = (a[row] for a in found[:4])
+    return [(score[i], f[i], t[i], div[i]) for i in np.argsort(-score, kind="stable")]
+
+
+def hexed_candidates(ranked):
+    """Ranked search candidates as (score, t, divergence, f-values) in
+    ``float.hex``, f an array row in support order."""
+    return [(float(score).hex(), float(t).hex(), float(div).hex(),
+             [float(v).hex() for v in f.tolist()])
+            for score, f, t, div in ranked]
 
 
 def product_measure_dict(space, dists):

@@ -51,7 +51,7 @@ from hamconc.transport import DIAMETER_BLOCK_ELEMENTS, mismatch_matrix
 from hamconc.measures import MeasureError, product_measure
 
 from conftest import biased_product, make_measure, random_measure, two_cluster
-from oracles import hexed_candidates, lipschitz_project_1d, tilt_ascent
+from oracles import hexed_candidates, lipschitz_project_1d, ranked_candidates, tilt_ascent
 
 
 # -----------------------------------------------------------------------------
@@ -445,11 +445,11 @@ def test_tilt_corpus_pins_refutation_and_search():
         res = refute_T(mu, params, _corpus_budget(idx))
         refuted += res.refuted
         h.update(json.dumps(res.to_dict(), sort_keys=True).encode())
-        ranked, = _l_search_candidates(
+        ranked = ranked_candidates(_l_search_candidates(
             _mass_rows(mu), _metric(mu), params.r, params.kappa,
-            RefutationBudget(restarts=4, max_grad_steps=30, seed=idx))
+            RefutationBudget(restarts=4, max_grad_steps=30, seed=idx)))
         h.update(repr([(float(score).hex(), float(t).hex(), float(div).hex())
-                       for score, _, t, div, _ in ranked]).encode())
+                       for score, _, t, div in ranked]).encode())
     assert refuted == 11
     assert h.hexdigest() == TILT_CORPUS_DIGEST
 
@@ -494,11 +494,12 @@ def _search_against_oracle(mu, r, kappa, budget, t_hi=None, t_points=24):
     """Assert that the batched search ranks the candidates of the per-pair
     oracle, bit for bit; returns the oracle's stop steps."""
     dist, masses = _distances(mu), _mass_rows(mu)
-    got, = _l_search_candidates(masses, _metric(mu), r, kappa, budget, t_points=t_points,
-                                t_hi=None if t_hi is None else [t_hi])
+    got = ranked_candidates(_l_search_candidates(
+        masses, _metric(mu), r, kappa, budget, t_points=t_points,
+        t_hi=None if t_hi is None else [t_hi]))
     want, stops = tilt_ascent(masses[0], dist, r, kappa, budget, t_hi=t_hi,
                               t_points=t_points)
-    assert hexed_candidates(got, mu.support) == hexed_candidates(want, mu.support)
+    assert hexed_candidates(got) == hexed_candidates(want)
     return stops
 
 
@@ -531,6 +532,25 @@ def test_batched_search_matches_oracle_on_small_supports(mu, kappa, steps):
         assert set(stops) == {1}
     else:
         assert set(stops) == {None}
+
+
+def test_spaced_rows_have_the_bits_of_linspace():
+    # the search's and the separators' t-grids: np.linspace(lo, his, points,
+    # axis=1) bit for bit, on random, equal (zero span) and one-ulp endpoints,
+    # and on rows mixing zero and nonzero spans (numpy's subnormal path)
+    rng = np.random.default_rng(5)
+    for points in range(2, 31):
+        lo = float(rng.normal(scale=3.0))
+        up, down = np.nextafter(lo, math.inf), np.nextafter(lo, -math.inf)
+        for start, his in [(lo, rng.normal(scale=3.0, size=5).tolist()),
+                           (lo, [lo, lo, lo]),
+                           (lo, [up, down]),
+                           (lo, [lo, lo + 2.0, up]),
+                           (0.0, [5e-324, -5e-324, 1.0])]:
+            got = concentration_module._spaced_rows(start, his, points)
+            want = np.linspace(start, np.array(his), points, axis=1)
+            assert got.shape == want.shape == (len(his), points)
+            assert got.tobytes() == want.tobytes(), (points, start, his)
 
 
 @st.composite

@@ -242,12 +242,54 @@ def test_step_search_matches_per_pair_oracle(monkeypatch):
     decrement_recursion(product_mix(5, 0.15, 0.85), CFG)
     assert max(len(call[0]) for call in calls) >= 2
     for masses, metric, r, kappa, budget, kwargs, got in calls:
-        assert len(got) == len(masses) == len(kwargs["t_hi"])
-        for row, t_hi, ranked in zip(masses, kwargs["t_hi"], got):
+        assert len(got[0]) == len(got[4]) == len(masses) == len(kwargs["t_hi"])
+        for m, (row, t_hi) in enumerate(zip(masses, kwargs["t_hi"])):
             want, _ = oracles.tilt_ascent(row, metric.dist, r, kappa, budget, t_hi=t_hi,
                                           t_points=kwargs["t_points"])
-            assert (oracles.hexed_candidates(ranked, None)
-                    == oracles.hexed_candidates(want, None))
+            assert (oracles.hexed_candidates(oracles.ranked_candidates(got, m))
+                    == oracles.hexed_candidates(want))
+            # the anchor seeds, which the step reuses as its separators
+            anchors = np.argsort(-row, kind="stable")[:TILT_ANCHOR_STARTS]
+            assert got[4][m].tolist() == np.clip(metric.dist[anchors], 0.0, 1.0).tolist()
+
+
+def test_recursion_validates_only_its_final_partition(monkeypatch):
+    # a round keeps its candidates and splits as arrays: across a recursion
+    # the one FuzzyPartition validated is the final one, no t-grid goes
+    # through np.linspace, and a step's partition, built when read, is the
+    # one built from its density rows at once
+    validated = []
+    post_init = FuzzyPartition.__post_init__
+
+    def counting(fp):
+        validated.append(len(fp))
+        return post_init(fp)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("np.linspace called")
+
+    monkeypatch.setattr(FuzzyPartition, "__post_init__", counting)
+    monkeypatch.setattr(np, "linspace", forbidden)
+    rounds = 0
+    for _, mu in criterion_suite():
+        validated.clear()
+        fp, audit, _ = decrement_recursion(mu, CFG)
+        assert validated == [len(fp)]
+        rounds += len(audit["rounds"])
+    assert rounds > 100
+    fired = 0
+    for _, mu in criterion_suite():
+        split = decrement_step(mu, 0.3)
+        if split is None:
+            continue
+        validated.clear()
+        eager = FuzzyPartition(mu.space, mu.support, split.densities)
+        fp = split.partition
+        assert len(validated) == 2 and split.partition is fp
+        assert fp.support == eager.support == mu.support
+        assert fp.densities.tobytes() == eager.densities.tobytes()
+        fired += 1
+    assert fired >= 20
 
 
 def test_decrement_gate_dtc_evaluations(monkeypatch):
@@ -522,9 +564,10 @@ def test_split_budget_spawns_no_seed():
     assert decompose.SPLIT_BUDGET.restarts <= TILT_ANCHOR_STARTS
     mu = product_mix(5, 0.2, 0.8)
     metric = concentration.SupportMetric(mu.support, 2)
-    ranked = [oracles.hexed_candidates(decompose._l_search_candidates(
-        np.array([tuple(mu.atoms.values())]), metric, 0.3, 0.3 * 5 / DEC_DENOMINATOR,
-        replace(decompose.SPLIT_BUDGET, seed=seed), t_points=10)[0], mu.support)
+    ranked = [oracles.hexed_candidates(oracles.ranked_candidates(
+        decompose._l_search_candidates(
+            np.array([tuple(mu.atoms.values())]), metric, 0.3, 0.3 * 5 / DEC_DENOMINATOR,
+            replace(decompose.SPLIT_BUDGET, seed=seed), t_points=10)))
         for seed in (0, 12345)]
     assert ranked[0] == ranked[1]
 
